@@ -4,7 +4,20 @@ Structured records become short synthetic sentences (``dw__Temp__mid_range.``)
 appended to a document's text, so ordinary text modeling handles both
 channels at once and explanations can point at either a text sentence or
 a structured value.
+
+Importing the package pins BLAS and OpenMP to one thread, because the ridge
+solve's dense factorization rounds differently with the BLAS thread count
+and bundles must not depend on the host's thread settings. The pin only
+takes effect if numpy is not loaded yet: a caller that imports numpy before
+this package must set ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1 itself (or import ``datawords`` first).
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+del _var
 
 from .corpus import Encounter, FoldSplit, Sentence, kfold_split, load_corpus, save_corpus, split_sentences, tokenize
 from .encoding import (
@@ -51,6 +64,7 @@ from .model import (
     PredictionSet,
     combine_linear,
     fit_label,
+    fit_labels,
     fit_threshold,
     load_bundle,
     predict,

@@ -374,7 +374,8 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=ABLATION_MODES, help="ablation mode")
     p.add_argument("--lambda", dest="lam", type=float, help="ridge strength (default 1.0)")
     p.add_argument("--topk", type=int, help="justifications per prediction (default 3)")
-    p.add_argument("--threads", type=int, help="worker threads (default 1)")
+    p.add_argument("--threads", type=int,
+                   help="accepted for compatibility; all labels share one solve (default 1)")
     p.add_argument("--unit", choices=("document", "encounter"), help="classification unit")
     p.add_argument("--source", choices=("patterns", "external", "db", "none"),
                    help="structured-data source (default patterns)")

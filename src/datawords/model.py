@@ -8,9 +8,15 @@ encounters is frozen into a ModelBundle, so prediction re-runs the exact
 same encoding with training-time statistics and cuts.
 
 The regressor minimizes sum((w.x + b - y)^2) + lambda * ||w||^2 with an
-unpenalized bias, solved by conjugate gradient on the normal equations
-(start at zero, relative tolerance 1e-10, iteration cap 10 * dimension),
-which keeps fits deterministic and cheap for thousands of labels.
+unpenalized bias. Every label shares X and lambda, so ``fit_labels`` solves
+all of them from one dense factorization over the k columns X actually
+uses. Centering removes the bias (b = mean(y) - mean(x).w); with k <= n
+units it factors the k x k centered normal matrix, otherwise the n x n
+centered Gram matrix, and then w = X^T alpha. When min(n, k) is too large
+for two dense min(n, k)^2 arrays it falls back to ``fit_label``, one
+conjugate-gradient solve per label (start at zero, relative tolerance
+1e-10, iteration cap 10 * dimension). Dense solves round differently with
+the BLAS thread count, which importing the package pins to one.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import json
 import logging
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -71,9 +76,9 @@ UNIT_KINDS = ("document", "encounter")
 class PipelineConfig:
     """Everything that parameterizes training, prediction, and evaluation.
 
-    ``threads`` is an execution detail and is excluded from the config
-    digest; runs with different thread counts must produce identical
-    outputs.
+    ``threads`` is accepted for compatibility and excluded from the config
+    digest: training solves every label in one shared solve, so outputs
+    never depend on it.
     """
 
     ablation_mode: str = "text_plus_datawords"
@@ -105,6 +110,8 @@ class PipelineConfig:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.hash_bits is not None and not (1 <= self.hash_bits <= 30):
+            raise ConfigError(f"hash bits must be in [1, 30], got {self.hash_bits}")
 
     def resolved_pattern_config(self) -> PatternConfig:
         return self.pattern_config if self.pattern_config is not None else default_pattern_config()
@@ -251,12 +258,55 @@ def fit_label(
     return x, 0.0
 
 
-def _f1_from_counts(tp: float, fp: float, fn: float) -> float:
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+# Largest min(units, used columns) solved densely; two float64 arrays of
+# this side take about 270 MB. Larger problems use per-label CG.
+_DENSE_SOLVE_MAX = 4096
+
+
+def fit_labels(X, Y, lam: float) -> tuple[sparse.csc_matrix, np.ndarray]:
+    """Ridge fits for every label at once; returns (W, b).
+
+    X is a list of DocumentVector or a sparse (n x d) matrix and Y an
+    (n x labels) array of 0/1 targets. W is a (d x labels) CSC matrix
+    without stored zeros and b the unpenalized biases; column j solves the
+    same problem as ``fit_label(X, Y[:, j], lam)``.
+    """
+    if lam <= 0:
+        raise InputError(f"lambda must be positive, got {lam}")
+    Xm = _as_matrix(X)
+    Yv = np.asarray(Y, dtype=np.float64)
+    if Yv.ndim != 2 or Xm.shape[0] != Yv.shape[0]:
+        raise InputError(f"targets must be ({Xm.shape[0]} x labels), got shape {Yv.shape}")
+    n, d = Xm.shape
+    cols = np.unique(Xm.indices)
+    k = cols.size
+    Xs = Xm[:, cols]
+    if min(n, k) > _DENSE_SOLVE_MAX:
+        Wk = np.empty((k, Yv.shape[1]))
+        b = np.empty(Yv.shape[1])
+        for j in range(Yv.shape[1]):
+            Wk[:, j], b[j] = fit_label(Xs, Yv[:, j], lam)
+    else:
+        x_mean = np.asarray(Xs.sum(axis=0)).ravel() / n
+        y_mean = Yv.mean(axis=0)
+        if k <= n:
+            A = (Xs.T @ Xs).toarray()
+            A -= np.outer(n * x_mean, x_mean)
+            A.flat[:: k + 1] += lam
+            Wk = np.linalg.solve(A, Xs.T @ (Yv - y_mean))
+        else:
+            # H K H + lam I, with H = I - 11'/n, built in place on K = Xs Xs'.
+            A = (Xs @ Xs.T).toarray()
+            row_mean = A.mean(axis=1)
+            A -= row_mean[:, None]
+            A -= row_mean[None, :]
+            A += row_mean.mean()
+            A.flat[:: n + 1] += lam
+            Wk = Xs.T @ np.linalg.solve(A, Yv - y_mean)
+        b = y_mean - x_mean @ Wk
+    Wc = sparse.csc_matrix(Wk)
+    W = sparse.csc_matrix((Wc.data, cols[Wc.indices], Wc.indptr), shape=(d, Yv.shape[1]))
+    return W, b
 
 
 def fit_threshold(scores: Sequence[float], y: Sequence[int]) -> float:
@@ -265,7 +315,8 @@ def fit_threshold(scores: Sequence[float], y: Sequence[int]) -> float:
     Candidates are the midpoints of adjacent sorted unique scores plus
     (min - 1) and (max + 1); ties go to the lowest threshold. With no
     positive targets the label can never be predicted and the sentinel
-    +inf is returned.
+    +inf is returned. Runs in O(n log n): one sort, then counts of the
+    scores and positives at or above each candidate.
     """
     s = np.asarray(scores, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
@@ -276,23 +327,24 @@ def fit_threshold(scores: Sequence[float], y: Sequence[int]) -> float:
     n_pos = float(yv.sum())
     if n_pos == 0.0:
         return math.inf
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
+    pos_below = np.concatenate([[0], np.cumsum(yv[order] == 1.0)])
     uniq = np.unique(s)
     cands = np.concatenate(
         [[uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2.0, [uniq[-1] + 1.0]]
     )
-    pred = s[None, :] >= cands[:, None]
-    tp = (pred & (yv == 1.0)[None, :]).sum(axis=1).astype(np.float64)
-    npred = pred.sum(axis=1).astype(np.float64)
-    fp = npred - tp
-    fn = n_pos - tp
-    best_f1 = -1.0
-    best_t = cands[0]
-    for i in range(len(cands)):
-        f1 = _f1_from_counts(tp[i], fp[i], fn[i])
-        if f1 > best_f1:
-            best_f1 = f1
-            best_t = cands[i]
-    return float(best_t)
+    # first sorted position with score >= candidate: everything from there on is predicted
+    first = np.searchsorted(s_sorted, cands, side="left")
+    tp = (pos_below[-1] - pos_below[first]).astype(np.float64)
+    npred = (s.size - first).astype(np.float64)
+    # tp = 0 wherever a denominator is 0, so those F1 values come out 0
+    precision = tp / np.maximum(npred, 1.0)
+    recall = tp / n_pos
+    total = precision + recall
+    f1 = 2.0 * precision * recall / np.where(total > 0.0, total, 1.0)
+    # argmax takes the first maximum, i.e. the lowest threshold
+    return float(cands[int(np.argmax(f1))])
 
 
 def combine_linear(p1: float, p2: float, w1: float, w2: float) -> float:
@@ -576,27 +628,25 @@ def train_all(encounters: Sequence[Encounter], config: PipelineConfig) -> ModelB
             f"({config.min_positive})"
         )
 
-    gold_sets = [u.gold for u in units]
+    column = {label: j for j, label in enumerate(labels)}
+    Y = np.zeros((len(units), len(labels)), dtype=np.float64)
+    for i, unit in enumerate(units):
+        for code in unit.gold:
+            if code in column:
+                Y[i, column[code]] = 1.0
 
-    def fit_one(label: str) -> LabelModel:
-        y = np.fromiter((1.0 if label in g else 0.0 for g in gold_sets), dtype=np.float64)
-        w, b = fit_label(X, y, config.lam)
-        scores = X @ w + b
-        thr = fit_threshold(scores, y)
-        nz = np.nonzero(w)[0]
-        return LabelModel(
+    W, b = fit_labels(X, Y, config.lam)
+    S = (X @ W).toarray() + b
+    models = tuple(
+        LabelModel(
             label=label,
-            indices=nz.astype(np.int64),
-            values=w[nz],
-            bias=b,
-            threshold=thr,
+            indices=W.indices[W.indptr[j] : W.indptr[j + 1]].astype(np.int64),
+            values=W.data[W.indptr[j] : W.indptr[j + 1]],
+            bias=float(b[j]),
+            threshold=fit_threshold(S[:, j], Y[:, j]),
         )
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            models = tuple(pool.map(fit_one, labels))
-    else:
-        models = tuple(fit_one(label) for label in labels)
+        for j, label in enumerate(labels)
+    )
 
     return ModelBundle(
         tfidf=tfidf,
@@ -689,7 +739,8 @@ def predict(
 # ---------------------------------------------------------------------------
 
 
-def _bundle_to_dict(bundle: ModelBundle) -> dict:
+def _bundle_header(bundle: ModelBundle) -> dict:
+    """Every bundle field except the per-label models, in file order."""
     tfidf = bundle.tfidf
     if tfidf.mode == "indexed":
         tokens = tfidf.vocabulary.tokens_by_index()
@@ -737,23 +788,40 @@ def _bundle_to_dict(bundle: ModelBundle) -> dict:
                 else None
             ),
         },
-        "labels": [
-            {
-                "code": lm.label,
-                "bias": float(lm.bias),
-                "threshold": None if math.isinf(lm.threshold) else float(lm.threshold),
-                "weights": [[int(i), float(v)] for i, v in zip(lm.indices, lm.values)],
-            }
-            for lm in bundle.label_models
-        ],
+    }
+
+
+def _label_entry(lm: LabelModel) -> dict:
+    return {
+        "code": lm.label,
+        "bias": float(lm.bias),
+        "threshold": None if math.isinf(lm.threshold) else float(lm.threshold),
+        "weights": [[int(i), float(v)] for i, v in zip(lm.indices, lm.values)],
+    }
+
+
+def _bundle_to_dict(bundle: ModelBundle) -> dict:
+    return {
+        **_bundle_header(bundle),
+        "labels": [_label_entry(lm) for lm in bundle.label_models],
     }
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
-    """Serialize to a single JSON document with round-trip float precision."""
-    payload = json.dumps(_bundle_to_dict(bundle), separators=(",", ":")) + "\n"
+    """Serialize to a single JSON document with round-trip float precision.
+
+    The bytes equal ``json.dumps(_bundle_to_dict(bundle), separators=(",",
+    ":")) + "\\n"``, but each label is encoded and written on its own, so the
+    whole document is never held in memory.
+    """
+    header = json.dumps(_bundle_header(bundle), separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+        fh.write(header[:-1] + ',"labels":[')
+        for j, lm in enumerate(bundle.label_models):
+            if j:
+                fh.write(",")
+            fh.write(json.dumps(_label_entry(lm), separators=(",", ":")))
+        fh.write("]}\n")
 
 
 def load_bundle(path: str | Path) -> ModelBundle:

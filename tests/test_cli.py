@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import datawords
 from datawords.cli import main
 from datawords.corpus import kfold_split, load_corpus, save_corpus
 from datawords.evaluation import confusion_counts, micro_metrics
@@ -389,3 +394,26 @@ class TestConfigFile:
         bad.write_text("{nope", encoding="utf-8")
         rc = main(["evaluate", "--config", str(bad), "--out", str(tmp_path / "r")])
         assert rc == 2
+
+
+def test_bundle_bytes_independent_of_blas_threads(tmp_path):
+    # The package pins BLAS on import, which only works before numpy loads,
+    # and this test process has loaded it already; so train in fresh
+    # interpreters. The corpus is large enough (~200 units and features)
+    # for a multithreaded BLAS to round the dense solve differently.
+    spec = write_json(tmp_path / "spec.json", {**SYNTH_SPEC, "documents": 200})
+    corpus = tmp_path / "synth.jsonl"
+    assert main(["synth", "--spec", spec, "--out", str(corpus)]) == 0
+    src = str(Path(datawords.__file__).resolve().parent.parent)
+    bundles = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"bundle_blas{blas_threads}.json"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas_threads,
+               "OMP_NUM_THREADS": blas_threads, "MKL_NUM_THREADS": blas_threads}
+        subprocess.run(
+            [sys.executable, "-m", "datawords.cli", "train", "--corpus", str(corpus),
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        bundles.append(out.read_bytes())
+    assert bundles[0] == bundles[1]

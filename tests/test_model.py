@@ -1,9 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
+from datawords import model
 from datawords.corpus import Encounter
 from datawords.errors import ConfigError, DataError, InputError, UnsupportedVersionError
 from datawords.evaluation import PlantedRule, SynthSpec, generate_synthetic
@@ -12,7 +17,9 @@ from datawords.model import (
     PipelineConfig,
     build_corpus_units,
     combine_linear,
+    _bundle_to_dict,
     fit_label,
+    fit_labels,
     fit_threshold,
     load_bundle,
     predict,
@@ -78,6 +85,41 @@ def as_rows(X_dense):
     return rows
 
 
+def quadratic_threshold_oracle(scores, y):
+    """The (#unique scores x n) comparison-matrix threshold fit that
+    fit_threshold's sort-and-count version must reproduce exactly."""
+    s = np.asarray(scores, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    n_pos = float(yv.sum())
+    if n_pos == 0.0:
+        return math.inf
+    uniq = np.unique(s)
+    cands = np.concatenate([[uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2.0, [uniq[-1] + 1.0]])
+    pred = s[None, :] >= cands[:, None]
+    tp = (pred & (yv == 1.0)[None, :]).sum(axis=1).astype(np.float64)
+    fp = pred.sum(axis=1).astype(np.float64) - tp
+    fn = n_pos - tp
+    best_f1, best_t = -1.0, cands[0]
+    for i in range(len(cands)):
+        precision = tp[i] / (tp[i] + fp[i]) if tp[i] + fp[i] > 0 else 0.0
+        recall = tp[i] / (tp[i] + fn[i]) if tp[i] + fn[i] > 0 else 0.0
+        f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
+        if f1 > best_f1:
+            best_f1, best_t = f1, cands[i]
+    return float(best_t)
+
+
+def sparse_problem(rng, n, d, labels=4):
+    """Sparse X whose last column is never used, plus 0/1 targets with one
+    label that has no positives and one that is all positives."""
+    X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.6)
+    X[:, -1] = 0.0
+    Y = rng.integers(0, 2, size=(n, labels)).astype(float)
+    Y[:, 0] = 0.0
+    Y[:, 1] = 1.0
+    return X, Y
+
+
 class TestFitLabel:
     def test_closed_form_single_sample_no_bias(self):
         X = np.array([[1.0, 0.0]])
@@ -134,6 +176,70 @@ class TestFitLabel:
             fit_label(as_rows(X), [1.0, 0.0], lam=1.0)
 
 
+class TestFitLabels:
+    # (n, d) with d - 1 used columns: k <= n solves the primal system,
+    # n < k the dual one
+    SHAPES = [(12, 5), (9, 10), (5, 14), (1, 4), (3, 1)]
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    def test_against_dense_oracle(self, n, d):
+        rng = np.random.default_rng(n * 100 + d)
+        for lam in (0.1, 1.0, 10.0):
+            X, Y = sparse_problem(rng, n, d)
+            W, b = fit_labels(sparse.csr_matrix(X), Y, lam)
+            assert W.shape == (d, Y.shape[1])
+            Wd = W.toarray()
+            for j in range(Y.shape[1]):
+                w_ref, b_ref = ridge_oracle(X, Y[:, j], lam)
+                assert np.max(np.abs(Wd[:, j] - w_ref)) <= 1e-8
+                assert abs(b[j] - b_ref) <= 1e-8
+                w_cg, b_cg = fit_label(as_rows(X), Y[:, j], lam)
+                assert np.max(np.abs(Wd[:, j] - w_cg)) <= 1e-8
+                assert abs(b[j] - b_cg) <= 1e-8
+            assert not np.any(Wd[X.any(axis=0) == 0])
+
+    def test_label_without_positives(self):
+        X, Y = sparse_problem(np.random.default_rng(1), 10, 6)
+        Xs = sparse.csr_matrix(X)
+        W, b = fit_labels(Xs, Y, 1.0)
+        assert W.indptr[1] == 0 and b[0] == 0.0
+        assert fit_threshold(Xs @ W[:, 0].toarray().ravel() + b[0], Y[:, 0]) == math.inf
+
+    def test_label_all_positive(self):
+        X, Y = sparse_problem(np.random.default_rng(2), 10, 6)
+        W, b = fit_labels(sparse.csr_matrix(X), Y, 1.0)
+        assert np.max(np.abs(W[:, 1].toarray())) <= 1e-8
+        assert abs(b[1] - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("n,d", [(12, 5), (5, 14)])
+    def test_fallback_matches_dense(self, n, d, monkeypatch):
+        X, Y = sparse_problem(np.random.default_rng(3), n, d)
+        dense_W, dense_b = fit_labels(sparse.csr_matrix(X), Y, 0.5)
+        monkeypatch.setattr(model, "_DENSE_SOLVE_MAX", 0)
+        W, b = fit_labels(sparse.csr_matrix(X), Y, 0.5)
+        for j in range(Y.shape[1]):
+            w_ref, b_ref = ridge_oracle(X, Y[:, j], 0.5)
+            assert np.max(np.abs(W[:, j].toarray().ravel() - w_ref)) <= 1e-8
+            assert abs(b[j] - b_ref) <= 1e-8
+        assert np.max(np.abs((W - dense_W).toarray())) <= 1e-8
+        assert np.max(np.abs(b - dense_b)) <= 1e-8
+
+    def test_accepts_document_vectors(self):
+        X, Y = sparse_problem(np.random.default_rng(4), 8, 5)
+        W1, b1 = fit_labels(as_rows(X), Y, 1.0)
+        W2, b2 = fit_labels(sparse.csr_matrix(X), Y, 1.0)
+        assert (W1 != W2).nnz == 0 and np.array_equal(b1, b2)
+
+    def test_target_shape_mismatch(self):
+        X, Y = sparse_problem(np.random.default_rng(5), 8, 5)
+        with pytest.raises(InputError):
+            fit_labels(sparse.csr_matrix(X), Y[:-1], 1.0)
+        with pytest.raises(InputError):
+            fit_labels(sparse.csr_matrix(X), Y[:, 0], 1.0)
+        with pytest.raises(InputError):
+            fit_labels(sparse.csr_matrix(X), Y, 0.0)
+
+
 class TestFitThreshold:
     def test_perfect_separation_midpoint(self):
         t = fit_threshold([0.9, 0.8, 0.2], [1, 1, 0])
@@ -170,6 +276,25 @@ class TestFitThreshold:
         t = fit_threshold([0.1, 0.2], [1, 1])
         assert t == pytest.approx(0.1 - 1.0)
 
+    @given(
+        st.integers(1, 25).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.sampled_from([-1.0, 0.0, 0.25, 1.0, float(np.nextafter(1.0, 2.0))])
+                    | st.floats(-10.0, 10.0, allow_nan=False),
+                    min_size=n,
+                    max_size=n,
+                ),
+                st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            )
+        )
+    )
+    @example(([1.0, float(np.nextafter(1.0, 2.0))], [0, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_quadratic_oracle(self, case):
+        scores, y = case
+        assert fit_threshold(scores, y) == quadratic_threshold_oracle(scores, y)
+
 
 class TestCombineLinear:
     def test_weighted_mean(self):
@@ -193,6 +318,17 @@ def trivial_corpus():
 
 def text_only_config(**kw):
     return PipelineConfig(ablation_mode="text_only", extraction_source="none", **kw)
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("bits", [-1, 0, 31])
+    def test_hash_bits_out_of_range_rejected_at_construction(self, bits):
+        with pytest.raises(ConfigError, match="hash bits"):
+            PipelineConfig(hash_bits=bits)
+
+    @pytest.mark.parametrize("bits", [None, 1, 30])
+    def test_hash_bits_in_range_accepted(self, bits):
+        assert PipelineConfig(hash_bits=bits).hash_bits == bits
 
 
 class TestTrainAll:
@@ -361,6 +497,14 @@ class TestBundleRoundTrip:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(DataError):
             load_bundle(path)
+
+    def test_streamed_save_matches_whole_document(self, tmp_path):
+        bundle, _ = self.make_bundle_and_probe()
+        for b in (bundle, replace(bundle, label_models=())):
+            path = tmp_path / "bundle.json"
+            save_bundle(b, path)
+            whole = json.dumps(_bundle_to_dict(b), separators=(",", ":")) + "\n"
+            assert path.read_bytes() == whole.encode("utf-8")
 
     def test_save_is_deterministic(self, tmp_path):
         bundle, _ = self.make_bundle_and_probe()

@@ -33,6 +33,7 @@ from .extraction import (
 )
 from .model import (
     PipelineConfig,
+    _key_external,
     build_corpus_units,
     load_bundle,
     predict_units,
@@ -82,13 +83,16 @@ def _external_records(source: str, path: str | None):
     return None
 
 
-def _predictside_records(args, cfg: dict, bundle):
-    """Records file to accompany a bundle whose source is external or db.
+def _predictside_units(args, cfg: dict, bundle, encounters):
+    """Every encounter's units, prepared with the records file that
+    accompanies a bundle whose source is external or db, indexed once.
     Missing structured data is tolerated at predict time."""
     path = _setting(args, cfg, "extractions")
+    records = None
     if bundle.extraction_source in ("external", "db") and path:
-        return _external_records(bundle.extraction_source, path)
-    return None
+        records = _external_records(bundle.extraction_source, path)
+    external = _key_external(records or ())
+    return [u for enc in encounters for u in prepare_units(bundle, enc, external)]
 
 
 def _pipeline_config(args, cfg: dict, mode: str | None = None) -> PipelineConfig:
@@ -243,21 +247,18 @@ def cmd_predict(args) -> int:
     t0 = time.perf_counter()
     bundle = load_bundle(bundle_path)
     encounters = load_corpus(corpus_path)
-    external = _predictside_records(args, cfg, bundle)
-    rows = []
-    for enc in encounters:
-        units = prepare_units(bundle, enc, external)
-        for pset in predict_units(bundle, units):
-            rows.append(
-                {
-                    "encounter_id": pset.encounter_id,
-                    "doc_index": pset.doc_index,
-                    "predictions": [
-                        {"label": it.label, "score": it.score, "predicted": it.predicted}
-                        for it in pset.items
-                    ],
-                }
-            )
+    units = _predictside_units(args, cfg, bundle, encounters)
+    rows = [
+        {
+            "encounter_id": pset.encounter_id,
+            "doc_index": pset.doc_index,
+            "predictions": [
+                {"label": it.label, "score": it.score, "predicted": it.predicted}
+                for it in pset.items
+            ],
+        }
+        for pset in predict_units(bundle, units)
+    ]
     _write_jsonl(out_path, rows)
     _timed("predict", t0)
     return 0
@@ -275,34 +276,31 @@ def cmd_explain(args) -> int:
     t0 = time.perf_counter()
     bundle = load_bundle(bundle_path)
     encounters = load_corpus(corpus_path)
-    external = _predictside_records(args, cfg, bundle)
+    units = _predictside_units(args, cfg, bundle, encounters)
     rows = []
-    for enc in encounters:
-        units = prepare_units(bundle, enc, external)
-        psets = predict_units(bundle, units)
-        for unit, pset in zip(units, psets):
-            for item in pset.items:
-                if not item.predicted:
-                    continue
-                scored = score_sentences(bundle, item.label, unit)
-                just = top_justifications(scored, k=topk, sentence_filter=sentence_filter)
-                rows.append(
-                    {
-                        "encounter_id": unit.encounter_id,
-                        "doc_index": unit.doc_index,
-                        "label": item.label,
-                        "justifications": [
-                            {
-                                "rank": j.rank,
-                                "kind": j.sentence.kind,
-                                "score": j.score,
-                                "text": j.sentence.text,
-                                "rendering": j.rendering,
-                            }
-                            for j in just
-                        ],
-                    }
-                )
+    for unit, pset in zip(units, predict_units(bundle, units)):
+        for item in pset.items:
+            if not item.predicted:
+                continue
+            scored = score_sentences(bundle, item.label, unit)
+            just = top_justifications(scored, k=topk, sentence_filter=sentence_filter)
+            rows.append(
+                {
+                    "encounter_id": unit.encounter_id,
+                    "doc_index": unit.doc_index,
+                    "label": item.label,
+                    "justifications": [
+                        {
+                            "rank": j.rank,
+                            "kind": j.sentence.kind,
+                            "score": j.score,
+                            "text": j.sentence.text,
+                            "rendering": j.rendering,
+                        }
+                        for j in just
+                    ],
+                }
+            )
     _write_jsonl(out_path, rows)
     _timed("explain", t0)
     return 0

@@ -24,7 +24,14 @@ import numpy as np
 
 from .corpus import Encounter, kfold_split
 from .errors import ConfigError, InputError
-from .model import PipelineConfig, PredictionSet, predict, train_all
+from .model import (
+    PipelineConfig,
+    PredictionSet,
+    _key_external,
+    predict_units,
+    prepare_units,
+    train_all,
+)
 
 SYNTH_BINS = ("very_low", "low", "mid", "high", "very_high")
 
@@ -196,11 +203,13 @@ def run_cv(encounters: Sequence[Encounter], config: PipelineConfig) -> MetricsRe
     Per fold, every training-derived quantity (statistics, vocabulary,
     idf, measurement selection, thresholds) comes from the other folds
     only. Confusion counts aggregate across folds; per-document metrics
-    pool every held-out unit.
+    pool every held-out unit. The external records are indexed once per
+    run, and each fold's held-out units are scored in one batch.
     """
     encounters = list(encounters)
     split = kfold_split(encounters, config.folds, config.seed)
     by_id = {e.encounter_id: e for e in encounters}
+    external = _key_external(config.external_records or ())
 
     all_predictions: list[PredictionSet] = []
     all_gold: list[frozenset[str]] = []
@@ -213,12 +222,9 @@ def run_cv(encounters: Sequence[Encounter], config: PipelineConfig) -> MetricsRe
         test_encs = [by_id[eid] for eid in split.test_ids(fold)]
         bundle = train_all(train_encs, config)
         t_train = time.perf_counter()
-        fold_preds: list[PredictionSet] = []
-        fold_gold: list[frozenset[str]] = []
-        for enc in test_encs:
-            for pset in predict(bundle, enc, config.external_records):
-                fold_preds.append(pset)
-                fold_gold.append(enc.codes)
+        units = [u for enc in test_encs for u in prepare_units(bundle, enc, external)]
+        fold_preds = predict_units(bundle, units)
+        fold_gold = [u.gold for u in units]
         t_pred = time.perf_counter()
 
         fold_counts = confusion_counts(fold_preds, fold_gold)

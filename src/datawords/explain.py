@@ -6,6 +6,11 @@ justification. The bias is excluded: it shifts all sentences equally and
 would only obscure the ranking. DataWords sentences are reported with
 their natural rendering so a reviewer sees "Temperature was very high
 [104.3]" rather than the raw token.
+
+A unit's sentences are vectorized once, however many of its predicted
+labels are explained: the bundle keeps the last unit's sentence vectors.
+Per label, the weights the sentences use are gathered from the label's
+sparse column, never expanded to a dense vector of the full dimension.
 """
 
 from __future__ import annotations
@@ -14,9 +19,11 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .corpus import Sentence, split_sentences, tokenize
 from .model import AugmentedUnit, ModelBundle
-from .vectorize import vectorize_sentence
+from .vectorize import vectorize_sentences
 
 _DW_TOKEN_RE = re.compile(r"^dw__.+__.+$")
 
@@ -70,19 +77,22 @@ def score_sentences(
 
     All sentences are returned, including zero-score out-of-vocabulary
     ones, in document order. Raises KeyError for a label the bundle does
-    not know.
+    not know. An AugmentedUnit's sentence vectors are kept on the bundle,
+    so scoring further labels of the same unit does not vectorize again;
+    raw text is vectorized on every call.
     """
     lm = bundle.label_model(label)
     if isinstance(augmented_doc, str):
         sentences: Sequence[Sentence] = sentences_from_text(augmented_doc)
+        vectors = vectorize_sentences(bundle.tfidf, sentences)
     else:
         sentences = augmented_doc.sentences
-    weights = lm.dense_weights(bundle.tfidf.dimension)
-    scored = []
-    for sent in sentences:
-        vec = vectorize_sentence(bundle.tfidf, sent)
-        scored.append((sent, vec.dot(weights)))
-    return scored
+        vectors = bundle.sentence_vectors(augmented_doc)
+    weights = lm.weights_at(vectors.features)
+    return [
+        (sent, float(np.dot(values, weights[positions])) if values.size else 0.0)
+        for sent, values, positions in zip(sentences, vectors.values, vectors.positions)
+    ]
 
 
 def top_justifications(

@@ -55,6 +55,7 @@ from .extraction import (
     variable_counts,
 )
 from .vectorize import (
+    SentenceVectors,
     TfIdfModel,
     Vocabulary,
     build_vocabulary,
@@ -62,6 +63,7 @@ from .vectorize import (
     fit_idf,
     stack_vectors,
     vectorize_document,
+    vectorize_sentences,
 )
 
 logger = logging.getLogger(__name__)
@@ -154,7 +156,11 @@ class AugmentedUnit:
 
 @dataclass
 class LabelModel:
-    """Weights, bias, and decision threshold for one label."""
+    """Weights, bias, and decision threshold for one label.
+
+    The weights are a sparse column: ``values`` at the strictly increasing
+    feature ``indices``.
+    """
 
     label: str
     indices: np.ndarray
@@ -162,10 +168,14 @@ class LabelModel:
     bias: float
     threshold: float
 
-    def dense_weights(self, dimension: int) -> np.ndarray:
-        w = np.zeros(dimension, dtype=np.float64)
-        w[self.indices] = self.values
-        return w
+    def weights_at(self, features: np.ndarray) -> np.ndarray:
+        """The weights at the given feature indices, 0.0 where the column has none."""
+        pos = np.searchsorted(self.indices, features)
+        hit = pos < self.indices.size
+        hit[hit] = self.indices[pos[hit]] == features[hit]
+        out = np.zeros(features.size, dtype=np.float64)
+        out[hit] = self.values[pos[hit]]
+        return out
 
 
 @dataclass(frozen=True)
@@ -509,7 +519,10 @@ class ModelBundle:
     lam: float = 1.0
     format_version: str = FORMAT_VERSION
     tokenizer: dict = field(default_factory=lambda: {"kind": "word", "lowercase": True})
-    _weight_matrix: sparse.csc_matrix | None = field(default=None, repr=False, compare=False)
+    # Derived read-side state, keyed by the identity of what it was built
+    # from; never compared, serialized, or copied by dataclasses.replace.
+    _weight_matrix: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _sentence_vectors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def labels(self) -> list[str]:
@@ -521,25 +534,35 @@ class ModelBundle:
                 return lm
         raise KeyError(label)
 
-    def weight_matrix(self) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray]:
-        """(dim x n_labels) weight matrix plus bias and threshold arrays."""
-        if self._weight_matrix is None:
-            dim = self.tfidf.dimension
-            cols = []
-            for lm in self.label_models:
-                cols.append(
-                    sparse.csc_matrix(
-                        (lm.values, (lm.indices, np.zeros(len(lm.indices), dtype=np.int64))),
-                        shape=(dim, 1),
-                    )
-                )
-            if cols:
-                self._weight_matrix = sparse.hstack(cols, format="csc")
-            else:
-                self._weight_matrix = sparse.csc_matrix((dim, 0))
-        biases = np.array([lm.bias for lm in self.label_models], dtype=np.float64)
-        thresholds = np.array([lm.threshold for lm in self.label_models], dtype=np.float64)
-        return self._weight_matrix, biases, thresholds
+    def weight_matrix(self) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+        """(dim x n_labels) CSR weight matrix plus bias and threshold arrays.
+
+        Built once per ``label_models`` tuple and kept, so scoring a batch
+        is a single CSR x CSR product with no format conversion per call.
+        """
+        lms = self.label_models
+        if self._weight_matrix is None or self._weight_matrix[0] is not lms:
+            rows = np.concatenate([lm.indices for lm in lms] + [np.empty(0, np.int64)])
+            cols = np.repeat(np.arange(len(lms)), [lm.indices.size for lm in lms])
+            values = np.concatenate([lm.values for lm in lms] + [np.empty(0)])
+            W = sparse.csr_matrix((values, (rows, cols)), shape=(self.tfidf.dimension, len(lms)))
+            biases = np.array([lm.bias for lm in lms], dtype=np.float64)
+            thresholds = np.array([lm.threshold for lm in lms], dtype=np.float64)
+            self._weight_matrix = (lms, W, biases, thresholds)
+        return self._weight_matrix[1:]
+
+    def sentence_vectors(self, unit: AugmentedUnit) -> SentenceVectors:
+        """tf-idf vectors of the unit's sentences.
+
+        The last unit's vectors are kept, keyed by the identity of the unit
+        and of the tf-idf model, so explaining several labels of one unit
+        vectorizes each of its sentences once.
+        """
+        cached = self._sentence_vectors
+        if cached is None or cached[0] is not unit or cached[1] is not self.tfidf:
+            cached = (unit, self.tfidf, vectorize_sentences(self.tfidf, unit.sentences))
+            self._sentence_vectors = cached
+        return cached[2]
 
 
 @dataclass
@@ -667,15 +690,22 @@ def train_all(encounters: Sequence[Encounter], config: PipelineConfig) -> ModelB
 def prepare_units(
     bundle: ModelBundle,
     encounter: Encounter,
-    external_records: Sequence[StructuredRecord] | None = None,
+    external_records: (
+        Sequence[StructuredRecord] | Mapping[str, list[StructuredRecord]] | None
+    ) = None,
 ) -> list[AugmentedUnit]:
     """Rebuild an encounter's units with the bundle's frozen state.
 
     This is the prediction-side half of the train/predict symmetry
     contract: an encounter encodes here exactly as it would have encoded
-    as a member of the bundle's training set.
+    as a member of the bundle's training set. A caller preparing many
+    encounters passes the external records already indexed by encounter
+    id (``_key_external``), so they are indexed once, not per encounter.
     """
-    external = _key_external(external_records or ())
+    if isinstance(external_records, Mapping):
+        external = external_records
+    else:
+        external = _key_external(external_records or ())
     records = _collect_records(
         encounter, bundle.extraction_source, bundle.pattern_config, external
     )
@@ -694,20 +724,25 @@ def prepare_units(
 
 
 def predict_units(bundle: ModelBundle, units: Sequence[AugmentedUnit]) -> list[PredictionSet]:
-    """Score already-prepared units against every label in the bundle."""
+    """Score already-prepared units against every label in the bundle.
+
+    The units' vectors are stacked into one CSR matrix X and scored with a
+    single product X W + b against the bundle's CSR weight matrix. Row i
+    of that product sums the same terms in the same order as scoring unit
+    i alone, so one call over a batch gives bit-identical scores to one
+    call per unit; callers should pass every unit they have at once.
+    """
     W, biases, thresholds = bundle.weight_matrix()
+    X = stack_vectors(
+        [vectorize_document(bundle.tfidf, unit.text) for unit in units], bundle.tfidf.dimension
+    )
+    S = (X @ W).toarray() + biases
+    labels = bundle.labels
     out: list[PredictionSet] = []
-    for unit in units:
-        vec = vectorize_document(bundle.tfidf, unit.text)
-        X = stack_vectors([vec], bundle.tfidf.dimension)
-        scores = np.asarray((X @ W).todense()).ravel() + biases
+    for unit, scores, hits in zip(units, S.tolist(), (S >= thresholds).tolist()):
         items = [
-            PredictionItem(
-                label=lm.label,
-                score=float(scores[j]),
-                predicted=bool(scores[j] >= thresholds[j]),
-            )
-            for j, lm in enumerate(bundle.label_models)
+            PredictionItem(label=label, score=score, predicted=hit)
+            for label, score, hit in zip(labels, scores, hits)
         ]
         items.sort(key=lambda it: (-it.score, it.label))
         out.append(
@@ -824,8 +859,47 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         fh.write("]}\n")
 
 
+def _label_from_entry(entry: Mapping, dimension: int) -> LabelModel:
+    """One saved label, checked so that scoring cannot fail or go NaN:
+    integer weight indices strictly increasing in [0, dimension), finite
+    weights and bias, and a finite threshold or null (never predicted).
+    Raises ValueError naming the first violation."""
+    code = entry["code"]
+    weights = entry["weights"]
+    indices = np.asarray([i for i, _ in weights])
+    values = np.asarray([v for _, v in weights], dtype=np.float64)
+    if indices.size and indices.dtype.kind != "i":
+        raise ValueError(f"label {code!r}: weight indices must be integers")
+    indices = indices.astype(np.int64)
+    out_of_range = indices[(indices < 0) | (indices >= dimension)]
+    if out_of_range.size:
+        raise ValueError(
+            f"label {code!r}: weight index {out_of_range[0]} outside [0, {dimension})"
+        )
+    if np.any(np.diff(indices) <= 0):
+        raise ValueError(f"label {code!r}: weight indices must be strictly increasing")
+    if not np.isfinite(values).all():
+        raise ValueError(f"label {code!r}: weights must be finite")
+    bias = float(entry["bias"])
+    if not math.isfinite(bias):
+        raise ValueError(f"label {code!r}: bias must be finite, got {bias}")
+    thr = entry["threshold"]
+    threshold = math.inf if thr is None else float(thr)
+    if thr is not None and not math.isfinite(threshold):
+        raise ValueError(f"label {code!r}: threshold must be finite or null, got {threshold}")
+    return LabelModel(
+        label=code, indices=indices, values=values, bias=bias, threshold=threshold
+    )
+
+
 def load_bundle(path: str | Path) -> ModelBundle:
-    """Load a saved bundle; predictions after a round trip are bit-exact."""
+    """Load a saved bundle; predictions after a round trip are bit-exact.
+
+    Contents that would make prediction fail or go NaN (an ``idf`` whose
+    length differs from the token count, weight indices that are not
+    strictly increasing integers in [0, dimension), a non-finite weight or
+    bias, a threshold that is neither finite nor null) raise DataError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -844,16 +918,26 @@ def load_bundle(path: str | Path) -> ModelBundle:
             index = {t: i for i, (t, _df) in enumerate(tf["tokens"])}
             df = {t: int(d) for t, d in tf["tokens"]}
             vocab = Vocabulary(index=index, df=df, document_count=int(tf["document_count"]))
+            idf = np.asarray(tf["idf"], dtype=np.float64)
+            if idf.shape != (len(tf["tokens"]),):
+                raise ValueError(
+                    f"tfidf.idf has {idf.size} entries for {len(tf['tokens'])} tokens"
+                )
             tfidf = TfIdfModel(
                 vocabulary=vocab,
-                idf=np.asarray(tf["idf"], dtype=np.float64),
+                idf=idf,
                 l2_normalize=bool(tf["normalize"]),
                 document_count=int(tf["document_count"]),
             )
         else:
             bits = int(tf["bits"])
+            if not (1 <= bits <= 30):
+                raise ValueError(f"hash bits must be in [1, 30], got {bits}")
             n = int(tf["document_count"])
             hashed_df = {int(slot): int(c) for slot, c in tf["df"]}
+            bad = [slot for slot in hashed_df if not (0 <= slot < 1 << bits)]
+            if bad:
+                raise ValueError(f"hashed df slot {bad[0]} outside [0, {1 << bits})")
             idf = np.full(1 << bits, math.log(1.0 + n) + 1.0, dtype=np.float64)
             for slot, count in hashed_df.items():
                 idf[slot] = math.log((1.0 + n) / (1.0 + count)) + 1.0
@@ -878,21 +962,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
             else None
         )
         roll = obj["rollup"]
-        models = []
-        for entry in obj["labels"]:
-            weights = entry["weights"]
-            indices = np.asarray([i for i, _ in weights], dtype=np.int64)
-            values = np.asarray([v for _, v in weights], dtype=np.float64)
-            thr = entry["threshold"]
-            models.append(
-                LabelModel(
-                    label=entry["code"],
-                    indices=indices,
-                    values=values,
-                    bias=float(entry["bias"]),
-                    threshold=math.inf if thr is None else float(thr),
-                )
-            )
+        models = [_label_from_entry(entry, tfidf.dimension) for entry in obj["labels"]]
         return ModelBundle(
             tfidf=tfidf,
             variable_stats=stats,

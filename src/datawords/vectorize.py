@@ -156,11 +156,6 @@ class DocumentVector:
         dense[self.indices] = self.values
         return dense
 
-    def dot(self, dense_weights: np.ndarray) -> float:
-        if self.nnz == 0:
-            return 0.0
-        return float(np.dot(self.values, dense_weights[self.indices]))
-
 
 def _counts_to_vector(model: TfIdfModel, counts: Counter) -> DocumentVector:
     if not counts:
@@ -199,6 +194,33 @@ def vectorize_document(model: TfIdfModel, text: str) -> DocumentVector:
 def vectorize_sentence(model: TfIdfModel, sentence: Sentence) -> DocumentVector:
     """Same pipeline as vectorize_document, applied to one sentence."""
     return vectorize_document(model, sentence.text)
+
+
+@dataclass(frozen=True)
+class SentenceVectors:
+    """tf-idf vectors of a run of sentences, laid out for scoring them
+    against many sparse weight columns.
+
+    ``features`` is the sorted union of the sentences' feature indices.
+    Sentence i has the tf-idf values ``values[i]`` at the indices
+    ``features[positions[i]]``, so a weight column is gathered once per
+    run, at ``features``, and then indexed per sentence.
+    """
+
+    features: np.ndarray
+    values: tuple[np.ndarray, ...]
+    positions: tuple[np.ndarray, ...]
+
+
+def vectorize_sentences(model: TfIdfModel, sentences: Sequence[Sentence]) -> SentenceVectors:
+    """Vectorize each sentence once, as vectorize_document does."""
+    vecs = [vectorize_document(model, s.text) for s in sentences]
+    features = np.unique(np.concatenate([v.indices for v in vecs] + [np.empty(0, np.int64)]))
+    return SentenceVectors(
+        features=features,
+        values=tuple(v.values for v in vecs),
+        positions=tuple(np.searchsorted(features, v.indices) for v in vecs),
+    )
 
 
 def stack_vectors(vectors: Iterable[DocumentVector], dimension: int) -> sparse.csr_matrix:

@@ -10,7 +10,9 @@ import datawords
 from datawords.cli import main
 from datawords.corpus import kfold_split, load_corpus, save_corpus
 from datawords.evaluation import confusion_counts, micro_metrics
-from datawords.model import PredictionItem, PredictionSet
+from datawords.explain import score_sentences, top_justifications
+from datawords.extraction import load_db_measurements
+from datawords.model import PredictionItem, PredictionSet, load_bundle, predict_units, prepare_units
 
 SYNTH_SPEC = {
     "seed": 42,
@@ -354,6 +356,66 @@ class TestDbSource:
         e1 = read_jsonl(aug)[0]
         names = {d["text"].split("__")[1] for d in e1["datawords"]}
         assert names == {"Glucose_mean", "Glucose_min", "Glucose_max"}
+
+
+class TestBatchedReadPath:
+    def test_explain_equals_per_encounter_rows(self, tmp_path, db_synth_corpus):
+        corpus, db = db_synth_corpus
+        bundle_path = tmp_path / "bundle.json"
+        assert main(["train", "--corpus", corpus, "--out", str(bundle_path),
+                     "--source", "db", "--extractions", db]) == 0
+        out = tmp_path / "just.jsonl"
+        assert main(["explain", "--corpus", corpus, "--bundle", str(bundle_path),
+                     "--out", str(out), "--extractions", db]) == 0
+
+        bundle = load_bundle(bundle_path)
+        records = load_db_measurements(db)
+        expected = []
+        for enc in load_corpus(corpus):
+            units = prepare_units(bundle, enc, records)
+            for unit, pset in zip(units, predict_units(bundle, units)):
+                for item in pset.items:
+                    if not item.predicted:
+                        continue
+                    just = top_justifications(score_sentences(bundle, item.label, unit), k=3)
+                    expected.append({
+                        "encounter_id": unit.encounter_id,
+                        "doc_index": unit.doc_index,
+                        "label": item.label,
+                        "justifications": [
+                            {"rank": j.rank, "kind": j.sentence.kind, "score": j.score,
+                             "text": j.sentence.text, "rendering": j.rendering}
+                            for j in just
+                        ],
+                    })
+        lines = [json.dumps(row, separators=(",", ":")) + "\n" for row in expected]
+        assert any(j["kind"] == "dataword" for row in expected for j in row["justifications"])
+        assert out.read_text(encoding="utf-8") == "".join(lines)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda obj: obj["tfidf"].update(idf=obj["tfidf"]["idf"][:5]),
+             "tfidf.idf has 5 entries"),
+            (lambda obj: obj["labels"][0]["weights"][-1].__setitem__(0, 10**6),
+             "weight index 1000000 outside"),
+        ],
+        ids=["truncated_idf", "weight_index_out_of_range"],
+    )
+    def test_predict_on_bad_bundle_exits_with_message(self, tmp_path, capsys, corrupt, message):
+        corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
+        bundle = tmp_path / "bundle.json"
+        assert main(["train", "--corpus", corpus, "--out", str(bundle)]) == 0
+        obj = json.loads(bundle.read_text())
+        corrupt(obj)
+        bundle.write_text(json.dumps(obj))
+        capsys.readouterr()
+        rc = main(["predict", "--corpus", corpus, "--bundle", str(bundle),
+                   "--out", str(tmp_path / "p.jsonl")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestOutputIdempotence:

@@ -4,9 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from datawords.corpus import Encounter
+from datawords import evaluation, model
+from datawords.corpus import Encounter, kfold_split, load_corpus
 from datawords.errors import ConfigError, InputError
 from datawords.evaluation import (
+    MetricsReport,
     PlantedRule,
     SynthSpec,
     config_digest,
@@ -16,7 +18,8 @@ from datawords.evaluation import (
     per_document_metrics,
     run_cv,
 )
-from datawords.model import PipelineConfig, PredictionItem, PredictionSet
+from datawords.extraction import MeasurementFilter, RollupPolicy, load_db_measurements
+from datawords.model import PipelineConfig, PredictionItem, PredictionSet, predict, train_all
 
 
 def pset(labels, encounter_id="e", doc_index=0):
@@ -267,3 +270,93 @@ class TestFoldIsolation:
             for eid in split.test_ids(fold):
                 unique_token = f"filler{eid[1:]}"
                 assert unique_token not in vocab
+
+
+def run_cv_per_encounter(encounters, config):
+    """Reference cross-validation that scores one held-out encounter per
+    ``predict`` call, each indexing the external records again."""
+    split = kfold_split(encounters, config.folds, config.seed)
+    by_id = {e.encounter_id: e for e in encounters}
+    preds, gold, folds = [], [], []
+    for fold in range(config.folds):
+        bundle = train_all([by_id[i] for i in split.train_ids(fold)], config)
+        fold_preds, fold_gold = [], []
+        for enc in (by_id[i] for i in split.test_ids(fold)):
+            for p in predict(bundle, enc, config.external_records):
+                fold_preds.append(p)
+                fold_gold.append(enc.codes)
+        p, r, f1 = micro_metrics(confusion_counts(fold_preds, fold_gold))
+        folds.append({"fold": fold, "test_units": len(fold_preds),
+                      "micro": {"precision": p, "recall": r, "f1": f1}})
+        preds += fold_preds
+        gold += fold_gold
+    counts = confusion_counts(preds, gold)
+    table = {label: c + micro_metrics({label: c}) for label, c in counts.items()}
+    return MetricsReport(
+        fold_count=config.folds,
+        seed=config.seed,
+        ablation_mode=config.ablation_mode,
+        config_digest=config_digest(config),
+        micro=micro_metrics(counts),
+        per_document=per_document_metrics(preds, gold),
+        label_table=table,
+        folds=folds,
+    )
+
+
+DB_CONFIGS = {
+    "indexed_document": dict(unit="document"),
+    "hashed_encounter": dict(
+        unit="encounter",
+        hash_bits=14,
+        measurement_filter=MeasurementFilter(mode="top_n", n=1),
+        rollup_policy=RollupPolicy(("mean", "min", "max", "last")),
+    ),
+}
+
+
+class TestBatchedRunCV:
+    def db_config(self, db, name, mode="text_plus_datawords"):
+        return PipelineConfig(
+            extraction_source="db",
+            external_records=tuple(load_db_measurements(db)),
+            ablation_mode=mode,
+            folds=3,
+            seed=4,
+            **DB_CONFIGS[name],
+        )
+
+    @pytest.mark.parametrize("name", sorted(DB_CONFIGS))
+    @pytest.mark.parametrize("mode", ["text_only", "text_plus_datawords"])
+    def test_report_bytes_equal_per_encounter_reference(self, db_synth_corpus, name, mode):
+        corpus, db = db_synth_corpus
+        encounters = load_corpus(corpus)
+        config = self.db_config(db, name, mode)
+        report = run_cv(encounters, config)
+        assert report.to_json_bytes() == run_cv_per_encounter(encounters, config).to_json_bytes()
+
+    def test_patterns_source_matches_reference(self):
+        spec = SynthSpec(seed=3, documents=40,
+                         rules=(PlantedRule("L1", "Temp", "very_high", 0.9, 0.5),))
+        encounters = generate_synthetic(spec)
+        config = PipelineConfig(folds=4, seed=9)
+        assert (run_cv(encounters, config).to_json_bytes()
+                == run_cv_per_encounter(encounters, config).to_json_bytes())
+
+    def test_external_records_indexed_once_per_fold(self, db_synth_corpus, monkeypatch):
+        corpus, db = db_synth_corpus
+        encounters = load_corpus(corpus)
+        config = self.db_config(db, "indexed_document")
+        calls = []
+        original = model._key_external
+
+        def counting(records):
+            calls.append(1)
+            return original(records)
+
+        # run_cv indexes for its held-out encounters; train_all for its training set
+        monkeypatch.setattr(model, "_key_external", counting)
+        monkeypatch.setattr(evaluation, "_key_external", counting)
+        run_cv(encounters, config)
+        assert len(encounters) > 4 * config.folds
+        assert len(calls) == config.folds + 1

@@ -1,10 +1,13 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from datawords import vectorize
 from datawords.corpus import Encounter, Sentence
 from datawords.encoding import ThresholdSpec
+from datawords.evaluation import PlantedRule, SynthSpec, generate_synthetic
 from datawords.explain import (
     Justification,
     score_sentences,
@@ -12,6 +15,7 @@ from datawords.explain import (
     top_justifications,
 )
 from datawords.model import (
+    AugmentedUnit,
     LabelModel,
     ModelBundle,
     PipelineConfig,
@@ -19,7 +23,7 @@ from datawords.model import (
     prepare_units,
     train_all,
 )
-from datawords.vectorize import build_vocabulary, fit_idf, vectorize_sentence
+from datawords.vectorize import build_vocabulary, fit_idf, vectorize_document, vectorize_sentence
 
 
 def one_hot_bundle(train_docs, hot_token, label="L1", normalize=True):
@@ -223,3 +227,85 @@ class TestDataWordsAreFirstClass:
         assert isinstance(out[0], Justification)
         assert out[0].sentence.kind == "dataword"
         assert out[0].sentence.text.startswith("dw__Temp__")
+
+
+def dense_dot_scores(bundle, label, sentences):
+    """Sentence scores computed from scratch with a dense weight vector,
+    as score_sentences did before it kept sentence vectors."""
+    lm = bundle.label_model(label)
+    dense = np.zeros(bundle.tfidf.dimension)
+    dense[lm.indices] = lm.values
+    out = []
+    for sent in sentences:
+        vec = vectorize_document(bundle.tfidf, sent.text)
+        out.append(float(np.dot(vec.values, dense[vec.indices])) if vec.nnz else 0.0)
+    return [x.hex() for x in out]
+
+
+def hexes(scored):
+    return [score.hex() for _, score in scored]
+
+
+@pytest.fixture(scope="module")
+def two_bundles():
+    spec = SynthSpec(seed=31, documents=60,
+                     rules=(PlantedRule("L1", "Temp", "very_high", 0.9, 0.5),
+                            PlantedRule("L2", "HR", "low", 0.9, 0.5)))
+    encs = generate_synthetic(spec)
+    b1 = train_all(encs[:30], PipelineConfig())
+    b2 = train_all(encs[30:], PipelineConfig(hash_bits=10))
+    u1 = prepare_units(b1, encs[40])[0]
+    u2 = prepare_units(b1, encs[41])[0]
+    return b1, b2, u1, u2
+
+
+class TestSentenceVectorCache:
+    def test_alternating_units_and_bundles_match_fresh_scores(self, two_bundles):
+        b1, b2, u1, u2 = two_bundles
+        order = [(b1, u1), (b1, u2), (b2, u1), (b1, u1), (b2, u2), (b2, u1), (b1, u2), (b1, u2)]
+        for bundle, unit in order:
+            for label in reversed(bundle.labels):
+                expected = dense_dot_scores(bundle, label, unit.sentences)
+                assert hexes(score_sentences(bundle, label, unit)) == expected
+
+    def test_equal_but_distinct_unit_is_revectorized(self, two_bundles):
+        b1, _, u1, u2 = two_bundles
+        score_sentences(b1, "L1", u1)
+        lookalike = AugmentedUnit(encounter_id=u1.encounter_id, doc_index=u1.doc_index,
+                                  text=u2.text, sentences=u2.sentences, gold=u1.gold)
+        assert hexes(score_sentences(b1, "L1", lookalike)) == dense_dot_scores(
+            b1, "L1", u2.sentences)
+
+    def test_bundle_given_a_new_model_drops_old_vectors(self, two_bundles):
+        b1, b2, u1, _ = two_bundles
+        bundle = replace(b1)
+        score_sentences(bundle, "L1", u1)
+        bundle.tfidf, bundle.label_models = b2.tfidf, b2.label_models
+        assert hexes(score_sentences(bundle, "L1", u1)) == dense_dot_scores(b2, "L1", u1.sentences)
+
+    def test_text_input_unaffected_by_cached_units(self, two_bundles):
+        b1, _, u1, u2 = two_bundles
+        before = hexes(score_sentences(b1, "L2", u1.text))
+        score_sentences(b1, "L2", u1)
+        score_sentences(b1, "L2", u2)
+        assert hexes(score_sentences(b1, "L2", u1.text)) == before
+        assert before == dense_dot_scores(b1, "L2", sentences_from_text(u1.text))
+
+
+class TestVectorizeOncePerUnit:
+    def test_each_sentence_vectorized_once_for_k_labels(self, two_bundles, monkeypatch):
+        b1, _, u1, _ = two_bundles
+        bundle = replace(b1)
+        calls = []
+        original = vectorize.vectorize_document
+
+        def counting(model, text):
+            calls.append(text)
+            return original(model, text)
+
+        monkeypatch.setattr(vectorize, "vectorize_document", counting)
+        labels = bundle.labels * 3
+        for label in labels:
+            score_sentences(bundle, label, u1)
+        assert len(labels) > 1
+        assert sorted(calls) == sorted(s.text for s in u1.sentences)

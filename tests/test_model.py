@@ -13,6 +13,7 @@ from datawords.corpus import Encounter
 from datawords.errors import ConfigError, DataError, InputError, UnsupportedVersionError
 from datawords.evaluation import PlantedRule, SynthSpec, generate_synthetic
 from datawords.model import (
+    AugmentedUnit,
     ModelBundle,
     PipelineConfig,
     build_corpus_units,
@@ -23,6 +24,7 @@ from datawords.model import (
     fit_threshold,
     load_bundle,
     predict,
+    predict_units,
     prepare_units,
     save_bundle,
     train_all,
@@ -512,3 +514,147 @@ class TestBundleRoundTrip:
         save_bundle(bundle, p1)
         save_bundle(bundle, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def score_bits(psets):
+    """Prediction sets with every score as its exact hex form."""
+    return [
+        (p.encounter_id, p.doc_index, [(it.label, it.score.hex(), it.predicted) for it in p.items])
+        for p in psets
+    ]
+
+
+class TestPredictUnitsBatch:
+    @pytest.fixture(params=[None, 12], ids=["indexed", "hashed"])
+    def bundle_and_units(self, request):
+        spec = SynthSpec(seed=21, documents=60,
+                         rules=(PlantedRule("L1", "Temp", "very_high", 0.9, 0.5),
+                                PlantedRule("L2", "HR", "low", 0.9, 0.5)))
+        encs = generate_synthetic(spec)
+        bundle = train_all(encs[:40], PipelineConfig(hash_bits=request.param))
+        units = [u for enc in encs[40:] for u in prepare_units(bundle, enc)]
+        return bundle, units
+
+    def test_batch_equals_one_call_per_unit(self, bundle_and_units):
+        bundle, units = bundle_and_units
+        one_by_one = [p for u in units for p in predict_units(bundle, [u])]
+        assert score_bits(predict_units(bundle, units)) == score_bits(one_by_one)
+
+    def test_empty_batch(self, bundle_and_units):
+        bundle, _ = bundle_and_units
+        assert predict_units(bundle, []) == []
+
+    def test_zero_vector_unit_scores_its_biases(self, bundle_and_units):
+        bundle, units = bundle_and_units
+        zero = AugmentedUnit(encounter_id="z", doc_index=0, text="... !!", sentences=(),
+                             gold=frozenset())
+        assert vectorize_document(bundle.tfidf, zero.text).nnz == 0
+        batch = units[:3] + [zero] + units[3:6]
+        alone = [p for u in batch for p in predict_units(bundle, [u])]
+        assert score_bits(predict_units(bundle, batch)) == score_bits(alone)
+        biases = {lm.label: lm.bias for lm in bundle.label_models}
+        assert all(it.score == biases[it.label] for it in alone[3].items)
+
+
+class TestWeightMatrix:
+    def test_rebuilt_when_label_models_change(self):
+        corpus = trivial_corpus() + [
+            Encounter(encounter_id="e3", documents=("cough since monday.",),
+                      codes=frozenset({"B02"})),
+        ]
+        bundle = train_all(corpus, text_only_config())
+        W, biases, _ = bundle.weight_matrix()
+        assert W.shape == (bundle.tfidf.dimension, 2)
+        assert bundle.weight_matrix()[0] is W
+        bundle.label_models = bundle.label_models[1:]
+        W1, biases1, _ = bundle.weight_matrix()
+        assert W1.shape == (bundle.tfidf.dimension, 1)
+        assert (W1.toarray() == W[:, 1:].toarray()).all() and list(biases1) == list(biases[1:])
+
+    def test_not_copied_by_replace(self):
+        bundle = train_all(trivial_corpus(), text_only_config())
+        bundle.weight_matrix()
+        assert replace(bundle, label_models=())._weight_matrix is None
+
+
+class TestLoadBundleValidation:
+    """Each corruption used to load and then fail or go NaN at predict time."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        spec = SynthSpec(seed=8, documents=60,
+                         rules=(PlantedRule("L1", "Temp", "very_high", 0.9, 0.4),))
+        encs = generate_synthetic(spec)
+        path = tmp_path / "bundle.json"
+        save_bundle(train_all(encs, PipelineConfig()), path)
+        return path, json.loads(path.read_text())
+
+    def rejects(self, path, obj, message):
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataError, match=message):
+            load_bundle(path)
+
+    def test_untouched_bundle_loads(self, saved):
+        path, _ = saved
+        assert load_bundle(path).labels == ["L1"]
+
+    def test_idf_shorter_than_tokens(self, saved):
+        path, obj = saved
+        obj["tfidf"]["idf"] = obj["tfidf"]["idf"][:5]
+        self.rejects(path, obj, r"tfidf.idf has 5 entries for \d+ tokens")
+
+    def test_weight_index_beyond_dimension(self, saved):
+        path, obj = saved
+        obj["labels"][0]["weights"][-1][0] = 10**6
+        self.rejects(path, obj, r"weight index 1000000 outside \[0, \d+\)")
+
+    def test_negative_weight_index(self, saved):
+        path, obj = saved
+        obj["labels"][0]["weights"][0][0] = -1
+        self.rejects(path, obj, r"weight index -1 outside")
+
+    def test_non_integer_weight_index(self, saved):
+        path, obj = saved
+        obj["labels"][0]["weights"][0][0] = 0.5
+        self.rejects(path, obj, "weight indices must be integers")
+
+    def test_weight_indices_out_of_order(self, saved):
+        path, obj = saved
+        weights = obj["labels"][0]["weights"]
+        weights[0], weights[1] = weights[1], weights[0]
+        self.rejects(path, obj, "strictly increasing")
+
+    def test_non_finite_weight(self, saved):
+        path, obj = saved
+        obj["labels"][0]["weights"][0][1] = float("nan")
+        self.rejects(path, obj, "weights must be finite")
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_bias(self, saved, bad):
+        path, obj = saved
+        obj["labels"][0]["bias"] = bad
+        self.rejects(path, obj, "bias must be finite")
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_threshold(self, saved, bad):
+        path, obj = saved
+        obj["labels"][0]["threshold"] = bad
+        self.rejects(path, obj, "threshold must be finite or null")
+
+    def test_null_threshold_is_never_predicted(self, saved):
+        path, obj = saved
+        obj["labels"][0]["threshold"] = None
+        path.write_text(json.dumps(obj))
+        assert load_bundle(path).label_models[0].threshold == math.inf
+
+    def test_hashed_df_slot_beyond_table(self, tmp_path):
+        spec = SynthSpec(seed=8, documents=40,
+                         rules=(PlantedRule("L1", "Temp", "very_high", 0.9, 0.4),))
+        path = tmp_path / "hashed.json"
+        save_bundle(train_all(generate_synthetic(spec), PipelineConfig(hash_bits=8)), path)
+        obj = json.loads(path.read_text())
+        obj["tfidf"]["df"][0][0] = 256
+        self.rejects(path, obj, r"hashed df slot 256 outside \[0, 256\)")
+        obj["tfidf"]["df"][0][0] = 0
+        obj["tfidf"]["bits"] = 40
+        self.rejects(path, obj, r"hash bits must be in \[1, 30\]")

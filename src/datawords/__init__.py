@@ -58,11 +58,11 @@ from .extraction import (
 )
 from .model import (
     AugmentedUnit,
+    EncodingSpec,
     LabelModel,
     ModelBundle,
     PipelineConfig,
     PredictionSet,
-    combine_linear,
     fit_label,
     fit_labels,
     fit_threshold,
@@ -79,7 +79,6 @@ from .vectorize import (
     build_vocabulary,
     fit_idf,
     vectorize_document,
-    vectorize_sentence,
 )
 
 __version__ = "0.1.0"

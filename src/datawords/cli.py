@@ -89,8 +89,9 @@ def _predictside_units(args, cfg: dict, bundle, encounters):
     Missing structured data is tolerated at predict time."""
     path = _setting(args, cfg, "extractions")
     records = None
-    if bundle.extraction_source in ("external", "db") and path:
-        records = _external_records(bundle.extraction_source, path)
+    source = bundle.spec.extraction_source
+    if source in ("external", "db") and path:
+        records = _external_records(source, path)
     external = _key_external(records or ())
     return [u for enc in encounters for u in prepare_units(bundle, enc, external)]
 
@@ -157,7 +158,7 @@ def cmd_extract(args) -> int:
     config = _pipeline_config(args, cfg)
     rows = []
     if source == "patterns":
-        pattern_config = config.resolved_pattern_config()
+        pattern_config = config.spec.resolved_pattern_config()
         for enc in encounters:
             for di, doc in enumerate(enc.documents):
                 for rec in extract_patterns(doc, pattern_config):

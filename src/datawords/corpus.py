@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DataError
-from .extraction import RECORD_KINDS, StructuredRecord
+from .extraction import StructuredRecord, _parse_record_line
 
 _TOKEN_RE = re.compile(r"\w+")
 _TERMINATORS = ".!?"
@@ -110,38 +109,6 @@ def split_sentences(text: str, doc_index: int = 0) -> list[Sentence]:
     return sentences
 
 
-def _parse_structured_entry(obj, eid: str, lineno: int) -> StructuredRecord:
-    if not isinstance(obj, dict):
-        raise DataError(f"line {lineno}: structured entries must be objects")
-    name = obj.get("name")
-    if not isinstance(name, str) or not name:
-        raise DataError(f"line {lineno}: structured entry missing 'name'")
-    value = obj.get("value")
-    if isinstance(value, bool) or value is None:
-        raise DataError(f"line {lineno}: structured 'value' must be a number or string")
-    if isinstance(value, (int, float)):
-        if not math.isfinite(value):
-            raise DataError(f"line {lineno}: structured numeric 'value' must be finite")
-    elif not isinstance(value, str):
-        raise DataError(f"line {lineno}: structured 'value' must be a number or string")
-    kind = obj.get("kind")
-    if kind is None:
-        kind = "measurement" if isinstance(value, (int, float)) else "other"
-    elif kind not in RECORD_KINDS:
-        kind = "other"
-    unit = obj.get("unit")
-    if unit is not None and not isinstance(unit, str):
-        raise DataError(f"line {lineno}: structured 'unit' must be a string")
-    return StructuredRecord(
-        name=name,
-        value=value,
-        kind=kind,
-        provenance="database",
-        encounter_id=eid,
-        unit=unit,
-    )
-
-
 def load_corpus(path: str | Path, schema: str = "jsonl") -> list[Encounter]:
     """Load and validate a corpus file, preserving file order.
 
@@ -182,7 +149,8 @@ def load_corpus(path: str | Path, schema: str = "jsonl") -> list[Encounter]:
             if not isinstance(structured_raw, list):
                 raise DataError(f"line {lineno}: 'structured' must be a list")
             structured = tuple(
-                _parse_structured_entry(entry, eid, lineno) for entry in structured_raw
+                _parse_record_line(entry, "database", lineno, encounter_id=eid)
+                for entry in structured_raw
             )
             encounters.append(
                 Encounter(

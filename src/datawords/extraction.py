@@ -277,50 +277,61 @@ def extract_patterns(text: str, config: PatternConfig) -> list[StructuredRecord]
     return selected
 
 
-def _parse_record_line(obj: dict, provenance: str, lineno: int) -> StructuredRecord:
+def _parse_record_line(
+    obj, provenance: str, lineno: int, encounter_id: str | None = None
+) -> StructuredRecord:
+    """Validate one record of a records file, or, when the corpus line's
+    ``encounter_id`` is given, one entry of a corpus line's ``structured``
+    list; corpus entries carry no ``doc_index`` or ``span``. Raises
+    DataError naming the line."""
+    from_corpus = encounter_id is not None
+    entry = ": structured entry" if from_corpus else ""
     if not isinstance(obj, dict):
-        raise DataError(f"line {lineno}: expected a JSON object")
-    eid = obj.get("encounter_id")
-    if not isinstance(eid, str) or not eid:
-        raise DataError(f"line {lineno}: missing or empty 'encounter_id'")
+        raise DataError(f"line {lineno}{entry}: expected a JSON object")
+    if not from_corpus:
+        encounter_id = obj.get("encounter_id")
+        if not isinstance(encounter_id, str) or not encounter_id:
+            raise DataError(f"line {lineno}{entry}: missing or empty 'encounter_id'")
     name = obj.get("name")
     if not isinstance(name, str) or not name:
-        raise DataError(f"line {lineno}: missing or empty 'name'")
+        raise DataError(f"line {lineno}{entry}: missing or empty 'name'")
     value = obj.get("value")
     if isinstance(value, bool) or value is None:
-        raise DataError(f"line {lineno}: 'value' must be a number or string")
+        raise DataError(f"line {lineno}{entry}: 'value' must be a number or string")
     if isinstance(value, (int, float)):
         if not math.isfinite(value):
-            raise DataError(f"line {lineno}: numeric 'value' must be finite")
+            raise DataError(f"line {lineno}{entry}: numeric 'value' must be finite")
     elif not isinstance(value, str):
-        raise DataError(f"line {lineno}: 'value' must be a number or string")
+        raise DataError(f"line {lineno}{entry}: 'value' must be a number or string")
     kind = obj.get("kind")
     if kind is None:
         kind = "measurement" if isinstance(value, (int, float)) else "other"
     elif kind not in RECORD_KINDS:
         kind = "other"
-    doc_index = obj.get("doc_index")
-    if doc_index is not None and (not isinstance(doc_index, int) or doc_index < 0):
-        raise DataError(f"line {lineno}: 'doc_index' must be a non-negative integer")
-    span = obj.get("span")
-    if span is not None:
-        if (
-            not isinstance(span, (list, tuple))
-            or len(span) != 2
-            or not all(isinstance(x, int) for x in span)
-            or span[0] > span[1]
-        ):
-            raise DataError(f"line {lineno}: 'span' must be [start, end] with start <= end")
-        span = (span[0], span[1])
+    doc_index = span = None
+    if not from_corpus:
+        doc_index = obj.get("doc_index")
+        if doc_index is not None and (not isinstance(doc_index, int) or doc_index < 0):
+            raise DataError(f"line {lineno}{entry}: 'doc_index' must be a non-negative integer")
+        span = obj.get("span")
+        if span is not None:
+            if (
+                not isinstance(span, (list, tuple))
+                or len(span) != 2
+                or not all(isinstance(x, int) for x in span)
+                or span[0] > span[1]
+            ):
+                raise DataError(f"line {lineno}{entry}: 'span' must be [start, end] with start <= end")
+            span = (span[0], span[1])
     unit = obj.get("unit")
     if unit is not None and not isinstance(unit, str):
-        raise DataError(f"line {lineno}: 'unit' must be a string")
+        raise DataError(f"line {lineno}{entry}: 'unit' must be a string")
     return StructuredRecord(
         name=name,
         value=value,
         kind=kind,
         provenance=provenance,
-        encounter_id=eid,
+        encounter_id=encounter_id,
         doc_index=doc_index,
         span=span,
         unit=unit,

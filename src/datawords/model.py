@@ -4,8 +4,13 @@ Training runs the whole pipeline: structured-record collection, measurement
 selection, roll-up, statistics, DataWords encoding, augmentation,
 vocabulary and tf-idf fitting, then one ridge regressor per label with an
 F1-maximizing decision threshold. Everything needed to score new
-encounters is frozen into a ModelBundle, so prediction re-runs the exact
-same encoding with training-time statistics and cuts.
+encounters is frozen into a ModelBundle: the EncodingSpec (source,
+patterns, roll-up, thresholds, ablation mode, unit) the training config
+was encoded with, the training-time statistics, selected variables and
+tf-idf model, and the label weights. Training and prediction build units
+through the same ``_encode``, so prediction re-runs the exact same
+encoding. A bundle is one JSON document in format "1"; loading it checks
+the spec through EncodingSpec and the weights against the tf-idf model.
 
 The regressor minimizes sum((w.x + b - y)^2) + lambda * ||w||^2 with an
 unpenalized bias. Every label shares X and lambda, so ``fit_labels`` solves
@@ -15,8 +20,9 @@ units it factors the k x k centered normal matrix, otherwise the n x n
 centered Gram matrix, and then w = X^T alpha. When min(n, k) is too large
 for two dense min(n, k)^2 arrays it falls back to ``fit_label``, one
 conjugate-gradient solve per label (start at zero, relative tolerance
-1e-10, iteration cap 10 * dimension). Dense solves round differently with
-the BLAS thread count, which importing the package pins to one.
+1e-10, iteration cap 10 * dimension, a logged warning if it stops short).
+Dense solves round differently with the BLAS thread count, which importing
+the package pins to one.
 """
 
 from __future__ import annotations
@@ -69,15 +75,48 @@ from .vectorize import (
 logger = logging.getLogger(__name__)
 
 FORMAT_VERSION = "1"
+# The tokenizer every bundle is written with (``corpus.tokenize``).
+TOKENIZER = {"kind": "word", "lowercase": True}
 
 EXTRACTION_SOURCES = ("patterns", "external", "db", "none")
 UNIT_KINDS = ("document", "encounter")
+
+
+@dataclass(frozen=True)
+class EncodingSpec:
+    """Everything that decides how an encounter becomes classification units.
+
+    Training takes it from ``PipelineConfig.spec`` and stores it in the
+    bundle, and prediction encodes with the bundle's copy, so an encounter
+    maps to the same DataWords sentences on both sides.
+    """
+
+    extraction_source: str
+    pattern_config: PatternConfig | None
+    rollup_policy: RollupPolicy
+    rollup_provenances: tuple[str, ...] | None
+    threshold_spec: ThresholdSpec
+    ablation_mode: str
+    unit: str
+
+    def __post_init__(self):
+        if self.ablation_mode not in ABLATION_MODES:
+            raise ConfigError(f"unknown ablation mode: {self.ablation_mode!r}")
+        if self.unit not in UNIT_KINDS:
+            raise ConfigError(f"unknown classification unit: {self.unit!r}")
+        if self.extraction_source not in EXTRACTION_SOURCES:
+            raise ConfigError(f"unknown extraction source: {self.extraction_source!r}")
+
+    def resolved_pattern_config(self) -> PatternConfig:
+        return self.pattern_config if self.pattern_config is not None else default_pattern_config()
 
 
 @dataclass
 class PipelineConfig:
     """Everything that parameterizes training, prediction, and evaluation.
 
+    The encoding fields are kept flat for keyword construction and
+    ``dataclasses.replace``; ``spec`` bundles them into an EncodingSpec.
     ``threads`` is accepted for compatibility and excluded from the config
     digest: training solves every label in one shared solve, so outputs
     never depend on it.
@@ -102,12 +141,7 @@ class PipelineConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.ablation_mode not in ABLATION_MODES:
-            raise ConfigError(f"unknown ablation mode: {self.ablation_mode!r}")
-        if self.unit not in UNIT_KINDS:
-            raise ConfigError(f"unknown classification unit: {self.unit!r}")
-        if self.extraction_source not in EXTRACTION_SOURCES:
-            raise ConfigError(f"unknown extraction source: {self.extraction_source!r}")
+        self.spec  # validates the encoding fields
         if self.lam <= 0:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
         if self.threads < 1:
@@ -115,8 +149,17 @@ class PipelineConfig:
         if self.hash_bits is not None and not (1 <= self.hash_bits <= 30):
             raise ConfigError(f"hash bits must be in [1, 30], got {self.hash_bits}")
 
-    def resolved_pattern_config(self) -> PatternConfig:
-        return self.pattern_config if self.pattern_config is not None else default_pattern_config()
+    @property
+    def spec(self) -> EncodingSpec:
+        return EncodingSpec(
+            extraction_source=self.extraction_source,
+            pattern_config=self.pattern_config,
+            rollup_policy=self.rollup_policy,
+            rollup_provenances=self.rollup_provenances,
+            threshold_spec=self.threshold_spec,
+            ablation_mode=self.ablation_mode,
+            unit=self.unit,
+        )
 
     def digest_dict(self) -> dict:
         """Stable description of the run for the report digest."""
@@ -223,7 +266,10 @@ def fit_label(
     """Ridge fit for one label; returns (weights, bias).
 
     X is a list of DocumentVector or a sparse matrix; y holds 0/1 targets.
-    The bias column is not penalized.
+    The bias column is not penalized. Conjugate gradient stops once the
+    residual is within ``tol`` of the right-hand side; stopping short of
+    that, at 10 * dimension iterations or a non-positive curvature, logs a
+    warning with the iteration count and relative residual.
     """
     if lam <= 0:
         raise InputError(f"lambda must be positive, got {lam}")
@@ -250,7 +296,8 @@ def fit_label(
         r = rhs.copy()
         p = r.copy()
         rs = float(np.dot(r, r))
-        for _ in range(10 * dim):
+        iterations = 0
+        while math.sqrt(rs) > tol * rhs_norm and iterations < 10 * dim:
             Ap = Xaug.T @ (Xaug @ p) + penalty * p
             pAp = float(np.dot(p, Ap))
             if pAp <= 0.0:
@@ -259,10 +306,17 @@ def fit_label(
             x += alpha * p
             r -= alpha * Ap
             rs_new = float(np.dot(r, r))
-            if math.sqrt(rs_new) <= tol * rhs_norm:
-                break
             p = r + (rs_new / rs) * p
             rs = rs_new
+            iterations += 1
+        if math.sqrt(rs) > tol * rhs_norm:
+            logger.warning(
+                "fit_label: conjugate gradient stopped after %d iterations at "
+                "relative residual %.3g (tol %.3g)",
+                iterations,
+                math.sqrt(rs) / rhs_norm,
+                tol,
+            )
     if fit_bias:
         return x[:d], float(x[d])
     return x, 0.0
@@ -357,11 +411,6 @@ def fit_threshold(scores: Sequence[float], y: Sequence[int]) -> float:
     return float(cands[int(np.argmax(f1))])
 
 
-def combine_linear(p1: float, p2: float, w1: float, w2: float) -> float:
-    """Weighted late fusion of two predictions: w1*p1 + w2*p2."""
-    return w1 * p1 + w2 * p2
-
-
 # ---------------------------------------------------------------------------
 # record collection and unit assembly (shared by training and prediction)
 # ---------------------------------------------------------------------------
@@ -374,45 +423,29 @@ def _key_external(records: Iterable[StructuredRecord]) -> dict[str, list[Structu
     return keyed
 
 
-def collect_structured_records(
-    encounter: Encounter,
-    source: str,
-    pattern_config: PatternConfig | None = None,
-    external_records: Sequence[StructuredRecord] | None = None,
-) -> list[StructuredRecord]:
-    """All structured records for one encounter: corpus-embedded ones plus
-    whatever the configured source contributes."""
-    return _collect_records(encounter, source, pattern_config, _key_external(external_records or ()))
-
-
 def _collect_records(
-    encounter: Encounter,
-    source: str,
-    pattern_config: PatternConfig | None,
-    external: Mapping[str, list[StructuredRecord]],
+    encounter: Encounter, spec: EncodingSpec, external: Mapping[str, list[StructuredRecord]]
 ) -> list[StructuredRecord]:
+    """The encounter's embedded records plus what the spec's source contributes."""
     records = list(encounter.structured)
-    if source == "patterns":
-        pc = pattern_config if pattern_config is not None else default_pattern_config()
+    if spec.extraction_source == "patterns":
+        pc = spec.resolved_pattern_config()
         for di, doc in enumerate(encounter.documents):
             for rec in extract_patterns(doc, pc):
                 records.append(
                     replace(rec, encounter_id=encounter.encounter_id, doc_index=di)
                 )
-    elif source in ("external", "db"):
+    elif spec.extraction_source in ("external", "db"):
         records.extend(external.get(encounter.encounter_id, []))
     return records
 
 
 def _process_records(
-    records: list[StructuredRecord],
-    selected: set[str] | None,
-    policy: RollupPolicy,
-    provenances: tuple[str, ...] | None,
+    records: list[StructuredRecord], spec: EncodingSpec, selected: set[str] | None
 ) -> list[StructuredRecord]:
     if selected is not None:
         records = [r for r in records if r.name in selected]
-    return rollup(records, policy, provenances=provenances)
+    return rollup(records, spec.rollup_policy, provenances=spec.rollup_provenances)
 
 
 def _select_datawords(dws: Sequence[DataWordSentence], mode: str) -> list[DataWordSentence]:
@@ -423,77 +456,60 @@ def _select_datawords(dws: Sequence[DataWordSentence], mode: str) -> list[DataWo
     return list(dws)
 
 
-def _build_units(
+def _encode(
     encounter: Encounter,
+    spec: EncodingSpec,
     records: list[StructuredRecord],
-    spec: ThresholdSpec,
     stats: Mapping[str, VariableStats],
-    mode: str,
-    unit_kind: str,
 ) -> list[AugmentedUnit]:
-    dws_all = encode_records(records, spec, stats)
-    include_text = mode in ("text_only", "text_plus_datawords")
+    """The encounter's units, built from its filtered and rolled-up records.
+
+    Document units take the DataWords of their own document plus the
+    unattributed ones and number their sentences after the document's
+    text sentences; an encounter unit takes them all and lists their
+    sentences, from 0, under a virtual document after the real ones.
+    """
+    dws_all = encode_records(records, spec.threshold_spec, stats)
+    mode = spec.ablation_mode
+    docs = list(enumerate(encounter.documents))
+    # per unit: its doc_index, its (doc_index, document) parts, its DataWords
+    if spec.unit == "document":
+        groups = [
+            (di, [(di, doc)], [s for s in dws_all if s.source.doc_index in (di, None)])
+            for di, doc in docs
+        ]
+    else:
+        groups = [(None, docs, dws_all)]
+
     units: list[AugmentedUnit] = []
-
-    if unit_kind == "document":
-        for di, doc in enumerate(encounter.documents):
-            mine = [
-                s
-                for s in dws_all
-                if s.source.doc_index == di or s.source.doc_index is None
-            ]
-            chosen = _select_datawords(mine, mode)
-            sentences: list[Sentence] = []
-            if include_text:
+    for doc_index, parts, dws in groups:
+        sentences: list[Sentence] = []
+        if mode in ("text_only", "text_plus_datawords"):
+            for di, doc in parts:
                 sentences.extend(split_sentences(doc, doc_index=di))
-            offset = len(sentences)
-            for si, dws in enumerate(chosen):
-                sentences.append(
-                    Sentence(
-                        text=dws.text,
-                        doc_index=di,
-                        sent_index=offset + si,
-                        kind="dataword",
-                        display=dws.display,
-                    )
+        dw_doc, offset = (len(docs), 0) if doc_index is None else (doc_index, len(sentences))
+        sentences.extend(
+            [
+                Sentence(
+                    text=dw.text,
+                    doc_index=dw_doc,
+                    sent_index=offset + si,
+                    kind="dataword",
+                    display=dw.display,
                 )
-            units.append(
-                AugmentedUnit(
-                    encounter_id=encounter.encounter_id,
-                    doc_index=di,
-                    text=augment_document(doc, mine, mode),
-                    sentences=tuple(sentences),
-                    gold=encounter.codes,
-                )
-            )
-        return units
-
-    chosen = _select_datawords(dws_all, mode)
-    sentences = []
-    if include_text:
-        for di, doc in enumerate(encounter.documents):
-            sentences.extend(split_sentences(doc, doc_index=di))
-    virtual_doc = len(encounter.documents)
-    for si, dws in enumerate(chosen):
-        sentences.append(
-            Sentence(
-                text=dws.text,
-                doc_index=virtual_doc,
-                sent_index=si,
-                kind="dataword",
-                display=dws.display,
+                for si, dw in enumerate(_select_datawords(dws, mode))
+            ]
+        )
+        units.append(
+            AugmentedUnit(
+                encounter_id=encounter.encounter_id,
+                doc_index=doc_index,
+                text=augment_document("\n".join([doc for _, doc in parts]), dws, mode),
+                sentences=tuple(sentences),
+                gold=encounter.codes,
             )
         )
-    joined = "\n".join(encounter.documents)
-    return [
-        AugmentedUnit(
-            encounter_id=encounter.encounter_id,
-            doc_index=None,
-            text=augment_document(joined, dws_all, mode),
-            sentences=tuple(sentences),
-            gold=encounter.codes,
-        )
-    ]
+    return units
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +523,10 @@ class ModelBundle:
 
     tfidf: TfIdfModel
     variable_stats: dict[str, VariableStats]
-    threshold_spec: ThresholdSpec
-    ablation_mode: str
-    unit: str
+    spec: EncodingSpec
     label_models: tuple[LabelModel, ...]
     selected_variables: tuple[str, ...] | None = None
-    extraction_source: str = "patterns"
-    pattern_config: PatternConfig | None = None
-    rollup_policy: RollupPolicy = field(default_factory=RollupPolicy)
-    rollup_provenances: tuple[str, ...] | None = ("database",)
     lam: float = 1.0
-    format_version: str = FORMAT_VERSION
-    tokenizer: dict = field(default_factory=lambda: {"kind": "word", "lowercase": True})
     # Derived read-side state, keyed by the identity of what it was built
     # from; never compared, serialized, or copied by dataclasses.replace.
     _weight_matrix: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -586,13 +594,9 @@ def build_corpus_units(
     if not encounters:
         raise ConfigError("cannot process an empty corpus")
 
+    spec = config.spec
     external = _key_external(config.external_records or ())
-    raw_records = {
-        e.encounter_id: _collect_records(
-            e, config.extraction_source, config.pattern_config, external
-        )
-        for e in encounters
-    }
+    raw_records = {e.encounter_id: _collect_records(e, spec, external) for e in encounters}
 
     filt = config.measurement_filter
     if filt.mode == "all":
@@ -602,23 +606,10 @@ def build_corpus_units(
         selected = allowed_variables(counts, filt)
 
     processed = {
-        eid: _process_records(recs, selected, config.rollup_policy, config.rollup_provenances)
-        for eid, recs in raw_records.items()
+        eid: _process_records(recs, spec, selected) for eid, recs in raw_records.items()
     }
     stats = compute_stats(r for recs in processed.values() for r in recs)
-
-    units: list[AugmentedUnit] = []
-    for enc in encounters:
-        units.extend(
-            _build_units(
-                enc,
-                processed[enc.encounter_id],
-                config.threshold_spec,
-                stats,
-                config.ablation_mode,
-                config.unit,
-            )
-        )
+    units = [u for e in encounters for u in _encode(e, spec, processed[e.encounter_id], stats)]
     return CorpusUnits(units=units, stats=stats, selected=selected)
 
 
@@ -674,15 +665,9 @@ def train_all(encounters: Sequence[Encounter], config: PipelineConfig) -> ModelB
     return ModelBundle(
         tfidf=tfidf,
         variable_stats=stats,
-        threshold_spec=config.threshold_spec,
-        ablation_mode=config.ablation_mode,
-        unit=config.unit,
+        spec=config.spec,
         label_models=models,
         selected_variables=tuple(sorted(selected)) if selected is not None else None,
-        extraction_source=config.extraction_source,
-        pattern_config=config.pattern_config,
-        rollup_policy=config.rollup_policy,
-        rollup_provenances=config.rollup_provenances,
         lam=config.lam,
     )
 
@@ -706,21 +691,10 @@ def prepare_units(
         external = external_records
     else:
         external = _key_external(external_records or ())
-    records = _collect_records(
-        encounter, bundle.extraction_source, bundle.pattern_config, external
-    )
+    spec = bundle.spec
     selected = set(bundle.selected_variables) if bundle.selected_variables is not None else None
-    records = _process_records(
-        records, selected, bundle.rollup_policy, bundle.rollup_provenances
-    )
-    return _build_units(
-        encounter,
-        records,
-        bundle.threshold_spec,
-        bundle.variable_stats,
-        bundle.ablation_mode,
-        bundle.unit,
-    )
+    records = _process_records(_collect_records(encounter, spec, external), spec, selected)
+    return _encode(encounter, spec, records, bundle.variable_stats)
 
 
 def predict_units(bundle: ModelBundle, units: Sequence[AugmentedUnit]) -> list[PredictionSet]:
@@ -776,7 +750,7 @@ def predict(
 
 def _bundle_header(bundle: ModelBundle) -> dict:
     """Every bundle field except the per-label models, in file order."""
-    tfidf = bundle.tfidf
+    tfidf, spec = bundle.tfidf, bundle.spec
     if tfidf.mode == "indexed":
         tokens = tfidf.vocabulary.tokens_by_index()
         tfidf_obj = {
@@ -795,32 +769,28 @@ def _bundle_header(bundle: ModelBundle) -> dict:
             "df": [[int(slot), int(c)] for slot, c in sorted(tfidf.hashed_df.items())],
         }
     return {
-        "format_version": bundle.format_version,
-        "tokenizer": bundle.tokenizer,
-        "unit": bundle.unit,
-        "ablation_mode": bundle.ablation_mode,
+        "format_version": FORMAT_VERSION,
+        "tokenizer": TOKENIZER,
+        "unit": spec.unit,
+        "ablation_mode": spec.ablation_mode,
         "lambda": bundle.lam,
         "tfidf": tfidf_obj,
         "variable_stats": {
             name: [st.count, float(st.mean), float(st.std)]
             for name, st in sorted(bundle.variable_stats.items())
         },
-        "threshold_spec": bundle.threshold_spec.to_dict(),
+        "threshold_spec": spec.threshold_spec.to_dict(),
         "selected_variables": (
             list(bundle.selected_variables) if bundle.selected_variables is not None else None
         ),
         "extraction": {
-            "source": bundle.extraction_source,
-            "patterns": (
-                bundle.pattern_config.to_dict() if bundle.pattern_config is not None else None
-            ),
+            "source": spec.extraction_source,
+            "patterns": spec.pattern_config.to_dict() if spec.pattern_config is not None else None,
         },
         "rollup": {
-            "aggregates": list(bundle.rollup_policy.aggregates),
+            "aggregates": list(spec.rollup_policy.aggregates),
             "provenances": (
-                list(bundle.rollup_provenances)
-                if bundle.rollup_provenances is not None
-                else None
+                list(spec.rollup_provenances) if spec.rollup_provenances is not None else None
             ),
         },
     }
@@ -898,7 +868,9 @@ def load_bundle(path: str | Path) -> ModelBundle:
     Contents that would make prediction fail or go NaN (an ``idf`` whose
     length differs from the token count, weight indices that are not
     strictly increasing integers in [0, dimension), a non-finite weight or
-    bias, a threshold that is neither finite nor null) raise DataError.
+    bias, a threshold that is neither finite nor null) raise DataError, as
+    do a tokenizer other than ``TOKENIZER`` and encoding values that
+    EncodingSpec rejects (an unknown unit, ablation mode or source).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -912,6 +884,9 @@ def load_bundle(path: str | Path) -> ModelBundle:
         raise UnsupportedVersionError(
             f"bundle {path}: unsupported format_version {version!r} (supported: {FORMAT_VERSION!r})"
         )
+    tokenizer = obj.get("tokenizer", TOKENIZER)
+    if tokenizer != TOKENIZER:
+        raise DataError(f"bundle {path}: unsupported tokenizer {tokenizer!r}")
     try:
         tf = obj["tfidf"]
         if tf["mode"] == "indexed":
@@ -953,33 +928,31 @@ def load_bundle(path: str | Path) -> ModelBundle:
             name: VariableStats(name=name, count=int(c), mean=float(m), std=float(s))
             for name, (c, m, s) in obj["variable_stats"].items()
         }
-        spec = ThresholdSpec.from_dict(obj["threshold_spec"])
-        selected = obj["selected_variables"]
         extraction = obj["extraction"]
-        pattern_config = (
-            PatternConfig.from_dict(extraction["patterns"])
-            if extraction.get("patterns") is not None
-            else None
-        )
+        patterns = extraction.get("patterns")
         roll = obj["rollup"]
-        models = [_label_from_entry(entry, tfidf.dimension) for entry in obj["labels"]]
-        return ModelBundle(
-            tfidf=tfidf,
-            variable_stats=stats,
-            threshold_spec=spec,
-            ablation_mode=obj["ablation_mode"],
-            unit=obj["unit"],
-            label_models=tuple(models),
-            selected_variables=tuple(selected) if selected is not None else None,
+        spec = EncodingSpec(
             extraction_source=extraction["source"],
-            pattern_config=pattern_config,
+            pattern_config=PatternConfig.from_dict(patterns) if patterns is not None else None,
             rollup_policy=RollupPolicy(aggregates=tuple(roll["aggregates"])),
             rollup_provenances=(
                 tuple(roll["provenances"]) if roll["provenances"] is not None else None
             ),
-            lam=float(obj["lambda"]),
-            format_version=version,
-            tokenizer=obj.get("tokenizer", {"kind": "word", "lowercase": True}),
+            threshold_spec=ThresholdSpec.from_dict(obj["threshold_spec"]),
+            ablation_mode=obj["ablation_mode"],
+            unit=obj["unit"],
         )
+        selected = obj["selected_variables"]
+        models = [_label_from_entry(entry, tfidf.dimension) for entry in obj["labels"]]
+        return ModelBundle(
+            tfidf=tfidf,
+            variable_stats=stats,
+            spec=spec,
+            label_models=tuple(models),
+            selected_variables=tuple(selected) if selected is not None else None,
+            lam=float(obj["lambda"]),
+        )
+    except ConfigError as exc:
+        raise DataError(f"bundle {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bundle {path}: malformed contents ({exc})") from exc

@@ -191,11 +191,6 @@ def vectorize_document(model: TfIdfModel, text: str) -> DocumentVector:
     return _counts_to_vector(model, counts)
 
 
-def vectorize_sentence(model: TfIdfModel, sentence: Sentence) -> DocumentVector:
-    """Same pipeline as vectorize_document, applied to one sentence."""
-    return vectorize_document(model, sentence.text)
-
-
 @dataclass(frozen=True)
 class SentenceVectors:
     """tf-idf vectors of a run of sentences, laid out for scoring them

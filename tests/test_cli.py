@@ -399,8 +399,13 @@ class TestBatchedReadPath:
              "tfidf.idf has 5 entries"),
             (lambda obj: obj["labels"][0]["weights"][-1].__setitem__(0, 10**6),
              "weight index 1000000 outside"),
+            (lambda obj: obj.update(unit="sentence"), "unknown classification unit: 'sentence'"),
+            (lambda obj: obj.update(ablation_mode="text"), "unknown ablation mode: 'text'"),
+            (lambda obj: obj["extraction"].update(source="pattern"),
+             "unknown extraction source: 'pattern'"),
         ],
-        ids=["truncated_idf", "weight_index_out_of_range"],
+        ids=["truncated_idf", "weight_index_out_of_range", "unknown_unit",
+             "unknown_ablation_mode", "unknown_extraction_source"],
     )
     def test_predict_on_bad_bundle_exits_with_message(self, tmp_path, capsys, corrupt, message):
         corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)

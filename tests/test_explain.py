@@ -23,7 +23,7 @@ from datawords.model import (
     prepare_units,
     train_all,
 )
-from datawords.vectorize import build_vocabulary, fit_idf, vectorize_document, vectorize_sentence
+from datawords.vectorize import build_vocabulary, fit_idf, vectorize_document
 
 
 def one_hot_bundle(train_docs, hot_token, label="L1", normalize=True):
@@ -41,11 +41,8 @@ def one_hot_bundle(train_docs, hot_token, label="L1", normalize=True):
     return ModelBundle(
         tfidf=tfidf,
         variable_stats={},
-        threshold_spec=ThresholdSpec.defaults(),
-        ablation_mode="text_plus_datawords",
-        unit="document",
+        spec=PipelineConfig(extraction_source="none").spec,
         label_models=(lm,),
-        extraction_source="none",
     )
 
 
@@ -92,13 +89,12 @@ class TestScoreSentences:
             threshold=0.0,
         )
         bundle = ModelBundle(
-            tfidf=tfidf, variable_stats={}, threshold_spec=ThresholdSpec.defaults(),
-            ablation_mode="text_plus_datawords", unit="document",
-            label_models=(lm,), extraction_source="none",
+            tfidf=tfidf, variable_stats={},
+            spec=PipelineConfig(extraction_source="none").spec, label_models=(lm,),
         )
         scored = score_sentences(bundle, "L1", docs[0])
         for sent, score in scored:
-            dense = vectorize_sentence(tfidf, sent).to_dense()
+            dense = vectorize_document(tfidf, sent.text).to_dense()
             assert abs(score - float(dense @ w)) <= 1e-12
 
     def test_accepts_prepared_units(self):

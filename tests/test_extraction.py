@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from datawords.corpus import load_corpus
 from datawords.errors import ConfigError, DataError
 from datawords.extraction import (
     MeasurementFilter,
@@ -255,3 +256,61 @@ class TestRollup:
         assert by_name["Glucose_min"] <= by_name["Glucose_mean"] + 1e-9
         assert by_name["Glucose_mean"] <= by_name["Glucose_max"] + 1e-9
         assert by_name["Glucose_min"] <= by_name["Glucose_median"] <= by_name["Glucose_max"]
+
+
+MALFORMED_ENTRIES = [
+    pytest.param({"value": 1.0}, "'name'", id="name-missing"),
+    pytest.param({"name": "", "value": 1.0}, "'name'", id="name-empty"),
+    pytest.param({"name": 7, "value": 1.0}, "'name'", id="name-not-string"),
+    pytest.param({"name": "X", "value": True}, "'value'", id="value-bool"),
+    pytest.param({"name": "X", "value": None}, "'value'", id="value-none"),
+    pytest.param({"name": "X"}, "'value'", id="value-missing"),
+    pytest.param({"name": "X", "value": [1]}, "'value'", id="value-list"),
+    pytest.param({"name": "X", "value": float("nan")}, "finite", id="value-nan"),
+    pytest.param({"name": "X", "value": float("-inf")}, "finite", id="value-inf"),
+    pytest.param({"name": "X", "value": 1.0, "unit": 5}, "'unit'", id="unit-not-string"),
+]
+
+
+def write_lines(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return path
+
+
+class TestSharedRecordParser:
+    """Corpus ``structured`` entries and records-file lines share one parser."""
+
+    @pytest.mark.parametrize("entry, field", MALFORMED_ENTRIES)
+    def test_corpus_entry_rejected_naming_line(self, tmp_path, entry, field):
+        path = write_lines(tmp_path / "corpus.jsonl", [
+            {"encounter_id": "e1", "documents": ["a"], "structured": [{"name": "T", "value": 1}]},
+            {"encounter_id": "e2", "documents": ["b"], "structured": [entry]},
+        ])
+        with pytest.raises(DataError, match=rf"^line 2: structured entry: .*{field}"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("entry, field", MALFORMED_ENTRIES)
+    @pytest.mark.parametrize("loader", [load_db_measurements, load_external_extractions])
+    def test_record_line_rejected_naming_line(self, tmp_path, loader, entry, field):
+        path = write_lines(tmp_path / "records.jsonl", [
+            {"encounter_id": "e1", "name": "T", "value": 1},
+            {"encounter_id": "e2", **entry},
+        ])
+        with pytest.raises(DataError, match=rf"^line 2: .*{field}"):
+            loader(path)
+
+    def test_corpus_entry_takes_line_id_and_no_location(self, tmp_path):
+        entry = {"name": "Temp", "value": 99.1, "encounter_id": "elsewhere",
+                 "doc_index": 3, "span": [0, 4]}
+        path = write_lines(tmp_path / "corpus.jsonl",
+                           [{"encounter_id": "e1", "documents": ["a"], "structured": [entry]}])
+        rec = load_corpus(path)[0].structured[0]
+        assert rec == StructuredRecord(name="Temp", value=99.1, kind="measurement",
+                                       provenance="database", encounter_id="e1")
+
+    def test_record_line_keeps_location(self, tmp_path):
+        path = write_lines(tmp_path / "records.jsonl", [
+            {"encounter_id": "e1", "name": "Temp", "value": 99.1, "doc_index": 3, "span": [0, 4]}
+        ])
+        rec = load_external_extractions(path)[0]
+        assert (rec.encounter_id, rec.doc_index, rec.span) == ("e1", 3, (0, 4))

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 from dataclasses import replace
 
@@ -9,15 +10,16 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from datawords import model
-from datawords.corpus import Encounter
+from datawords.corpus import Encounter, load_corpus
 from datawords.errors import ConfigError, DataError, InputError, UnsupportedVersionError
 from datawords.evaluation import PlantedRule, SynthSpec, generate_synthetic
+from datawords.extraction import MeasurementFilter, StructuredRecord, load_db_measurements
 from datawords.model import (
     AugmentedUnit,
+    EncodingSpec,
     ModelBundle,
     PipelineConfig,
     build_corpus_units,
-    combine_linear,
     _bundle_to_dict,
     fit_label,
     fit_labels,
@@ -177,6 +179,26 @@ class TestFitLabel:
         with pytest.raises(InputError):
             fit_label(as_rows(X), [1.0, 0.0], lam=1.0)
 
+    def test_stopping_short_of_tol_warns(self, caplog):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(8, 5))
+        y = rng.integers(0, 2, size=8).astype(float)
+        with caplog.at_level(logging.WARNING, logger="datawords.model"):
+            w, b = fit_label(as_rows(X), y, lam=1.0, tol=0.0)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "iterations" in record.getMessage() and "relative residual" in record.getMessage()
+        w_ref, b_ref = ridge_oracle(X, y, 1.0)
+        assert np.max(np.abs(w - w_ref)) <= 1e-8 and abs(b - b_ref) <= 1e-8
+
+    def test_converged_fit_does_not_warn(self, caplog):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(8, 5))
+        y = rng.integers(0, 2, size=8).astype(float)
+        with caplog.at_level(logging.WARNING, logger="datawords.model"):
+            fit_label(as_rows(X), y, lam=1.0)
+        assert caplog.records == []
+
 
 class TestFitLabels:
     # (n, d) with d - 1 used columns: k <= n solves the primal system,
@@ -298,17 +320,6 @@ class TestFitThreshold:
         assert fit_threshold(scores, y) == quadratic_threshold_oracle(scores, y)
 
 
-class TestCombineLinear:
-    def test_weighted_mean(self):
-        assert combine_linear(0.4, 0.8, 0.5, 0.5) == pytest.approx(0.6)
-
-    def test_single_model_degenerate(self):
-        assert combine_linear(0.7, 0.9, 0.5, 0.0) == pytest.approx(0.35)
-
-    def test_linearity(self):
-        assert combine_linear(0.3, 0.3, 1.0, 1.0) == pytest.approx(0.6)
-
-
 def trivial_corpus():
     return [
         Encounter(encounter_id="e1", documents=("fever and chills today.",),
@@ -331,6 +342,30 @@ class TestPipelineConfig:
     @pytest.mark.parametrize("bits", [None, 1, 30])
     def test_hash_bits_in_range_accepted(self, bits):
         assert PipelineConfig(hash_bits=bits).hash_bits == bits
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("unit", "unknown classification unit: 'bogus'"),
+            ("ablation_mode", "unknown ablation mode: 'bogus'"),
+            ("extraction_source", "unknown extraction source: 'bogus'"),
+        ],
+    )
+    def test_unknown_encoding_value_rejected(self, field, message):
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig(**{field: "bogus"})
+        spec = PipelineConfig().spec
+        with pytest.raises(ConfigError, match=message):
+            replace(spec, **{field: "bogus"})
+
+    def test_spec_follows_the_flat_fields(self):
+        cfg = replace(text_only_config(), unit="encounter", rollup_provenances=None)
+        assert cfg.spec == EncodingSpec(
+            extraction_source="none", pattern_config=None, rollup_policy=cfg.rollup_policy,
+            rollup_provenances=None, threshold_spec=cfg.threshold_spec,
+            ablation_mode="text_only", unit="encounter",
+        )
+        assert train_all(trivial_corpus(), cfg).spec == cfg.spec
 
 
 class TestTrainAll:
@@ -402,8 +437,7 @@ class TestPredict:
         lm.threshold = math.inf
         bundle2 = ModelBundle(
             tfidf=bundle.tfidf, variable_stats=bundle.variable_stats,
-            threshold_spec=bundle.threshold_spec, ablation_mode=bundle.ablation_mode,
-            unit=bundle.unit, label_models=(lm,), extraction_source="none",
+            spec=bundle.spec, label_models=(lm,),
         )
         pset = predict(bundle2, trivial_corpus()[0])[0]
         assert pset.predicted_labels() == set()
@@ -439,6 +473,48 @@ class TestTrainPredictSymmetry:
             replay = prepare_units(bundle, enc)[0]
             assert replay.text == train_unit.text
             assert [s.text for s in replay.sentences] == [s.text for s in train_unit.sentences]
+
+    @pytest.mark.parametrize("unit", ["document", "encounter"])
+    @pytest.mark.parametrize("mode", ["text_plus_datawords", "nonnumeric_datawords_only"])
+    def test_db_units_replay_exactly(self, db_synth_corpus, unit, mode):
+        corpus_path, db_path = db_synth_corpus
+        encs = load_corpus(corpus_path)
+        # a categorical variable encodes without statistics, so it shows
+        # whether prediction applies the training-side selection
+        records = tuple(load_db_measurements(db_path)) + tuple(
+            StructuredRecord(name="Culture", value="negative", kind="test_result",
+                             provenance="database", encounter_id=e.encounter_id)
+            for e in encs[:5]
+        )
+        cfg = PipelineConfig(extraction_source="db", external_records=records, unit=unit,
+                             ablation_mode=mode, rollup_provenances=None,
+                             measurement_filter=MeasurementFilter(mode="top_n", n=1))
+        bundle = train_all(encs, cfg)
+        replay = [u for enc in encs for u in prepare_units(bundle, enc, records)]
+        assert replay == build_corpus_units(encs, cfg).units
+
+
+class TestUnitSentences:
+    """DataWords sentences follow their document's text sentences; an
+    encounter unit lists them under a virtual document after the real ones."""
+
+    ENC = Encounter(encounter_id="e1", documents=("Fever. Temp = 104 now.", "Stable."),
+                    codes=frozenset({"A01"}))
+
+    def layout(self, unit):
+        units = build_corpus_units([self.ENC], PipelineConfig(unit=unit)).units
+        return [[(s.kind, s.doc_index, s.sent_index) for s in u.sentences] for u in units]
+
+    def test_document_units(self):
+        assert self.layout("document") == [
+            [("text", 0, 0), ("text", 0, 1), ("dataword", 0, 2)],
+            [("text", 1, 0)],
+        ]
+
+    def test_encounter_unit(self):
+        assert self.layout("encounter") == [
+            [("text", 0, 0), ("text", 0, 1), ("text", 1, 0), ("dataword", 2, 0)],
+        ]
 
 
 class TestIdfRescaling:
@@ -646,6 +722,30 @@ class TestLoadBundleValidation:
         obj["labels"][0]["threshold"] = None
         path.write_text(json.dumps(obj))
         assert load_bundle(path).label_models[0].threshold == math.inf
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda obj: obj.update(unit="bogus"), "unknown classification unit: 'bogus'"),
+            (lambda obj: obj.update(ablation_mode="bogus"), "unknown ablation mode: 'bogus'"),
+            (lambda obj: obj["extraction"].update(source="bogus"),
+             "unknown extraction source: 'bogus'"),
+            (lambda obj: obj["rollup"].update(aggregates=["avg"]), "unknown roll-up aggregates"),
+            (lambda obj: obj.update(tokenizer={"kind": "word", "lowercase": False}),
+             "unsupported tokenizer"),
+        ],
+        ids=["unit", "ablation_mode", "extraction_source", "rollup_aggregate", "tokenizer"],
+    )
+    def test_unknown_spec_value_or_tokenizer(self, saved, corrupt, message):
+        path, obj = saved
+        corrupt(obj)
+        self.rejects(path, obj, message)
+
+    def test_missing_tokenizer_accepted(self, saved):
+        path, obj = saved
+        del obj["tokenizer"]
+        path.write_text(json.dumps(obj))
+        assert load_bundle(path).labels == ["L1"]
 
     def test_hashed_df_slot_beyond_table(self, tmp_path):
         spec = SynthSpec(seed=8, documents=40,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from datawords.corpus import Sentence, tokenize
+from datawords.corpus import tokenize
 from datawords.errors import ConfigError
 from datawords.vectorize import (
     build_vocabulary,
@@ -11,7 +11,6 @@ from datawords.vectorize import (
     fit_idf,
     stack_vectors,
     vectorize_document,
-    vectorize_sentence,
 )
 
 
@@ -134,13 +133,6 @@ class TestVectorizeDocument:
             assert got.shape == want.shape
             if got.size:
                 assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_sentence_equals_document(self):
-        model = fit_idf(build_vocabulary(["fever noted today", "bp stable"]))
-        sent = Sentence(text="fever noted today.", doc_index=0, sent_index=0)
-        v_doc = vectorize_document(model, "fever noted today.")
-        v_sent = vectorize_sentence(model, sent)
-        assert np.array_equal(v_doc.to_dense(), v_sent.to_dense())
 
     def test_deterministic_across_runs(self):
         docs = ["a b c", "c d", "d e f g"]

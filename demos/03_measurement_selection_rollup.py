@@ -9,7 +9,7 @@ variable's readings into a few aggregates. Run:
 
 from collections import Counter
 
-from datawords import MeasurementFilter, RollupPolicy, StructuredRecord, rollup, select_measurements
+from datawords import MeasurementFilter, RollupPolicy, StructuredRecord, rollup
 from datawords.extraction import allowed_variables, variable_counts
 
 records = []
@@ -35,7 +35,8 @@ for filt in (
     keep = sorted(allowed_variables(counts, filt))
     print(f"{filt.mode:25s} -> {keep}")
 
-filtered = select_measurements(records, MeasurementFilter(mode="top_n", n=2))
+keep = allowed_variables(counts, MeasurementFilter(mode="top_n", n=2))
+filtered = [r for r in records if r.name in keep]
 print(f"\ntop_n(2) keeps {len(filtered)} of {len(records)} records")
 
 print("\n=== roll-up ===")

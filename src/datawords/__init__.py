@@ -54,7 +54,6 @@ from .extraction import (
     load_db_measurements,
     load_external_extractions,
     rollup,
-    select_measurements,
 )
 from .model import (
     AugmentedUnit,

@@ -27,11 +27,13 @@ from .extraction import (
     MeasurementFilter,
     PatternConfig,
     RollupPolicy,
-    extract_patterns,
+    extract_encounter,
     load_db_measurements,
     load_external_extractions,
 )
 from .model import (
+    EXTRACTION_SOURCES,
+    UNIT_KINDS,
     PipelineConfig,
     _key_external,
     build_corpus_units,
@@ -115,7 +117,7 @@ def _pipeline_config(args, cfg: dict, mode: str | None = None) -> PipelineConfig
         pattern_config=PatternConfig.from_file(patterns_path) if patterns_path else None,
         measurement_filter=MeasurementFilter.from_dict(filt_cfg),
         rollup_policy=RollupPolicy(tuple(rollup_cfg)) if rollup_cfg else RollupPolicy(),
-        rollup_provenances=tuple(provenances) if provenances is not None else None,
+        rollup_provenances=tuple(provenances) if isinstance(provenances, list) else provenances,
         threshold_spec=(
             ThresholdSpec.from_file(thresholds_path)
             if thresholds_path
@@ -160,10 +162,7 @@ def cmd_extract(args) -> int:
     if source == "patterns":
         pattern_config = config.spec.resolved_pattern_config()
         for enc in encounters:
-            for di, doc in enumerate(enc.documents):
-                for rec in extract_patterns(doc, pattern_config):
-                    rec = replace(rec, encounter_id=enc.encounter_id, doc_index=di)
-                    rows.append(_record_to_json(rec))
+            rows.extend(_record_to_json(rec) for rec in extract_encounter(enc, pattern_config))
     else:
         # pass-through: validate, normalize, and keep records for this corpus
         ids = {e.encounter_id for e in encounters}
@@ -375,8 +374,8 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topk", type=int, help="justifications per prediction (default 3)")
     p.add_argument("--threads", type=int,
                    help="accepted for compatibility; all labels share one solve (default 1)")
-    p.add_argument("--unit", choices=("document", "encounter"), help="classification unit")
-    p.add_argument("--source", choices=("patterns", "external", "db", "none"),
+    p.add_argument("--unit", choices=UNIT_KINDS, help="classification unit")
+    p.add_argument("--source", choices=EXTRACTION_SOURCES,
                    help="structured-data source (default patterns)")
     p.add_argument("--patterns", help="pattern config JSON (default: built-in)")
     p.add_argument("--thresholds", help="threshold spec JSON (default: automatic cuts)")

@@ -331,6 +331,19 @@ def encode_records(
     return out
 
 
+def select_datawords(
+    sentences: Sequence[DataWordSentence], mode: str
+) -> list[DataWordSentence]:
+    """The DataWords sentences an ablation mode keeps: none for
+    ``text_only``, the categorical ones for ``nonnumeric_datawords_only``,
+    all of them otherwise."""
+    if mode == "text_only":
+        return []
+    if mode == "nonnumeric_datawords_only":
+        return [s for s in sentences if not s.is_numeric]
+    return list(sentences)
+
+
 def augment_document(
     doc_text: str,
     sentences: Sequence[DataWordSentence],
@@ -338,19 +351,14 @@ def augment_document(
 ) -> str:
     """Combine a document's text with its DataWords sentences per mode.
 
-    Every DataWords sentence goes on its own line so the sentence splitter
-    isolates it. ``nonnumeric_datawords_only`` keeps only sentences from
-    categorical records.
+    Every DataWords sentence ``select_datawords`` keeps goes on its own
+    line so the sentence splitter isolates it; the two modes named
+    ``text_*`` keep the document's text in front.
     """
     if mode not in ABLATION_MODES:
         raise ConfigError(f"unknown ablation mode: {mode!r}")
-    if mode == "text_only":
-        return doc_text
-    if mode == "nonnumeric_datawords_only":
-        lines = [s.text for s in sentences if not s.is_numeric]
-    else:
-        lines = [s.text for s in sentences]
-    if mode == "text_plus_datawords":
+    lines = [s.text for s in select_datawords(sentences, mode)]
+    if mode in ("text_only", "text_plus_datawords"):
         if not lines:
             return doc_text
         return "\n".join([doc_text] + lines) if doc_text else "\n".join(lines)

@@ -12,15 +12,19 @@ them uniformly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
+
+if TYPE_CHECKING:
+    from .corpus import Encounter
 
 RECORD_KINDS = ("measurement", "condition", "medication", "test_result", "other")
 PROVENANCES = ("text_extraction", "external_extractor", "database")
@@ -115,44 +119,77 @@ class RollupPolicy:
 _DEFAULT_NUMBER = r"([-+]?\d+(?:\.\d+)?)"
 
 
-@dataclass
+class _Matcher(NamedTuple):
+    """One compiled extractor entry; ``value`` None means the number in group 1."""
+
+    regex: re.Pattern
+    name: str
+    kind: str
+    value: str | None
+
+
+def _nonempty(value) -> bool:
+    return isinstance(value, str) and bool(value)
+
+
+@dataclass(frozen=True)
 class PatternConfig:
-    """Alias table, numeric patterns, and categorical lexicon for extraction."""
+    """Alias table, numeric patterns, and categorical lexicon for extraction.
+
+    Building one validates it and compiles its matcher table once: one
+    entry per alias, then one per numeric pattern, then one per lexicon
+    phrase. Extraction runs the table in that order, which decides exact
+    ties, so a config can be shared by every call.
+    """
 
     aliases: dict[str, str] = field(default_factory=dict)
-    numeric_patterns: list[tuple[str, re.Pattern]] = field(default_factory=list)
-    lexicon: list[tuple[str, str, str, str]] = field(default_factory=list)
+    numeric_patterns: tuple[tuple[str, re.Pattern], ...] = ()
+    lexicon: tuple[tuple[str, str, str, str], ...] = ()
+    matchers: tuple[_Matcher, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "numeric_patterns", tuple(self.numeric_patterns))
+        object.__setattr__(self, "lexicon", tuple(self.lexicon))
+        matchers = []
+        for surface, canonical in self.aliases.items():
+            if not (_nonempty(surface) and _nonempty(canonical)):
+                raise ConfigError("alias entries must be nonempty strings")
+            regex = re.compile(
+                rf"\b{re.escape(surface)}\b\s*(?:=|:|is|was|of)?\s*{_DEFAULT_NUMBER}",
+                re.IGNORECASE,
+            )
+            matchers.append(_Matcher(regex, canonical, "measurement", None))
+        for variable, pat in self.numeric_patterns:
+            if not _nonempty(variable):
+                raise ConfigError("numeric pattern variables must be nonempty strings")
+            if not isinstance(pat, re.Pattern) or pat.groups < 1:
+                raise ConfigError(
+                    f"numeric pattern for {variable!r} needs a compiled regex with a capture group"
+                )
+            matchers.append(_Matcher(pat, variable, "measurement", None))
+        for phrase, name, value, kind in self.lexicon:
+            if not (_nonempty(phrase) and _nonempty(name)):
+                raise ConfigError("lexicon entries need a nonempty phrase and name")
+            regex = re.compile(rf"\b{re.escape(phrase)}\b", re.IGNORECASE)
+            matchers.append(_Matcher(regex, name, kind if kind in RECORD_KINDS else "other", value))
+        object.__setattr__(self, "matchers", tuple(matchers))
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "PatternConfig":
         try:
-            aliases = dict(d.get("aliases", {}))
-            patterns = []
-            for item in d.get("numeric_patterns", []):
-                pat = re.compile(item["pattern"], re.IGNORECASE)
-                if pat.groups < 1:
-                    raise ConfigError(
-                        f"numeric pattern for {item['variable']!r} needs a capture group"
-                    )
-                patterns.append((item["variable"], pat))
-            lexicon = []
-            for item in d.get("lexicon", []):
-                lexicon.append(
-                    (
-                        item["phrase"],
-                        item["name"],
-                        str(item["value"]),
-                        item.get("kind", "condition"),
-                    )
-                )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, re.error) as exc:
+            return cls(
+                aliases=dict(d.get("aliases", {})),
+                numeric_patterns=[
+                    (item["variable"], re.compile(item["pattern"], re.IGNORECASE))
+                    for item in d.get("numeric_patterns", [])
+                ],
+                lexicon=[
+                    (item["phrase"], item["name"], str(item["value"]), item.get("kind", "condition"))
+                    for item in d.get("lexicon", [])
+                ],
+            )
+        except (AttributeError, KeyError, TypeError, ValueError, re.error) as exc:
             raise ConfigError(f"malformed pattern config: {exc}") from exc
-        for surface, canon in aliases.items():
-            if not surface or not canon:
-                raise ConfigError("alias entries must be nonempty strings")
-        return cls(aliases=aliases, numeric_patterns=patterns, lexicon=lexicon)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PatternConfig":
@@ -175,8 +212,10 @@ class PatternConfig:
         }
 
 
+@functools.cache
 def default_pattern_config() -> PatternConfig:
-    """A small vitals-and-conditions config usable without any setup."""
+    """A small vitals-and-conditions config usable without any setup; built
+    once per process and shared, since a PatternConfig is frozen."""
     return PatternConfig.from_dict(
         {
             "aliases": {
@@ -203,78 +242,44 @@ def default_pattern_config() -> PatternConfig:
 def extract_patterns(text: str, config: PatternConfig) -> list[StructuredRecord]:
     """Run the built-in extractor over one document's text.
 
-    Candidate matches come from alias-derived numeric patterns, explicit
-    numeric patterns, and lexicon phrases. Overlaps are resolved
-    leftmost-longest, so the result spans never intersect.
+    Candidate matches come from the config's matcher table: alias-derived
+    numeric patterns, explicit numeric patterns, and lexicon phrases.
+    Overlaps are resolved leftmost-longest, then by name, so the result
+    spans never intersect; the stable sort leaves exact ties in table order.
     """
-    candidates: list[tuple[int, int, StructuredRecord]] = []
+    candidates: list[tuple[int, int, str, str, float | str]] = []
+    for matcher in config.matchers:
+        for match in matcher.regex.finditer(text):
+            value = matcher.value
+            if value is None:
+                try:
+                    value = float(match.group(1))
+                except (TypeError, ValueError):
+                    continue
+            candidates.append((match.start(), match.end(), matcher.name, matcher.kind, value))
 
-    for surface, canonical in config.aliases.items():
-        pat = re.compile(
-            rf"\b{re.escape(surface)}\b\s*(?:=|:|is|was|of)?\s*{_DEFAULT_NUMBER}",
-            re.IGNORECASE,
-        )
-        for match in pat.finditer(text):
-            candidates.append(
-                (
-                    match.start(),
-                    match.end(),
-                    StructuredRecord(
-                        name=canonical,
-                        value=float(match.group(1)),
-                        kind="measurement",
-                        provenance="text_extraction",
-                        span=(match.start(), match.end()),
-                    ),
-                )
-            )
-
-    for variable, pat in config.numeric_patterns:
-        for match in pat.finditer(text):
-            try:
-                value = float(match.group(1))
-            except (TypeError, ValueError):
-                continue
-            candidates.append(
-                (
-                    match.start(),
-                    match.end(),
-                    StructuredRecord(
-                        name=variable,
-                        value=value,
-                        kind="measurement",
-                        provenance="text_extraction",
-                        span=(match.start(), match.end()),
-                    ),
-                )
-            )
-
-    for phrase, name, value, kind in config.lexicon:
-        pat = re.compile(rf"\b{re.escape(phrase)}\b", re.IGNORECASE)
-        for match in pat.finditer(text):
-            candidates.append(
-                (
-                    match.start(),
-                    match.end(),
-                    StructuredRecord(
-                        name=name,
-                        value=value,
-                        kind=kind if kind in RECORD_KINDS else "other",
-                        provenance="text_extraction",
-                        span=(match.start(), match.end()),
-                    ),
-                )
-            )
-
-    # leftmost-longest, deterministic tie-break on name
-    candidates.sort(key=lambda c: (c[0], -(c[1] - c[0]), c[2].name))
+    candidates.sort(key=lambda c: (c[0], c[0] - c[1], c[2]))
     selected: list[StructuredRecord] = []
     cursor = 0
-    for start, end, record in candidates:
+    for start, end, name, kind, value in candidates:
         if start >= cursor:
-            selected.append(record)
+            selected.append(
+                StructuredRecord(
+                    name=name, value=value, kind=kind, provenance="text_extraction", span=(start, end)
+                )
+            )
             cursor = end
     return selected
+
+
+def extract_encounter(encounter: Encounter, config: PatternConfig) -> list[StructuredRecord]:
+    """Pattern records of every document of the encounter, in document
+    order, each stamped with the encounter id and its document's index."""
+    return [
+        replace(rec, encounter_id=encounter.encounter_id, doc_index=di)
+        for di, doc in enumerate(encounter.documents)
+        for rec in extract_patterns(doc, config)
+    ]
 
 
 def _parse_record_line(
@@ -378,24 +383,6 @@ def allowed_variables(counts: Mapping[str, int], filt: MeasurementFilter) -> set
     if filt.mode == "top_n":
         return {n for n, _ in ranked[: filt.n]}
     return {n for n, _ in ranked[filt.m : filt.m + filt.n]}
-
-
-def select_measurements(
-    records: Sequence[StructuredRecord],
-    filt: MeasurementFilter,
-    counts: Mapping[str, int] | None = None,
-) -> list[StructuredRecord]:
-    """Keep records whose variable name passes the filter; order preserved.
-
-    ``counts`` should come from training-side records when filtering test
-    data; it defaults to counting over ``records`` itself.
-    """
-    if filt.mode == "all":
-        return list(records)
-    if counts is None:
-        counts = variable_counts(records)
-    keep = allowed_variables(counts, filt)
-    return [r for r in records if r.name in keep]
 
 
 def _aggregate(agg: str, values: list[float]) -> float:

@@ -31,7 +31,7 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -41,22 +41,23 @@ from scipy import sparse
 from .corpus import Encounter, Sentence, split_sentences
 from .encoding import (
     ABLATION_MODES,
-    DataWordSentence,
     ThresholdSpec,
     VariableStats,
     augment_document,
     compute_stats,
     encode_records,
+    select_datawords,
 )
 from .errors import ConfigError, DataError, InputError, UnsupportedVersionError
 from .extraction import (
+    PROVENANCES,
     MeasurementFilter,
     PatternConfig,
     RollupPolicy,
     StructuredRecord,
     allowed_variables,
     default_pattern_config,
-    extract_patterns,
+    extract_encounter,
     rollup,
     variable_counts,
 )
@@ -106,6 +107,12 @@ class EncodingSpec:
             raise ConfigError(f"unknown classification unit: {self.unit!r}")
         if self.extraction_source not in EXTRACTION_SOURCES:
             raise ConfigError(f"unknown extraction source: {self.extraction_source!r}")
+        prov = self.rollup_provenances
+        if prov is not None and not (isinstance(prov, tuple) and all(p in PROVENANCES for p in prov)):
+            raise ConfigError(
+                f"rollup_provenances must be None or a tuple of names from {PROVENANCES}, "
+                f"got {prov!r}"
+            )
 
     def resolved_pattern_config(self) -> PatternConfig:
         return self.pattern_config if self.pattern_config is not None else default_pattern_config()
@@ -245,22 +252,19 @@ class PredictionSet:
 # ---------------------------------------------------------------------------
 
 
-def _as_matrix(X, dimension: int | None = None) -> sparse.csr_matrix:
+def _as_matrix(X) -> sparse.csr_matrix:
     if sparse.issparse(X):
         return X.tocsr()
     vecs = list(X)
     if not vecs:
         raise InputError("need at least one sample")
-    if dimension is None:
-        dimension = vecs[0].dimension
-    return stack_vectors(vecs, dimension)
+    return stack_vectors(vecs, vecs[0].dimension)
 
 
 def fit_label(
     X,
     y: Sequence[float],
     lam: float,
-    fit_bias: bool = True,
     tol: float = 1e-10,
 ) -> tuple[np.ndarray, float]:
     """Ridge fit for one label; returns (weights, bias).
@@ -278,16 +282,10 @@ def fit_label(
     if Xm.shape[0] != yv.shape[0]:
         raise InputError(f"sample count mismatch: {Xm.shape[0]} rows vs {yv.shape[0]} targets")
     n, d = Xm.shape
-    if fit_bias:
-        ones = sparse.csr_matrix(np.ones((n, 1)))
-        Xaug = sparse.hstack([Xm, ones], format="csr")
-        dim = d + 1
-        penalty = np.full(dim, lam, dtype=np.float64)
-        penalty[d] = 0.0
-    else:
-        Xaug = Xm
-        dim = d
-        penalty = np.full(dim, lam, dtype=np.float64)
+    Xaug = sparse.hstack([Xm, sparse.csr_matrix(np.ones((n, 1)))], format="csr")
+    dim = d + 1
+    penalty = np.full(dim, lam, dtype=np.float64)
+    penalty[d] = 0.0
 
     rhs = Xaug.T @ yv
     rhs_norm = math.sqrt(float(np.dot(rhs, rhs)))
@@ -317,9 +315,7 @@ def fit_label(
                 math.sqrt(rs) / rhs_norm,
                 tol,
             )
-    if fit_bias:
-        return x[:d], float(x[d])
-    return x, 0.0
+    return x[:d], float(x[d])
 
 
 # Largest min(units, used columns) solved densely; two float64 arrays of
@@ -429,12 +425,7 @@ def _collect_records(
     """The encounter's embedded records plus what the spec's source contributes."""
     records = list(encounter.structured)
     if spec.extraction_source == "patterns":
-        pc = spec.resolved_pattern_config()
-        for di, doc in enumerate(encounter.documents):
-            for rec in extract_patterns(doc, pc):
-                records.append(
-                    replace(rec, encounter_id=encounter.encounter_id, doc_index=di)
-                )
+        records.extend(extract_encounter(encounter, spec.resolved_pattern_config()))
     elif spec.extraction_source in ("external", "db"):
         records.extend(external.get(encounter.encounter_id, []))
     return records
@@ -446,14 +437,6 @@ def _process_records(
     if selected is not None:
         records = [r for r in records if r.name in selected]
     return rollup(records, spec.rollup_policy, provenances=spec.rollup_provenances)
-
-
-def _select_datawords(dws: Sequence[DataWordSentence], mode: str) -> list[DataWordSentence]:
-    if mode == "text_only":
-        return []
-    if mode == "nonnumeric_datawords_only":
-        return [s for s in dws if not s.is_numeric]
-    return list(dws)
 
 
 def _encode(
@@ -497,7 +480,7 @@ def _encode(
                     kind="dataword",
                     display=dw.display,
                 )
-                for si, dw in enumerate(_select_datawords(dws, mode))
+                for si, dw in enumerate(select_datawords(dws, mode))
             ]
         )
         units.append(
@@ -869,8 +852,10 @@ def load_bundle(path: str | Path) -> ModelBundle:
     length differs from the token count, weight indices that are not
     strictly increasing integers in [0, dimension), a non-finite weight or
     bias, a threshold that is neither finite nor null) raise DataError, as
-    do a tokenizer other than ``TOKENIZER`` and encoding values that
-    EncodingSpec rejects (an unknown unit, ablation mode or source).
+    do a tokenizer other than ``TOKENIZER``, ``selected_variables`` that is
+    neither null nor a list of strings, and encoding values that
+    EncodingSpec rejects (an unknown unit, ablation mode or source, or roll-up
+    provenances that are not a list of known provenance names).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -931,18 +916,21 @@ def load_bundle(path: str | Path) -> ModelBundle:
         extraction = obj["extraction"]
         patterns = extraction.get("patterns")
         roll = obj["rollup"]
+        provenances = roll["provenances"]
         spec = EncodingSpec(
             extraction_source=extraction["source"],
             pattern_config=PatternConfig.from_dict(patterns) if patterns is not None else None,
             rollup_policy=RollupPolicy(aggregates=tuple(roll["aggregates"])),
-            rollup_provenances=(
-                tuple(roll["provenances"]) if roll["provenances"] is not None else None
-            ),
+            rollup_provenances=tuple(provenances) if isinstance(provenances, list) else provenances,
             threshold_spec=ThresholdSpec.from_dict(obj["threshold_spec"]),
             ablation_mode=obj["ablation_mode"],
             unit=obj["unit"],
         )
         selected = obj["selected_variables"]
+        if selected is not None and not (
+            isinstance(selected, list) and all(isinstance(v, str) for v in selected)
+        ):
+            raise ValueError(f"selected_variables must be null or a list of strings, got {selected!r}")
         models = [_label_from_entry(entry, tfidf.dimension) for entry in obj["labels"]]
         return ModelBundle(
             tfidf=tfidf,

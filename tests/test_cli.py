@@ -403,9 +403,14 @@ class TestBatchedReadPath:
             (lambda obj: obj.update(ablation_mode="text"), "unknown ablation mode: 'text'"),
             (lambda obj: obj["extraction"].update(source="pattern"),
              "unknown extraction source: 'pattern'"),
+            (lambda obj: obj.update(selected_variables="Temp_mean"),
+             "selected_variables must be null or a list of strings"),
+            (lambda obj: obj["rollup"].update(provenances="database"),
+             "rollup_provenances must be None or a tuple"),
         ],
         ids=["truncated_idf", "weight_index_out_of_range", "unknown_unit",
-             "unknown_ablation_mode", "unknown_extraction_source"],
+             "unknown_ablation_mode", "unknown_extraction_source",
+             "string_selected_variables", "string_rollup_provenances"],
     )
     def test_predict_on_bad_bundle_exits_with_message(self, tmp_path, capsys, corrupt, message):
         corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
@@ -461,6 +466,18 @@ class TestConfigFile:
         bad.write_text("{nope", encoding="utf-8")
         rc = main(["evaluate", "--config", str(bad), "--out", str(tmp_path / "r")])
         assert rc == 2
+
+    @pytest.mark.parametrize("provenances", ["database", ["database", "ocr"], {"database": 1}])
+    def test_bad_rollup_provenances_exit_2(self, tmp_path, capsys, provenances):
+        corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
+        cfg = write_json(tmp_path / "cfg.json", {"rollup_provenances": provenances})
+        rc = main(["train", "--config", cfg, "--corpus", corpus,
+                   "--out", str(tmp_path / "b.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "rollup_provenances must be None or a tuple" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "b.json").exists()
 
 
 def test_bundle_bytes_independent_of_blas_threads(tmp_path):

@@ -1,23 +1,29 @@
+import dataclasses
 import json
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from datawords.corpus import load_corpus
+from datawords.corpus import Encounter, load_corpus
 from datawords.errors import ConfigError, DataError
+from datawords.evaluation import PlantedRule, SynthSpec, generate_synthetic
 from datawords.extraction import (
+    RECORD_KINDS,
     MeasurementFilter,
     PatternConfig,
     RollupPolicy,
     StructuredRecord,
     allowed_variables,
+    default_pattern_config,
+    extract_encounter,
     extract_patterns,
     load_db_measurements,
     load_external_extractions,
     rollup,
-    select_measurements,
 )
+from datawords.model import PipelineConfig, build_corpus_units, prepare_units, train_all
 
 
 def simple_config():
@@ -86,6 +92,192 @@ class TestExtractPatterns:
         assert a == b
 
 
+def reference_extract_patterns(text, config):
+    """The three-loop extractor that the compiled matcher table replaced,
+    kept as the oracle: it compiles one regex per alias and per lexicon
+    phrase on every call, then resolves overlaps leftmost-longest."""
+    number = r"([-+]?\d+(?:\.\d+)?)"
+    candidates = []
+    for surface, canonical in config.aliases.items():
+        pat = re.compile(
+            rf"\b{re.escape(surface)}\b\s*(?:=|:|is|was|of)?\s*{number}", re.IGNORECASE
+        )
+        for match in pat.finditer(text):
+            candidates.append((match.start(), match.end(), StructuredRecord(
+                name=canonical, value=float(match.group(1)), kind="measurement",
+                provenance="text_extraction", span=(match.start(), match.end()))))
+    for variable, pat in config.numeric_patterns:
+        for match in pat.finditer(text):
+            try:
+                value = float(match.group(1))
+            except (TypeError, ValueError):
+                continue
+            candidates.append((match.start(), match.end(), StructuredRecord(
+                name=variable, value=value, kind="measurement",
+                provenance="text_extraction", span=(match.start(), match.end()))))
+    for phrase, name, value, kind in config.lexicon:
+        pat = re.compile(rf"\b{re.escape(phrase)}\b", re.IGNORECASE)
+        for match in pat.finditer(text):
+            candidates.append((match.start(), match.end(), StructuredRecord(
+                name=name, value=value, kind=kind if kind in RECORD_KINDS else "other",
+                provenance="text_extraction", span=(match.start(), match.end()))))
+    candidates.sort(key=lambda c: (c[0], -(c[1] - c[0]), c[2].name))
+    selected = []
+    cursor = 0
+    for start, end, record in candidates:
+        if start >= cursor:
+            selected.append(record)
+            cursor = end
+    return selected
+
+
+# Overlapping surfaces: "HR 80" is an alias match, a numeric-pattern match and
+# a lexicon phrase of the same name and span (an exact tie), and also an
+# "HR_any" match that wins that span by name; "heart rate" contains "heart"
+# and "rate"; "sat" and "level" patterns can match with a missing or
+# non-numeric group.
+ALIAS_POOL = [("Temp", "Temp"), ("Temperature", "Temp"), ("T", "Temp"), ("HR", "Pulse"),
+              ("Heart rate", "Pulse"), ("rate", "Rate"), ("BP", "BP")]
+NUMERIC_POOL = [("Pulse", r"\bHR\s*(\d+)"), ("Rate", r"rate\s+(\d+)"),
+                ("Temp", r"(\d+(?:\.\d+)?)\s*F\b"), ("SpO2", r"sat(?:\s+(\d+))?"),
+                ("Level", r"level\s+(\w+)"), ("HR_any", r"\bHR\s*(\d+)")]
+LEXICON_POOL = [("HR 80", "Pulse", "fast", "measurement"), ("heart", "Organ", "heart", "condition"),
+                ("heart rate", "Vital", "hr", "weird_kind"), ("temp", "Temp", "noted", "condition"),
+                ("lung cancer", "Previous_condition", "lung_cancer", "condition"),
+                ("cancer", "Previous_condition", "cancer", "condition")]
+TOKENS = ["Temp", "temp", "Temperature", "T", "HR", "hr", "Heart", "heart", "rate", "Rate", "80",
+          "98.6", "-3", "+4.5", "F", "sat", "level", "abc", "12", "lung", "cancer", "BP", "=",
+          ":", "is", "was", "of", ",", ".", "x"]
+SEPARATORS = [" ", "", "  ", "\n", ":"]
+
+
+def pool_config(aliases, numeric, lexicon):
+    return PatternConfig.from_dict({
+        "aliases": dict(aliases),
+        "numeric_patterns": [{"variable": v, "pattern": p} for v, p in numeric],
+        "lexicon": [{"phrase": p, "name": n, "value": v, "kind": k} for p, n, v, k in lexicon],
+    })
+
+
+class TestCompiledExtractor:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        aliases=st.lists(st.sampled_from(ALIAS_POOL), unique=True),
+        numeric=st.lists(st.sampled_from(NUMERIC_POOL), unique=True),
+        lexicon=st.lists(st.sampled_from(LEXICON_POOL), unique=True),
+        words=st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(SEPARATORS)),
+                       max_size=30),
+    )
+    @example(aliases=ALIAS_POOL, numeric=NUMERIC_POOL, lexicon=LEXICON_POOL,
+             words=[("HR", " "), ("80", " "), ("heart", " "), ("rate", " "), ("12", "")])
+    def test_same_records_as_three_loop_reference(self, aliases, numeric, lexicon, words):
+        config = pool_config(aliases, numeric, lexicon)
+        text = "".join(w + sep for w, sep in words)
+        assert extract_patterns(text, config) == reference_extract_patterns(text, config)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2), (2,)])
+    def test_exact_tie_goes_to_the_first_matcher(self, order):
+        # alias, numeric pattern and lexicon phrase all match "HR 80" as "Pulse"
+        parts = [[ALIAS_POOL[3]], [NUMERIC_POOL[0]], [LEXICON_POOL[0]]]
+        config = pool_config(*[parts[i] if i in order else [] for i in range(3)])
+        (record,) = extract_patterns("HR 80", config)
+        assert record.span == (0, 5)
+        assert record.value == ("fast" if order == (2,) else 80.0)
+        assert [record] == reference_extract_patterns("HR 80", config)
+
+    def test_default_config_matches_reference_on_synthetic_documents(self):
+        spec = SynthSpec(seed=3, documents=300, rules=(
+            PlantedRule("L1", "Temp", "very_high", 0.9, 0.4),
+            PlantedRule("L2", "HR", "low", 0.9, 0.4),
+        ))
+        config = default_pattern_config()
+        docs = [doc for enc in generate_synthetic(spec) for doc in enc.documents]
+        found = 0
+        for doc in docs:
+            records = extract_patterns(doc, config)
+            assert records == reference_extract_patterns(doc, config)
+            found += len(records)
+        assert found > len(docs) // 2
+
+    def test_no_compile_and_no_config_built_while_encoding(self, monkeypatch):
+        spec = SynthSpec(seed=2, documents=40,
+                         rules=(PlantedRule("L1", "Temp", "very_high", 0.9, 0.5),))
+        encs = generate_synthetic(spec)
+        cfg = PipelineConfig()
+        bundle = train_all(encs, cfg)  # builds the shared default config if not yet built
+        compiled, built = [], []
+        real_compile, real_post_init = re.compile, PatternConfig.__post_init__
+        monkeypatch.setattr(re, "compile", lambda *a, **k: compiled.append(a) or real_compile(*a, **k))
+        monkeypatch.setattr(PatternConfig, "__post_init__",
+                            lambda self: built.append(self) or real_post_init(self))
+        config = default_pattern_config()
+        records = [r for enc in encs for doc in enc.documents for r in extract_patterns(doc, config)]
+        assert records and compiled == []
+        build_corpus_units(encs, cfg)
+        for enc in encs:
+            prepare_units(bundle, enc)
+        assert built == []
+
+    def test_extract_encounter_stamps_id_and_document(self):
+        enc = Encounter(encounter_id="e7", documents=("Temp 99.1", "x", "HR 61"))
+        records = extract_encounter(enc, default_pattern_config())
+        assert [(r.name, r.encounter_id, r.doc_index) for r in records] == [
+            ("Temp", "e7", 0), ("Pulse", "e7", 2)]
+
+
+class TestPatternConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"aliases": {"Temp": ""}},
+            {"aliases": {"": "Temp"}},
+            {"aliases": {"Temp": 5}},
+            {"numeric_patterns": [("SpO2", r"sat\s+(\d+)")]},
+            {"numeric_patterns": [("SpO2", re.compile(r"sat\s+\d+"))]},
+            {"numeric_patterns": [("", re.compile(r"sat\s+(\d+)"))]},
+            {"lexicon": [("", "Previous_condition", "x", "condition")]},
+            {"lexicon": [("asthma", "", "x", "condition")]},
+            {"lexicon": [(5, "Previous_condition", "x", "condition")]},
+        ],
+        ids=["empty_canonical", "empty_surface", "non_string_canonical", "uncompiled_pattern",
+             "pattern_without_group", "empty_variable", "empty_phrase", "empty_name",
+             "non_string_phrase"],
+    )
+    def test_constructor_rejects(self, kwargs):
+        with pytest.raises(ConfigError):
+            PatternConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [[], {"aliases": [["Temp"]]}, {"numeric_patterns": [{"variable": "X"}]},
+         {"numeric_patterns": [{"variable": "X", "pattern": "("}]}, {"lexicon": ["asthma"]}],
+        ids=["not_an_object", "bad_alias_pairs", "missing_pattern", "bad_regex", "bare_phrase"],
+    )
+    def test_from_dict_rejects_malformed(self, raw):
+        with pytest.raises(ConfigError, match="malformed pattern config"):
+            PatternConfig.from_dict(raw)
+
+    def test_frozen_and_default_shared(self):
+        config = default_pattern_config()
+        assert default_pattern_config() is config
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.aliases = {}
+
+    def test_table_order_kinds_and_round_trip(self):
+        raw = {
+            "aliases": {"HR": "Pulse"},
+            "numeric_patterns": [{"variable": "SpO2", "pattern": r"sat\s+(\d+)%"}],
+            "lexicon": [{"phrase": "asthma", "name": "Dx", "value": "asthma", "kind": "weird"},
+                        {"phrase": "copd", "name": "Dx", "value": "copd", "kind": None}],
+        }
+        config = PatternConfig.from_dict(raw)
+        assert [(m.name, m.kind, m.value) for m in config.matchers] == [
+            ("Pulse", "measurement", None), ("SpO2", "measurement", None),
+            ("Dx", "other", "asthma"), ("Dx", "other", "copd")]
+        assert config.to_dict() == raw
+        assert PatternConfig.from_dict(config.to_dict()) == config
+
+
 class TestRecordFiles:
     def write(self, tmp_path, rows):
         path = tmp_path / "records.jsonl"
@@ -148,15 +340,6 @@ COUNTS = {"A": 500, "B": 120, "C": 90}
 
 
 class TestSelectMeasurements:
-    def records(self):
-        out = []
-        for name, count in COUNTS.items():
-            out.extend(
-                StructuredRecord(name=name, value=float(i), encounter_id="e1")
-                for i in range(count)
-            )
-        return out
-
     def test_count_range(self):
         filt = MeasurementFilter(mode="count_range", min_count=100, max_count=500)
         assert allowed_variables(COUNTS, filt) == {"A", "B"}
@@ -168,20 +351,15 @@ class TestSelectMeasurements:
         filt = MeasurementFilter(mode="top_n_excluding_top_m", n=1, m=1)
         assert allowed_variables(COUNTS, filt) == {"B"}
 
-    def test_filter_is_subset_order_preserving_idempotent(self):
-        records = self.records()
-        filt = MeasurementFilter(mode="count_range", min_count=100, max_count=500)
-        kept = select_measurements(records, filt)
-        assert all(r in records for r in kept)
-        positions = [records.index(r) for r in kept]
-        assert positions == sorted(positions)
-        again = select_measurements(kept, filt, counts=COUNTS)
-        assert again == kept
-
-    def test_training_counts_apply_to_test_records(self):
-        test_records = [StructuredRecord(name="C", value=1.0, encounter_id="t1")]
-        filt = MeasurementFilter(mode="count_range", min_count=100, max_count=500)
-        assert select_measurements(test_records, filt, counts=COUNTS) == []
+    @pytest.mark.parametrize(
+        "filt",
+        [MeasurementFilter(), MeasurementFilter(mode="count_range", min_count=100, max_count=500)],
+        ids=["all", "count_range"],
+    )
+    def test_filter_is_subset_idempotent(self, filt):
+        kept = allowed_variables(COUNTS, filt)
+        assert kept <= set(COUNTS)
+        assert allowed_variables({n: COUNTS[n] for n in kept}, filt) == kept
 
     def test_invalid_filter(self):
         with pytest.raises(ConfigError):

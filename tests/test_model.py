@@ -34,20 +34,15 @@ from datawords.model import (
 from datawords.vectorize import build_vocabulary, fit_idf, stack_vectors, vectorize_document
 
 
-def ridge_oracle(X_dense, y, lam, fit_bias=True):
-    """Dense normal-equations solution, independent of the CG solver."""
+def ridge_oracle(X_dense, y, lam):
+    """Dense normal-equations solution with an unpenalized bias,
+    independent of the CG solver."""
     n, d = X_dense.shape
-    if fit_bias:
-        Xa = np.hstack([X_dense, np.ones((n, 1))])
-        D = np.eye(d + 1) * lam
-        D[d, d] = 0.0
-    else:
-        Xa = X_dense
-        D = np.eye(d) * lam
+    Xa = np.hstack([X_dense, np.ones((n, 1))])
+    D = np.eye(d + 1) * lam
+    D[d, d] = 0.0
     sol = np.linalg.solve(Xa.T @ Xa + D, Xa.T @ y)
-    if fit_bias:
-        return sol[:d], sol[d]
-    return sol, 0.0
+    return sol[:d], sol[d]
 
 
 def exhaustive_threshold_oracle(scores, y):
@@ -125,12 +120,6 @@ def sparse_problem(rng, n, d, labels=4):
 
 
 class TestFitLabel:
-    def test_closed_form_single_sample_no_bias(self):
-        X = np.array([[1.0, 0.0]])
-        w, b = fit_label(as_rows(X), [1.0], lam=1.0, fit_bias=False)
-        assert w == pytest.approx([0.5, 0.0])
-        assert b == 0.0
-
     def test_all_zero_targets(self):
         X = np.array([[1.0, 2.0], [0.5, 0.0]])
         w, b = fit_label(as_rows(X), [0.0, 0.0], lam=1.0)
@@ -349,6 +338,7 @@ class TestPipelineConfig:
             ("unit", "unknown classification unit: 'bogus'"),
             ("ablation_mode", "unknown ablation mode: 'bogus'"),
             ("extraction_source", "unknown extraction source: 'bogus'"),
+            ("rollup_provenances", "rollup_provenances must be None or a tuple"),
         ],
     )
     def test_unknown_encoding_value_rejected(self, field, message):
@@ -357,6 +347,15 @@ class TestPipelineConfig:
         spec = PipelineConfig().spec
         with pytest.raises(ConfigError, match=message):
             replace(spec, **{field: "bogus"})
+
+    @pytest.mark.parametrize("provenances", [("bogus",), ["database"], ("database", 1)])
+    def test_rollup_provenances_must_be_known_names_in_a_tuple(self, provenances):
+        with pytest.raises(ConfigError, match="rollup_provenances must be None or a tuple"):
+            PipelineConfig(rollup_provenances=provenances)
+
+    @pytest.mark.parametrize("provenances", [None, (), ("database", "text_extraction")])
+    def test_rollup_provenances_accepted(self, provenances):
+        assert PipelineConfig(rollup_provenances=provenances).spec.rollup_provenances == provenances
 
     def test_spec_follows_the_flat_fields(self):
         cfg = replace(text_only_config(), unit="encounter", rollup_provenances=None)
@@ -733,13 +732,31 @@ class TestLoadBundleValidation:
             (lambda obj: obj["rollup"].update(aggregates=["avg"]), "unknown roll-up aggregates"),
             (lambda obj: obj.update(tokenizer={"kind": "word", "lowercase": False}),
              "unsupported tokenizer"),
+            (lambda obj: obj.update(selected_variables="Temp_mean"),
+             "selected_variables must be null or a list of strings, got 'Temp_mean'"),
+            (lambda obj: obj.update(selected_variables=["Temp_mean", 3]),
+             "selected_variables must be null or a list of strings"),
+            (lambda obj: obj["rollup"].update(provenances="database"),
+             "rollup_provenances must be None or a tuple of names .*, got 'database'"),
+            (lambda obj: obj["rollup"].update(provenances=["database", "ocr"]),
+             "rollup_provenances must be None or a tuple of names"),
+            (lambda obj: obj["rollup"].update(provenances={"database": 1}),
+             "rollup_provenances must be None or a tuple of names"),
         ],
-        ids=["unit", "ablation_mode", "extraction_source", "rollup_aggregate", "tokenizer"],
+        ids=["unit", "ablation_mode", "extraction_source", "rollup_aggregate", "tokenizer",
+             "string_selected_variables", "non_string_selected_variable",
+             "string_rollup_provenances", "unknown_rollup_provenance", "object_rollup_provenances"],
     )
     def test_unknown_spec_value_or_tokenizer(self, saved, corrupt, message):
         path, obj = saved
         corrupt(obj)
         self.rejects(path, obj, message)
+
+    def test_selected_variables_list_loads_as_tuple(self, saved):
+        path, obj = saved
+        obj["selected_variables"] = ["Temp_mean", "Pulse_max"]
+        path.write_text(json.dumps(obj))
+        assert load_bundle(path).selected_variables == ("Temp_mean", "Pulse_max")
 
     def test_missing_tokenizer_accepted(self, saved):
         path, obj = saved

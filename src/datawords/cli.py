@@ -77,6 +77,21 @@ def _require(value, flag: str):
     return value
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _typed_setting(args, cfg: dict, name: str, kind: type, default=None):
+    """``_setting`` that refuses a value not of the JSON type ``kind``
+    (a number setting takes integers too) with a ConfigError naming it."""
+    value = _setting(args, cfg, name, default)
+    allowed = (int, float) if kind is float else kind
+    if value is not None and (
+        not isinstance(value, allowed) or (kind is not bool and isinstance(value, bool))
+    ):
+        raise ConfigError(f"setting {name!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def _external_records(source: str, path: str | None):
     if source == "external":
         return tuple(load_external_extractions(_require(path, "--extractions")))
@@ -99,20 +114,24 @@ def _predictside_units(args, cfg: dict, bundle, encounters):
 
 
 def _pipeline_config(args, cfg: dict, mode: str | None = None) -> PipelineConfig:
-    source = _setting(args, cfg, "source", "patterns")
-    patterns_path = _setting(args, cfg, "patterns")
-    thresholds_path = _setting(args, cfg, "thresholds")
+    source = _typed_setting(args, cfg, "source", str, "patterns")
+    patterns_path = _typed_setting(args, cfg, "patterns", str)
+    thresholds_path = _typed_setting(args, cfg, "thresholds", str)
     filt_cfg = cfg.get("measurement_filter", {"mode": "all"})
     rollup_cfg = cfg.get("rollup")
+    if rollup_cfg is not None and not (
+        isinstance(rollup_cfg, list) and all(isinstance(a, str) for a in rollup_cfg)
+    ):
+        raise ConfigError(f"setting 'rollup' must be a list of aggregate names, got {rollup_cfg!r}")
     provenances = cfg.get("rollup_provenances", ["database"])
     return PipelineConfig(
-        ablation_mode=mode or _setting(args, cfg, "mode", "text_plus_datawords"),
-        unit=_setting(args, cfg, "unit", "document"),
-        lam=float(_setting(args, cfg, "lam", 1.0)),
-        min_positive=int(cfg.get("min_positive", 1)),
-        min_df=int(cfg.get("min_df", 1)),
-        l2_normalize=bool(cfg.get("l2_normalize", True)),
-        hash_bits=cfg.get("hash_bits"),
+        ablation_mode=mode or _typed_setting(args, cfg, "mode", str, "text_plus_datawords"),
+        unit=_typed_setting(args, cfg, "unit", str, "document"),
+        lam=float(_typed_setting(args, cfg, "lam", float, 1.0)),
+        min_positive=_typed_setting(args, cfg, "min_positive", int, 1),
+        min_df=_typed_setting(args, cfg, "min_df", int, 1),
+        l2_normalize=_typed_setting(args, cfg, "l2_normalize", bool, True),
+        hash_bits=_typed_setting(args, cfg, "hash_bits", int),
         extraction_source=source,
         pattern_config=PatternConfig.from_file(patterns_path) if patterns_path else None,
         measurement_filter=MeasurementFilter.from_dict(filt_cfg),
@@ -123,10 +142,12 @@ def _pipeline_config(args, cfg: dict, mode: str | None = None) -> PipelineConfig
             if thresholds_path
             else ThresholdSpec.defaults()
         ),
-        external_records=_external_records(source, _setting(args, cfg, "extractions")),
-        folds=int(_setting(args, cfg, "folds", 4)),
-        seed=int(_setting(args, cfg, "seed", 42)),
-        threads=int(_setting(args, cfg, "threads", 1)),
+        external_records=_external_records(
+            source, _typed_setting(args, cfg, "extractions", str)
+        ),
+        folds=_typed_setting(args, cfg, "folds", int, 4),
+        seed=_typed_setting(args, cfg, "seed", int, 42),
+        threads=_typed_setting(args, cfg, "threads", int, 1),
     )
 
 
@@ -269,7 +290,7 @@ def cmd_explain(args) -> int:
     corpus_path = _require(_setting(args, cfg, "corpus"), "--corpus")
     bundle_path = _require(_setting(args, cfg, "bundle"), "--bundle")
     out_path = _require(_setting(args, cfg, "out"), "--out")
-    topk = int(_setting(args, cfg, "topk", 3))
+    topk = _typed_setting(args, cfg, "topk", int, 3)
     sentence_filter = _setting(args, cfg, "filter", "all")
     if sentence_filter not in JUSTIFICATION_FILTERS:
         raise ConfigError(f"unknown justification filter: {sentence_filter!r}")
@@ -347,7 +368,7 @@ def cmd_synth(args) -> int:
     cfg = _load_config_file(args.config)
     spec_path = _require(_setting(args, cfg, "spec"), "--spec")
     out_path = _require(_setting(args, cfg, "out"), "--out")
-    folds = int(_setting(args, cfg, "folds", 4))
+    folds = _typed_setting(args, cfg, "folds", int, 4)
     t0 = time.perf_counter()
     try:
         with open(spec_path, "r", encoding="utf-8") as fh:

@@ -66,6 +66,10 @@ class MeasurementFilter:
     m: int | None = None
 
     def __post_init__(self):
+        for key in ("min_count", "max_count", "n", "m"):
+            val = getattr(self, key)
+            if val is not None and (isinstance(val, bool) or not isinstance(val, int)):
+                raise ConfigError(f"measurement_filter {key} must be an integer, got {val!r}")
         if self.mode == "all":
             return
         if self.mode == "count_range":
@@ -82,6 +86,8 @@ class MeasurementFilter:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "MeasurementFilter":
+        if not isinstance(d, Mapping):
+            raise ConfigError(f"measurement_filter must be an object, got {d!r}")
         return cls(
             mode=d.get("mode", "all"),
             min_count=d.get("min_count"),

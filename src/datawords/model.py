@@ -9,8 +9,10 @@ patterns, roll-up, thresholds, ablation mode, unit) the training config
 was encoded with, the training-time statistics, selected variables and
 tf-idf model, and the label weights. Training and prediction build units
 through the same ``_encode``, so prediction re-runs the exact same
-encoding. A bundle is one JSON document in format "1"; loading it checks
-the spec through EncodingSpec and the weights against the tf-idf model.
+encoding. A bundle is one JSON document in format "2": a readable header,
+then per label its bias, threshold and weight column, the column as base64
+of little-endian int32 indices and float64 values. Loading it checks the
+spec through EncodingSpec and the weights against the tf-idf model.
 
 The regressor minimizes sum((w.x + b - y)^2) + lambda * ||w||^2 with an
 unpenalized bias. Every label shares X and lambda, so ``fit_labels`` solves
@@ -27,6 +29,7 @@ the package pins to one.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import math
@@ -75,7 +78,7 @@ from .vectorize import (
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 # The tokenizer every bundle is written with (``corpus.tokenize``).
 TOKENIZER = {"kind": "word", "lowercase": True}
 
@@ -779,12 +782,22 @@ def _bundle_header(bundle: ModelBundle) -> dict:
     }
 
 
+# On-disk dtypes of a weight column; a dimension is at most 2**30.
+_INDEX_DTYPE = np.dtype("<i4")
+_VALUE_DTYPE = np.dtype("<f8")
+
+
+def _b64_array(a: np.ndarray, dtype: np.dtype) -> str:
+    return base64.b64encode(np.asarray(a, dtype=dtype).tobytes()).decode("ascii")
+
+
 def _label_entry(lm: LabelModel) -> dict:
     return {
         "code": lm.label,
         "bias": float(lm.bias),
         "threshold": None if math.isinf(lm.threshold) else float(lm.threshold),
-        "weights": [[int(i), float(v)] for i, v in zip(lm.indices, lm.values)],
+        "indices": _b64_array(lm.indices, _INDEX_DTYPE),
+        "values": _b64_array(lm.values, _VALUE_DTYPE),
     }
 
 
@@ -812,18 +825,34 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         fh.write("]}\n")
 
 
+def _array_from_b64(entry: Mapping, key: str, dtype: np.dtype) -> np.ndarray:
+    code = entry["code"]
+    raw = entry[key]
+    if not isinstance(raw, str):
+        raise ValueError(f"label {code!r}: {key} must be a base64 string")
+    try:
+        data = base64.b64decode(raw, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"label {code!r}: {key} is not valid base64 ({exc})") from exc
+    if len(data) % dtype.itemsize:
+        raise ValueError(
+            f"label {code!r}: {key} holds {len(data)} bytes, "
+            f"not a whole number of {dtype.itemsize}-byte items"
+        )
+    return np.frombuffer(data, dtype=dtype)
+
+
 def _label_from_entry(entry: Mapping, dimension: int) -> LabelModel:
     """One saved label, checked so that scoring cannot fail or go NaN:
-    integer weight indices strictly increasing in [0, dimension), finite
-    weights and bias, and a finite threshold or null (never predicted).
-    Raises ValueError naming the first violation."""
+    whole int32 indices and float64 values of equal count, indices strictly
+    increasing in [0, dimension), finite weights and bias, and a finite
+    threshold or null (never predicted). Raises ValueError naming the label
+    and the first violation."""
     code = entry["code"]
-    weights = entry["weights"]
-    indices = np.asarray([i for i, _ in weights])
-    values = np.asarray([v for _, v in weights], dtype=np.float64)
-    if indices.size and indices.dtype.kind != "i":
-        raise ValueError(f"label {code!r}: weight indices must be integers")
-    indices = indices.astype(np.int64)
+    indices = _array_from_b64(entry, "indices", _INDEX_DTYPE).astype(np.int64)
+    values = _array_from_b64(entry, "values", _VALUE_DTYPE).astype(np.float64)
+    if indices.size != values.size:
+        raise ValueError(f"label {code!r}: {indices.size} weight indices for {values.size} values")
     out_of_range = indices[(indices < 0) | (indices >= dimension)]
     if out_of_range.size:
         raise ValueError(
@@ -848,10 +877,13 @@ def _label_from_entry(entry: Mapping, dimension: int) -> LabelModel:
 def load_bundle(path: str | Path) -> ModelBundle:
     """Load a saved bundle; predictions after a round trip are bit-exact.
 
-    Contents that would make prediction fail or go NaN (an ``idf`` whose
-    length differs from the token count, weight indices that are not
-    strictly increasing integers in [0, dimension), a non-finite weight or
-    bias, a threshold that is neither finite nor null) raise DataError, as
+    A bundle of another format version, such as format "1", raises
+    UnsupportedVersionError: it has to be retrained. Contents that would
+    make prediction fail or go NaN (an ``idf`` whose length differs from
+    the token count, a weight column that is not valid base64 of whole
+    items, index and value counts that differ, weight indices that are not
+    strictly increasing in [0, dimension), a non-finite weight or bias, a
+    threshold that is neither finite nor null) raise DataError, as
     do a tokenizer other than ``TOKENIZER``, ``selected_variables`` that is
     neither null nor a list of strings, and encoding values that
     EncodingSpec rejects (an unknown unit, ablation mode or source, or roll-up
@@ -867,7 +899,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
     version = obj.get("format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(
-            f"bundle {path}: unsupported format_version {version!r} (supported: {FORMAT_VERSION!r})"
+            f"bundle {path}: unsupported format_version {version!r} "
+            f"(supported: {FORMAT_VERSION!r}); retrain the model to write a supported bundle"
         )
     tokenizer = obj.get("tokenizer", TOKENIZER)
     if tokenizer != TOKENIZER:

@@ -16,6 +16,7 @@ Two modes:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -30,6 +31,8 @@ from .errors import ConfigError
 _FNV_OFFSET = 2166136261
 _FNV_PRIME = 16777619
 _KNUTH = 2654435761
+# Distinct (token, bits) pairs whose slots are kept; the hash is pure.
+_HASH_SLOT_CACHE = 1 << 16
 
 
 @dataclass
@@ -72,6 +75,7 @@ def build_vocabulary(train_docs: Sequence[str], min_df: int = 1) -> Vocabulary:
     return Vocabulary(index=index, df=dict(df), document_count=len(docs))
 
 
+@functools.lru_cache(maxsize=_HASH_SLOT_CACHE)
 def _hash_slot(token: str, bits: int) -> int:
     h = _FNV_OFFSET
     for byte in token.encode("utf-8"):

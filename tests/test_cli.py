@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -32,6 +33,13 @@ def write_json(path, obj):
 def write_corpus(path, lines):
     path.write_text("\n".join(json.dumps(o) for o in lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+def set_last_weight_index(entry, index):
+    """Re-encode a saved label's index column with its last index replaced."""
+    indices = bytearray(base64.b64decode(entry["indices"]))
+    indices[-4:] = index.to_bytes(4, "little", signed=True)
+    entry["indices"] = base64.b64encode(bytes(indices)).decode("ascii")
 
 
 def read_jsonl(path):
@@ -173,6 +181,21 @@ class TestPredict:
         rc = main(["predict", "--corpus", corpus, "--bundle", str(bundle),
                    "--out", str(tmp_path / "p.jsonl")])
         assert rc == 2
+
+    def test_format_1_bundle_exits_2_asking_to_retrain(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
+        bundle = tmp_path / "bundle.json"
+        assert main(["train", "--corpus", corpus, "--out", str(bundle)]) == 0
+        obj = json.loads(bundle.read_text())
+        obj["format_version"] = "1"
+        bundle.write_text(json.dumps(obj))
+        capsys.readouterr()
+        rc = main(["predict", "--corpus", corpus, "--bundle", str(bundle),
+                   "--out", str(tmp_path / "p.jsonl")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "format_version '1'" in err and "retrain" in err
+        assert "Traceback" not in err
 
     def test_missing_bundle_exits_2(self, tmp_path):
         corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
@@ -397,7 +420,7 @@ class TestBatchedReadPath:
         [
             (lambda obj: obj["tfidf"].update(idf=obj["tfidf"]["idf"][:5]),
              "tfidf.idf has 5 entries"),
-            (lambda obj: obj["labels"][0]["weights"][-1].__setitem__(0, 10**6),
+            (lambda obj: set_last_weight_index(obj["labels"][0], 10**6),
              "weight index 1000000 outside"),
             (lambda obj: obj.update(unit="sentence"), "unknown classification unit: 'sentence'"),
             (lambda obj: obj.update(ablation_mode="text"), "unknown ablation mode: 'text'"),
@@ -478,6 +501,47 @@ class TestConfigFile:
         assert "rollup_provenances must be None or a tuple" in err
         assert "Traceback" not in err
         assert not (tmp_path / "b.json").exists()
+
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"measurement_filter": "all"}, "measurement_filter must be an object, got 'all'"),
+            ({"measurement_filter": {"mode": "top_n", "n": "3"}},
+             "measurement_filter n must be an integer, got '3'"),
+            ({"hash_bits": "8"}, "setting 'hash_bits' must be an integer, got '8'"),
+            ({"lam": "x"}, "setting 'lam' must be a number, got 'x'"),
+            ({"min_df": "a"}, "setting 'min_df' must be an integer, got 'a'"),
+            ({"l2_normalize": "false"}, "setting 'l2_normalize' must be true or false"),
+            ({"thresholds": {"Temp": {}}}, "setting 'thresholds' must be a string"),
+            ({"rollup": "mean"}, "setting 'rollup' must be a list of aggregate names, got 'mean'"),
+        ],
+        ids=["filter_string", "filter_n_string", "hash_bits_string", "lam_string",
+             "min_df_string", "l2_normalize_string", "thresholds_object", "rollup_string"],
+    )
+    def test_mistyped_setting_exits_2(self, tmp_path, capsys, setting, message):
+        corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
+        cfg = write_json(tmp_path / "cfg.json", setting)
+        rc = main(["train", "--config", cfg, "--corpus", corpus,
+                   "--out", str(tmp_path / "b.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "b.json").exists()
+
+
+def test_python_dash_m_datawords_runs_the_cli(tmp_path):
+    spec = write_json(tmp_path / "spec.json", SYNTH_SPEC)
+    in_process, via_module = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert main(["synth", "--spec", spec, "--out", str(in_process)]) == 0
+    src = str(Path(datawords.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "datawords", "synth", "--spec", spec, "--out", str(via_module)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert via_module.read_bytes() == in_process.read_bytes()
 
 
 def test_bundle_bytes_independent_of_blas_threads(tmp_path):

@@ -1,7 +1,10 @@
+import base64
 import json
 import logging
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from datawords.extraction import MeasurementFilter, StructuredRecord, load_db_me
 from datawords.model import (
     AugmentedUnit,
     EncodingSpec,
+    LabelModel,
     ModelBundle,
     PipelineConfig,
     build_corpus_units,
@@ -566,6 +570,16 @@ class TestBundleRoundTrip:
         with pytest.raises(UnsupportedVersionError):
             load_bundle(path)
 
+    def test_format_1_must_be_retrained(self, tmp_path):
+        bundle, _ = self.make_bundle_and_probe()
+        path = tmp_path / "bundle.json"
+        save_bundle(bundle, path)
+        obj = json.loads(path.read_text())
+        obj["format_version"] = "1"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(UnsupportedVersionError, match=r"format_version '1'.*retrain"):
+            load_bundle(path)
+
     def test_truncated_file_is_parse_error(self, tmp_path):
         bundle, _ = self.make_bundle_and_probe()
         path = tmp_path / "bundle.json"
@@ -652,6 +666,60 @@ class TestWeightMatrix:
         assert replace(bundle, label_models=())._weight_matrix is None
 
 
+def edit_column(entry, edit):
+    """Decode a saved label's weight column, apply ``edit(indices, values)``
+    and store the result, re-encoded, in place."""
+    indices = np.frombuffer(base64.b64decode(entry["indices"]), "<i4")
+    values = np.frombuffer(base64.b64decode(entry["values"]), "<f8")
+    indices, values = edit(indices, values)
+    entry["indices"] = base64.b64encode(np.asarray(indices, "<i4").tobytes()).decode("ascii")
+    entry["values"] = base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+@pytest.fixture(scope="module")
+def small_bundle():
+    spec = SynthSpec(seed=8, documents=30,
+                     rules=(PlantedRule("L1", "Temp", "very_high", 0.9, 0.4),))
+    return train_all(generate_synthetic(spec), PipelineConfig())
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1e300]
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+
+
+@st.composite
+def label_models(draw, dimension):
+    indices = sorted(draw(st.sets(st.integers(0, dimension - 1), max_size=12)))
+    return LabelModel(
+        label=draw(st.text(min_size=1, max_size=4)),
+        indices=np.array(indices, dtype=np.int64),
+        values=np.array([draw(_finite) for _ in indices], dtype=np.float64),
+        bias=draw(_finite),
+        threshold=draw(_finite | st.just(math.inf)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_label_columns_round_trip_bit_exact(small_bundle, data):
+    models = data.draw(st.lists(label_models(small_bundle.tfidf.dimension), max_size=4))
+    bundle = replace(small_bundle, label_models=tuple(models))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bundle.json"
+        save_bundle(bundle, path)
+        whole = json.dumps(_bundle_to_dict(bundle), separators=(",", ":")) + "\n"
+        assert path.read_bytes() == whole.encode("utf-8")
+        loaded = load_bundle(path)
+    assert len(loaded.label_models) == len(models)
+    for got, want in zip(loaded.label_models, models):
+        assert got.label == want.label
+        assert got.indices.dtype == np.int64 and got.values.dtype == np.float64
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.bias.hex() == want.bias.hex()
+        assert got.threshold.hex() == want.threshold.hex()
+
+
 class TestLoadBundleValidation:
     """Each corruption used to load and then fail or go NaN at predict time."""
 
@@ -680,29 +748,51 @@ class TestLoadBundleValidation:
 
     def test_weight_index_beyond_dimension(self, saved):
         path, obj = saved
-        obj["labels"][0]["weights"][-1][0] = 10**6
-        self.rejects(path, obj, r"weight index 1000000 outside \[0, \d+\)")
+        edit_column(obj["labels"][0], lambda idx, val: (np.append(idx[:-1], 10**6), val))
+        self.rejects(path, obj, r"label 'L1': weight index 1000000 outside \[0, \d+\)")
 
     def test_negative_weight_index(self, saved):
         path, obj = saved
-        obj["labels"][0]["weights"][0][0] = -1
+        edit_column(obj["labels"][0], lambda idx, val: (np.append(-1, idx[1:]), val))
         self.rejects(path, obj, r"weight index -1 outside")
 
-    def test_non_integer_weight_index(self, saved):
+    @pytest.mark.parametrize("key", ["indices", "values"])
+    def test_invalid_base64(self, saved, key):
         path, obj = saved
-        obj["labels"][0]["weights"][0][0] = 0.5
-        self.rejects(path, obj, "weight indices must be integers")
+        obj["labels"][0][key] = "AAAAAAAA*AAA="  # decodes once the "*" is dropped
+        self.rejects(path, obj, f"label 'L1': {key} is not valid base64")
+
+    @pytest.mark.parametrize("key", ["indices", "values"])
+    def test_non_string_column(self, saved, key):
+        path, obj = saved
+        obj["labels"][0][key] = [0, 1]
+        self.rejects(path, obj, f"label 'L1': {key} must be a base64 string")
+
+    @pytest.mark.parametrize("key, itemsize", [("indices", 4), ("values", 8)])
+    def test_truncated_byte_length(self, saved, key, itemsize):
+        path, obj = saved
+        raw = base64.b64decode(obj["labels"][0][key])
+        obj["labels"][0][key] = base64.b64encode(raw[:-1]).decode("ascii")
+        self.rejects(
+            path, obj,
+            f"label 'L1': {key} holds {len(raw) - 1} bytes, not a whole number of {itemsize}-byte",
+        )
+
+    def test_index_value_count_mismatch(self, saved):
+        path, obj = saved
+        n = len(base64.b64decode(obj["labels"][0]["indices"])) // 4
+        edit_column(obj["labels"][0], lambda idx, val: (idx, val[:-1]))
+        self.rejects(path, obj, f"label 'L1': {n} weight indices for {n - 1} values")
 
     def test_weight_indices_out_of_order(self, saved):
         path, obj = saved
-        weights = obj["labels"][0]["weights"]
-        weights[0], weights[1] = weights[1], weights[0]
+        edit_column(obj["labels"][0], lambda idx, val: (idx[[1, 0, *range(2, idx.size)]], val))
         self.rejects(path, obj, "strictly increasing")
 
     def test_non_finite_weight(self, saved):
         path, obj = saved
-        obj["labels"][0]["weights"][0][1] = float("nan")
-        self.rejects(path, obj, "weights must be finite")
+        edit_column(obj["labels"][0], lambda idx, val: (idx, np.append(np.nan, val[1:])))
+        self.rejects(path, obj, "label 'L1': weights must be finite")
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_bias(self, saved, bad):

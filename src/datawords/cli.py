@@ -49,6 +49,16 @@ def _timed(stage: str, started: float) -> None:
     print(f"[time] {stage}: {time.perf_counter() - started:.3f}s", file=sys.stderr)
 
 
+# Every key that some subcommand reads from a --config file. One file may
+# serve several subcommands, so only a key that none of them reads is refused.
+CONFIG_KEYS = (
+    "bundle", "corpus", "extractions", "filter", "folds", "hash_bits", "l2_normalize", "lam",
+    "measurement_filter", "min_df", "min_positive", "mode", "modes", "out", "patterns",
+    "rollup", "rollup_provenances", "seed", "source", "spec", "threads", "thresholds", "topk",
+    "unit",
+)
+
+
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
@@ -59,6 +69,9 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path}: expected a JSON object")
+    unknown = [key for key in cfg if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown setting(s) {', '.join(map(repr, unknown))}")
     return cfg
 
 
@@ -332,7 +345,12 @@ def cmd_evaluate(args) -> int:
     corpus_path = _require(_setting(args, cfg, "corpus"), "--corpus")
     out_dir = Path(_require(_setting(args, cfg, "out"), "--out"))
     mode = _setting(args, cfg, "mode")
-    modes = [mode] if mode else list(cfg.get("modes", ["text_only", "text_plus_datawords"]))
+    if mode:
+        modes = [mode]
+    else:
+        modes = cfg.get("modes", ["text_only", "text_plus_datawords"])
+        if not (isinstance(modes, list) and modes and all(isinstance(m, str) for m in modes)):
+            raise ConfigError(f"setting 'modes' must be a nonempty list of mode names, got {modes!r}")
     for m in modes:
         if m not in ABLATION_MODES:
             raise ConfigError(f"unknown ablation mode: {m!r}")

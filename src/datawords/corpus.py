@@ -24,7 +24,9 @@ from .errors import ConfigError, DataError
 from .extraction import StructuredRecord, _parse_record_line
 
 _TOKEN_RE = re.compile(r"\w+")
-_TERMINATORS = ".!?"
+# A sentence runs up to and including a terminator, or up to a newline or
+# the end of the text; the newline itself belongs to no sentence.
+_SENTENCE_RE = re.compile(r"[^.!?\n]*[.!?]|[^.!?\n]+")
 
 
 @dataclass(frozen=True)
@@ -88,25 +90,11 @@ def split_sentences(text: str, doc_index: int = 0) -> list[Sentence]:
     whitespace is stripped; empty pieces are dropped. No abbreviation
     handling, by design: the rule must be reproducible on noisy notes.
     """
-    sentences: list[Sentence] = []
-    buf: list[str] = []
-
-    def flush():
-        piece = "".join(buf).strip()
-        buf.clear()
-        if piece:
-            sentences.append(Sentence(text=piece, doc_index=doc_index, sent_index=len(sentences)))
-
-    for ch in text:
-        if ch in _TERMINATORS:
-            buf.append(ch)
-            flush()
-        elif ch == "\n":
-            flush()
-        else:
-            buf.append(ch)
-    flush()
-    return sentences
+    pieces = [piece.strip() for piece in _SENTENCE_RE.findall(text)]
+    return [
+        Sentence(text=piece, doc_index=doc_index, sent_index=i)
+        for i, piece in enumerate(filter(None, pieces))
+    ]
 
 
 def load_corpus(path: str | Path, schema: str = "jsonl") -> list[Encounter]:

@@ -126,12 +126,15 @@ _DEFAULT_NUMBER = r"([-+]?\d+(?:\.\d+)?)"
 
 
 class _Matcher(NamedTuple):
-    """One compiled extractor entry; ``value`` None means the number in group 1."""
+    """One compiled extractor entry; ``value`` None means the number in group 1.
+    ``literal`` marks alias and lexicon entries, whose regex starts with a
+    word boundary and then their surface."""
 
     regex: re.Pattern
     name: str
     kind: str
     value: str | None
+    literal: bool
 
 
 def _nonempty(value) -> bool:
@@ -144,27 +147,34 @@ class PatternConfig:
 
     Building one validates it and compiles its matcher table once: one
     entry per alias, then one per numeric pattern, then one per lexicon
-    phrase. Extraction runs the table in that order, which decides exact
-    ties, so a config can be shared by every call.
+    phrase. The table order decides exact ties. It also compiles ``scan``,
+    a zero-width regex that stops wherever some alias surface or lexicon
+    phrase starts at a word boundary (None when there is neither), and
+    lists in ``scanned`` the table index and regex of each matcher tried
+    there. A config is shared by every call.
     """
 
     aliases: dict[str, str] = field(default_factory=dict)
     numeric_patterns: tuple[tuple[str, re.Pattern], ...] = ()
     lexicon: tuple[tuple[str, str, str, str], ...] = ()
     matchers: tuple[_Matcher, ...] = field(init=False, repr=False, compare=False)
+    scan: re.Pattern | None = field(init=False, repr=False, compare=False)
+    scanned: tuple[tuple[int, re.Pattern], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "numeric_patterns", tuple(self.numeric_patterns))
         object.__setattr__(self, "lexicon", tuple(self.lexicon))
         matchers = []
+        literals: dict[str, None] = {}
         for surface, canonical in self.aliases.items():
             if not (_nonempty(surface) and _nonempty(canonical)):
                 raise ConfigError("alias entries must be nonempty strings")
+            literal = re.escape(surface)
+            literals[literal] = None
             regex = re.compile(
-                rf"\b{re.escape(surface)}\b\s*(?:=|:|is|was|of)?\s*{_DEFAULT_NUMBER}",
-                re.IGNORECASE,
+                rf"\b{literal}\b\s*(?:=|:|is|was|of)?\s*{_DEFAULT_NUMBER}", re.IGNORECASE
             )
-            matchers.append(_Matcher(regex, canonical, "measurement", None))
+            matchers.append(_Matcher(regex, canonical, "measurement", None, True))
         for variable, pat in self.numeric_patterns:
             if not _nonempty(variable):
                 raise ConfigError("numeric pattern variables must be nonempty strings")
@@ -172,13 +182,23 @@ class PatternConfig:
                 raise ConfigError(
                     f"numeric pattern for {variable!r} needs a compiled regex with a capture group"
                 )
-            matchers.append(_Matcher(pat, variable, "measurement", None))
+            matchers.append(_Matcher(pat, variable, "measurement", None, False))
         for phrase, name, value, kind in self.lexicon:
             if not (_nonempty(phrase) and _nonempty(name)):
                 raise ConfigError("lexicon entries need a nonempty phrase and name")
-            regex = re.compile(rf"\b{re.escape(phrase)}\b", re.IGNORECASE)
-            matchers.append(_Matcher(regex, name, kind if kind in RECORD_KINDS else "other", value))
+            literal = re.escape(phrase)
+            literals[literal] = None
+            regex = re.compile(rf"\b{literal}\b", re.IGNORECASE)
+            kind = kind if kind in RECORD_KINDS else "other"
+            matchers.append(_Matcher(regex, name, kind, value, True))
+        scan = None
+        if literals:
+            scan = re.compile(rf"(?=\b(?:{'|'.join(literals)}))", re.IGNORECASE)
         object.__setattr__(self, "matchers", tuple(matchers))
+        object.__setattr__(self, "scan", scan)
+        object.__setattr__(
+            self, "scanned", tuple((i, m.regex) for i, m in enumerate(matchers) if m.literal)
+        )
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "PatternConfig":
@@ -249,29 +269,54 @@ def extract_patterns(text: str, config: PatternConfig) -> list[StructuredRecord]
     """Run the built-in extractor over one document's text.
 
     Candidate matches come from the config's matcher table: alias-derived
-    numeric patterns, explicit numeric patterns, and lexicon phrases.
-    Overlaps are resolved leftmost-longest, then by name, so the result
-    spans never intersect; the stable sort leaves exact ties in table order.
+    numeric patterns, explicit numeric patterns, and lexicon phrases. The
+    config's scan runs once over the text, and the alias and lexicon
+    matchers are tried only where it stops, each from the end of its own
+    last match on, so they find what one ``finditer`` per matcher finds.
+    Numeric patterns have no surface and run their own ``finditer``.
+    Overlaps are resolved leftmost-longest, then by name, then by table
+    order, so the result spans never intersect.
     """
-    candidates: list[tuple[int, int, str, str, float | str]] = []
-    for matcher in config.matchers:
-        for match in matcher.regex.finditer(text):
-            value = matcher.value
-            if value is None:
-                try:
-                    value = float(match.group(1))
-                except (TypeError, ValueError):
-                    continue
-            candidates.append((match.start(), match.end(), matcher.name, matcher.kind, value))
+    matchers = config.matchers
+    candidates: list[tuple[int, int, str, int, float | str]] = []
 
-    candidates.sort(key=lambda c: (c[0], c[0] - c[1], c[2]))
+    def add(index: int, match: re.Match) -> None:
+        matcher = matchers[index]
+        value = matcher.value
+        if value is None:
+            try:
+                value = float(match.group(1))
+            except (TypeError, ValueError):
+                return
+        candidates.append((match.start(), match.end(), matcher.name, index, value))
+
+    for index, matcher in enumerate(matchers):
+        if not matcher.literal:
+            for match in matcher.regex.finditer(text):
+                add(index, match)
+    if config.scan is not None:
+        resume = [0] * len(matchers)
+        for hit in config.scan.finditer(text):
+            pos = hit.start()
+            for index, regex in config.scanned:
+                if resume[index] <= pos:
+                    match = regex.match(text, pos)
+                    if match:
+                        add(index, match)
+                        resume[index] = match.end()
+
+    candidates.sort(key=lambda c: (c[0], -c[1], c[2], c[3]))
     selected: list[StructuredRecord] = []
     cursor = 0
-    for start, end, name, kind, value in candidates:
+    for start, end, name, index, value in candidates:
         if start >= cursor:
             selected.append(
                 StructuredRecord(
-                    name=name, value=value, kind=kind, provenance="text_extraction", span=(start, end)
+                    name=name,
+                    value=value,
+                    kind=matchers[index].kind,
+                    provenance="text_extraction",
+                    span=(start, end),
                 )
             )
             cursor = end

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import datawords
+from datawords import cli
 from datawords.cli import main
 from datawords.corpus import kfold_split, load_corpus, save_corpus
 from datawords.evaluation import confusion_counts, micro_metrics
@@ -529,6 +531,51 @@ class TestConfigFile:
         assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "b.json").exists()
+
+    @pytest.mark.parametrize(
+        "modes, shown",
+        [([], "[]"), ("text_only", "'text_only'"), (["text_only", 1], "['text_only', 1]")],
+        ids=["empty_list", "string", "non_string_entry"],
+    )
+    def test_modes_must_be_a_nonempty_list_of_names(self, tmp_path, capsys, synth_corpus,
+                                                    modes, shown):
+        cfg = write_json(tmp_path / "cfg.json", {"corpus": synth_corpus, "modes": modes})
+        out = tmp_path / "reports"
+        rc = main(["evaluate", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"setting 'modes' must be a nonempty list of mode names, got {shown}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
+        cfg = write_json(tmp_path / "cfg.json", {"lam": 2.0, "lambda": 50})
+        rc = main(["train", "--config", cfg, "--corpus", corpus,
+                   "--out", str(tmp_path / "b.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "unknown setting(s) 'lambda'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "b.json").exists()
+
+    def test_one_config_serves_train_predict_and_explain(self, tmp_path):
+        corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
+        bundle = tmp_path / "b.json"
+        cfg = write_json(tmp_path / "cfg.json", {
+            "corpus": corpus, "lam": 2.0, "min_df": 1, "unit": "document", "rollup": ["mean"],
+            "measurement_filter": {"mode": "all"}, "folds": 2, "seed": 3, "topk": 2,
+            "filter": "all", "bundle": str(bundle),
+        })
+        assert main(["train", "--config", cfg, "--out", str(bundle)]) == 0
+        assert main(["predict", "--config", cfg, "--out", str(tmp_path / "p.jsonl")]) == 0
+        assert main(["explain", "--config", cfg, "--out", str(tmp_path / "e.jsonl")]) == 0
+        assert load_bundle(bundle).lam == 2.0
+
+    def test_config_keys_are_exactly_the_keys_the_subcommands_read(self):
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        read = re.findall(r'_setting\(args, cfg, "(\w+)"|cfg\.get\("(\w+)"', source)
+        assert sorted(cli.CONFIG_KEYS) == sorted({a or b for a, b in read})
 
 
 def test_python_dash_m_datawords_runs_the_cli(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datawords.corpus import Encounter, kfold_split, load_corpus, split_sentences, tokenize
+from datawords.corpus import Encounter, Sentence, kfold_split, load_corpus, split_sentences, tokenize
 from datawords.errors import ConfigError, DataError
 
 
@@ -95,6 +95,28 @@ class TestLoadCorpus:
         assert load_corpus(path)[0].encounter_id == "e1"
 
 
+def reference_split_sentences(text, doc_index=0):
+    """The per-character splitter that the regex replaced, kept as the oracle."""
+    sentences, buf = [], []
+
+    def flush():
+        piece = "".join(buf).strip()
+        buf.clear()
+        if piece:
+            sentences.append(Sentence(text=piece, doc_index=doc_index, sent_index=len(sentences)))
+
+    for ch in text:
+        if ch in ".!?":
+            buf.append(ch)
+            flush()
+        elif ch == "\n":
+            flush()
+        else:
+            buf.append(ch)
+    flush()
+    return sentences
+
+
 class TestSplitSentences:
     def test_period_splitting(self):
         got = [s.text for s in split_sentences("Fever noted. BP stable.")]
@@ -125,6 +147,14 @@ class TestSplitSentences:
         strip = lambda t: "".join(t.split())
         assert strip(joined) == strip(text)
 
+    # Terminators, newline, \r and \x85 (which str.strip removes but the
+    # splitter does not split on), spaces, word characters, and a sigma.
+    @given(st.text(alphabet=".!?\n\r\x85 \t\u00a0\u3000abZ_9\u03a3", max_size=200),
+           st.integers(0, 5))
+    @settings(max_examples=500)
+    def test_same_sentences_as_per_character_reference(self, text, doc_index):
+        assert split_sentences(text, doc_index) == reference_split_sentences(text, doc_index)
+
 
 class TestTokenize:
     def test_numbers_split_on_punctuation(self):
@@ -135,6 +165,14 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("") == []
+
+    def test_whole_text_is_not_its_sentences_joined(self):
+        # str.lower maps a capital sigma to final sigma by what follows it,
+        # and a terminator is case-ignorable, so a unit's tokens are not the
+        # concatenation of its sentences' tokens.
+        text = "\u0391\u03a3.\u0392"
+        assert tokenize(text) == ["\u03b1\u03c3", "\u03b2"]
+        assert [tokenize(s.text) for s in split_sentences(text)] == [["\u03b1\u03c2"], ["\u03b2"]]
 
     @given(st.text(max_size=200))
     @settings(max_examples=200)

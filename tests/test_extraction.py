@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from datawords import extraction
 from datawords.corpus import Encounter, load_corpus
 from datawords.errors import ConfigError, DataError
 from datawords.evaluation import PlantedRule, SynthSpec, generate_synthetic
@@ -135,19 +136,31 @@ def reference_extract_patterns(text, config):
 # a lexicon phrase of the same name and span (an exact tie), and also an
 # "HR_any" match that wins that span by name; "heart rate" contains "heart"
 # and "rate"; "sat" and "level" patterns can match with a missing or
-# non-numeric group.
+# non-numeric group; "HR 80" read as 8 ties the "HR" alias exactly, with
+# another value. The scan must find every start the matchers can use:
+# "HR"/"hr" differ only in case and "HR HR" repeats "HR" (in "x HR HR HR",
+# "x hr" wins over the first "hr hr", and a matcher that did not resume
+# after its own last match would add a second one); "Na+" and "%sat"
+# start or end with a non-word character; the Kelvin sign matches "k" and
+# "K", and the long s matches "s" and "S", under IGNORECASE.
 ALIAS_POOL = [("Temp", "Temp"), ("Temperature", "Temp"), ("T", "Temp"), ("HR", "Pulse"),
-              ("Heart rate", "Pulse"), ("rate", "Rate"), ("BP", "BP")]
+              ("Heart rate", "Pulse"), ("rate", "Rate"), ("BP", "BP"), ("hr", "Rate"),
+              ("HR HR", "Pulse"), ("Na+", "Sodium"), ("%sat", "SpO2"), ("k", "Potassium"),
+              ("\u212a", "Kelvin"), ("s", "Sign"), ("\u017fat", "SpO2")]
 NUMERIC_POOL = [("Pulse", r"\bHR\s*(\d+)"), ("Rate", r"rate\s+(\d+)"),
                 ("Temp", r"(\d+(?:\.\d+)?)\s*F\b"), ("SpO2", r"sat(?:\s+(\d+))?"),
-                ("Level", r"level\s+(\w+)"), ("HR_any", r"\bHR\s*(\d+)")]
+                ("Level", r"level\s+(\w+)"), ("HR_any", r"\bHR\s*(\d+)"),
+                ("Pulse", r"\bHR\s*(\d)\d\b")]
 LEXICON_POOL = [("HR 80", "Pulse", "fast", "measurement"), ("heart", "Organ", "heart", "condition"),
                 ("heart rate", "Vital", "hr", "weird_kind"), ("temp", "Temp", "noted", "condition"),
                 ("lung cancer", "Previous_condition", "lung_cancer", "condition"),
-                ("cancer", "Previous_condition", "cancer", "condition")]
+                ("cancer", "Previous_condition", "cancer", "condition"),
+                ("na+", "Sodium", "high", "test_result"), ("\u212a", "Unit", "kelvin", "other"),
+                ("hr hr", "Pulse", "double", "measurement"), ("x hr", "Finding", "x_hr", "other")]
 TOKENS = ["Temp", "temp", "Temperature", "T", "HR", "hr", "Heart", "heart", "rate", "Rate", "80",
           "98.6", "-3", "+4.5", "F", "sat", "level", "abc", "12", "lung", "cancer", "BP", "=",
-          ":", "is", "was", "of", ",", ".", "x"]
+          ":", "is", "was", "of", ",", ".", "x", "Na+", "na", "+", "%sat", "%", "SAT", "k", "K",
+          "\u212a", "s", "S", "\u017f", "\u017fat"]
 SEPARATORS = [" ", "", "  ", "\n", ":"]
 
 
@@ -170,6 +183,19 @@ class TestCompiledExtractor:
     )
     @example(aliases=ALIAS_POOL, numeric=NUMERIC_POOL, lexicon=LEXICON_POOL,
              words=[("HR", " "), ("80", " "), ("heart", " "), ("rate", " "), ("12", "")])
+    @example(aliases=ALIAS_POOL, numeric=[], lexicon=LEXICON_POOL,
+             words=[("HR", " "), ("HR", " "), ("80", " "), ("hr", " "), ("HR", " "), ("81", "")])
+    @example(aliases=[], numeric=[], lexicon=LEXICON_POOL,
+             words=[("x", " "), ("HR", " "), ("HR", " "), ("HR", "")])
+    @example(aliases=[("HR", "Pulse")], numeric=NUMERIC_POOL[-1:], lexicon=[],
+             words=[("HR", " "), ("80", "")])
+    @example(aliases=[("%sat", "SpO2"), ("Na+", "Sodium")], numeric=[], lexicon=[],
+             words=[("80", ""), ("%sat", " "), ("95", " "), ("Na+", ""), ("140", "")])
+    @example(aliases=[("k", "Potassium"), ("\u017fat", "SpO2")], numeric=[], lexicon=[],
+             words=[("\u212a", " "), ("4", " "), ("SAT", " "), ("97", "")])
+    @example(aliases=[], numeric=NUMERIC_POOL, lexicon=[],
+             words=[("HR", " "), ("80", " "), ("sat", " "), ("level", " "), ("abc", "")])
+    @example(aliases=ALIAS_POOL, numeric=NUMERIC_POOL, lexicon=LEXICON_POOL, words=[])
     def test_same_records_as_three_loop_reference(self, aliases, numeric, lexicon, words):
         config = pool_config(aliases, numeric, lexicon)
         text = "".join(w + sep for w, sep in words)
@@ -217,6 +243,24 @@ class TestCompiledExtractor:
         for enc in encs:
             prepare_units(bundle, enc)
         assert built == []
+
+    def test_scan_stops_where_a_surface_can_start(self):
+        config = pool_config([("k", "Potassium"), ("Na+", "Sodium")], [], [])
+        text = "\u212a 4, xk 4, K+Na+ 140"
+        assert [hit.start() for hit in config.scan.finditer(text)] == [0, 11, 13]
+        assert config.scanned == tuple((i, m.regex) for i, m in enumerate(config.matchers))
+        assert pool_config([], NUMERIC_POOL[:1], []).scan is None
+
+    def test_extract_encounter_calls_extract_patterns_once_per_document(self, monkeypatch):
+        # perfbench times extraction by wrapping this module attribute.
+        calls = []
+        real = extraction.extract_patterns
+        monkeypatch.setattr(extraction, "extract_patterns",
+                            lambda text, config: calls.append(text) or real(text, config))
+        enc = Encounter(encounter_id="e7", documents=("Temp 99.1", "x", "HR 61"))
+        records = extract_encounter(enc, default_pattern_config())
+        assert calls == list(enc.documents)
+        assert len(records) == 2
 
     def test_extract_encounter_stamps_id_and_document(self):
         enc = Encounter(encounter_id="e7", documents=("Temp 99.1", "x", "HR 61"))

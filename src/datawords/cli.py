@@ -30,6 +30,7 @@ from .extraction import (
     extract_encounter,
     load_db_measurements,
     load_external_extractions,
+    read_json_object,
 )
 from .model import (
     EXTRACTION_SOURCES,
@@ -49,119 +50,123 @@ def _timed(stage: str, started: float) -> None:
     print(f"[time] {stage}: {time.perf_counter() - started:.3f}s", file=sys.stderr)
 
 
-# Every key that some subcommand reads from a --config file. One file may
-# serve several subcommands, so only a key that none of them reads is refused.
-CONFIG_KEYS = (
-    "bundle", "corpus", "extractions", "filter", "folds", "hash_bits", "l2_normalize", "lam",
-    "measurement_filter", "min_df", "min_positive", "mode", "modes", "out", "patterns",
-    "rollup", "rollup_provenances", "seed", "source", "spec", "threads", "thresholds", "topk",
-    "unit",
-)
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path}: expected a JSON object")
-    unknown = [key for key in cfg if key not in CONFIG_KEYS]
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+_STRING = (lambda v: isinstance(v, str), "a string")
+_INTEGER = (_is_integer, "an integer")
+
+# Every setting that a flag or a --config file can give: a test of its JSON
+# type and the words that name the type when a value is refused. JSON null
+# passes only where the setting may be None. One file may serve several
+# subcommands, so only a key that none of them reads is refused. The two
+# entries of None are handed unchecked to the package, which checks them.
+SETTINGS = {
+    "bundle": _STRING,
+    "corpus": _STRING,
+    "extractions": _STRING,
+    "filter": _STRING,
+    "folds": _INTEGER,
+    "hash_bits": (lambda v: v is None or _is_integer(v), "an integer"),
+    "l2_normalize": (lambda v: isinstance(v, bool), "true or false"),
+    "lam": (lambda v: _is_integer(v) or isinstance(v, float), "a number"),
+    "measurement_filter": None,
+    "min_df": _INTEGER,
+    "min_positive": _INTEGER,
+    "mode": _STRING,
+    "modes": (lambda v: _is_names(v) and bool(v), "a nonempty list of mode names"),
+    "out": _STRING,
+    "patterns": _STRING,
+    "rollup": (_is_names, "a list of aggregate names"),
+    "rollup_provenances": None,
+    "seed": _INTEGER,
+    "source": _STRING,
+    "spec": _STRING,
+    "threads": _INTEGER,
+    "thresholds": _STRING,
+    "topk": _INTEGER,
+    "unit": _STRING,
+}
+
+# How a setting becomes a PipelineConfig field: the field's name, and the
+# parse of the value (None passes it as it is). A field that no given setting
+# sets keeps its PipelineConfig default.
+_PIPELINE_FIELDS = {
+    "folds": ("folds", None),
+    "hash_bits": ("hash_bits", None),
+    "l2_normalize": ("l2_normalize", None),
+    "lam": ("lam", float),  # a JSON integer gives the float lambda that --lambda gives
+    "measurement_filter": ("measurement_filter", MeasurementFilter.from_dict),
+    "min_df": ("min_df", None),
+    "min_positive": ("min_positive", None),
+    "mode": ("ablation_mode", None),
+    "patterns": ("pattern_config", PatternConfig.from_file),
+    "rollup": ("rollup_policy", lambda names: RollupPolicy(tuple(names))),
+    "rollup_provenances": ("rollup_provenances", lambda p: tuple(p) if isinstance(p, list) else p),
+    "seed": ("seed", None),
+    "source": ("extraction_source", None),
+    "threads": ("threads", None),
+    "thresholds": ("threshold_spec", ThresholdSpec.from_file),
+    "unit": ("unit", None),
+}
+
+
+def _settings(args, *required: str) -> dict:
+    """The --config file's settings with the given flags laid over them,
+    each checked against SETTINGS; a key the table lacks is refused, and so
+    is a run without each of the ``required`` settings."""
+    settings = read_json_object(args.config, "config file") if args.config else {}
+    unknown = [key for key in settings if key not in SETTINGS]
     if unknown:
-        raise ConfigError(f"config file {path}: unknown setting(s) {', '.join(map(repr, unknown))}")
-    return cfg
+        raise ConfigError(
+            f"config file {args.config}: unknown setting(s) {', '.join(map(repr, unknown))}"
+        )
+    flags = {key: getattr(args, key, None) for key in SETTINGS}
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    for key, value in settings.items():
+        rule = SETTINGS[key]
+        if rule is not None and not rule[0](value):
+            raise ConfigError(f"setting {key!r} must be {rule[1]}, got {value!r}")
+    for key in required:
+        _require(settings, key)
+    return settings
 
 
-def _setting(args, cfg: dict, name: str, default=None):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg:
-        return cfg[name]
-    return default
+def _require(settings: dict, key: str):
+    if key not in settings:
+        raise ConfigError(f"missing required setting: --{key}")
+    return settings[key]
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise ConfigError(f"missing required setting: {flag}")
-    return value
+def _external_records(source: str | None, settings: dict):
+    if source not in ("external", "db"):
+        return None
+    load = load_external_extractions if source == "external" else load_db_measurements
+    return tuple(load(_require(settings, "extractions")))
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
-
-
-def _typed_setting(args, cfg: dict, name: str, kind: type, default=None):
-    """``_setting`` that refuses a value not of the JSON type ``kind``
-    (a number setting takes integers too) with a ConfigError naming it."""
-    value = _setting(args, cfg, name, default)
-    allowed = (int, float) if kind is float else kind
-    if value is not None and (
-        not isinstance(value, allowed) or (kind is not bool and isinstance(value, bool))
-    ):
-        raise ConfigError(f"setting {name!r} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return value
-
-
-def _external_records(source: str, path: str | None):
-    if source == "external":
-        return tuple(load_external_extractions(_require(path, "--extractions")))
-    if source == "db":
-        return tuple(load_db_measurements(_require(path, "--extractions")))
-    return None
-
-
-def _predictside_units(args, cfg: dict, bundle, encounters):
+def _predictside_units(settings: dict, bundle, encounters):
     """Every encounter's units, prepared with the records file that
     accompanies a bundle whose source is external or db, indexed once.
     Missing structured data is tolerated at predict time."""
-    path = _setting(args, cfg, "extractions")
-    records = None
-    source = bundle.spec.extraction_source
-    if source in ("external", "db") and path:
-        records = _external_records(source, path)
-    external = _key_external(records or ())
+    source = bundle.spec.extraction_source if settings.get("extractions") else None
+    external = _key_external(_external_records(source, settings) or ())
     return [u for enc in encounters for u in prepare_units(bundle, enc, external)]
 
 
-def _pipeline_config(args, cfg: dict, mode: str | None = None) -> PipelineConfig:
-    source = _typed_setting(args, cfg, "source", str, "patterns")
-    patterns_path = _typed_setting(args, cfg, "patterns", str)
-    thresholds_path = _typed_setting(args, cfg, "thresholds", str)
-    filt_cfg = cfg.get("measurement_filter", {"mode": "all"})
-    rollup_cfg = cfg.get("rollup")
-    if rollup_cfg is not None and not (
-        isinstance(rollup_cfg, list) and all(isinstance(a, str) for a in rollup_cfg)
-    ):
-        raise ConfigError(f"setting 'rollup' must be a list of aggregate names, got {rollup_cfg!r}")
-    provenances = cfg.get("rollup_provenances", ["database"])
-    return PipelineConfig(
-        ablation_mode=mode or _typed_setting(args, cfg, "mode", str, "text_plus_datawords"),
-        unit=_typed_setting(args, cfg, "unit", str, "document"),
-        lam=float(_typed_setting(args, cfg, "lam", float, 1.0)),
-        min_positive=_typed_setting(args, cfg, "min_positive", int, 1),
-        min_df=_typed_setting(args, cfg, "min_df", int, 1),
-        l2_normalize=_typed_setting(args, cfg, "l2_normalize", bool, True),
-        hash_bits=_typed_setting(args, cfg, "hash_bits", int),
-        extraction_source=source,
-        pattern_config=PatternConfig.from_file(patterns_path) if patterns_path else None,
-        measurement_filter=MeasurementFilter.from_dict(filt_cfg),
-        rollup_policy=RollupPolicy(tuple(rollup_cfg)) if rollup_cfg else RollupPolicy(),
-        rollup_provenances=tuple(provenances) if isinstance(provenances, list) else provenances,
-        threshold_spec=(
-            ThresholdSpec.from_file(thresholds_path)
-            if thresholds_path
-            else ThresholdSpec.defaults()
-        ),
-        external_records=_external_records(
-            source, _typed_setting(args, cfg, "extractions", str)
-        ),
-        folds=_typed_setting(args, cfg, "folds", int, 4),
-        seed=_typed_setting(args, cfg, "seed", int, 42),
-        threads=_typed_setting(args, cfg, "threads", int, 1),
-    )
+def _pipeline_config(settings: dict) -> PipelineConfig:
+    fields = {
+        field: parse(settings[key]) if parse else settings[key]
+        for key, (field, parse) in _PIPELINE_FIELDS.items()
+        if key in settings
+    }
+    fields["external_records"] = _external_records(fields.get("extraction_source"), settings)
+    return PipelineConfig(**fields)
 
 
 def _record_to_json(rec) -> dict:
@@ -183,17 +188,14 @@ def _write_jsonl(path: str, rows) -> None:
 
 
 def cmd_extract(args) -> int:
-    cfg = _load_config_file(args.config)
-    corpus_path = _require(_setting(args, cfg, "corpus"), "--corpus")
-    out_path = _require(_setting(args, cfg, "out"), "--out")
-    source = _setting(args, cfg, "source", "patterns")
-    if source == "none":
-        raise ConfigError("extract requires a source (patterns, external, or db)")
+    settings = _settings(args, "corpus", "out")
     t0 = time.perf_counter()
-    encounters = load_corpus(corpus_path)
-    config = _pipeline_config(args, cfg)
+    config = _pipeline_config(settings)
+    if config.extraction_source == "none":
+        raise ConfigError("extract requires a source (patterns, external, or db)")
+    encounters = load_corpus(settings["corpus"])
     rows = []
-    if source == "patterns":
+    if config.extraction_source == "patterns":
         pattern_config = config.spec.resolved_pattern_config()
         for enc in encounters:
             rows.extend(_record_to_json(rec) for rec in extract_encounter(enc, pattern_config))
@@ -203,38 +205,34 @@ def cmd_extract(args) -> int:
         for rec in config.external_records or ():
             if rec.encounter_id in ids:
                 rows.append(_record_to_json(rec))
-    _write_jsonl(out_path, rows)
+    _write_jsonl(settings["out"], rows)
     _timed("extract", t0)
-    print(f"wrote {len(rows)} records to {out_path}", file=sys.stderr)
+    print(f"wrote {len(rows)} records to {settings['out']}", file=sys.stderr)
     return 0
 
 
 def cmd_stats(args) -> int:
-    cfg = _load_config_file(args.config)
-    corpus_path = _require(_setting(args, cfg, "corpus"), "--corpus")
-    out_path = _require(_setting(args, cfg, "out"), "--out")
+    settings = _settings(args, "corpus", "out")
     t0 = time.perf_counter()
-    encounters = load_corpus(corpus_path)
-    config = _pipeline_config(args, cfg)
+    encounters = load_corpus(settings["corpus"])
+    config = _pipeline_config(settings)
     corpus_units = build_corpus_units(encounters, config)
     obj = {
         name: {"count": st.count, "mean": st.mean, "std": st.std}
         for name, st in sorted(corpus_units.stats.items())
     }
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with open(settings["out"], "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj, indent=2) + "\n")
     _timed("stats", t0)
-    print(f"wrote statistics for {len(obj)} variables to {out_path}", file=sys.stderr)
+    print(f"wrote statistics for {len(obj)} variables to {settings['out']}", file=sys.stderr)
     return 0
 
 
 def cmd_encode(args) -> int:
-    cfg = _load_config_file(args.config)
-    corpus_path = _require(_setting(args, cfg, "corpus"), "--corpus")
-    out_path = _require(_setting(args, cfg, "out"), "--out")
+    settings = _settings(args, "corpus", "out")
     t0 = time.perf_counter()
-    encounters = load_corpus(corpus_path)
-    config = _pipeline_config(args, cfg)
+    encounters = load_corpus(settings["corpus"])
+    config = _pipeline_config(settings)
     corpus_units = build_corpus_units(encounters, config)
     rows = []
     for unit in corpus_units.units:
@@ -250,38 +248,33 @@ def cmd_encode(args) -> int:
                 ],
             }
         )
-    _write_jsonl(out_path, rows)
+    _write_jsonl(settings["out"], rows)
     _timed("encode", t0)
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config_file(args.config)
-    corpus_path = _require(_setting(args, cfg, "corpus"), "--corpus")
-    out_path = _require(_setting(args, cfg, "out"), "--out")
+    settings = _settings(args, "corpus", "out")
     t0 = time.perf_counter()
-    encounters = load_corpus(corpus_path)
-    config = _pipeline_config(args, cfg)
+    encounters = load_corpus(settings["corpus"])
+    config = _pipeline_config(settings)
     bundle = train_all(encounters, config)
-    save_bundle(bundle, out_path)
+    save_bundle(bundle, settings["out"])
     _timed("train", t0)
     print(
         f"trained {len(bundle.label_models)} label models "
-        f"({bundle.tfidf.dimension} features) -> {out_path}",
+        f"({bundle.tfidf.dimension} features) -> {settings['out']}",
         file=sys.stderr,
     )
     return 0
 
 
 def cmd_predict(args) -> int:
-    cfg = _load_config_file(args.config)
-    corpus_path = _require(_setting(args, cfg, "corpus"), "--corpus")
-    bundle_path = _require(_setting(args, cfg, "bundle"), "--bundle")
-    out_path = _require(_setting(args, cfg, "out"), "--out")
+    settings = _settings(args, "corpus", "bundle", "out")
     t0 = time.perf_counter()
-    bundle = load_bundle(bundle_path)
-    encounters = load_corpus(corpus_path)
-    units = _predictside_units(args, cfg, bundle, encounters)
+    bundle = load_bundle(settings["bundle"])
+    encounters = load_corpus(settings["corpus"])
+    units = _predictside_units(settings, bundle, encounters)
     rows = [
         {
             "encounter_id": pset.encounter_id,
@@ -293,24 +286,21 @@ def cmd_predict(args) -> int:
         }
         for pset in predict_units(bundle, units)
     ]
-    _write_jsonl(out_path, rows)
+    _write_jsonl(settings["out"], rows)
     _timed("predict", t0)
     return 0
 
 
 def cmd_explain(args) -> int:
-    cfg = _load_config_file(args.config)
-    corpus_path = _require(_setting(args, cfg, "corpus"), "--corpus")
-    bundle_path = _require(_setting(args, cfg, "bundle"), "--bundle")
-    out_path = _require(_setting(args, cfg, "out"), "--out")
-    topk = _typed_setting(args, cfg, "topk", int, 3)
-    sentence_filter = _setting(args, cfg, "filter", "all")
+    settings = _settings(args, "corpus", "bundle", "out")
+    topk = settings.get("topk", 3)
+    sentence_filter = settings.get("filter", "all")
     if sentence_filter not in JUSTIFICATION_FILTERS:
         raise ConfigError(f"unknown justification filter: {sentence_filter!r}")
     t0 = time.perf_counter()
-    bundle = load_bundle(bundle_path)
-    encounters = load_corpus(corpus_path)
-    units = _predictside_units(args, cfg, bundle, encounters)
+    bundle = load_bundle(settings["bundle"])
+    encounters = load_corpus(settings["corpus"])
+    units = _predictside_units(settings, bundle, encounters)
     rows = []
     for unit, pset in zip(units, predict_units(bundle, units)):
         for item in pset.items:
@@ -335,28 +325,22 @@ def cmd_explain(args) -> int:
                     ],
                 }
             )
-    _write_jsonl(out_path, rows)
+    _write_jsonl(settings["out"], rows)
     _timed("explain", t0)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load_config_file(args.config)
-    corpus_path = _require(_setting(args, cfg, "corpus"), "--corpus")
-    out_dir = Path(_require(_setting(args, cfg, "out"), "--out"))
-    mode = _setting(args, cfg, "mode")
-    if mode:
-        modes = [mode]
-    else:
-        modes = cfg.get("modes", ["text_only", "text_plus_datawords"])
-        if not (isinstance(modes, list) and modes and all(isinstance(m, str) for m in modes)):
-            raise ConfigError(f"setting 'modes' must be a nonempty list of mode names, got {modes!r}")
+    settings = _settings(args, "corpus", "out")
+    out_dir = Path(settings["out"])
+    mode = settings.get("mode")
+    modes = [mode] if mode else settings.get("modes", ["text_only", "text_plus_datawords"])
     for m in modes:
         if m not in ABLATION_MODES:
             raise ConfigError(f"unknown ablation mode: {m!r}")
-    encounters = load_corpus(corpus_path)
+    base = _pipeline_config({**settings, "mode": modes[0]})
+    encounters = load_corpus(settings["corpus"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = _pipeline_config(args, cfg, mode=modes[0])
     for m in modes:
         t0 = time.perf_counter()
         config = replace(base, ablation_mode=m)
@@ -383,22 +367,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config_file(args.config)
-    spec_path = _require(_setting(args, cfg, "spec"), "--spec")
-    out_path = _require(_setting(args, cfg, "out"), "--out")
-    folds = _typed_setting(args, cfg, "folds", int, 4)
+    settings = _settings(args, "spec", "out")
     t0 = time.perf_counter()
-    try:
-        with open(spec_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"synthetic spec {spec_path}: invalid JSON ({exc})") from exc
-    spec = SynthSpec.from_dict(raw)
-    spec.validate_for_folds(folds)
+    spec = SynthSpec.from_dict(read_json_object(settings["spec"], "synthetic spec"))
+    spec.validate_for_folds(settings.get("folds", PipelineConfig.folds))
     encounters = generate_synthetic(spec)
-    save_corpus(encounters, out_path)
+    save_corpus(encounters, settings["out"])
     _timed("synth", t0)
-    print(f"wrote {len(encounters)} encounters to {out_path}", file=sys.stderr)
+    print(f"wrote {len(encounters)} encounters to {settings['out']}", file=sys.stderr)
     return 0
 
 

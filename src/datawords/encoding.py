@@ -20,7 +20,6 @@ without learning two disjoint vocabularies.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
@@ -29,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, InputError, UnresolvedVariableError
-from .extraction import StructuredRecord
+from .extraction import StructuredRecord, read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -155,14 +154,7 @@ class ThresholdSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ThresholdSpec":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"threshold spec {path}: invalid JSON ({exc})") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"threshold spec {path}: expected a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json_object(path, "threshold spec"))
 
     def to_dict(self) -> dict:
         out: dict[str, dict] = {}

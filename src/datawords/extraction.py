@@ -123,12 +123,13 @@ class RollupPolicy:
 
 
 _DEFAULT_NUMBER = r"([-+]?\d+(?:\.\d+)?)"
+_WORD = re.compile(r"\w")
 
 
 class _Matcher(NamedTuple):
     """One compiled extractor entry; ``value`` None means the number in group 1.
-    ``literal`` marks alias and lexicon entries, whose regex starts with a
-    word boundary and then their surface."""
+    ``literal`` marks alias and lexicon entries, whose regex starts with
+    their surface at a word edge (``_edged``)."""
 
     regex: re.Pattern
     name: str
@@ -141,6 +142,14 @@ def _nonempty(value) -> bool:
     return isinstance(value, str) and bool(value)
 
 
+def _edged(surface: str) -> str:
+    """The escaped surface with no word character touching either end: ``\\b``
+    at an end that is a word character, a lookaround at one such as ``+``."""
+    head = r"\b" if _WORD.match(surface) else r"(?<!\w)"
+    tail = r"\b" if _WORD.match(surface[-1]) else r"(?!\w)"
+    return head + re.escape(surface) + tail
+
+
 @dataclass(frozen=True)
 class PatternConfig:
     """Alias table, numeric patterns, and categorical lexicon for extraction.
@@ -149,9 +158,9 @@ class PatternConfig:
     entry per alias, then one per numeric pattern, then one per lexicon
     phrase. The table order decides exact ties. It also compiles ``scan``,
     a zero-width regex that stops wherever some alias surface or lexicon
-    phrase starts at a word boundary (None when there is neither), and
-    lists in ``scanned`` the table index and regex of each matcher tried
-    there. A config is shared by every call.
+    phrase starts with no word character before it (None when there is
+    neither), and lists in ``scanned`` the table index and regex of each
+    matcher tried there. A config is shared by every call.
     """
 
     aliases: dict[str, str] = field(default_factory=dict)
@@ -165,14 +174,13 @@ class PatternConfig:
         object.__setattr__(self, "numeric_patterns", tuple(self.numeric_patterns))
         object.__setattr__(self, "lexicon", tuple(self.lexicon))
         matchers = []
-        literals: dict[str, None] = {}
+        surfaces: dict[str, None] = {}
         for surface, canonical in self.aliases.items():
             if not (_nonempty(surface) and _nonempty(canonical)):
                 raise ConfigError("alias entries must be nonempty strings")
-            literal = re.escape(surface)
-            literals[literal] = None
+            surfaces[surface] = None
             regex = re.compile(
-                rf"\b{literal}\b\s*(?:=|:|is|was|of)?\s*{_DEFAULT_NUMBER}", re.IGNORECASE
+                rf"{_edged(surface)}\s*(?:=|:|is|was|of)?\s*{_DEFAULT_NUMBER}", re.IGNORECASE
             )
             matchers.append(_Matcher(regex, canonical, "measurement", None, True))
         for variable, pat in self.numeric_patterns:
@@ -186,14 +194,19 @@ class PatternConfig:
         for phrase, name, value, kind in self.lexicon:
             if not (_nonempty(phrase) and _nonempty(name)):
                 raise ConfigError("lexicon entries need a nonempty phrase and name")
-            literal = re.escape(phrase)
-            literals[literal] = None
-            regex = re.compile(rf"\b{literal}\b", re.IGNORECASE)
+            surfaces[phrase] = None
+            regex = re.compile(_edged(phrase), re.IGNORECASE)
             kind = kind if kind in RECORD_KINDS else "other"
             matchers.append(_Matcher(regex, name, kind, value, True))
         scan = None
-        if literals:
-            scan = re.compile(rf"(?=\b(?:{'|'.join(literals)}))", re.IGNORECASE)
+        if surfaces:
+            # Surfaces that all start with a word character give one \b branch.
+            word = [re.escape(s) for s in surfaces if _WORD.match(s)]
+            other = [re.escape(s) for s in surfaces if not _WORD.match(s)]
+            branches = [rf"\b(?:{'|'.join(word)})"] if word else []
+            if other:
+                branches.append(rf"(?<!\w)(?:{'|'.join(other)})")
+            scan = re.compile(rf"(?={'|'.join(branches)})", re.IGNORECASE)
         object.__setattr__(self, "matchers", tuple(matchers))
         object.__setattr__(self, "scan", scan)
         object.__setattr__(
@@ -219,12 +232,7 @@ class PatternConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PatternConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"pattern config {path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json_object(path, "pattern config"))
 
     def to_dict(self) -> dict:
         return {
@@ -392,6 +400,20 @@ def _parse_record_line(
         span=span,
         unit=unit,
     )
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Parse a JSON file that must hold one object, such as a config file
+    or a spec. Bad JSON or another top-level value is a ConfigError that
+    names ``what`` and the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path}: invalid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} {path}: expected a JSON object")
+    return obj
 
 
 def _load_record_file(path: str | Path, provenance: str) -> list[StructuredRecord]:

@@ -68,6 +68,7 @@ from .vectorize import (
     SentenceVectors,
     TfIdfModel,
     Vocabulary,
+    _hashed_idf,
     build_vocabulary,
     fit_hashed_idf,
     fit_idf,
@@ -924,19 +925,11 @@ def load_bundle(path: str | Path) -> ModelBundle:
             )
         else:
             bits = int(tf["bits"])
-            if not (1 <= bits <= 30):
-                raise ValueError(f"hash bits must be in [1, 30], got {bits}")
             n = int(tf["document_count"])
             hashed_df = {int(slot): int(c) for slot, c in tf["df"]}
-            bad = [slot for slot in hashed_df if not (0 <= slot < 1 << bits)]
-            if bad:
-                raise ValueError(f"hashed df slot {bad[0]} outside [0, {1 << bits})")
-            idf = np.full(1 << bits, math.log(1.0 + n) + 1.0, dtype=np.float64)
-            for slot, count in hashed_df.items():
-                idf[slot] = math.log((1.0 + n) / (1.0 + count)) + 1.0
             tfidf = TfIdfModel(
                 vocabulary=None,
-                idf=idf,
+                idf=_hashed_idf(bits, n, hashed_df.items()),
                 l2_normalize=bool(tf["normalize"]),
                 hash_bits=bits,
                 document_count=n,

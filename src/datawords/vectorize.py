@@ -116,6 +116,20 @@ def fit_idf(vocab: Vocabulary, l2_normalize: bool = True) -> TfIdfModel:
     )
 
 
+def _hashed_idf(bits: int, n: int, df: Iterable[tuple[int, int]]) -> np.ndarray:
+    """fit_idf's idf of each of the 2**bits hash slots, from (slot, document
+    count) pairs over ``n`` documents, read once bits are in [1, 30]."""
+    if not (1 <= bits <= 30):
+        raise ConfigError(f"hash bits must be in [1, 30], got {bits}")
+    dim = 1 << bits
+    idf = np.full(dim, math.log(1.0 + n) + 1.0, dtype=np.float64)
+    for slot, count in df:
+        if not (0 <= slot < dim):
+            raise ConfigError(f"hashed df slot {slot} outside [0, {dim})")
+        idf[slot] = math.log((1.0 + n) / (1.0 + count)) + 1.0
+    return idf
+
+
 def fit_hashed_idf(
     train_docs: Sequence[str], bits: int, l2_normalize: bool = True
 ) -> TfIdfModel:
@@ -123,19 +137,17 @@ def fit_hashed_idf(
     docs = list(train_docs)
     if not docs:
         raise ConfigError("cannot fit a hashed model on an empty training set")
-    if not (1 <= bits <= 30):
-        raise ConfigError(f"hash bits must be in [1, 30], got {bits}")
     df: Counter = Counter()
-    for doc in docs:
-        df.update({_hash_slot(t, bits) for t in tokenize(doc)})
+
+    def counted():  # hashes only after _hashed_idf has checked bits
+        for doc in docs:
+            df.update({_hash_slot(t, bits) for t in tokenize(doc)})
+        yield from df.items()
+
     n = len(docs)
-    dim = 1 << bits
-    idf = np.full(dim, math.log(1.0 + n) + 1.0, dtype=np.float64)
-    for slot, count in df.items():
-        idf[slot] = math.log((1.0 + n) / (1.0 + count)) + 1.0
     return TfIdfModel(
         vocabulary=None,
-        idf=idf,
+        idf=_hashed_idf(bits, n, counted()),
         l2_normalize=l2_normalize,
         hash_bits=bits,
         document_count=n,

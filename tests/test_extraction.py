@@ -86,6 +86,15 @@ class TestExtractPatterns:
                 {"numeric_patterns": [{"variable": "X", "pattern": r"\d+"}]}
             )
 
+    @pytest.mark.parametrize(
+        "text, name, value, span",
+        [("Na+ 140", "Sodium", 140.0, (0, 7)), ("SpO2 %sat 95", "SpO2", 95.0, (5, 12))],
+    )
+    def test_surface_with_non_word_edge_matches(self, text, name, value, span):
+        config = PatternConfig(aliases={"Na+": "Sodium", "%sat": "SpO2"})
+        (record,) = extract_patterns(text, config)
+        assert (record.name, record.value, record.span) == (name, value, span)
+
     def test_deterministic(self):
         text = "Temp 100.2, later Temp 101.5, known lung cancer"
         a = extract_patterns(text, simple_config())
@@ -96,12 +105,13 @@ class TestExtractPatterns:
 def reference_extract_patterns(text, config):
     """The three-loop extractor that the compiled matcher table replaced,
     kept as the oracle: it compiles one regex per alias and per lexicon
-    phrase on every call, then resolves overlaps leftmost-longest."""
+    phrase on every call, then resolves overlaps leftmost-longest. A
+    surface matches where no word character touches either end of it."""
     number = r"([-+]?\d+(?:\.\d+)?)"
     candidates = []
     for surface, canonical in config.aliases.items():
         pat = re.compile(
-            rf"\b{re.escape(surface)}\b\s*(?:=|:|is|was|of)?\s*{number}", re.IGNORECASE
+            rf"(?<!\w){re.escape(surface)}(?!\w)\s*(?:=|:|is|was|of)?\s*{number}", re.IGNORECASE
         )
         for match in pat.finditer(text):
             candidates.append((match.start(), match.end(), StructuredRecord(
@@ -117,7 +127,7 @@ def reference_extract_patterns(text, config):
                 name=variable, value=value, kind="measurement",
                 provenance="text_extraction", span=(match.start(), match.end()))))
     for phrase, name, value, kind in config.lexicon:
-        pat = re.compile(rf"\b{re.escape(phrase)}\b", re.IGNORECASE)
+        pat = re.compile(rf"(?<!\w){re.escape(phrase)}(?!\w)", re.IGNORECASE)
         for match in pat.finditer(text):
             candidates.append((match.start(), match.end(), StructuredRecord(
                 name=name, value=value, kind=kind if kind in RECORD_KINDS else "other",
@@ -156,6 +166,7 @@ LEXICON_POOL = [("HR 80", "Pulse", "fast", "measurement"), ("heart", "Organ", "h
                 ("lung cancer", "Previous_condition", "lung_cancer", "condition"),
                 ("cancer", "Previous_condition", "cancer", "condition"),
                 ("na+", "Sodium", "high", "test_result"), ("\u212a", "Unit", "kelvin", "other"),
+                ("%sat", "SpO2", "low", "test_result"),
                 ("hr hr", "Pulse", "double", "measurement"), ("x hr", "Finding", "x_hr", "other")]
 TOKENS = ["Temp", "temp", "Temperature", "T", "HR", "hr", "Heart", "heart", "rate", "Rate", "80",
           "98.6", "-3", "+4.5", "F", "sat", "level", "abc", "12", "lung", "cancer", "BP", "=",
@@ -249,6 +260,11 @@ class TestCompiledExtractor:
         text = "\u212a 4, xk 4, K+Na+ 140"
         assert [hit.start() for hit in config.scan.finditer(text)] == [0, 11, 13]
         assert config.scanned == tuple((i, m.regex) for i, m in enumerate(config.matchers))
+        # only a surface that starts with a non-word character adds a branch
+        assert config.scan.pattern == r"(?=\b(?:k|Na\+))"
+        config = pool_config([("k", "Potassium"), ("Na+", "Sodium"), ("%sat", "SpO2")], [], [])
+        text += ", x%sat 9 %sat 8"
+        assert [hit.start() for hit in config.scan.finditer(text)] == [0, 11, 13, 30]
         assert pool_config([], NUMERIC_POOL[:1], []).scan is None
 
     def test_extract_encounter_calls_extract_patterns_once_per_document(self, monkeypatch):

@@ -294,6 +294,8 @@ def cmd_predict(args) -> int:
 def cmd_explain(args) -> int:
     settings = _settings(args, "corpus", "bundle", "out")
     topk = settings.get("topk", 3)
+    if topk < 1:
+        raise ConfigError(f"setting 'topk' must be at least 1, got {topk}")
     sentence_filter = settings.get("filter", "all")
     if sentence_filter not in JUSTIFICATION_FILTERS:
         raise ConfigError(f"unknown justification filter: {sentence_filter!r}")
@@ -340,11 +342,11 @@ def cmd_evaluate(args) -> int:
             raise ConfigError(f"unknown ablation mode: {m!r}")
     base = _pipeline_config({**settings, "mode": modes[0]})
     encounters = load_corpus(settings["corpus"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     for m in modes:
         t0 = time.perf_counter()
         config = replace(base, ablation_mode=m)
         report = run_cv(encounters, config)
+        out_dir.mkdir(parents=True, exist_ok=True)  # after run_cv accepted the fold count
         report_path = out_dir / f"report_{m}.json"
         with open(report_path, "wb") as fh:
             fh.write(report.to_json_bytes())

@@ -97,14 +97,12 @@ def split_sentences(text: str, doc_index: int = 0) -> list[Sentence]:
     ]
 
 
-def load_corpus(path: str | Path, schema: str = "jsonl") -> list[Encounter]:
+def load_corpus(path: str | Path) -> list[Encounter]:
     """Load and validate a corpus file, preserving file order.
 
     Raises DataError naming the offending line for malformed records,
     duplicate encounter ids, duplicate codes, or invalid field types.
     """
-    if schema != "jsonl":
-        raise ConfigError(f"unknown corpus schema: {schema!r}")
     encounters: list[Encounter] = []
     seen: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:

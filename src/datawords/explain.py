@@ -10,13 +10,14 @@ their natural rendering so a reviewer sees "Temperature was very high
 A unit's sentences are vectorized once, however many of its predicted
 labels are explained: the bundle keeps the last unit's sentence vectors.
 Per label, the weights the sentences use are gathered from the label's
-sparse column, never expanded to a dense vector of the full dimension.
+column of the bundle's weight matrix, the one that classifies, never
+expanded to a dense vector of the full dimension.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -51,21 +52,10 @@ def sentences_from_text(augmented_doc: str, doc_index: int = 0) -> list[Sentence
     Used when only the augmented string is available; pipeline callers
     pass AugmentedUnit objects instead, which keep exact renderings.
     """
-    out = []
-    for s in split_sentences(augmented_doc, doc_index=doc_index):
-        if looks_like_dataword_sentence(s.text):
-            out.append(
-                Sentence(
-                    text=s.text,
-                    doc_index=s.doc_index,
-                    sent_index=s.sent_index,
-                    kind="dataword",
-                    display=None,
-                )
-            )
-        else:
-            out.append(s)
-    return out
+    return [
+        replace(s, kind="dataword") if looks_like_dataword_sentence(s.text) else s
+        for s in split_sentences(augmented_doc, doc_index=doc_index)
+    ]
 
 
 def score_sentences(
@@ -81,14 +71,22 @@ def score_sentences(
     so scoring further labels of the same unit does not vectorize again;
     raw text is vectorized on every call.
     """
-    lm = bundle.label_model(label)
+    j = bundle.column(label)
     if isinstance(augmented_doc, str):
         sentences: Sequence[Sentence] = sentences_from_text(augmented_doc)
         vectors = vectorize_sentences(bundle.tfidf, sentences)
     else:
         sentences = augmented_doc.sentences
         vectors = bundle.sentence_vectors(augmented_doc)
-    weights = lm.weights_at(vectors.features)
+    W = bundle.weights
+    lo, hi = W.indptr[j], W.indptr[j + 1]
+    indices = W.indices[lo:hi]
+    # the column's weight at each feature the sentences use, 0.0 where it has none
+    pos = np.searchsorted(indices, vectors.features)
+    hit = pos < indices.size
+    hit[hit] = indices[pos[hit]] == vectors.features[hit]
+    weights = np.zeros(vectors.features.size, dtype=np.float64)
+    weights[hit] = W.data[lo:hi][pos[hit]]
     return [
         (sent, float(np.dot(values, weights[positions])) if values.size else 0.0)
         for sent, values, positions in zip(sentences, vectors.values, vectors.positions)
@@ -104,8 +102,10 @@ def top_justifications(
 
     Sorting is total: score descending, then (doc_index, sent_index)
     ascending, so shuffling the input never changes the output. Fewer than
-    k survivors simply yield a shorter list.
+    k survivors simply yield a shorter list; k below 1 raises ValueError.
     """
+    if k < 1:
+        raise ValueError(f"justification count must be at least 1, got {k}")
     if sentence_filter not in JUSTIFICATION_FILTERS:
         raise ValueError(f"unknown justification filter: {sentence_filter!r}")
     if sentence_filter == "text_only":

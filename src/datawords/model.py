@@ -7,12 +7,14 @@ F1-maximizing decision threshold. Everything needed to score new
 encounters is frozen into a ModelBundle: the EncodingSpec (source,
 patterns, roll-up, thresholds, ablation mode, unit) the training config
 was encoded with, the training-time statistics, selected variables and
-tf-idf model, and the label weights. Training and prediction build units
-through the same ``_encode``, so prediction re-runs the exact same
-encoding. A bundle is one JSON document in format "2": a readable header,
-then per label its bias, threshold and weight column, the column as base64
-of little-endian int32 indices and float64 values. Loading it checks the
-spec through EncodingSpec and the weights against the tf-idf model.
+tf-idf model, each label's bias and threshold, and one (dimension x labels)
+sparse weight matrix that prediction and explanation both read. Training
+and prediction build units through the same ``_encode``, so prediction
+re-runs the exact same encoding. A bundle is one JSON document in format
+"2": a readable header, then per label its bias, threshold and weight
+column, the column as base64 of little-endian int32 indices and float64
+values. Loading it checks the spec through EncodingSpec and the labels
+and weights against the tf-idf model.
 
 The regressor minimizes sum((w.x + b - y)^2) + lambda * ||w||^2 with an
 unpenalized bias. Every label shares X and lambda, so ``fit_labels`` solves
@@ -208,28 +210,14 @@ class AugmentedUnit:
     gold: frozenset[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabelModel:
-    """Weights, bias, and decision threshold for one label.
-
-    The weights are a sparse column: ``values`` at the strictly increasing
-    feature ``indices``.
-    """
+    """Bias and decision threshold for one label; its weights are the
+    label's column of ``ModelBundle.weights``."""
 
     label: str
-    indices: np.ndarray
-    values: np.ndarray
     bias: float
     threshold: float
-
-    def weights_at(self, features: np.ndarray) -> np.ndarray:
-        """The weights at the given feature indices, 0.0 where the column has none."""
-        pos = np.searchsorted(self.indices, features)
-        hit = pos < self.indices.size
-        hit[hit] = self.indices[pos[hit]] == features[hit]
-        out = np.zeros(features.size, dtype=np.float64)
-        out[hit] = self.values[pos[hit]]
-        return out
 
 
 @dataclass(frozen=True)
@@ -504,60 +492,65 @@ def _encode(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelBundle:
-    """Self-contained model state: everything prediction needs."""
+    """Self-contained model state: everything prediction needs.
+
+    ``weights`` is the (dimension x labels) CSC matrix, with sorted indices,
+    whose column j holds the weights of ``label_models[j]``. Its CSR view is
+    built once here, so scoring a batch converts no format per call.
+    """
 
     tfidf: TfIdfModel
     variable_stats: dict[str, VariableStats]
     spec: EncodingSpec
     label_models: tuple[LabelModel, ...]
+    weights: sparse.csc_matrix
     selected_variables: tuple[str, ...] | None = None
     lam: float = 1.0
-    # Derived read-side state, keyed by the identity of what it was built
-    # from; never compared, serialized, or copied by dataclasses.replace.
-    _weight_matrix: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # Derived read-side state; never compared, serialized, or copied by
+    # dataclasses.replace.
+    _columns: dict = field(init=False, repr=False, compare=False)
+    _scoring: tuple = field(init=False, repr=False, compare=False)
     _sentence_vectors: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        W, d, n = self.weights, self.tfidf.dimension, len(self.label_models)
+        if not (sparse.issparse(W) and W.format == "csc" and W.shape == (d, n)
+                and W.has_sorted_indices):
+            raise ValueError(f"weights must be a {d} x {n} CSC matrix, indices sorted")
+        columns: dict[str, int] = {}
+        for j, lm in enumerate(self.label_models):
+            if columns.setdefault(lm.label, j) != j:
+                raise ValueError(f"label {lm.label!r}: repeats an earlier label")
+        scoring = (
+            W.tocsr(),
+            np.array([lm.bias for lm in self.label_models], dtype=np.float64),
+            np.array([lm.threshold for lm in self.label_models], dtype=np.float64),
+        )
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_scoring", scoring)
 
     @property
     def labels(self) -> list[str]:
         return [lm.label for lm in self.label_models]
 
-    def label_model(self, label: str) -> LabelModel:
-        for lm in self.label_models:
-            if lm.label == label:
-                return lm
-        raise KeyError(label)
-
-    def weight_matrix(self) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """(dim x n_labels) CSR weight matrix plus bias and threshold arrays.
-
-        Built once per ``label_models`` tuple and kept, so scoring a batch
-        is a single CSR x CSR product with no format conversion per call.
-        """
-        lms = self.label_models
-        if self._weight_matrix is None or self._weight_matrix[0] is not lms:
-            rows = np.concatenate([lm.indices for lm in lms] + [np.empty(0, np.int64)])
-            cols = np.repeat(np.arange(len(lms)), [lm.indices.size for lm in lms])
-            values = np.concatenate([lm.values for lm in lms] + [np.empty(0)])
-            W = sparse.csr_matrix((values, (rows, cols)), shape=(self.tfidf.dimension, len(lms)))
-            biases = np.array([lm.bias for lm in lms], dtype=np.float64)
-            thresholds = np.array([lm.threshold for lm in lms], dtype=np.float64)
-            self._weight_matrix = (lms, W, biases, thresholds)
-        return self._weight_matrix[1:]
+    def column(self, label: str) -> int:
+        """The label's column of ``weights``; KeyError for an unknown label."""
+        return self._columns[label]
 
     def sentence_vectors(self, unit: AugmentedUnit) -> SentenceVectors:
         """tf-idf vectors of the unit's sentences.
 
-        The last unit's vectors are kept, keyed by the identity of the unit
-        and of the tf-idf model, so explaining several labels of one unit
-        vectorizes each of its sentences once.
+        The last unit's vectors are kept, keyed by the unit's identity, so
+        explaining several labels of one unit vectorizes each of its
+        sentences once.
         """
         cached = self._sentence_vectors
-        if cached is None or cached[0] is not unit or cached[1] is not self.tfidf:
-            cached = (unit, self.tfidf, vectorize_sentences(self.tfidf, unit.sentences))
-            self._sentence_vectors = cached
-        return cached[2]
+        if cached is None or cached[0] is not unit:
+            cached = (unit, vectorize_sentences(self.tfidf, unit.sentences))
+            object.__setattr__(self, "_sentence_vectors", cached)
+        return cached[1]
 
 
 @dataclass
@@ -639,13 +632,7 @@ def train_all(encounters: Sequence[Encounter], config: PipelineConfig) -> ModelB
     W, b = fit_labels(X, Y, config.lam)
     S = (X @ W).toarray() + b
     models = tuple(
-        LabelModel(
-            label=label,
-            indices=W.indices[W.indptr[j] : W.indptr[j + 1]].astype(np.int64),
-            values=W.data[W.indptr[j] : W.indptr[j + 1]],
-            bias=float(b[j]),
-            threshold=fit_threshold(S[:, j], Y[:, j]),
-        )
+        LabelModel(label=label, bias=float(b[j]), threshold=fit_threshold(S[:, j], Y[:, j]))
         for j, label in enumerate(labels)
     )
 
@@ -654,6 +641,7 @@ def train_all(encounters: Sequence[Encounter], config: PipelineConfig) -> ModelB
         variable_stats=stats,
         spec=config.spec,
         label_models=models,
+        weights=W,
         selected_variables=tuple(sorted(selected)) if selected is not None else None,
         lam=config.lam,
     )
@@ -688,12 +676,12 @@ def predict_units(bundle: ModelBundle, units: Sequence[AugmentedUnit]) -> list[P
     """Score already-prepared units against every label in the bundle.
 
     The units' vectors are stacked into one CSR matrix X and scored with a
-    single product X W + b against the bundle's CSR weight matrix. Row i
+    single product X W + b against the bundle's CSR view of its weights. Row i
     of that product sums the same terms in the same order as scoring unit
     i alone, so one call over a batch gives bit-identical scores to one
     call per unit; callers should pass every unit they have at once.
     """
-    W, biases, thresholds = bundle.weight_matrix()
+    W, biases, thresholds = bundle._scoring
     X = stack_vectors(
         [vectorize_document(bundle.tfidf, unit.text) for unit in units], bundle.tfidf.dimension
     )
@@ -792,20 +780,22 @@ def _b64_array(a: np.ndarray, dtype: np.dtype) -> str:
     return base64.b64encode(np.asarray(a, dtype=dtype).tobytes()).decode("ascii")
 
 
-def _label_entry(lm: LabelModel) -> dict:
+def _label_entry(bundle: ModelBundle, j: int) -> dict:
+    lm, W = bundle.label_models[j], bundle.weights
+    lo, hi = W.indptr[j], W.indptr[j + 1]
     return {
         "code": lm.label,
         "bias": float(lm.bias),
         "threshold": None if math.isinf(lm.threshold) else float(lm.threshold),
-        "indices": _b64_array(lm.indices, _INDEX_DTYPE),
-        "values": _b64_array(lm.values, _VALUE_DTYPE),
+        "indices": _b64_array(W.indices[lo:hi], _INDEX_DTYPE),
+        "values": _b64_array(W.data[lo:hi], _VALUE_DTYPE),
     }
 
 
 def _bundle_to_dict(bundle: ModelBundle) -> dict:
     return {
         **_bundle_header(bundle),
-        "labels": [_label_entry(lm) for lm in bundle.label_models],
+        "labels": [_label_entry(bundle, j) for j in range(len(bundle.label_models))],
     }
 
 
@@ -819,10 +809,10 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     header = json.dumps(_bundle_header(bundle), separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header[:-1] + ',"labels":[')
-        for j, lm in enumerate(bundle.label_models):
+        for j in range(len(bundle.label_models)):
             if j:
                 fh.write(",")
-            fh.write(json.dumps(_label_entry(lm), separators=(",", ":")))
+            fh.write(json.dumps(_label_entry(bundle, j), separators=(",", ":")))
         fh.write("]}\n")
 
 
@@ -843,14 +833,17 @@ def _array_from_b64(entry: Mapping, key: str, dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(data, dtype=dtype)
 
 
-def _label_from_entry(entry: Mapping, dimension: int) -> LabelModel:
-    """One saved label, checked so that scoring cannot fail or go NaN:
-    whole int32 indices and float64 values of equal count, indices strictly
-    increasing in [0, dimension), finite weights and bias, and a finite
-    threshold or null (never predicted). Raises ValueError naming the label
-    and the first violation."""
+def _label_from_entry(entry: Mapping, dimension: int) -> tuple[LabelModel, np.ndarray, np.ndarray]:
+    """One saved label and its weight column's (indices, values), checked so
+    that scoring cannot fail or go NaN: a nonempty string code, whole int32
+    indices and float64 values of equal count, indices strictly increasing
+    in [0, dimension), finite weights, a finite number for the bias, and a
+    finite number or null (never predicted) for the threshold. Raises
+    ValueError naming the label and the first violation."""
     code = entry["code"]
-    indices = _array_from_b64(entry, "indices", _INDEX_DTYPE).astype(np.int64)
+    if not isinstance(code, str) or not code:
+        raise ValueError(f"label {code!r}: code must be a nonempty string")
+    indices = _array_from_b64(entry, "indices", _INDEX_DTYPE)
     values = _array_from_b64(entry, "values", _VALUE_DTYPE).astype(np.float64)
     if indices.size != values.size:
         raise ValueError(f"label {code!r}: {indices.size} weight indices for {values.size} values")
@@ -863,16 +856,18 @@ def _label_from_entry(entry: Mapping, dimension: int) -> LabelModel:
         raise ValueError(f"label {code!r}: weight indices must be strictly increasing")
     if not np.isfinite(values).all():
         raise ValueError(f"label {code!r}: weights must be finite")
-    bias = float(entry["bias"])
+    bias = entry["bias"]
+    if type(bias) not in (int, float):  # a JSON number; true and false are not
+        raise ValueError(f"label {code!r}: bias must be a number, got {bias!r}")
     if not math.isfinite(bias):
         raise ValueError(f"label {code!r}: bias must be finite, got {bias}")
     thr = entry["threshold"]
+    if thr is not None and type(thr) not in (int, float):
+        raise ValueError(f"label {code!r}: threshold must be a number or null, got {thr!r}")
+    if thr is not None and not math.isfinite(thr):
+        raise ValueError(f"label {code!r}: threshold must be finite or null, got {thr}")
     threshold = math.inf if thr is None else float(thr)
-    if thr is not None and not math.isfinite(threshold):
-        raise ValueError(f"label {code!r}: threshold must be finite or null, got {threshold}")
-    return LabelModel(
-        label=code, indices=indices, values=values, bias=bias, threshold=threshold
-    )
+    return LabelModel(label=code, bias=float(bias), threshold=threshold), indices, values
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
@@ -883,12 +878,14 @@ def load_bundle(path: str | Path) -> ModelBundle:
     make prediction fail or go NaN (an ``idf`` whose length differs from
     the token count, a weight column that is not valid base64 of whole
     items, index and value counts that differ, weight indices that are not
-    strictly increasing in [0, dimension), a non-finite weight or bias, a
-    threshold that is neither finite nor null) raise DataError, as
-    do a tokenizer other than ``TOKENIZER``, ``selected_variables`` that is
-    neither null nor a list of strings, and encoding values that
-    EncodingSpec rejects (an unknown unit, ablation mode or source, or roll-up
-    provenances that are not a list of known provenance names).
+    strictly increasing in [0, dimension), a non-finite weight, a bias that
+    is not a finite number, a threshold that is neither a finite number nor
+    null) raise DataError, as do a label code that is not a nonempty string
+    or repeats an earlier one, a tokenizer other than ``TOKENIZER``,
+    ``selected_variables`` that is neither null nor a list of strings, and
+    encoding values that EncodingSpec rejects (an unknown unit, ablation
+    mode or source, or roll-up provenances that are not a list of known
+    provenance names).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -957,16 +954,23 @@ def load_bundle(path: str | Path) -> ModelBundle:
             isinstance(selected, list) and all(isinstance(v, str) for v in selected)
         ):
             raise ValueError(f"selected_variables must be null or a list of strings, got {selected!r}")
-        models = [_label_from_entry(entry, tfidf.dimension) for entry in obj["labels"]]
+        entries = [_label_from_entry(entry, tfidf.dimension) for entry in obj["labels"]]
+        weights = sparse.csc_matrix(
+            (np.concatenate([np.empty(0)] + [values for *_, values in entries]),
+             np.concatenate([np.empty(0, np.int32)] + [indices for _, indices, _ in entries]),
+             np.cumsum([0] + [indices.size for _, indices, _ in entries])),
+            shape=(tfidf.dimension, len(entries)),
+        )
         return ModelBundle(
             tfidf=tfidf,
             variable_stats=stats,
             spec=spec,
-            label_models=tuple(models),
+            label_models=tuple(lm for lm, _, _ in entries),
+            weights=weights,
             selected_variables=tuple(selected) if selected is not None else None,
             lam=float(obj["lambda"]),
         )
     except ConfigError as exc:
         raise DataError(f"bundle {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bundle {path}: malformed contents ({exc})") from exc

@@ -237,13 +237,7 @@ def vectorize_sentences(model: TfIdfModel, sentences: Sequence[Sentence]) -> Sen
 def stack_vectors(vectors: Iterable[DocumentVector], dimension: int) -> sparse.csr_matrix:
     """Assemble row vectors into one CSR matrix."""
     vecs = list(vectors)
-    indptr = np.zeros(len(vecs) + 1, dtype=np.int64)
-    for i, v in enumerate(vecs):
-        indptr[i + 1] = indptr[i] + v.nnz
-    if vecs:
-        indices = np.concatenate([v.indices for v in vecs]) if indptr[-1] else np.empty(0, np.int64)
-        data = np.concatenate([v.values for v in vecs]) if indptr[-1] else np.empty(0, np.float64)
-    else:
-        indices = np.empty(0, np.int64)
-        data = np.empty(0, np.float64)
+    indptr = np.cumsum([0] + [v.nnz for v in vecs], dtype=np.int64)
+    indices = np.concatenate([np.empty(0, np.int64)] + [v.indices for v in vecs])
+    data = np.concatenate([np.empty(0, np.float64)] + [v.values for v in vecs])
     return sparse.csr_matrix((data, indices, indptr), shape=(len(vecs), dimension))

@@ -252,6 +252,17 @@ class TestExplain:
         # e1 has three text sentences ("104.3" splits on its period) + one DataWords line
         assert len(e1["justifications"]) == 4
 
+    @pytest.mark.parametrize("topk", ["0", "-1"])
+    def test_topk_below_one_exits_2(self, tmp_path, capsys, topk):
+        corpus, bundle = self.trained(tmp_path)
+        out = tmp_path / "just.jsonl"
+        capsys.readouterr()
+        rc = main(["explain", "--corpus", corpus, "--bundle", bundle, "--out", str(out),
+                   "--topk", topk])
+        assert rc == 2
+        assert f"setting 'topk' must be at least 1, got {topk}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_default_mode_list_writes_two_reports(self, tmp_path, synth_corpus):
@@ -266,6 +277,14 @@ class TestEvaluate:
         rc = main(["evaluate", "--corpus", corpus, "--out", str(tmp_path / "r"),
                    "--folds", "3"])
         assert rc == 2
+
+    @pytest.mark.parametrize("folds", ["0", "1", str(len(FEVER_CORPUS) + 1)])
+    def test_bad_fold_count_leaves_no_out_directory(self, tmp_path, folds):
+        corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
+        out = tmp_path / "reports"
+        rc = main(["evaluate", "--corpus", corpus, "--out", str(out), "--folds", folds])
+        assert rc == 2
+        assert not out.exists()
 
     def test_fixed_seed_identical_bytes(self, tmp_path, synth_corpus):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -437,10 +456,19 @@ class TestBatchedReadPath:
              "selected_variables must be null or a list of strings"),
             (lambda obj: obj["rollup"].update(provenances="database"),
              "rollup_provenances must be None or a tuple"),
+            (lambda obj: obj["labels"][0].update(code=["x"]),
+             "label ['x']: code must be a nonempty string"),
+            (lambda obj: obj["labels"].append(dict(obj["labels"][0], bias=0.0)),
+             "label 'A01': repeats an earlier label"),
+            (lambda obj: obj["labels"][0].update(bias="0.5"),
+             "label 'A01': bias must be a number, got '0.5'"),
+            (lambda obj: obj["labels"][0].update(threshold="0.5"),
+             "label 'A01': threshold must be a number or null, got '0.5'"),
         ],
         ids=["truncated_idf", "weight_index_out_of_range", "unknown_unit",
              "unknown_ablation_mode", "unknown_extraction_source",
-             "string_selected_variables", "string_rollup_provenances"],
+             "string_selected_variables", "string_rollup_provenances",
+             "list_code", "repeated_code", "string_bias", "string_threshold"],
     )
     def test_predict_on_bad_bundle_exits_with_message(self, tmp_path, capsys, corrupt, message):
         corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)

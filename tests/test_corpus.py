@@ -83,11 +83,6 @@ class TestLoadCorpus:
         assert prior.value == "diabetes" and prior.kind == "condition"
         assert temp.provenance == "database"
 
-    def test_unknown_schema(self, tmp_path):
-        path = write_corpus(tmp_path, [{"encounter_id": "e1", "documents": ["a"]}])
-        with pytest.raises(ConfigError):
-            load_corpus(path, schema="parquet")
-
     def test_unknown_fields_ignored(self, tmp_path):
         path = write_corpus(
             tmp_path, [{"encounter_id": "e1", "documents": ["a"], "extra": {"x": 1}}]

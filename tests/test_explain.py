@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from datawords import vectorize
 from datawords.corpus import Encounter, Sentence
@@ -31,18 +32,12 @@ def one_hot_bundle(train_docs, hot_token, label="L1", normalize=True):
     vocab = build_vocabulary(train_docs)
     tfidf = fit_idf(vocab, l2_normalize=normalize)
     ix = vocab.index[hot_token]
-    lm = LabelModel(
-        label=label,
-        indices=np.array([ix], dtype=np.int64),
-        values=np.array([1.0]),
-        bias=0.25,
-        threshold=0.1,
-    )
     return ModelBundle(
         tfidf=tfidf,
         variable_stats={},
         spec=PipelineConfig(extraction_source="none").spec,
-        label_models=(lm,),
+        label_models=(LabelModel(label=label, bias=0.25, threshold=0.1),),
+        weights=sparse.csc_matrix(([1.0], ([ix], [0])), shape=(len(vocab), 1)),
     )
 
 
@@ -81,16 +76,11 @@ class TestScoreSentences:
         vocab = build_vocabulary(docs)
         tfidf = fit_idf(vocab)
         w = rng.normal(size=len(vocab))
-        lm = LabelModel(
-            label="L1",
-            indices=np.arange(len(vocab), dtype=np.int64),
-            values=w,
-            bias=0.0,
-            threshold=0.0,
-        )
         bundle = ModelBundle(
             tfidf=tfidf, variable_stats={},
-            spec=PipelineConfig(extraction_source="none").spec, label_models=(lm,),
+            spec=PipelineConfig(extraction_source="none").spec,
+            label_models=(LabelModel(label="L1", bias=0.0, threshold=0.0),),
+            weights=sparse.csc_matrix(w[:, None]),
         )
         scored = score_sentences(bundle, "L1", docs[0])
         for sent, score in scored:
@@ -157,6 +147,11 @@ class TestTopJustifications:
         with pytest.raises(ValueError):
             top_justifications(self.scored(), k=1, sentence_filter="everything")
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_raises(self, k):
+        with pytest.raises(ValueError, match=f"at least 1, got {k}"):
+            top_justifications(self.scored(), k=k)
+
 
 class TestSumConsistency:
     def test_sentence_scores_sum_to_document_score(self):
@@ -164,12 +159,9 @@ class TestSumConsistency:
         # document vector is the sum of its sentence vectors
         doc = "alpha beta. gamma delta epsilon. zeta."
         rng = np.random.default_rng(17)
-        bundle = one_hot_bundle([doc], "alpha", normalize=False)
-        vocab = bundle.tfidf.vocabulary
-        w = rng.normal(size=len(vocab))
-        lm = LabelModel(label="L1", indices=np.arange(len(vocab), dtype=np.int64),
-                        values=w, bias=0.0, threshold=0.0)
-        bundle.label_models = (lm,)
+        one_hot = one_hot_bundle([doc], "alpha", normalize=False)
+        w = rng.normal(size=len(one_hot.tfidf.vocabulary))
+        bundle = replace(one_hot, weights=sparse.csc_matrix(w[:, None]))
         scored = score_sentences(bundle, "L1", doc)
         from datawords.vectorize import vectorize_document
 
@@ -228,9 +220,7 @@ class TestDataWordsAreFirstClass:
 def dense_dot_scores(bundle, label, sentences):
     """Sentence scores computed from scratch with a dense weight vector,
     as score_sentences did before it kept sentence vectors."""
-    lm = bundle.label_model(label)
-    dense = np.zeros(bundle.tfidf.dimension)
-    dense[lm.indices] = lm.values
+    dense = bundle.weights.toarray()[:, bundle.labels.index(label)]
     out = []
     for sent in sentences:
         vec = vectorize_document(bundle.tfidf, sent.text)
@@ -276,8 +266,10 @@ class TestSentenceVectorCache:
         b1, b2, u1, _ = two_bundles
         bundle = replace(b1)
         score_sentences(bundle, "L1", u1)
-        bundle.tfidf, bundle.label_models = b2.tfidf, b2.label_models
-        assert hexes(score_sentences(bundle, "L1", u1)) == dense_dot_scores(b2, "L1", u1.sentences)
+        swapped = replace(bundle, tfidf=b2.tfidf, label_models=b2.label_models,
+                          weights=b2.weights)
+        assert hexes(score_sentences(swapped, "L1", u1)) == dense_dot_scores(b2, "L1", u1.sentences)
+        assert hexes(score_sentences(bundle, "L1", u1)) == dense_dot_scores(b1, "L1", u1.sentences)
 
     def test_text_input_unaffected_by_cached_units(self, two_bundles):
         b1, _, u1, u2 = two_bundles

@@ -3,7 +3,7 @@ import json
 import logging
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -393,9 +393,9 @@ class TestTrainAll:
                          rules=(PlantedRule("L1", "Temp", "very_high", 1.0, 0.4),))
         encs = generate_synthetic(spec)
         bundle = train_all(encs, PipelineConfig(ablation_mode="text_plus_datawords"))
-        lm = bundle.label_model("L1")
+        column = bundle.weights[:, bundle.column("L1")]
         tokens = bundle.tfidf.vocabulary.tokens_by_index()
-        top_token = tokens[int(lm.indices[np.argmax(lm.values)])]
+        top_token = tokens[int(column.indices[np.argmax(column.data)])]
         assert top_token.startswith("dw__temp__")
 
     def test_schedule_independence(self, tmp_path):
@@ -430,18 +430,14 @@ class TestPredict:
         bundle = train_all(trivial_corpus(), text_only_config())
         empty = Encounter(encounter_id="probe", documents=("",))
         pset = predict(bundle, empty)[0]
-        lm = bundle.label_model("A01")
+        lm = bundle.label_models[bundle.column("A01")]
         assert pset.items[0].score == pytest.approx(lm.bias)
         assert pset.items[0].predicted == (lm.bias >= lm.threshold)
 
     def test_sentinel_threshold_never_predicts(self):
         bundle = train_all(trivial_corpus(), text_only_config())
-        lm = bundle.label_model("A01")
-        lm.threshold = math.inf
-        bundle2 = ModelBundle(
-            tfidf=bundle.tfidf, variable_stats=bundle.variable_stats,
-            spec=bundle.spec, label_models=(lm,),
-        )
+        lm = replace(bundle.label_models[bundle.column("A01")], threshold=math.inf)
+        bundle2 = replace(bundle, label_models=(lm,))
         pset = predict(bundle2, trivial_corpus()[0])[0]
         assert pset.predicted_labels() == set()
 
@@ -591,7 +587,7 @@ class TestBundleRoundTrip:
 
     def test_streamed_save_matches_whole_document(self, tmp_path):
         bundle, _ = self.make_bundle_and_probe()
-        for b in (bundle, replace(bundle, label_models=())):
+        for b in (bundle, replace(bundle, label_models=(), weights=bundle.weights[:, :0])):
             path = tmp_path / "bundle.json"
             save_bundle(b, path)
             whole = json.dumps(_bundle_to_dict(b), separators=(",", ":")) + "\n"
@@ -646,24 +642,73 @@ class TestPredictUnitsBatch:
 
 
 class TestWeightMatrix:
-    def test_rebuilt_when_label_models_change(self):
+    @pytest.fixture(scope="class")
+    def bundle(self):
         corpus = trivial_corpus() + [
             Encounter(encounter_id="e3", documents=("cough since monday.",),
                       codes=frozenset({"B02"})),
         ]
-        bundle = train_all(corpus, text_only_config())
-        W, biases, _ = bundle.weight_matrix()
-        assert W.shape == (bundle.tfidf.dimension, 2)
-        assert bundle.weight_matrix()[0] is W
-        bundle.label_models = bundle.label_models[1:]
-        W1, biases1, _ = bundle.weight_matrix()
-        assert W1.shape == (bundle.tfidf.dimension, 1)
-        assert (W1.toarray() == W[:, 1:].toarray()).all() and list(biases1) == list(biases[1:])
+        return train_all(corpus, text_only_config())
 
-    def test_not_copied_by_replace(self):
-        bundle = train_all(trivial_corpus(), text_only_config())
-        bundle.weight_matrix()
-        assert replace(bundle, label_models=())._weight_matrix is None
+    def test_one_column_per_label(self, bundle):
+        W = bundle.weights
+        assert W.format == "csc" and W.shape == (bundle.tfidf.dimension, 2)
+        assert W.has_sorted_indices and np.all(W.data != 0)
+        assert [bundle.column(label) for label in bundle.labels] == [0, 1]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("weights", None), ("label_models", ()), ("tfidf", None), ("lam", 2.0)],
+    )
+    def test_fields_cannot_be_assigned(self, bundle, field, value):
+        with pytest.raises(FrozenInstanceError):
+            setattr(bundle, field, value)
+
+    def test_label_model_cannot_be_assigned(self, bundle):
+        with pytest.raises(FrozenInstanceError):
+            bundle.label_models[0].threshold = math.inf
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            lambda W: W[:, :1],
+            lambda W: W[:-1, :],
+            lambda W: sparse.hstack([W, W], format="csc"),
+            lambda W: W.tocsr(),
+            lambda W: W.toarray(),
+        ],
+        ids=["fewer_columns", "fewer_rows", "more_columns", "csr", "dense"],
+    )
+    def test_weights_of_wrong_shape_or_format_refused(self, bundle, weights):
+        with pytest.raises(ValueError, match=r"weights must be a \d+ x 2 CSC matrix, indices sorted"):
+            replace(bundle, weights=weights(bundle.weights))
+
+    def test_unsorted_column_refused(self, bundle):
+        W = sparse.csc_matrix(
+            ([1.0, 2.0], [1, 0], [0, 2, 2]), shape=(bundle.tfidf.dimension, 2)
+        )
+        with pytest.raises(ValueError, match="indices sorted"):
+            replace(bundle, weights=W)
+
+    def test_repeated_label_refused(self, bundle):
+        lms = bundle.label_models
+        with pytest.raises(ValueError, match=f"label {lms[0].label!r}: repeats an earlier label"):
+            replace(bundle, label_models=(lms[0], replace(lms[1], label=lms[0].label)))
+
+    def test_new_bundle_with_fewer_labels_scores_its_columns(self, bundle):
+        units = [u for e in trivial_corpus() for u in prepare_units(bundle, e)]
+        smaller = replace(bundle, label_models=bundle.label_models[1:],
+                          weights=bundle.weights[:, 1:])
+        assert smaller.labels == bundle.labels[1:]
+        before = {(p.encounter_id, it.label): it.score.hex()
+                  for p in predict_units(bundle, units) for it in p.items}
+        for unit, pset in zip(units, predict_units(smaller, units)):
+            dense = vectorize_document(bundle.tfidf, unit.text).to_dense()
+            for it in pset.items:
+                lm = smaller.label_models[smaller.column(it.label)]
+                oracle = float(dense @ bundle.weights.toarray()[:, 1]) + lm.bias
+                assert it.score == pytest.approx(oracle, abs=1e-12)
+                assert it.score.hex() == before[(unit.encounter_id, it.label)]
 
 
 def edit_column(entry, edit):
@@ -688,34 +733,45 @@ _finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_ED
 
 
 @st.composite
-def label_models(draw, dimension):
+def label_columns(draw, dimension):
+    """A label model with a weight column (indices, values) of its own."""
     indices = sorted(draw(st.sets(st.integers(0, dimension - 1), max_size=12)))
-    return LabelModel(
+    lm = LabelModel(
         label=draw(st.text(min_size=1, max_size=4)),
-        indices=np.array(indices, dtype=np.int64),
-        values=np.array([draw(_finite) for _ in indices], dtype=np.float64),
         bias=draw(_finite),
         threshold=draw(_finite | st.just(math.inf)),
     )
+    return lm, indices, [draw(_finite) for _ in indices]
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_label_columns_round_trip_bit_exact(small_bundle, data):
-    models = data.draw(st.lists(label_models(small_bundle.tfidf.dimension), max_size=4))
-    bundle = replace(small_bundle, label_models=tuple(models))
+    columns = data.draw(st.lists(label_columns(small_bundle.tfidf.dimension), max_size=4,
+                                 unique_by=lambda c: c[0].label))
+    indptr = np.cumsum([0] + [len(idx) for _, idx, _ in columns])
+    weights = sparse.csc_matrix(
+        (np.array([v for _, _, val in columns for v in val], dtype=np.float64),
+         np.array([i for _, idx, _ in columns for i in idx], dtype=np.int64), indptr),
+        shape=(small_bundle.tfidf.dimension, len(columns)),
+    )
+    bundle = replace(small_bundle, label_models=tuple(lm for lm, _, _ in columns),
+                     weights=weights)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bundle.json"
         save_bundle(bundle, path)
         whole = json.dumps(_bundle_to_dict(bundle), separators=(",", ":")) + "\n"
         assert path.read_bytes() == whole.encode("utf-8")
         loaded = load_bundle(path)
-    assert len(loaded.label_models) == len(models)
-    for got, want in zip(loaded.label_models, models):
+    assert len(loaded.label_models) == len(columns)
+    W = loaded.weights
+    assert W.format == "csc" and W.shape == weights.shape
+    assert W.data.dtype == np.float64
+    assert W.indptr.tolist() == indptr.tolist()
+    assert W.indices.tolist() == weights.indices.tolist()
+    assert W.data.tobytes() == weights.data.tobytes()
+    for got, (want, _, _) in zip(loaded.label_models, columns):
         assert got.label == want.label
-        assert got.indices.dtype == np.int64 and got.values.dtype == np.float64
-        assert got.indices.tobytes() == want.indices.tobytes()
-        assert got.values.tobytes() == want.values.tobytes()
         assert got.bias.hex() == want.bias.hex()
         assert got.threshold.hex() == want.threshold.hex()
 
@@ -805,6 +861,45 @@ class TestLoadBundleValidation:
         path, obj = saved
         obj["labels"][0]["threshold"] = bad
         self.rejects(path, obj, "threshold must be finite or null")
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda labels: labels[0].update(code=["L1"]),
+             r"label \['L1'\]: code must be a nonempty string"),
+            (lambda labels: labels[0].update(code=""), "label '': code must be a nonempty string"),
+            (lambda labels: labels[0].update(code=7), "label 7: code must be a nonempty string"),
+            (lambda labels: labels[0].update(code=None),
+             "label None: code must be a nonempty string"),
+            (lambda labels: labels.append(dict(labels[0])), "label 'L1': repeats an earlier label"),
+            (lambda labels: labels[0].update(bias="0.5"),
+             "label 'L1': bias must be a number, got '0.5'"),
+            (lambda labels: labels[0].update(bias=True), "label 'L1': bias must be a number"),
+            (lambda labels: labels[0].update(bias=None), "label 'L1': bias must be a number"),
+            (lambda labels: labels[0].update(bias=10**400), "int too large"),
+            (lambda labels: labels[0].update(threshold="0.5"),
+             "label 'L1': threshold must be a number or null, got '0.5'"),
+            (lambda labels: labels[0].update(threshold=False),
+             "label 'L1': threshold must be a number or null"),
+            (lambda labels: labels[0].update(threshold=[0.5]),
+             "label 'L1': threshold must be a number or null"),
+        ],
+        ids=["list_code", "empty_code", "integer_code", "null_code", "repeated_code",
+             "string_bias", "boolean_bias", "null_bias", "huge_integer_bias",
+             "string_threshold", "boolean_threshold", "list_threshold"],
+    )
+    def test_bad_label_entry(self, saved, corrupt, message):
+        path, obj = saved
+        corrupt(obj["labels"])
+        self.rejects(path, obj, message)
+
+    def test_integer_bias_and_threshold_load_as_floats(self, saved):
+        path, obj = saved
+        obj["labels"][0].update(bias=1, threshold=0)
+        path.write_text(json.dumps(obj))
+        lm = load_bundle(path).label_models[0]
+        assert (lm.bias, lm.threshold) == (1.0, 0.0)
+        assert type(lm.bias) is float and type(lm.threshold) is float
 
     def test_null_threshold_is_never_predicted(self, saved):
         path, obj = saved

@@ -7,11 +7,13 @@ would only obscure the ranking. DataWords sentences are reported with
 their natural rendering so a reviewer sees "Temperature was very high
 [104.3]" rather than the raw token.
 
-A unit's sentences are vectorized once, however many of its predicted
-labels are explained: the bundle keeps the last unit's sentence vectors.
-Per label, the weights the sentences use are gathered from the label's
-column of the bundle's weight matrix, the one that classifies, never
-expanded to a dense vector of the full dimension.
+A unit's sentences are vectorized in one pass, however many of its
+predicted labels are explained: the bundle keeps the last unit's sentence
+vectors, one CSR block. Per label, the weights the sentences use are
+looked up once in the label's column of the bundle's weight matrix, the
+one that classifies, and gathered once at every entry of the block, never
+expanded to a dense vector of the full dimension. A sentence's score is
+then the dot product of its slice of values and its slice of weights.
 """
 
 from __future__ import annotations
@@ -87,9 +89,13 @@ def score_sentences(
     hit[hit] = indices[pos[hit]] == vectors.features[hit]
     weights = np.zeros(vectors.features.size, dtype=np.float64)
     weights[hit] = W.data[lo:hi][pos[hit]]
+    # gathered once, aligned with the values; one dot per sentence slice
+    # keeps each score's bits those of the sentence scored alone
+    weights = weights[vectors.positions]
+    values, ptr = vectors.values, vectors.indptr.tolist()
     return [
-        (sent, float(np.dot(values, weights[positions])) if values.size else 0.0)
-        for sent, values, positions in zip(sentences, vectors.values, vectors.positions)
+        (sent, float(np.dot(values[a:b], weights[a:b])) if b > a else 0.0)
+        for sent, a, b in zip(sentences, ptr[:-1], ptr[1:])
     ]
 
 

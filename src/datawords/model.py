@@ -155,8 +155,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         self.spec  # validates the encoding fields
-        if self.lam <= 0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam > 0):  # a bundle must load it back
+            raise ConfigError(f"lambda must be a finite positive number, got {self.lam}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.hash_bits is not None and not (1 <= self.hash_bits <= 30):
@@ -816,6 +816,31 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         fh.write("]}\n")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: true and false are not."""
+    return type(value) in (int, float)
+
+
+def _number(value, name: str) -> float:
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _positive(value, name: str) -> float:
+    if not (_is_number(value) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
+def _count(value, name: str, most: int | None = None) -> int:
+    """A JSON integer >= 0, and at most ``most`` if one is given."""
+    if type(value) is not int or value < 0 or (most is not None and value > most):
+        bound = ">= 0" if most is None else f"in [0, {most}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return value
+
+
 def _array_from_b64(entry: Mapping, key: str, dtype: np.dtype) -> np.ndarray:
     code = entry["code"]
     raw = entry[key]
@@ -857,12 +882,12 @@ def _label_from_entry(entry: Mapping, dimension: int) -> tuple[LabelModel, np.nd
     if not np.isfinite(values).all():
         raise ValueError(f"label {code!r}: weights must be finite")
     bias = entry["bias"]
-    if type(bias) not in (int, float):  # a JSON number; true and false are not
+    if not _is_number(bias):
         raise ValueError(f"label {code!r}: bias must be a number, got {bias!r}")
     if not math.isfinite(bias):
         raise ValueError(f"label {code!r}: bias must be finite, got {bias}")
     thr = entry["threshold"]
-    if thr is not None and type(thr) not in (int, float):
+    if thr is not None and not _is_number(thr):
         raise ValueError(f"label {code!r}: threshold must be a number or null, got {thr!r}")
     if thr is not None and not math.isfinite(thr):
         raise ValueError(f"label {code!r}: threshold must be finite or null, got {thr}")
@@ -870,18 +895,70 @@ def _label_from_entry(entry: Mapping, dimension: int) -> tuple[LabelModel, np.nd
     return LabelModel(label=code, bias=float(bias), threshold=threshold), indices, values
 
 
+def _tfidf_from_header(tf: Mapping) -> TfIdfModel:
+    """The bundle's tf-idf model, its header checked by type: ``normalize``
+    a bool, ``document_count`` and ``bits`` integers, ``tokens`` distinct
+    strings, each df count an integer in [0, document_count], and each
+    indexed ``idf`` entry a finite positive number, one per token."""
+    normalize = tf["normalize"]
+    if type(normalize) is not bool:
+        raise ValueError(f"tfidf.normalize must be true or false, got {normalize!r}")
+    n = _count(tf["document_count"], "tfidf.document_count")
+    if tf["mode"] == "indexed":
+        tokens = tf["tokens"]
+        index: dict[str, int] = {}
+        for t, _ in tokens:
+            if not isinstance(t, str):
+                raise ValueError(f"tfidf.tokens must be strings, got {t!r}")
+            if t in index:
+                raise ValueError(f"tfidf.tokens repeats {t!r}")
+            index[t] = len(index)
+        df = {t: _count(d, f"tfidf.tokens df of {t!r}", n) for t, d in tokens}
+        idf = tf["idf"]
+        if len(idf) != len(tokens):
+            raise ValueError(f"tfidf.idf has {len(idf)} entries for {len(tokens)} tokens")
+        return TfIdfModel(
+            vocabulary=Vocabulary(index=index, df=df, document_count=n),
+            idf=np.array([_positive(v, f"tfidf.idf[{i}]") for i, v in enumerate(idf)]),
+            l2_normalize=normalize,
+            document_count=n,
+        )
+    bits = tf["bits"]
+    if type(bits) is not int:
+        raise ValueError(f"tfidf.bits must be an integer, got {bits!r}")
+    hashed_df: dict[int, int] = {}
+    for slot, c in tf["df"]:
+        if type(slot) is not int:
+            raise ValueError(f"tfidf.df slot must be an integer, got {slot!r}")
+        hashed_df[slot] = _count(c, f"tfidf.df count of slot {slot}", n)
+    return TfIdfModel(
+        vocabulary=None,
+        idf=_hashed_idf(bits, n, hashed_df.items()),
+        l2_normalize=normalize,
+        hash_bits=bits,
+        document_count=n,
+        hashed_df=hashed_df,
+    )
+
+
 def load_bundle(path: str | Path) -> ModelBundle:
     """Load a saved bundle; predictions after a round trip are bit-exact.
 
     A bundle of another format version, such as format "1", raises
-    UnsupportedVersionError: it has to be retrained. Contents that would
-    make prediction fail or go NaN (an ``idf`` whose length differs from
-    the token count, a weight column that is not valid base64 of whole
-    items, index and value counts that differ, weight indices that are not
-    strictly increasing in [0, dimension), a non-finite weight, a bias that
-    is not a finite number, a threshold that is neither a finite number nor
-    null) raise DataError, as do a label code that is not a nonempty string
-    or repeats an earlier one, a tokenizer other than ``TOKENIZER``,
+    UnsupportedVersionError: it has to be retrained. DataError is raised
+    for contents that would make prediction fail, go NaN or differ from
+    what was trained: a tf-idf header whose ``normalize`` is not a bool,
+    whose tokens are not distinct strings, whose document count, hash
+    ``bits`` or df counts are not integers (df counts in [0, document
+    count]), or whose ``idf`` is not one finite positive number per token;
+    a statistics count that is not an integer or a mean or std that is not
+    a number; a ``lambda`` that is not a finite positive number; a weight
+    column that is not valid base64 of whole items, index and value counts
+    that differ, weight indices that are not strictly increasing in [0,
+    dimension), a non-finite weight; a bias that is not a finite number, a
+    threshold that is neither a finite number nor null, a label code that
+    is not a nonempty string or repeats an earlier one; a tokenizer other
+    than ``TOKENIZER``,
     ``selected_variables`` that is neither null nor a list of strings, and
     encoding values that EncodingSpec rejects (an unknown unit, ablation
     mode or source, or roll-up provenances that are not a list of known
@@ -904,38 +981,17 @@ def load_bundle(path: str | Path) -> ModelBundle:
     if tokenizer != TOKENIZER:
         raise DataError(f"bundle {path}: unsupported tokenizer {tokenizer!r}")
     try:
-        tf = obj["tfidf"]
-        if tf["mode"] == "indexed":
-            index = {t: i for i, (t, _df) in enumerate(tf["tokens"])}
-            df = {t: int(d) for t, d in tf["tokens"]}
-            vocab = Vocabulary(index=index, df=df, document_count=int(tf["document_count"]))
-            idf = np.asarray(tf["idf"], dtype=np.float64)
-            if idf.shape != (len(tf["tokens"]),):
-                raise ValueError(
-                    f"tfidf.idf has {idf.size} entries for {len(tf['tokens'])} tokens"
-                )
-            tfidf = TfIdfModel(
-                vocabulary=vocab,
-                idf=idf,
-                l2_normalize=bool(tf["normalize"]),
-                document_count=int(tf["document_count"]),
-            )
-        else:
-            bits = int(tf["bits"])
-            n = int(tf["document_count"])
-            hashed_df = {int(slot): int(c) for slot, c in tf["df"]}
-            tfidf = TfIdfModel(
-                vocabulary=None,
-                idf=_hashed_idf(bits, n, hashed_df.items()),
-                l2_normalize=bool(tf["normalize"]),
-                hash_bits=bits,
-                document_count=n,
-                hashed_df=hashed_df,
-            )
+        tfidf = _tfidf_from_header(obj["tfidf"])
         stats = {
-            name: VariableStats(name=name, count=int(c), mean=float(m), std=float(s))
+            name: VariableStats(
+                name=name,
+                count=_count(c, f"variable_stats.{name} count"),
+                mean=_number(m, f"variable_stats.{name} mean"),
+                std=_number(s, f"variable_stats.{name} std"),
+            )
             for name, (c, m, s) in obj["variable_stats"].items()
         }
+        lam = _positive(obj["lambda"], "lambda")
         extraction = obj["extraction"]
         patterns = extraction.get("patterns")
         roll = obj["rollup"]
@@ -968,7 +1024,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
             label_models=tuple(lm for lm, _, _ in entries),
             weights=weights,
             selected_variables=tuple(selected) if selected is not None else None,
-            lam=float(obj["lambda"]),
+            lam=lam,
         )
     except ConfigError as exc:
         raise DataError(f"bundle {path}: {exc}") from exc

@@ -12,6 +12,12 @@ Two modes:
 * hashed: tokens map to 2**bits slots via multiplicative hashing with
   sign-less count accumulation, for corpora whose vocabulary would not
   fit in memory.
+
+One pass turns a list of texts into their tf-idf rows as CSR arrays: each
+text is tokenized by itself, one sort groups and counts every row's
+features, tf-idf is computed over the whole array, and each row is scaled
+by the norm of its own slice. ``vectorize_document`` is the one-row case;
+``vectorize_sentences`` makes one pass per unit for all of its sentences.
 """
 
 from __future__ import annotations
@@ -173,38 +179,45 @@ class DocumentVector:
         return dense
 
 
-def _counts_to_vector(model: TfIdfModel, counts: Counter) -> DocumentVector:
-    if not counts:
-        return DocumentVector(
-            indices=np.empty(0, dtype=np.int64),
-            values=np.empty(0, dtype=np.float64),
-            dimension=model.dimension,
-        )
-    items = sorted(counts.items())
-    indices = np.fromiter((ix for ix, _ in items), dtype=np.int64, count=len(items))
-    tf = 1.0 + np.log(np.fromiter((c for _, c in items), dtype=np.float64, count=len(items)))
-    values = tf * model.idf[indices]
+def _tfidf_rows(
+    model: TfIdfModel, texts: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tf-idf rows of ``texts`` as CSR arrays ``(indptr, indices, values)``:
+    OOV tokens dropped, indices strictly increasing within a row, and an
+    empty or all-OOV text an empty row."""
+    if model.hash_bits is not None:
+        bits = model.hash_bits
+        per_text = ([_hash_slot(tok, bits) for tok in tokenize(text)] for text in texts)
+    else:
+        lookup = model.vocabulary.index.get
+        per_text = ([ix for ix in map(lookup, tokenize(text)) if ix is not None] for text in texts)
+    features: list[int] = []
+    lengths: list[int] = []
+    for row in per_text:
+        features.extend(row)
+        lengths.append(len(row))
+    dim = model.dimension
+    row_ids = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    keys, counts = np.unique(row_ids * dim + np.asarray(features, dtype=np.int64),
+                             return_counts=True)
+    key_rows, indices = np.divmod(keys, dim)
+    indptr = np.searchsorted(key_rows, np.arange(len(lengths) + 1))
+    values = (1.0 + np.log(counts.astype(np.float64))) * model.idf[indices]
     if model.l2_normalize:
-        norm = math.sqrt(float(np.dot(values, values)))
-        if norm > 0.0:
-            values = values / norm
-    return DocumentVector(indices=indices, values=values, dimension=model.dimension)
+        bounds = indptr.tolist()
+        row_values = (values[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+        # One BLAS dot per row, over the row's own slice, keeps each norm's
+        # bits those of the text vectorized alone; a zero norm divides by 1.0.
+        norms = [math.sqrt(float(np.dot(v, v))) or 1.0 for v in row_values]
+        values /= np.array(norms)[key_rows]
+    return indptr, indices, values
 
 
 def vectorize_document(model: TfIdfModel, text: str) -> DocumentVector:
     """Map text to a sparse tf-idf vector; OOV tokens are ignored and
     empty or all-OOV text yields the zero vector."""
-    counts: Counter = Counter()
-    if model.hash_bits is not None:
-        for tok in tokenize(text):
-            counts[_hash_slot(tok, model.hash_bits)] += 1
-    else:
-        vocab_index = model.vocabulary.index
-        for tok in tokenize(text):
-            ix = vocab_index.get(tok)
-            if ix is not None:
-                counts[ix] += 1
-    return _counts_to_vector(model, counts)
+    _, indices, values = _tfidf_rows(model, [text])
+    return DocumentVector(indices=indices, values=values, dimension=model.dimension)
 
 
 @dataclass(frozen=True)
@@ -212,26 +225,24 @@ class SentenceVectors:
     """tf-idf vectors of a run of sentences, laid out for scoring them
     against many sparse weight columns.
 
-    ``features`` is the sorted union of the sentences' feature indices.
-    Sentence i has the tf-idf values ``values[i]`` at the indices
-    ``features[positions[i]]``, so a weight column is gathered once per
-    run, at ``features``, and then indexed per sentence.
+    Sentence i owns the slice ``indptr[i]:indptr[i + 1]`` of ``values`` and
+    ``positions``. ``features`` is the sorted union of the sentences'
+    feature indices, and ``positions`` points each value at its feature in
+    it, so a weight column is looked up once per run, at ``features``, and
+    gathered once, at ``positions``.
     """
 
     features: np.ndarray
-    values: tuple[np.ndarray, ...]
-    positions: tuple[np.ndarray, ...]
+    indptr: np.ndarray
+    values: np.ndarray
+    positions: np.ndarray
 
 
 def vectorize_sentences(model: TfIdfModel, sentences: Sequence[Sentence]) -> SentenceVectors:
-    """Vectorize each sentence once, as vectorize_document does."""
-    vecs = [vectorize_document(model, s.text) for s in sentences]
-    features = np.unique(np.concatenate([v.indices for v in vecs] + [np.empty(0, np.int64)]))
-    return SentenceVectors(
-        features=features,
-        values=tuple(v.values for v in vecs),
-        positions=tuple(np.searchsorted(features, v.indices) for v in vecs),
-    )
+    """Vectorize each sentence as vectorize_document does, all in one pass."""
+    indptr, indices, values = _tfidf_rows(model, [s.text for s in sentences])
+    features, positions = np.unique(indices, return_inverse=True)
+    return SentenceVectors(features=features, indptr=indptr, values=values, positions=positions)
 
 
 def stack_vectors(vectors: Iterable[DocumentVector], dimension: int) -> sparse.csr_matrix:

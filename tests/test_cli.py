@@ -158,6 +158,15 @@ class TestTrain:
         rc = main(["train", "--corpus", corpus, "--out", str(tmp_path / "b.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("lam", ["inf", "nan", "0", "-1"])
+    def test_lambda_a_bundle_could_not_load_exits_2(self, tmp_path, capsys, lam):
+        corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
+        out = tmp_path / "b.json"
+        rc = main(["train", "--corpus", corpus, "--out", str(out), "--lambda", lam])
+        assert rc == 2
+        assert "lambda must be a finite positive number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_bundle_bytes(self, tmp_path):
         corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
         b1, b2 = tmp_path / "b1.json", tmp_path / "b2.json"
@@ -484,6 +493,23 @@ class TestBatchedReadPath:
         assert rc == 1
         assert message in err
         assert "Traceback" not in err
+
+
+    def test_predict_on_nan_idf_bundle_exits_1(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
+        bundle = tmp_path / "bundle.json"
+        assert main(["train", "--corpus", corpus, "--out", str(bundle)]) == 0
+        obj = json.loads(bundle.read_text())
+        obj["tfidf"]["idf"][0] = float("nan")
+        bundle.write_text(json.dumps(obj))
+        capsys.readouterr()
+        out = tmp_path / "p.jsonl"
+        rc = main(["predict", "--corpus", corpus, "--bundle", str(bundle), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "tfidf.idf[0] must be a finite positive number, got nan" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestOutputIdempotence:

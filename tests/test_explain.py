@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from datawords import vectorize
@@ -24,7 +26,7 @@ from datawords.model import (
     prepare_units,
     train_all,
 )
-from datawords.vectorize import build_vocabulary, fit_idf, vectorize_document
+from datawords.vectorize import build_vocabulary, fit_hashed_idf, fit_idf, vectorize_document
 
 
 def one_hot_bundle(train_docs, hot_token, label="L1", normalize=True):
@@ -280,20 +282,73 @@ class TestSentenceVectorCache:
         assert before == dense_dot_scores(b1, "L2", sentences_from_text(u1.text))
 
 
+WORDS = ["ΑΣ", "ΟΔΟΣ", "σοφός", "ας", "β", "dw__Temp__high_range"] + [f"w{i}" for i in range(20)]
+
+
+@st.composite
+def scored_unit(draw):
+    """A bundle of two labels with random sparse weight columns, indexed or
+    hashed, normalized or not, and a unit of empty, all-OOV, repeated-token
+    and wide (20 or more distinct words) sentences."""
+    normalize = draw(st.booleans())
+    bits = draw(st.none() | st.integers(min_value=4, max_value=12))
+    train = [" ".join(WORDS), " ".join(draw(st.lists(st.sampled_from(WORDS), max_size=12)))]
+    if bits is None:
+        tfidf = fit_idf(build_vocabulary(train), l2_normalize=normalize)
+    else:
+        tfidf = fit_hashed_idf(train, bits=bits, l2_normalize=normalize)
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(tfidf.dimension, 2)) * (rng.random((tfidf.dimension, 2)) < 0.7)
+    word = st.sampled_from(WORDS + ["zzz"])
+    texts = draw(st.lists(
+        st.one_of(
+            st.builds(" ".join, st.lists(word, max_size=24)),
+            st.builds(lambda w, n: " ".join([w] * n), word, st.integers(1, 5)),
+            st.just("zzz qq."),
+            st.just(""),
+        ),
+        min_size=1, max_size=8,
+    ))
+    texts.append(" ".join(draw(st.lists(st.sampled_from(WORDS), min_size=20, unique=True))))
+    sentences = tuple(Sentence(text=t, doc_index=0, sent_index=i) for i, t in enumerate(texts))
+    bundle = ModelBundle(
+        tfidf=tfidf, variable_stats={},
+        spec=PipelineConfig(extraction_source="none").spec,
+        label_models=(LabelModel(label="L1", bias=0.0, threshold=0.0),
+                      LabelModel(label="L2", bias=0.0, threshold=0.0)),
+        weights=sparse.csc_matrix(dense),
+    )
+    unit = AugmentedUnit(encounter_id="e", doc_index=0, text=" ".join(texts),
+                         sentences=sentences, gold=frozenset())
+    return bundle, unit
+
+
+class TestOnePassScores:
+    @given(scored_unit())
+    @settings(max_examples=100, deadline=None)
+    def test_scores_bit_equal_to_dense_dot_oracle(self, case):
+        bundle, unit = case
+        for label in ("L1", "L2", "L1"):
+            scored = score_sentences(bundle, label, unit)
+            assert [s for s, _ in scored] == list(unit.sentences)
+            assert hexes(scored) == dense_dot_scores(bundle, label, unit.sentences)
+
+
 class TestVectorizeOncePerUnit:
     def test_each_sentence_vectorized_once_for_k_labels(self, two_bundles, monkeypatch):
         b1, _, u1, _ = two_bundles
         bundle = replace(b1)
         calls = []
-        original = vectorize.vectorize_document
+        original = vectorize._tfidf_rows
 
-        def counting(model, text):
-            calls.append(text)
-            return original(model, text)
+        def counting(model, texts):
+            calls.append(list(texts))
+            return original(model, texts)
 
-        monkeypatch.setattr(vectorize, "vectorize_document", counting)
+        monkeypatch.setattr(vectorize, "_tfidf_rows", counting)
         labels = bundle.labels * 3
         for label in labels:
             score_sentences(bundle, label, u1)
         assert len(labels) > 1
-        assert sorted(calls) == sorted(s.text for s in u1.sentences)
+        assert calls == [[s.text for s in u1.sentences]]

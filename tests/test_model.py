@@ -949,6 +949,119 @@ class TestLoadBundleValidation:
         path.write_text(json.dumps(obj))
         assert load_bundle(path).labels == ["L1"]
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda tf: tf["idf"].__setitem__(0, float("nan")),
+             r"tfidf.idf\[0\] must be a finite positive number, got nan"),
+            (lambda tf: tf["idf"].__setitem__(1, float("inf")),
+             r"tfidf.idf\[1\] must be a finite positive number, got inf"),
+            (lambda tf: tf["idf"].__setitem__(0, "1.6"),
+             r"tfidf.idf\[0\] must be a finite positive number, got '1.6'"),
+            (lambda tf: tf["idf"].__setitem__(2, -1.5),
+             r"tfidf.idf\[2\] must be a finite positive number, got -1.5"),
+            (lambda tf: tf["idf"].__setitem__(0, 0), r"tfidf.idf\[0\] .* got 0"),
+            (lambda tf: tf["idf"].__setitem__(0, True), r"tfidf.idf\[0\] .* got True"),
+            (lambda tf: tf.update(normalize="false"),
+             "tfidf.normalize must be true or false, got 'false'"),
+            (lambda tf: tf.update(normalize=1), "tfidf.normalize must be true or false, got 1"),
+            (lambda tf: tf.update(document_count="60"),
+             "tfidf.document_count must be an integer >= 0, got '60'"),
+            (lambda tf: tf.update(document_count=60.0),
+             "tfidf.document_count must be an integer >= 0, got 60.0"),
+            (lambda tf: tf.update(document_count=-1),
+             "tfidf.document_count must be an integer >= 0, got -1"),
+            (lambda tf: tf["tokens"][0].__setitem__(1, "2"),
+             r"tfidf.tokens df of '\w+' must be an integer in \[0, 60\], got '2'"),
+            (lambda tf: tf["tokens"][0].__setitem__(1, 61),
+             r"tfidf.tokens df of '\w+' must be an integer in \[0, 60\], got 61"),
+            (lambda tf: tf["tokens"][0].__setitem__(0, 5), "tfidf.tokens must be strings, got 5"),
+            (lambda tf: tf["tokens"][1].__setitem__(0, ["x"]),
+             r"tfidf.tokens must be strings, got \['x'\]"),
+            (lambda tf: tf["tokens"][1].__setitem__(0, tf["tokens"][0][0]),
+             r"tfidf.tokens repeats '\w+'"),
+        ],
+        ids=["nan_idf", "inf_idf", "string_idf", "negative_idf", "zero_idf", "boolean_idf",
+             "string_normalize", "integer_normalize", "string_document_count",
+             "float_document_count", "negative_document_count", "string_df",
+             "df_above_document_count", "integer_token", "list_token", "repeated_token"],
+    )
+    def test_bad_tfidf_header(self, saved, corrupt, message):
+        path, obj = saved
+        corrupt(obj["tfidf"])
+        self.rejects(path, obj, message)
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [(-5, "lambda must be a finite positive number, got -5"),
+         (0, "got 0"), ("1.0", "got '1.0'"), (float("inf"), "got inf"),
+         (float("nan"), "got nan"), (True, "got True")],
+        ids=["negative", "zero", "string", "inf", "nan", "boolean"],
+    )
+    def test_bad_lambda(self, saved, lam, message):
+        path, obj = saved
+        obj["lambda"] = lam
+        self.rejects(path, obj, message)
+
+    def test_integer_lambda_loads_as_float(self, saved):
+        path, obj = saved
+        obj["lambda"] = 2
+        path.write_text(json.dumps(obj))
+        lam = load_bundle(path).lam
+        assert lam == 2.0 and type(lam) is float
+
+    @pytest.mark.parametrize(
+        "position, value, message",
+        [(0, "3", "count must be an integer >= 0, got '3'"),
+         (0, True, "count must be an integer >= 0, got True"),
+         (0, 3.0, "count must be an integer >= 0, got 3.0"),
+         (1, "98.6", "mean must be a number, got '98.6'"),
+         (2, None, "std must be a number, got None")],
+        ids=["string_count", "boolean_count", "float_count", "string_mean", "null_std"],
+    )
+    def test_bad_variable_stats(self, saved, position, value, message):
+        path, obj = saved
+        name = sorted(obj["variable_stats"])[0]
+        obj["variable_stats"][name][position] = value
+        self.rejects(path, obj, f"variable_stats.{name} {message}")
+
+    @pytest.fixture
+    def saved_hashed(self, tmp_path):
+        spec = SynthSpec(seed=8, documents=40,
+                         rules=(PlantedRule("L1", "Temp", "very_high", 0.9, 0.4),))
+        path = tmp_path / "hashed.json"
+        save_bundle(train_all(generate_synthetic(spec), PipelineConfig(hash_bits=8)), path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda tf: tf.update(bits="8"), "tfidf.bits must be an integer, got '8'"),
+            (lambda tf: tf.update(bits=8.0), "tfidf.bits must be an integer, got 8.0"),
+            (lambda tf: tf["df"][0].__setitem__(0, "3"),
+             "tfidf.df slot must be an integer, got '3'"),
+            (lambda tf: tf["df"][0].__setitem__(1, "2"),
+             r"tfidf.df count of slot \d+ must be an integer in \[0, 40\], got '2'"),
+            (lambda tf: tf["df"][0].__setitem__(1, -1), r"count of slot \d+ .* got -1"),
+            (lambda tf: tf["df"][0].__setitem__(1, 41), r"count of slot \d+ .* got 41"),
+            (lambda tf: tf.update(normalize="true"),
+             "tfidf.normalize must be true or false, got 'true'"),
+            (lambda tf: tf.update(document_count="40"),
+             "tfidf.document_count must be an integer >= 0, got '40'"),
+        ],
+        ids=["string_bits", "float_bits", "string_slot", "string_df", "negative_df",
+             "df_above_document_count", "string_normalize", "string_document_count"],
+    )
+    def test_bad_hashed_tfidf_header(self, saved_hashed, corrupt, message):
+        path, obj = saved_hashed
+        corrupt(obj["tfidf"])
+        self.rejects(path, obj, message)
+
+    def test_hashed_bundle_loads(self, saved_hashed):
+        path, _ = saved_hashed
+        bundle = load_bundle(path)
+        assert bundle.tfidf.hash_bits == 8 and bundle.labels == ["L1"]
+
     def test_hashed_df_slot_beyond_table(self, tmp_path):
         spec = SynthSpec(seed=8, documents=40,
                          rules=(PlantedRule("L1", "Temp", "very_high", 0.9, 0.4),))

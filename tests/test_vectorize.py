@@ -1,16 +1,22 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from datawords.corpus import tokenize
+from datawords.corpus import Sentence, tokenize
 from datawords.errors import ConfigError
 from datawords.vectorize import (
+    _hash_slot,
+    _tfidf_rows,
     build_vocabulary,
     fit_hashed_idf,
     fit_idf,
     stack_vectors,
     vectorize_document,
+    vectorize_sentences,
 )
 
 
@@ -170,3 +176,119 @@ class TestStackVectors:
         assert X.shape == (3, 3)
         assert np.array_equal(np.asarray(X.todense())[0], vecs[0].to_dense())
         assert np.asarray(X.todense())[1].sum() == 0.0
+
+
+def counter_vector(model, text):
+    """One text's (indices, values) as vectorize_document built them before
+    all rows came from one pass: a sorted Counter of the text's features,
+    two arrays made with np.fromiter, and the norm of the whole array."""
+    counts = Counter()
+    for tok in tokenize(text):
+        if model.hash_bits is not None:
+            counts[_hash_slot(tok, model.hash_bits)] += 1
+        elif tok in model.vocabulary.index:
+            counts[model.vocabulary.index[tok]] += 1
+    if not counts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    items = sorted(counts.items())
+    indices = np.fromiter((ix for ix, _ in items), dtype=np.int64, count=len(items))
+    tf = 1.0 + np.log(np.fromiter((c for _, c in items), dtype=np.float64, count=len(items)))
+    values = tf * model.idf[indices]
+    if model.l2_normalize:
+        norm = math.sqrt(float(np.dot(values, values)))
+        if norm > 0.0:
+            values = values / norm
+    return indices, values
+
+
+# Greek words whose capital sigma lowers to a final or a medial sigma
+# depending on what follows it, and enough Latin words for rows of more
+# than 16 distinct features, where BLAS ddot switches to its unrolled kernel.
+VOCAB_WORDS = ["ΑΣ", "ΟΔΟΣ", "σοφός", "ΣΟΦΟΣ", "ας", "β"] + [f"w{i}" for i in range(24)]
+OOV_WORDS = ["zzz", "qq", "ΑΣΣ"]
+SEPARATORS = [" ", ". ", ".", "!", "?", ", ", "\n"]
+
+
+@st.composite
+def text_strategy(draw, words, min_size=0):
+    toks = draw(st.lists(st.sampled_from(words), min_size=min_size, max_size=24))
+    out = ""
+    for tok in toks:
+        out += tok + draw(st.sampled_from(SEPARATORS))
+    return out
+
+
+@st.composite
+def model_and_texts(draw):
+    """A fitted tf-idf model, indexed or hashed, normalized or not, and a
+    unit's texts: empty, all-OOV, repeated-token and mixed ones, plus one
+    with at least 20 distinct vocabulary words."""
+    train = draw(st.lists(text_strategy(VOCAB_WORDS), min_size=1, max_size=6))
+    train.append(" ".join(VOCAB_WORDS))  # every vocabulary word is known
+    normalize = draw(st.booleans())
+    bits = draw(st.none() | st.integers(min_value=4, max_value=16))
+    if bits is None:
+        model = fit_idf(build_vocabulary(train), l2_normalize=normalize)
+    else:
+        model = fit_hashed_idf(train, bits=bits, l2_normalize=normalize)
+    word = st.sampled_from(VOCAB_WORDS)
+    texts = draw(st.lists(
+        st.one_of(
+            text_strategy(VOCAB_WORDS + OOV_WORDS),
+            text_strategy(OOV_WORDS),
+            st.builds(lambda w, n: " ".join([w] * n), word, st.integers(1, 6)),
+            st.just(""),
+        ),
+        max_size=8,
+    ))
+    wide = draw(st.lists(word, min_size=20, max_size=len(VOCAB_WORDS), unique=True))
+    texts.insert(draw(st.integers(0, len(texts))), " ".join(wide))
+    return model, texts
+
+
+def hex_row(indices, values):
+    return [int(i) for i in indices], [float(v).hex() for v in values]
+
+
+class TestOnePassCore:
+    """The CSR core against the per-text Counter path it replaced, bit for bit."""
+
+    @given(model_and_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_counter_oracle(self, case):
+        model, texts = case
+        indptr, indices, values = _tfidf_rows(model, texts)
+        assert indptr.tolist()[0] == 0 and indptr.size == len(texts) + 1
+        assert indices.dtype == np.int64 and values.dtype == np.float64
+        for i, text in enumerate(texts):
+            lo, hi = indptr[i], indptr[i + 1]
+            want = hex_row(*counter_vector(model, text))
+            assert hex_row(indices[lo:hi], values[lo:hi]) == want
+            vec = vectorize_document(model, text)
+            assert hex_row(vec.indices, vec.values) == want
+            assert vec.indices.dtype == np.int64 and vec.dimension == model.dimension
+
+    @given(model_and_texts())
+    @settings(max_examples=50, deadline=None)
+    def test_sentence_layout_points_at_each_row(self, case):
+        model, texts = case
+        vecs = vectorize_sentences(model, [Sentence(text=t, doc_index=0, sent_index=i)
+                                           for i, t in enumerate(texts)])
+        indptr, indices, values = _tfidf_rows(model, texts)
+        assert np.array_equal(vecs.indptr, indptr)
+        assert vecs.values.tobytes() == values.tobytes()
+        assert np.array_equal(vecs.features[vecs.positions], indices)
+        assert np.array_equal(vecs.features, np.unique(indices))
+
+    def test_final_sigma_follows_each_text(self):
+        # "ΑΣ.Β" lowers to "ασ.β" as one text but "ας." as a sentence of its own
+        model = fit_idf(build_vocabulary(["ασ ας β"]))
+        indptr, indices, _ = _tfidf_rows(model, ["ΑΣ.Β", "ΑΣ.", "Β"])
+        index = model.vocabulary.index
+        rows = [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(3)]
+        assert rows == [sorted([index["ασ"], index["β"]]), [index["ας"]], [index["β"]]]
+
+    def test_no_texts_gives_no_rows(self):
+        model = fit_idf(build_vocabulary(["a b"]))
+        indptr, indices, values = _tfidf_rows(model, [])
+        assert indptr.tolist() == [0] and indices.size == 0 and values.size == 0

@@ -32,6 +32,7 @@ from .extraction import (
     load_external_extractions,
     read_json_object,
 )
+from .jsontypes import BOOL, INTEGER, LIST, NONEMPTY_STRINGS, NUMBER, STRING, STRINGS, check, nullable
 from .model import (
     EXTRACTION_SOURCES,
     UNIT_KINDS,
@@ -50,69 +51,40 @@ def _timed(stage: str, started: float) -> None:
     print(f"[time] {stage}: {time.perf_counter() - started:.3f}s", file=sys.stderr)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_names(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-_STRING = (lambda v: isinstance(v, str), "a string")
-_INTEGER = (_is_integer, "an integer")
-
-# Every setting that a flag or a --config file can give: a test of its JSON
-# type and the words that name the type when a value is refused. JSON null
-# passes only where the setting may be None. One file may serve several
-# subcommands, so only a key that none of them reads is refused. The two
-# entries of None are handed unchecked to the package, which checks them.
+# Every setting that a flag or a --config file can give: the JSON kind its
+# value must have and, for one that sets a PipelineConfig field, the field
+# and the parse of the value (None passes it as it is). JSON null passes
+# only where the setting may be None. One file may serve several
+# subcommands, so only a key that none of them reads is refused. A kind of
+# None hands the value unchecked to the package, which checks it. A field
+# that no given setting sets keeps its PipelineConfig default.
 SETTINGS = {
-    "bundle": _STRING,
-    "corpus": _STRING,
-    "extractions": _STRING,
-    "filter": _STRING,
-    "folds": _INTEGER,
-    "hash_bits": (lambda v: v is None or _is_integer(v), "an integer"),
-    "l2_normalize": (lambda v: isinstance(v, bool), "true or false"),
-    "lam": (lambda v: _is_integer(v) or isinstance(v, float), "a number"),
-    "measurement_filter": None,
-    "min_df": _INTEGER,
-    "min_positive": _INTEGER,
-    "mode": _STRING,
-    "modes": (lambda v: _is_names(v) and bool(v), "a nonempty list of mode names"),
-    "out": _STRING,
-    "patterns": _STRING,
-    "rollup": (_is_names, "a list of aggregate names"),
-    "rollup_provenances": None,
-    "seed": _INTEGER,
-    "source": _STRING,
-    "spec": _STRING,
-    "threads": _INTEGER,
-    "thresholds": _STRING,
-    "topk": _INTEGER,
-    "unit": _STRING,
-}
-
-# How a setting becomes a PipelineConfig field: the field's name, and the
-# parse of the value (None passes it as it is). A field that no given setting
-# sets keeps its PipelineConfig default.
-_PIPELINE_FIELDS = {
-    "folds": ("folds", None),
-    "hash_bits": ("hash_bits", None),
-    "l2_normalize": ("l2_normalize", None),
-    "lam": ("lam", float),  # a JSON integer gives the float lambda that --lambda gives
-    "measurement_filter": ("measurement_filter", MeasurementFilter.from_dict),
-    "min_df": ("min_df", None),
-    "min_positive": ("min_positive", None),
-    "mode": ("ablation_mode", None),
-    "patterns": ("pattern_config", PatternConfig.from_file),
-    "rollup": ("rollup_policy", lambda names: RollupPolicy(tuple(names))),
-    "rollup_provenances": ("rollup_provenances", lambda p: tuple(p) if isinstance(p, list) else p),
-    "seed": ("seed", None),
-    "source": ("extraction_source", None),
-    "threads": ("threads", None),
-    "thresholds": ("threshold_spec", ThresholdSpec.from_file),
-    "unit": ("unit", None),
+    "bundle": (STRING, None, None),
+    "corpus": (STRING, None, None),
+    "extractions": (STRING, None, None),
+    "filter": (STRING, None, None),
+    "folds": (INTEGER, "folds", None),
+    "hash_bits": (nullable(INTEGER), "hash_bits", None),
+    "l2_normalize": (BOOL, "l2_normalize", None),
+    # a JSON integer gives the float lambda that --lambda gives
+    "lam": (NUMBER, "lam", float),
+    "measurement_filter": (None, "measurement_filter", MeasurementFilter.from_dict),
+    "min_df": (INTEGER, "min_df", None),
+    "min_positive": (INTEGER, "min_positive", None),
+    "mode": (STRING, "ablation_mode", None),
+    "modes": (NONEMPTY_STRINGS._replace(words="a nonempty list of mode names"), None, None),
+    "out": (STRING, None, None),
+    "patterns": (STRING, "pattern_config", PatternConfig.from_file),
+    "rollup": (STRINGS._replace(words="a list of aggregate names"), "rollup_policy",
+               lambda names: RollupPolicy(tuple(names))),
+    "rollup_provenances": (None, "rollup_provenances", lambda p: tuple(p) if LIST.test(p) else p),
+    "seed": (INTEGER, "seed", None),
+    "source": (STRING, "extraction_source", None),
+    "spec": (STRING, None, None),
+    "threads": (INTEGER, "threads", None),
+    "thresholds": (STRING, "threshold_spec", ThresholdSpec.from_file),
+    "topk": (INTEGER, None, None),
+    "unit": (STRING, "unit", None),
 }
 
 
@@ -128,10 +100,13 @@ def _settings(args, *required: str) -> dict:
         )
     flags = {key: getattr(args, key, None) for key in SETTINGS}
     settings.update((key, value) for key, value in flags.items() if value is not None)
-    for key, value in settings.items():
-        rule = SETTINGS[key]
-        if rule is not None and not rule[0](value):
-            raise ConfigError(f"setting {key!r} must be {rule[1]}, got {value!r}")
+    try:
+        for key, value in settings.items():
+            kind = SETTINGS[key][0]
+            if kind is not None:
+                check(value, kind, f"setting {key!r}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for key in required:
         _require(settings, key)
     return settings
@@ -162,8 +137,8 @@ def _predictside_units(settings: dict, bundle, encounters):
 def _pipeline_config(settings: dict) -> PipelineConfig:
     fields = {
         field: parse(settings[key]) if parse else settings[key]
-        for key, (field, parse) in _PIPELINE_FIELDS.items()
-        if key in settings
+        for key, (_, field, parse) in SETTINGS.items()
+        if field and key in settings
     }
     fields["external_records"] = _external_records(fields.get("extraction_source"), settings)
     return PipelineConfig(**fields)

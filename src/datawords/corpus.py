@@ -21,7 +21,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DataError
-from .extraction import StructuredRecord, _parse_record_line
+from .extraction import StructuredRecord, _parse_record_line, read_json_lines
+from .jsontypes import LIST, NAMES, NONEMPTY, NONEMPTY_STRINGS, OBJECT, check
 
 _TOKEN_RE = re.compile(r"\w+")
 # A sentence runs up to and including a terminator, or up to a newline or
@@ -105,48 +106,32 @@ def load_corpus(path: str | Path) -> list[Encounter]:
     """
     encounters: list[Encounter] = []
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"line {lineno}: expected a JSON object")
-            eid = obj.get("encounter_id")
-            if not isinstance(eid, str) or not eid:
-                raise DataError(f"line {lineno}: missing or empty 'encounter_id'")
-            if eid in seen:
-                raise DataError(
-                    f"line {lineno}: duplicate encounter_id {eid!r} (first seen on line {seen[eid]})"
-                )
-            seen[eid] = lineno
-            docs = obj.get("documents")
-            if not isinstance(docs, list) or not docs or not all(isinstance(d, str) for d in docs):
-                raise DataError(f"line {lineno}: 'documents' must be a nonempty list of strings")
-            codes = obj.get("codes", [])
-            if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
-                raise DataError(f"line {lineno}: 'codes' must be a list of strings")
-            if len(set(codes)) != len(codes):
-                raise DataError(f"line {lineno}: 'codes' contains duplicates")
-            structured_raw = obj.get("structured", [])
-            if not isinstance(structured_raw, list):
-                raise DataError(f"line {lineno}: 'structured' must be a list")
-            structured = tuple(
-                _parse_record_line(entry, "database", lineno, encounter_id=eid)
-                for entry in structured_raw
+    for lineno, enc in read_json_lines(path, _parse_encounter):
+        first = seen.setdefault(enc.encounter_id, lineno)
+        if first != lineno:
+            raise DataError(
+                f"line {lineno}: duplicate encounter_id {enc.encounter_id!r} "
+                f"(first seen on line {first})"
             )
-            encounters.append(
-                Encounter(
-                    encounter_id=eid,
-                    documents=tuple(docs),
-                    codes=frozenset(codes),
-                    structured=structured,
-                )
-            )
+        encounters.append(enc)
     return encounters
+
+
+def _parse_encounter(obj) -> Encounter:
+    """One corpus line's encounter; raises ValueError naming the field."""
+    eid = check(check(obj, OBJECT, "encounter").get("encounter_id"), NONEMPTY, "'encounter_id'")
+    codes = check(obj.get("codes", []), NAMES, "'codes'")
+    if len(set(codes)) != len(codes):
+        raise ValueError("'codes' contains duplicates")
+    return Encounter(
+        encounter_id=eid,
+        documents=tuple(check(obj.get("documents"), NONEMPTY_STRINGS, "'documents'")),
+        codes=frozenset(codes),
+        structured=tuple(
+            _parse_record_line(entry, "database", eid)
+            for entry in check(obj.get("structured", []), LIST, "'structured'")
+        ),
+    )
 
 
 def save_corpus(encounters: Iterable[Encounter], path: str | Path) -> None:

@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, InputError, UnresolvedVariableError
 from .extraction import StructuredRecord, read_json_object
+from .jsontypes import NUMBERS, OBJECT, POSITIVE, STRING, check
 
 logger = logging.getLogger(__name__)
 
@@ -128,28 +129,30 @@ class ThresholdSpec:
         auto: dict[str, tuple[float, float]] = {}
         display: dict[str, str] = {}
         default_auto = (DEFAULT_K_LOW, DEFAULT_K_MID)
-        for name, entry in d.items():
-            if not isinstance(entry, Mapping):
-                raise ConfigError(f"threshold entry for {name!r} must be an object")
-            if "display" in entry:
-                display[name] = str(entry["display"])
-            if "cuts" in entry:
-                cuts = entry["cuts"]
-                if not isinstance(cuts, Sequence) or len(cuts) != 4:
-                    raise ConfigError(f"cuts for {name!r} must list four numbers")
-                explicit[name] = tuple(float(c) for c in cuts)
-            elif "auto" in entry:
-                params = entry["auto"]
-                pair = (
-                    float(params.get("k_low", DEFAULT_K_LOW)),
-                    float(params.get("k_mid", DEFAULT_K_MID)),
-                )
-                if name == "default":
-                    default_auto = pair
-                else:
-                    auto[name] = pair
-            elif name != "default" and "display" not in entry:
-                raise ConfigError(f"threshold entry for {name!r} needs 'cuts' or 'auto'")
+        try:
+            for name, entry in check(d, OBJECT, "threshold spec").items():
+                check(entry, OBJECT, f"threshold {name!r}")
+                if "display" in entry:
+                    display[name] = check(entry["display"], STRING, f"threshold {name!r} display")
+                if "cuts" in entry:
+                    cuts = check(entry["cuts"], NUMBERS, f"threshold {name!r} cuts")
+                    if len(cuts) != 4:
+                        raise ValueError(f"threshold {name!r} cuts must list four numbers")
+                    explicit[name] = tuple(float(c) for c in cuts)
+                elif "auto" in entry:
+                    params = check(entry["auto"], OBJECT, f"threshold {name!r} auto")
+                    pair = tuple(
+                        float(check(params.get(key, k), POSITIVE, f"threshold {name!r} auto {key}"))
+                        for key, k in (("k_low", DEFAULT_K_LOW), ("k_mid", DEFAULT_K_MID))
+                    )
+                    if name == "default":
+                        default_auto = pair
+                    else:
+                        auto[name] = pair
+                elif name != "default" and "display" not in entry:
+                    raise ValueError(f"threshold {name!r} needs 'cuts' or 'auto'")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return cls(explicit=explicit, auto=auto, default_auto=default_auto, display_names=display)
 
     @classmethod

@@ -24,6 +24,7 @@ import numpy as np
 
 from .corpus import Encounter, kfold_split
 from .errors import ConfigError, InputError
+from .jsontypes import COUNT, INTEGER, LIST, NONEMPTY, NONEMPTY_STRINGS, NUMBER, OBJECT, check
 from .model import (
     PipelineConfig,
     PredictionSet,
@@ -290,6 +291,11 @@ class PlantedRule:
             raise ConfigError(f"base rate must be in [0, 1], got {self.base_rate}")
 
 
+# The JSON kind of each field of a spec's planted rule.
+_RULE_KINDS = {"label": NONEMPTY, "variable": NONEMPTY, "bin": NONEMPTY,
+               "strength": NUMBER, "base_rate": NUMBER}
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for a deterministic synthetic corpus."""
@@ -314,24 +320,22 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SynthSpec":
+        """A spec from its JSON object, each field checked by its JSON kind;
+        ``filler_vocab`` defaults to the built-in filler words."""
         try:
             rules = tuple(
-                PlantedRule(
-                    label=r["label"],
-                    variable=r["variable"],
-                    bin=r["bin"],
-                    strength=float(r["strength"]),
-                    base_rate=float(r["base_rate"]),
-                )
-                for r in d["rules"]
+                PlantedRule(**{key: check(check(r, OBJECT, "rule").get(key), kind, f"rule {key}")
+                               for key, kind in _RULE_KINDS.items()})
+                for r in check(d.get("rules"), LIST, "rules")
             )
             return cls(
-                seed=int(d["seed"]),
-                documents=int(d["documents"]),
+                seed=check(d.get("seed"), COUNT, "seed"),
+                documents=check(d.get("documents"), INTEGER, "documents"),
                 rules=rules,
-                filler_vocab=tuple(d.get("filler_vocab") or _FILLER_WORDS),
+                filler_vocab=tuple(check(d.get("filler_vocab", list(_FILLER_WORDS)),
+                                         NONEMPTY_STRINGS, "filler_vocab")),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"malformed synthetic spec: {exc}") from exc
 
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
+from .jsontypes import COUNT, INTEGER, LIST, NONEMPTY, OBJECT, SCALAR, STRING, Kind, check, nullable
 
 if TYPE_CHECKING:
     from .corpus import Encounter
@@ -31,6 +31,12 @@ PROVENANCES = ("text_extraction", "external_extractor", "database")
 
 # Canonical ordering for roll-up aggregates; policies are normalized to it.
 AGGREGATES = ("mean", "median", "min", "max", "first", "last", "count")
+
+_OPTIONAL_INTEGER = nullable(INTEGER)
+_OPTIONAL_COUNT = nullable(COUNT)
+_OPTIONAL_STRING = nullable(STRING)
+_SPAN = nullable(Kind(lambda v: LIST.test(v) and len(v) == 2 and all(INTEGER.test(x) for x in v)
+                     and v[0] <= v[1], "[start, end], integers with start <= end"))
 
 
 @dataclass(frozen=True)
@@ -66,10 +72,6 @@ class MeasurementFilter:
     m: int | None = None
 
     def __post_init__(self):
-        for key in ("min_count", "max_count", "n", "m"):
-            val = getattr(self, key)
-            if val is not None and (isinstance(val, bool) or not isinstance(val, int)):
-                raise ConfigError(f"measurement_filter {key} must be an integer, got {val!r}")
         if self.mode == "all":
             return
         if self.mode == "count_range":
@@ -86,15 +88,13 @@ class MeasurementFilter:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "MeasurementFilter":
-        if not isinstance(d, Mapping):
-            raise ConfigError(f"measurement_filter must be an object, got {d!r}")
-        return cls(
-            mode=d.get("mode", "all"),
-            min_count=d.get("min_count"),
-            max_count=d.get("max_count"),
-            n=d.get("n"),
-            m=d.get("m"),
-        )
+        try:
+            check(d, OBJECT, "measurement_filter")
+            counts = {key: check(d.get(key), _OPTIONAL_INTEGER, f"measurement_filter {key}")
+                      for key in ("min_count", "max_count", "n", "m")}
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return cls(mode=d.get("mode", "all"), **counts)
 
     def to_dict(self) -> dict:
         out = {"mode": self.mode}
@@ -138,10 +138,6 @@ class _Matcher(NamedTuple):
     literal: bool
 
 
-def _nonempty(value) -> bool:
-    return isinstance(value, str) and bool(value)
-
-
 def _edged(surface: str) -> str:
     """The escaped surface with no word character touching either end: ``\\b``
     at an end that is a word character, a lookaround at one such as ``+``."""
@@ -175,29 +171,30 @@ class PatternConfig:
         object.__setattr__(self, "lexicon", tuple(self.lexicon))
         matchers = []
         surfaces: dict[str, None] = {}
-        for surface, canonical in self.aliases.items():
-            if not (_nonempty(surface) and _nonempty(canonical)):
-                raise ConfigError("alias entries must be nonempty strings")
-            surfaces[surface] = None
-            regex = re.compile(
-                rf"{_edged(surface)}\s*(?:=|:|is|was|of)?\s*{_DEFAULT_NUMBER}", re.IGNORECASE
-            )
-            matchers.append(_Matcher(regex, canonical, "measurement", None, True))
-        for variable, pat in self.numeric_patterns:
-            if not _nonempty(variable):
-                raise ConfigError("numeric pattern variables must be nonempty strings")
-            if not isinstance(pat, re.Pattern) or pat.groups < 1:
-                raise ConfigError(
-                    f"numeric pattern for {variable!r} needs a compiled regex with a capture group"
+        try:
+            for surface, canonical in self.aliases.items():
+                surfaces[check(surface, NONEMPTY, "alias")] = None
+                check(canonical, NONEMPTY, f"alias {surface!r}")
+                regex = re.compile(
+                    rf"{_edged(surface)}\s*(?:=|:|is|was|of)?\s*{_DEFAULT_NUMBER}", re.IGNORECASE
                 )
-            matchers.append(_Matcher(pat, variable, "measurement", None, False))
-        for phrase, name, value, kind in self.lexicon:
-            if not (_nonempty(phrase) and _nonempty(name)):
-                raise ConfigError("lexicon entries need a nonempty phrase and name")
-            surfaces[phrase] = None
-            regex = re.compile(_edged(phrase), re.IGNORECASE)
-            kind = kind if kind in RECORD_KINDS else "other"
-            matchers.append(_Matcher(regex, name, kind, value, True))
+                matchers.append(_Matcher(regex, canonical, "measurement", None, True))
+            for variable, pat in self.numeric_patterns:
+                check(variable, NONEMPTY, "numeric pattern variable")
+                if not isinstance(pat, re.Pattern) or pat.groups < 1:
+                    raise ValueError(f"numeric pattern for {variable!r} needs a compiled regex "
+                                     "with a capture group")
+                matchers.append(_Matcher(pat, variable, "measurement", None, False))
+            for phrase, name, value, kind in self.lexicon:
+                surfaces[check(phrase, NONEMPTY, "lexicon phrase")] = None
+                check(name, NONEMPTY, f"lexicon {phrase!r} name")
+                check(value, STRING, f"lexicon {phrase!r} value")
+                check(kind, _OPTIONAL_STRING, f"lexicon {phrase!r} kind")
+                regex = re.compile(_edged(phrase), re.IGNORECASE)
+                kind = kind if kind in RECORD_KINDS else "other"
+                matchers.append(_Matcher(regex, name, kind, value, True))
+        except ValueError as exc:
+            raise ConfigError(f"malformed pattern config: {exc}") from exc
         scan = None
         if surfaces:
             # Surfaces that all start with a word character give one \b branch.
@@ -215,19 +212,28 @@ class PatternConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "PatternConfig":
+        """A config from its JSON object; its entries' own fields are
+        checked when the config is built."""
         try:
+            check(d, OBJECT, "pattern config")
+            patterns, lexicon = (
+                [check(item, OBJECT, f"{key} entry") for item in check(d.get(key, []), LIST, key)]
+                for key in ("numeric_patterns", "lexicon")
+            )
             return cls(
-                aliases=dict(d.get("aliases", {})),
+                aliases=dict(check(d.get("aliases", {}), OBJECT, "aliases")),
                 numeric_patterns=[
-                    (item["variable"], re.compile(item["pattern"], re.IGNORECASE))
-                    for item in d.get("numeric_patterns", [])
+                    (item.get("variable"), re.compile(
+                        check(item.get("pattern"), STRING, "numeric pattern"), re.IGNORECASE))
+                    for item in patterns
                 ],
                 lexicon=[
-                    (item["phrase"], item["name"], str(item["value"]), item.get("kind", "condition"))
-                    for item in d.get("lexicon", [])
+                    (item.get("phrase"), item.get("name"), item.get("value"),
+                     item.get("kind", "condition"))
+                    for item in lexicon
                 ],
             )
-        except (AttributeError, KeyError, TypeError, ValueError, re.error) as exc:
+        except (ValueError, re.error) as exc:
             raise ConfigError(f"malformed pattern config: {exc}") from exc
 
     @classmethod
@@ -342,54 +348,27 @@ def extract_encounter(encounter: Encounter, config: PatternConfig) -> list[Struc
 
 
 def _parse_record_line(
-    obj, provenance: str, lineno: int, encounter_id: str | None = None
+    obj, provenance: str, encounter_id: str | None = None
 ) -> StructuredRecord:
-    """Validate one record of a records file, or, when the corpus line's
+    """Check one record of a records file, or, when the corpus line's
     ``encounter_id`` is given, one entry of a corpus line's ``structured``
     list; corpus entries carry no ``doc_index`` or ``span``. Raises
-    DataError naming the line."""
-    from_corpus = encounter_id is not None
-    entry = ": structured entry" if from_corpus else ""
-    if not isinstance(obj, dict):
-        raise DataError(f"line {lineno}{entry}: expected a JSON object")
-    if not from_corpus:
-        encounter_id = obj.get("encounter_id")
-        if not isinstance(encounter_id, str) or not encounter_id:
-            raise DataError(f"line {lineno}{entry}: missing or empty 'encounter_id'")
-    name = obj.get("name")
-    if not isinstance(name, str) or not name:
-        raise DataError(f"line {lineno}{entry}: missing or empty 'name'")
-    value = obj.get("value")
-    if isinstance(value, bool) or value is None:
-        raise DataError(f"line {lineno}{entry}: 'value' must be a number or string")
-    if isinstance(value, (int, float)):
-        if not math.isfinite(value):
-            raise DataError(f"line {lineno}{entry}: numeric 'value' must be finite")
-    elif not isinstance(value, str):
-        raise DataError(f"line {lineno}{entry}: 'value' must be a number or string")
-    kind = obj.get("kind")
+    ValueError naming the field; the caller names the line."""
+    at = "structured entry: " if encounter_id is not None else ""
+    check(obj, OBJECT, f"{at}record")
+    name = check(obj.get("name"), NONEMPTY, f"{at}'name'")
+    value = check(obj.get("value"), SCALAR, f"{at}'value'")
+    kind = check(obj.get("kind"), _OPTIONAL_STRING, f"{at}'kind'")
     if kind is None:
-        kind = "measurement" if isinstance(value, (int, float)) else "other"
+        kind = "other" if STRING.test(value) else "measurement"
     elif kind not in RECORD_KINDS:
         kind = "other"
     doc_index = span = None
-    if not from_corpus:
-        doc_index = obj.get("doc_index")
-        if doc_index is not None and (not isinstance(doc_index, int) or doc_index < 0):
-            raise DataError(f"line {lineno}{entry}: 'doc_index' must be a non-negative integer")
-        span = obj.get("span")
-        if span is not None:
-            if (
-                not isinstance(span, (list, tuple))
-                or len(span) != 2
-                or not all(isinstance(x, int) for x in span)
-                or span[0] > span[1]
-            ):
-                raise DataError(f"line {lineno}{entry}: 'span' must be [start, end] with start <= end")
-            span = (span[0], span[1])
-    unit = obj.get("unit")
-    if unit is not None and not isinstance(unit, str):
-        raise DataError(f"line {lineno}{entry}: 'unit' must be a string")
+    if encounter_id is None:
+        encounter_id = check(obj.get("encounter_id"), NONEMPTY, "'encounter_id'")
+        doc_index = check(obj.get("doc_index"), _OPTIONAL_COUNT, "'doc_index'")
+        span = check(obj.get("span"), _SPAN, "'span'")
+        span = None if span is None else tuple(span)
     return StructuredRecord(
         name=name,
         value=value,
@@ -398,36 +377,43 @@ def _parse_record_line(
         encounter_id=encounter_id,
         doc_index=doc_index,
         span=span,
-        unit=unit,
+        unit=check(obj.get("unit"), _OPTIONAL_STRING, f"{at}'unit'"),
     )
 
 
-def read_json_object(path: str | Path, what: str) -> dict:
-    """Parse a JSON file that must hold one object, such as a config file
-    or a spec. Bad JSON or another top-level value is a ConfigError that
-    names ``what`` and the path."""
+def read_json_object(path: str | Path, what: str, error: type[Exception] = ConfigError) -> dict:
+    """Parse a JSON file that must hold one object, such as a config file,
+    a spec or a bundle. Bad JSON or another top-level value is an ``error``
+    that names ``what`` and the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path}: invalid JSON ({exc})") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{what} {path}: expected a JSON object")
+        raise error(f"{what} {path}: invalid JSON ({exc})") from exc
+    if not OBJECT.test(obj):
+        raise error(f"{what} {path}: expected a JSON object")
     return obj
 
 
-def _load_record_file(path: str | Path, provenance: str) -> list[StructuredRecord]:
-    records = []
+def read_json_lines(path: str | Path, parse) -> Iterator[tuple[int, object]]:
+    """Each nonblank line's number and ``parse`` of its JSON value. Bad JSON,
+    or a ValueError from ``parse``, is a DataError naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                item = parse(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            records.append(_parse_record_line(obj, provenance, lineno))
-    return records
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: {exc}") from exc
+            yield lineno, item
+
+
+def _load_record_file(path: str | Path, provenance: str) -> list[StructuredRecord]:
+    records = read_json_lines(path, lambda obj: _parse_record_line(obj, provenance))
+    return [rec for _, rec in records]
 
 
 def load_external_extractions(path: str | Path) -> list[StructuredRecord]:

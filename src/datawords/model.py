@@ -63,8 +63,24 @@ from .extraction import (
     allowed_variables,
     default_pattern_config,
     extract_encounter,
+    read_json_object,
     rollup,
     variable_counts,
+)
+from .jsontypes import (
+    BOOL,
+    COUNT,
+    INTEGER,
+    LIST,
+    NONEMPTY,
+    NUMBER,
+    OBJECT,
+    POSITIVE,
+    STRING,
+    STRINGS,
+    check,
+    count_upto,
+    nullable,
 )
 from .vectorize import (
     SentenceVectors,
@@ -774,6 +790,11 @@ def _bundle_header(bundle: ModelBundle) -> dict:
 # On-disk dtypes of a weight column; a dimension is at most 2**30.
 _INDEX_DTYPE = np.dtype("<i4")
 _VALUE_DTYPE = np.dtype("<f8")
+# The JSON kinds of bundle fields whose refusals have their own words.
+_BASE64 = STRING._replace(words="a base64 string")
+_TOKEN = STRING._replace(words="strings")
+_THRESHOLD = nullable(NUMBER, "a number or null")
+_SELECTED = nullable(STRINGS, "null or a list of strings")
 
 
 def _b64_array(a: np.ndarray, dtype: np.dtype) -> str:
@@ -816,36 +837,9 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         fh.write("]}\n")
 
 
-def _is_number(value) -> bool:
-    """A JSON number: true and false are not."""
-    return type(value) in (int, float)
-
-
-def _number(value, name: str) -> float:
-    if not _is_number(value):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _positive(value, name: str) -> float:
-    if not (_is_number(value) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-    return float(value)
-
-
-def _count(value, name: str, most: int | None = None) -> int:
-    """A JSON integer >= 0, and at most ``most`` if one is given."""
-    if type(value) is not int or value < 0 or (most is not None and value > most):
-        bound = ">= 0" if most is None else f"in [0, {most}]"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
-    return value
-
-
 def _array_from_b64(entry: Mapping, key: str, dtype: np.dtype) -> np.ndarray:
     code = entry["code"]
-    raw = entry[key]
-    if not isinstance(raw, str):
-        raise ValueError(f"label {code!r}: {key} must be a base64 string")
+    raw = check(entry[key], _BASE64, f"label {code!r}: {key}")
     try:
         data = base64.b64decode(raw, validate=True)
     except ValueError as exc:
@@ -865,9 +859,8 @@ def _label_from_entry(entry: Mapping, dimension: int) -> tuple[LabelModel, np.nd
     in [0, dimension), finite weights, a finite number for the bias, and a
     finite number or null (never predicted) for the threshold. Raises
     ValueError naming the label and the first violation."""
-    code = entry["code"]
-    if not isinstance(code, str) or not code:
-        raise ValueError(f"label {code!r}: code must be a nonempty string")
+    code = check(entry, OBJECT, "label entry")["code"]
+    check(code, NONEMPTY, f"label {code!r}: code")
     indices = _array_from_b64(entry, "indices", _INDEX_DTYPE)
     values = _array_from_b64(entry, "values", _VALUE_DTYPE).astype(np.float64)
     if indices.size != values.size:
@@ -881,14 +874,10 @@ def _label_from_entry(entry: Mapping, dimension: int) -> tuple[LabelModel, np.nd
         raise ValueError(f"label {code!r}: weight indices must be strictly increasing")
     if not np.isfinite(values).all():
         raise ValueError(f"label {code!r}: weights must be finite")
-    bias = entry["bias"]
-    if not _is_number(bias):
-        raise ValueError(f"label {code!r}: bias must be a number, got {bias!r}")
+    bias = check(entry["bias"], NUMBER, f"label {code!r}: bias")
     if not math.isfinite(bias):
         raise ValueError(f"label {code!r}: bias must be finite, got {bias}")
-    thr = entry["threshold"]
-    if thr is not None and not _is_number(thr):
-        raise ValueError(f"label {code!r}: threshold must be a number or null, got {thr!r}")
+    thr = check(entry["threshold"], _THRESHOLD, f"label {code!r}: threshold")
     if thr is not None and not math.isfinite(thr):
         raise ValueError(f"label {code!r}: threshold must be finite or null, got {thr}")
     threshold = math.inf if thr is None else float(thr)
@@ -900,37 +889,32 @@ def _tfidf_from_header(tf: Mapping) -> TfIdfModel:
     a bool, ``document_count`` and ``bits`` integers, ``tokens`` distinct
     strings, each df count an integer in [0, document_count], and each
     indexed ``idf`` entry a finite positive number, one per token."""
-    normalize = tf["normalize"]
-    if type(normalize) is not bool:
-        raise ValueError(f"tfidf.normalize must be true or false, got {normalize!r}")
-    n = _count(tf["document_count"], "tfidf.document_count")
+    normalize = check(check(tf, OBJECT, "tfidf")["normalize"], BOOL, "tfidf.normalize")
+    n = check(tf["document_count"], COUNT, "tfidf.document_count")
+    df_kind = count_upto(n)
     if tf["mode"] == "indexed":
-        tokens = tf["tokens"]
+        tokens = check(tf["tokens"], LIST, "tfidf.tokens")
         index: dict[str, int] = {}
         for t, _ in tokens:
-            if not isinstance(t, str):
-                raise ValueError(f"tfidf.tokens must be strings, got {t!r}")
-            if t in index:
+            if check(t, _TOKEN, "tfidf.tokens") in index:
                 raise ValueError(f"tfidf.tokens repeats {t!r}")
             index[t] = len(index)
-        df = {t: _count(d, f"tfidf.tokens df of {t!r}", n) for t, d in tokens}
-        idf = tf["idf"]
+        df = {t: check(d, df_kind, f"tfidf.tokens df of {t!r}") for t, d in tokens}
+        idf = check(tf["idf"], LIST, "tfidf.idf")
         if len(idf) != len(tokens):
             raise ValueError(f"tfidf.idf has {len(idf)} entries for {len(tokens)} tokens")
         return TfIdfModel(
             vocabulary=Vocabulary(index=index, df=df, document_count=n),
-            idf=np.array([_positive(v, f"tfidf.idf[{i}]") for i, v in enumerate(idf)]),
+            idf=np.array([check(v, POSITIVE, f"tfidf.idf[{i}]") for i, v in enumerate(idf)],
+                         dtype=np.float64),
             l2_normalize=normalize,
             document_count=n,
         )
-    bits = tf["bits"]
-    if type(bits) is not int:
-        raise ValueError(f"tfidf.bits must be an integer, got {bits!r}")
+    bits = check(tf["bits"], INTEGER, "tfidf.bits")
     hashed_df: dict[int, int] = {}
-    for slot, c in tf["df"]:
-        if type(slot) is not int:
-            raise ValueError(f"tfidf.df slot must be an integer, got {slot!r}")
-        hashed_df[slot] = _count(c, f"tfidf.df count of slot {slot}", n)
+    for slot, c in check(tf["df"], LIST, "tfidf.df"):
+        check(slot, INTEGER, "tfidf.df slot")
+        hashed_df[slot] = check(c, df_kind, f"tfidf.df count of slot {slot}")
     return TfIdfModel(
         vocabulary=None,
         idf=_hashed_idf(bits, n, hashed_df.items()),
@@ -945,32 +929,13 @@ def load_bundle(path: str | Path) -> ModelBundle:
     """Load a saved bundle; predictions after a round trip are bit-exact.
 
     A bundle of another format version, such as format "1", raises
-    UnsupportedVersionError: it has to be retrained. DataError is raised
-    for contents that would make prediction fail, go NaN or differ from
-    what was trained: a tf-idf header whose ``normalize`` is not a bool,
-    whose tokens are not distinct strings, whose document count, hash
-    ``bits`` or df counts are not integers (df counts in [0, document
-    count]), or whose ``idf`` is not one finite positive number per token;
-    a statistics count that is not an integer or a mean or std that is not
-    a number; a ``lambda`` that is not a finite positive number; a weight
-    column that is not valid base64 of whole items, index and value counts
-    that differ, weight indices that are not strictly increasing in [0,
-    dimension), a non-finite weight; a bias that is not a finite number, a
-    threshold that is neither a finite number nor null, a label code that
-    is not a nonempty string or repeats an earlier one; a tokenizer other
-    than ``TOKENIZER``,
-    ``selected_variables`` that is neither null nor a list of strings, and
-    encoding values that EncodingSpec rejects (an unknown unit, ablation
-    mode or source, or roll-up provenances that are not a list of known
-    provenance names).
+    UnsupportedVersionError: it has to be retrained. Every field is checked
+    by its JSON kind (``jsontypes``) and against what ``train_all`` can
+    write, so contents that would make prediction fail, go NaN or differ
+    from what was trained raise DataError naming the field or the label.
+    A bundle without ``tokenizer`` loads with the one tokenizer there is.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"bundle {path}: parse error ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise DataError(f"bundle {path}: expected a JSON object")
+    obj = read_json_object(path, "bundle", DataError)
     version = obj.get("format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(
@@ -985,31 +950,30 @@ def load_bundle(path: str | Path) -> ModelBundle:
         stats = {
             name: VariableStats(
                 name=name,
-                count=_count(c, f"variable_stats.{name} count"),
-                mean=_number(m, f"variable_stats.{name} mean"),
-                std=_number(s, f"variable_stats.{name} std"),
+                count=check(c, COUNT, f"variable_stats.{name} count"),
+                mean=float(check(m, NUMBER, f"variable_stats.{name} mean")),
+                std=float(check(s, NUMBER, f"variable_stats.{name} std")),
             )
-            for name, (c, m, s) in obj["variable_stats"].items()
+            for name, (c, m, s) in check(obj["variable_stats"], OBJECT, "variable_stats").items()
         }
-        lam = _positive(obj["lambda"], "lambda")
-        extraction = obj["extraction"]
+        lam = float(check(obj["lambda"], POSITIVE, "lambda"))
+        extraction = check(obj["extraction"], OBJECT, "extraction")
         patterns = extraction.get("patterns")
-        roll = obj["rollup"]
+        roll = check(obj["rollup"], OBJECT, "rollup")
         provenances = roll["provenances"]
         spec = EncodingSpec(
             extraction_source=extraction["source"],
             pattern_config=PatternConfig.from_dict(patterns) if patterns is not None else None,
-            rollup_policy=RollupPolicy(aggregates=tuple(roll["aggregates"])),
-            rollup_provenances=tuple(provenances) if isinstance(provenances, list) else provenances,
+            rollup_policy=RollupPolicy(
+                tuple(check(roll["aggregates"], STRINGS, "rollup.aggregates"))),
+            rollup_provenances=tuple(provenances) if LIST.test(provenances) else provenances,
             threshold_spec=ThresholdSpec.from_dict(obj["threshold_spec"]),
             ablation_mode=obj["ablation_mode"],
             unit=obj["unit"],
         )
-        selected = obj["selected_variables"]
-        if selected is not None and not (
-            isinstance(selected, list) and all(isinstance(v, str) for v in selected)
-        ):
-            raise ValueError(f"selected_variables must be null or a list of strings, got {selected!r}")
+        selected = check(obj["selected_variables"], _SELECTED, "selected_variables")
+        if not check(obj["labels"], LIST, "labels"):
+            raise ValueError("labels is empty, and training never writes a bundle without labels")
         entries = [_label_from_entry(entry, tfidf.dimension) for entry in obj["labels"]]
         weights = sparse.csc_matrix(
             (np.concatenate([np.empty(0)] + [values for *_, values in entries]),

@@ -1,10 +1,17 @@
 import json
+import os
 
 import pytest
+from hypothesis import settings
 
 from datawords.corpus import save_corpus
 from datawords.evaluation import PlantedRule, SynthSpec, generate_synthetic
 from datawords.extraction import default_pattern_config, extract_patterns
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
+# failure prints the blob that replays it locally.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

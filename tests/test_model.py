@@ -747,8 +747,9 @@ def label_columns(draw, dimension):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_label_columns_round_trip_bit_exact(small_bundle, data):
-    columns = data.draw(st.lists(label_columns(small_bundle.tfidf.dimension), max_size=4,
-                                 unique_by=lambda c: c[0].label))
+    # a bundle without labels is refused on load, so every drawn one has one
+    columns = data.draw(st.lists(label_columns(small_bundle.tfidf.dimension), min_size=1,
+                                 max_size=4, unique_by=lambda c: c[0].label))
     indptr = np.cumsum([0] + [len(idx) for _, idx, _ in columns])
     weights = sparse.csc_matrix(
         (np.array([v for _, _, val in columns for v in val], dtype=np.float64),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -51,6 +52,15 @@ def _timed(stage: str, started: float) -> None:
     print(f"[time] {stage}: {time.perf_counter() - started:.3f}s", file=sys.stderr)
 
 
+def _float(value: int | float) -> float:
+    """``value`` as a float; an integer too large for one gives inf with its
+    sign, which PipelineConfig refuses as it refuses --lambda inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 # Every setting that a flag or a --config file can give: the JSON kind its
 # value must have and, for one that sets a PipelineConfig field, the field
 # and the parse of the value (None passes it as it is). JSON null passes
@@ -67,7 +77,7 @@ SETTINGS = {
     "hash_bits": (nullable(INTEGER), "hash_bits", None),
     "l2_normalize": (BOOL, "l2_normalize", None),
     # a JSON integer gives the float lambda that --lambda gives
-    "lam": (NUMBER, "lam", float),
+    "lam": (NUMBER, "lam", _float),
     "measurement_filter": (None, "measurement_filter", MeasurementFilter.from_dict),
     "min_df": (INTEGER, "min_df", None),
     "min_positive": (INTEGER, "min_positive", None),
@@ -216,11 +226,7 @@ def cmd_encode(args) -> int:
                 "encounter_id": unit.encounter_id,
                 "doc_index": unit.doc_index,
                 "text": unit.text,
-                "datawords": [
-                    {"text": s.text, "display": s.display}
-                    for s in unit.sentences
-                    if s.kind == "dataword"
-                ],
+                "datawords": [{"text": dw.text, "display": dw.display} for dw in unit.datawords],
             }
         )
     _write_jsonl(settings["out"], rows)

@@ -58,6 +58,8 @@ ABLATION_MODES = (
     "datawords_only",
     "nonnumeric_datawords_only",
 )
+# The ablation modes that keep the document's text.
+TEXT_MODES = ("text_only", "text_plus_datawords")
 
 DEFAULT_K_LOW = 1.7
 DEFAULT_K_MID = 1.0
@@ -326,17 +328,15 @@ def encode_records(
     return out
 
 
-def select_datawords(
-    sentences: Sequence[DataWordSentence], mode: str
-) -> list[DataWordSentence]:
-    """The DataWords sentences an ablation mode keeps: none for
-    ``text_only``, the categorical ones for ``nonnumeric_datawords_only``,
-    all of them otherwise."""
+def select_datawords(items: Sequence, mode: str) -> list:
+    """The DataWords sentences, or the records, an ablation mode keeps:
+    none for ``text_only``, the categorical ones for
+    ``nonnumeric_datawords_only``, all of them otherwise."""
     if mode == "text_only":
         return []
     if mode == "nonnumeric_datawords_only":
-        return [s for s in sentences if not s.is_numeric]
-    return list(sentences)
+        return [s for s in items if not s.is_numeric]
+    return list(items)
 
 
 def augment_document(
@@ -353,7 +353,7 @@ def augment_document(
     if mode not in ABLATION_MODES:
         raise ConfigError(f"unknown ablation mode: {mode!r}")
     lines = [s.text for s in select_datawords(sentences, mode)]
-    if mode in ("text_only", "text_plus_datawords"):
+    if mode in TEXT_MODES:
         if not lines:
             return doc_text
         return "\n".join([doc_text] + lines) if doc_text else "\n".join(lines)

@@ -383,12 +383,14 @@ def _parse_record_line(
 
 def read_json_object(path: str | Path, what: str, error: type[Exception] = ConfigError) -> dict:
     """Parse a JSON file that must hold one object, such as a config file,
-    a spec or a bundle. Bad JSON or another top-level value is an ``error``
-    that names ``what`` and the path."""
+    a spec or a bundle. Bytes that are not UTF-8, bad JSON or another
+    top-level value is an ``error`` that names ``what`` and the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path}: not valid UTF-8 ({exc})") from exc
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
         raise error(f"{what} {path}: invalid JSON ({exc})") from exc
     if not OBJECT.test(obj):
         raise error(f"{what} {path}: expected a JSON object")
@@ -396,10 +398,16 @@ def read_json_object(path: str | Path, what: str, error: type[Exception] = Confi
 
 
 def read_json_lines(path: str | Path, parse) -> Iterator[tuple[int, object]]:
-    """Each nonblank line's number and ``parse`` of its JSON value. Bad JSON,
-    or a ValueError from ``parse``, is a DataError naming the line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    """Each nonblank line's number and ``parse`` of its JSON value; a line
+    ends at a line feed. A line that is not UTF-8 is a DataError naming the
+    file and the line; bad JSON, or a ValueError from ``parse``, one naming
+    the line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: line {lineno}: not valid UTF-8 ({exc})") from exc
             if not line.strip():
                 continue
             try:

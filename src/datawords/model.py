@@ -37,6 +37,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -46,6 +47,8 @@ from scipy import sparse
 from .corpus import Encounter, Sentence, split_sentences
 from .encoding import (
     ABLATION_MODES,
+    TEXT_MODES,
+    DataWordSentence,
     ThresholdSpec,
     VariableStats,
     augment_document,
@@ -217,13 +220,34 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class AugmentedUnit:
-    """One classification unit: augmented text plus its sentence inventory."""
+    """One classification unit: the document text its ablation mode keeps
+    ("" in the DataWords-only modes) and the DataWords sentences it appends.
+
+    The classified ``text`` and the explained ``sentences`` both derive
+    from these two; ``sentences`` is built when first read.
+    """
 
     encounter_id: str
     doc_index: int | None
-    text: str
-    sentences: tuple[Sentence, ...]
+    document: str
+    datawords: tuple[DataWordSentence, ...]
     gold: frozenset[str]
+
+    @property
+    def text(self) -> str:
+        return augment_document(self.document, self.datawords)
+
+    @cached_property
+    def sentences(self) -> tuple[Sentence, ...]:
+        """The document's sentences, then one per DataWord, numbered on
+        under the unit's document index (0 for an encounter unit)."""
+        di = 0 if self.doc_index is None else self.doc_index
+        text = split_sentences(self.document, doc_index=di)
+        return tuple(text) + tuple(
+            Sentence(text=dw.text, doc_index=di, sent_index=len(text) + i,
+                     kind="dataword", display=dw.display)
+            for i, dw in enumerate(self.datawords)
+        )
 
 
 @dataclass(frozen=True)
@@ -455,52 +479,29 @@ def _encode(
 ) -> list[AugmentedUnit]:
     """The encounter's units, built from its filtered and rolled-up records.
 
-    Document units take the DataWords of their own document plus the
-    unattributed ones and number their sentences after the document's
-    text sentences; an encounter unit takes them all and lists their
-    sentences, from 0, under a virtual document after the real ones.
+    Only the records the ablation mode keeps are encoded. A document unit
+    takes the DataWords of its own document plus the unattributed ones; an
+    encounter unit takes them all, after all of its documents' text.
     """
-    dws_all = encode_records(records, spec.threshold_spec, stats)
-    mode = spec.ablation_mode
-    docs = list(enumerate(encounter.documents))
-    # per unit: its doc_index, its (doc_index, document) parts, its DataWords
+    dws = encode_records(select_datawords(records, spec.ablation_mode), spec.threshold_spec, stats)
     if spec.unit == "document":
         groups = [
-            (di, [(di, doc)], [s for s in dws_all if s.source.doc_index in (di, None)])
-            for di, doc in docs
+            (di, doc, tuple(dw for dw in dws if dw.source.doc_index in (di, None)))
+            for di, doc in enumerate(encounter.documents)
         ]
     else:
-        groups = [(None, docs, dws_all)]
-
-    units: list[AugmentedUnit] = []
-    for doc_index, parts, dws in groups:
-        sentences: list[Sentence] = []
-        if mode in ("text_only", "text_plus_datawords"):
-            for di, doc in parts:
-                sentences.extend(split_sentences(doc, doc_index=di))
-        dw_doc, offset = (len(docs), 0) if doc_index is None else (doc_index, len(sentences))
-        sentences.extend(
-            [
-                Sentence(
-                    text=dw.text,
-                    doc_index=dw_doc,
-                    sent_index=offset + si,
-                    kind="dataword",
-                    display=dw.display,
-                )
-                for si, dw in enumerate(select_datawords(dws, mode))
-            ]
+        groups = [(None, "\n".join(encounter.documents), tuple(dws))]
+    keep_text = spec.ablation_mode in TEXT_MODES
+    return [
+        AugmentedUnit(
+            encounter_id=encounter.encounter_id,
+            doc_index=doc_index,
+            document=document if keep_text else "",
+            datawords=datawords,
+            gold=encounter.codes,
         )
-        units.append(
-            AugmentedUnit(
-                encounter_id=encounter.encounter_id,
-                doc_index=doc_index,
-                text=augment_document("\n".join([doc for _, doc in parts]), dws, mode),
-                sentences=tuple(sentences),
-                gold=encounter.codes,
-            )
-        )
-    return units
+        for doc_index, document, datawords in groups
+    ]
 
 
 # ---------------------------------------------------------------------------

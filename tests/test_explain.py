@@ -260,7 +260,7 @@ class TestSentenceVectorCache:
         b1, _, u1, u2 = two_bundles
         score_sentences(b1, "L1", u1)
         lookalike = AugmentedUnit(encounter_id=u1.encounter_id, doc_index=u1.doc_index,
-                                  text=u2.text, sentences=u2.sentences, gold=u1.gold)
+                                  document=u2.document, datawords=u2.datawords, gold=u1.gold)
         assert hexes(score_sentences(b1, "L1", lookalike)) == dense_dot_scores(
             b1, "L1", u2.sentences)
 
@@ -288,8 +288,9 @@ WORDS = ["ΑΣ", "ΟΔΟΣ", "σοφός", "ας", "β", "dw__Temp__high_range"]
 @st.composite
 def scored_unit(draw):
     """A bundle of two labels with random sparse weight columns, indexed or
-    hashed, normalized or not, and a unit of empty, all-OOV, repeated-token
-    and wide (20 or more distinct words) sentences."""
+    hashed, normalized or not, and a unit whose document holds, one to a
+    line, token-free, all-OOV, repeated-token and wide (20 or more distinct
+    words) sentences."""
     normalize = draw(st.booleans())
     bits = draw(st.none() | st.integers(min_value=4, max_value=12))
     train = [" ".join(WORDS), " ".join(draw(st.lists(st.sampled_from(WORDS), max_size=12)))]
@@ -306,12 +307,11 @@ def scored_unit(draw):
             st.builds(" ".join, st.lists(word, max_size=24)),
             st.builds(lambda w, n: " ".join([w] * n), word, st.integers(1, 5)),
             st.just("zzz qq."),
-            st.just(""),
+            st.just("!"),
         ),
         min_size=1, max_size=8,
     ))
     texts.append(" ".join(draw(st.lists(st.sampled_from(WORDS), min_size=20, unique=True))))
-    sentences = tuple(Sentence(text=t, doc_index=0, sent_index=i) for i, t in enumerate(texts))
     bundle = ModelBundle(
         tfidf=tfidf, variable_stats={},
         spec=PipelineConfig(extraction_source="none").spec,
@@ -319,8 +319,8 @@ def scored_unit(draw):
                       LabelModel(label="L2", bias=0.0, threshold=0.0)),
         weights=sparse.csc_matrix(dense),
     )
-    unit = AugmentedUnit(encounter_id="e", doc_index=0, text=" ".join(texts),
-                         sentences=sentences, gold=frozenset())
+    unit = AugmentedUnit(encounter_id="e", doc_index=0, document="\n".join(texts), datawords=(),
+                         gold=frozenset())
     return bundle, unit
 
 

@@ -159,20 +159,24 @@ def mutated(contents, path, mutant):
     return out
 
 
+def run_reader(inputs, name, file):
+    """Run the reader of ``name`` on ``file``. Returns the exit code and
+    standard error, and checks that a failed run wrote no output."""
+    out = file.parent / "out"
+    argv = [a.format(file=file, dir=inputs[0]) for a in RUNS[name]] + ["--out", str(out)]
+    rc, err = run(argv)
+    assert rc == 0 or not out.exists(), argv
+    return rc, err
+
+
 def run_mutant(inputs, name, path, mutant):
     """Run the reader of ``name`` on the file with one field mutated; a
-    ``.jsonl`` file is mutated in its first line. Returns the exit code and
-    standard error, and checks that a failed run wrote no output."""
-    root, parsed = inputs
-    contents = parsed[name]
+    ``.jsonl`` file is mutated in its first line."""
+    contents = inputs[1][name]
     path = (0, *path) if name.endswith(".jsonl") else path
     with tempfile.TemporaryDirectory() as tmp:
         file = write(Path(tmp) / name, mutated(contents, path, mutant) if path else mutant)
-        out = Path(tmp) / "out"
-        argv = [a.format(file=file, dir=root) for a in RUNS[name]] + ["--out", str(out)]
-        rc, err = run(argv)
-        assert rc == 0 or not out.exists(), argv
-    return rc, err
+        return run_reader(inputs, name, file)
 
 
 def kind(value):
@@ -243,6 +247,8 @@ REPROS = [
     ("spec.json", ("seed",), True, 2, "seed must be an integer >= 0, got True"),
     ("spec.json", ("documents",), "40", 2, "documents must be an integer, got '40'"),
     ("spec.json", ("rules", 0, "label"), 5, 2, "rule label must be a nonempty string, got 5"),
+    pytest.param("config.json", ("lam",), 10**400, 2,
+                 "lambda must be a finite positive number, got inf", id="config-lam-400-digits"),
 ]
 
 
@@ -279,3 +285,34 @@ class TestKinds:
             check("true", BOOL, "flag")
         with pytest.raises(ValueError, match="^name must be a nonempty string, got ''$"):
             check("", NONEMPTY, "name")
+
+
+# A data file or bundle that cannot be read exits 1, a config or spec file 2.
+UNREADABLE_EXIT = {name: 1 if name.endswith(".jsonl") or name == "bundle.json" else 2
+                 for name in RUNS}
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("corpus.jsonl", b'{"encounter_id": "e1", "documents": ["caf\xe9 fever."], "codes": ["A"]}\n',
+     "{file}: line 1: not valid UTF-8"),
+    ("config.json", b'{"lam": 1.0, "mode": "text_\xe9only"}\n',
+     "config file {file}: not valid UTF-8"),
+    # past the 4300 digits Python converts, json raises a bare ValueError
+    ("config.json", b'{"lam": ' + b"9" * 5000 + b"}\n", "config file {file}: invalid JSON"),
+], ids=["corpus-byte-e9", "config-byte-e9", "config-5000-digits"])
+def test_repro_unreadable_file_exits_naming_it(inputs, tmp_path, name, data, message):
+    (tmp_path / name).write_bytes(data)
+    rc, err = run_reader(inputs, name, tmp_path / name)
+    assert rc == UNREADABLE_EXIT[name], err
+    assert message.format(file=tmp_path / name) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_byte_not_utf8_in_any_input_exits_with_message(inputs, tmp_path, name):
+    """Byte 0xe9 (Latin-1 "e" acute) put into the first string of a valid file."""
+    (tmp_path / name).write_bytes((inputs[0] / name).read_bytes().replace(b'"', b'"\xe9', 1))
+    rc, err = run_reader(inputs, name, tmp_path / name)
+    assert rc == UNREADABLE_EXIT[name], err
+    assert f"{tmp_path / name}" in err and "not valid UTF-8" in err
+    assert "Traceback" not in err

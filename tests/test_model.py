@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import tempfile
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -12,12 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from datawords import model
-from datawords.corpus import Encounter, load_corpus
+from datawords import corpus as corpus_module
+from datawords import encoding, model
+from datawords.corpus import Encounter, load_corpus, tokenize
+from datawords.encoding import ABLATION_MODES
 from datawords.errors import ConfigError, DataError, InputError, UnsupportedVersionError
-from datawords.evaluation import PlantedRule, SynthSpec, generate_synthetic
+from datawords.evaluation import PlantedRule, SynthSpec, generate_synthetic, run_cv
 from datawords.extraction import MeasurementFilter, StructuredRecord, load_db_measurements
 from datawords.model import (
+    UNIT_KINDS,
     AugmentedUnit,
     EncodingSpec,
     LabelModel,
@@ -494,8 +498,9 @@ class TestTrainPredictSymmetry:
 
 
 class TestUnitSentences:
-    """DataWords sentences follow their document's text sentences; an
-    encounter unit lists them under a virtual document after the real ones."""
+    """DataWords sentences follow the unit's text sentences, numbered on
+    under the unit's document index; an encounter unit numbers all of its
+    sentences, its documents' in order and then its DataWords, under 0."""
 
     ENC = Encounter(encounter_id="e1", documents=("Fever. Temp = 104 now.", "Stable."),
                     codes=frozenset({"A01"}))
@@ -512,8 +517,72 @@ class TestUnitSentences:
 
     def test_encounter_unit(self):
         assert self.layout("encounter") == [
-            [("text", 0, 0), ("text", 0, 1), ("text", 1, 0), ("dataword", 2, 0)],
+            [("text", 0, 0), ("text", 0, 1), ("text", 0, 2), ("dataword", 0, 3)],
         ]
+
+
+# Encounters of several documents, with pattern-extracted records (which
+# name their document) and embedded database records (which name none).
+MULTI_DOC = [
+    Encounter(encounter_id="m1",
+              documents=("Fever. Temp = 104 now.", "History of lung cancer. Stable!", "HR 50"),
+              codes=frozenset({"A01"}),
+              structured=(StructuredRecord(name="Smoking", value="never", kind="condition",
+                                           provenance="database"),
+                          StructuredRecord(name="Weight", value=70, provenance="database"))),
+    Encounter(encounter_id="m2", documents=("Temp = 98.6. No complaints.", "Diabetes noted."),
+              codes=frozenset({"B02"}),
+              structured=(StructuredRecord(name="Weight", value=90, provenance="database"),)),
+]
+
+
+@pytest.mark.parametrize("mode", ABLATION_MODES)
+@pytest.mark.parametrize("unit", UNIT_KINDS)
+def test_unit_sentences_derive_from_its_text(unit, mode):
+    """A unit's sentences hold exactly the tokens of its classified text:
+    its kept document's sentences, then one sentence per DataWord, in
+    (doc_index, sent_index) order."""
+    units = build_corpus_units(MULTI_DOC, PipelineConfig(unit=unit, ablation_mode=mode)).units
+    provenances = {dw.source.provenance for u in units for dw in u.datawords}
+    assert provenances == (set() if mode == "text_only" else {"text_extraction", "database"})
+    for u in units:
+        sentences = u.sentences
+        assert tokenize(u.text) == [t for s in sentences for t in tokenize(s.text)]
+        split = len(sentences) - len(u.datawords)
+        assert [(s.kind, s.display) for s in sentences[split:]] == [
+            ("dataword", dw.display) for dw in u.datawords]
+        assert all(s.kind == "text" for s in sentences[:split])
+        keys = [(s.doc_index, s.sent_index) for s in sentences]
+        assert keys == sorted(set(keys))
+
+
+def test_training_splits_no_sentences_and_text_only_encodes_no_record(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(corpus_module, "split_sentences")
+    count(model, "split_sentences")
+    count(encoding, "encode_record")
+    synth = generate_synthetic(SynthSpec(seed=5, documents=16, rules=(
+        PlantedRule("L1", "Temp", "very_high", 0.9, 0.5),)))
+    for mode in ABLATION_MODES:
+        config = PipelineConfig(ablation_mode=mode, folds=2)
+        train_all(MULTI_DOC, config)
+        run_cv(synth, config)
+        assert calls["split_sentences"] == 0
+        assert (calls.pop("encode_record", 0) == 0) == (mode == "text_only")
+    units = build_corpus_units(MULTI_DOC, PipelineConfig()).units
+    for u in units + units:
+        u.sentences
+    assert calls["split_sentences"] == len(units)  # built once, when first read
 
 
 class TestIdfRescaling:
@@ -631,7 +700,7 @@ class TestPredictUnitsBatch:
 
     def test_zero_vector_unit_scores_its_biases(self, bundle_and_units):
         bundle, units = bundle_and_units
-        zero = AugmentedUnit(encounter_id="z", doc_index=0, text="... !!", sentences=(),
+        zero = AugmentedUnit(encounter_id="z", doc_index=0, document="... !!", datawords=(),
                              gold=frozenset())
         assert vectorize_document(bundle.tfidf, zero.text).nnz == 0
         batch = units[:3] + [zero] + units[3:6]

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .corpus import load_corpus, save_corpus
 from .encoding import ABLATION_MODES, ThresholdSpec
-from .errors import ConfigError, DataError, DataWordsError, InputError
+from .errors import ConfigError, DataWordsError
 from .evaluation import SynthSpec, generate_synthetic, run_cv
 from .explain import JUSTIFICATION_FILTERS, score_sentences, top_justifications
 from .extraction import (
@@ -424,9 +424,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
         return 2
-    except (DataError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DataWordsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -101,8 +101,9 @@ def split_sentences(text: str, doc_index: int = 0) -> list[Sentence]:
 def load_corpus(path: str | Path) -> list[Encounter]:
     """Load and validate a corpus file, preserving file order.
 
-    Raises DataError naming the offending line for malformed records,
-    duplicate encounter ids, duplicate codes, or invalid field types.
+    Raises DataError naming the file and the offending line for malformed
+    records, duplicate encounter ids, duplicate codes, or invalid field
+    types.
     """
     encounters: list[Encounter] = []
     seen: dict[str, int] = {}
@@ -110,7 +111,7 @@ def load_corpus(path: str | Path) -> list[Encounter]:
         first = seen.setdefault(enc.encounter_id, lineno)
         if first != lineno:
             raise DataError(
-                f"line {lineno}: duplicate encounter_id {enc.encounter_id!r} "
+                f"{path}: line {lineno}: duplicate encounter_id {enc.encounter_id!r} "
                 f"(first seen on line {first})"
             )
         encounters.append(enc)

@@ -248,10 +248,6 @@ class DataWordSentence:
         return " ".join(self.tokens) + "."
 
     @property
-    def is_numeric(self) -> bool:
-        return self.bin_label is not None
-
-    @property
     def display(self) -> str:
         return render_natural(self)
 
@@ -328,33 +324,18 @@ def encode_records(
     return out
 
 
-def select_datawords(items: Sequence, mode: str) -> list:
-    """The DataWords sentences, or the records, an ablation mode keeps:
-    none for ``text_only``, the categorical ones for
-    ``nonnumeric_datawords_only``, all of them otherwise."""
+def select_datawords(records: Sequence[StructuredRecord], mode: str) -> list[StructuredRecord]:
+    """The records an ablation mode encodes: none for ``text_only``, the
+    categorical ones for ``nonnumeric_datawords_only``, all otherwise."""
     if mode == "text_only":
         return []
     if mode == "nonnumeric_datawords_only":
-        return [s for s in items if not s.is_numeric]
-    return list(items)
+        return [r for r in records if not r.is_numeric]
+    return list(records)
 
 
-def augment_document(
-    doc_text: str,
-    sentences: Sequence[DataWordSentence],
-    mode: str = "text_plus_datawords",
-) -> str:
-    """Combine a document's text with its DataWords sentences per mode.
-
-    Every DataWords sentence ``select_datawords`` keeps goes on its own
-    line so the sentence splitter isolates it; the two modes named
-    ``text_*`` keep the document's text in front.
-    """
-    if mode not in ABLATION_MODES:
-        raise ConfigError(f"unknown ablation mode: {mode!r}")
-    lines = [s.text for s in select_datawords(sentences, mode)]
-    if mode in TEXT_MODES:
-        if not lines:
-            return doc_text
-        return "\n".join([doc_text] + lines) if doc_text else "\n".join(lines)
-    return "\n".join(lines)
+def augment_document(document: str, datawords: Sequence[DataWordSentence]) -> str:
+    """A unit's classified text: the document, when nonempty, then each
+    DataWords sentence on its own line so the sentence splitter isolates
+    it."""
+    return "\n".join(([document] if document else []) + [dw.text for dw in datawords])

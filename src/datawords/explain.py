@@ -1,11 +1,11 @@
-"""Key-sentence justifications for a (document, label) pair.
+"""Key-sentence justifications for a (unit, label) pair.
 
-Every sentence of the augmented document, ordinary text and DataWords
-alike, is scored with the label's weight vector; the top scorers are the
-justification. The bias is excluded: it shifts all sentences equally and
-would only obscure the ranking. DataWords sentences are reported with
-their natural rendering so a reviewer sees "Temperature was very high
-[104.3]" rather than the raw token.
+Every sentence of a unit, ordinary text and DataWords alike, is scored
+with the label's weight vector; the top scorers are the justification.
+The bias is excluded: it shifts all sentences equally and would only
+obscure the ranking. DataWords sentences are reported with their natural
+rendering so a reviewer sees "Temperature was very high [104.3]" rather
+than the raw token.
 
 A unit's sentences are vectorized in one pass, however many of its
 predicted labels are explained: the bundle keeps the last unit's sentence
@@ -18,17 +18,13 @@ then the dot product of its slice of values and its slice of weights.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Sentence, split_sentences, tokenize
+from .corpus import Sentence
 from .model import AugmentedUnit, ModelBundle
-from .vectorize import vectorize_sentences
-
-_DW_TOKEN_RE = re.compile(r"^dw__.+__.+$")
 
 JUSTIFICATION_FILTERS = ("all", "text_only", "datawords_only")
 
@@ -43,43 +39,21 @@ class Justification:
     rendering: str
 
 
-def looks_like_dataword_sentence(text: str) -> bool:
-    toks = tokenize(text)
-    return bool(toks) and all(_DW_TOKEN_RE.match(t) for t in toks)
-
-
-def sentences_from_text(augmented_doc: str, doc_index: int = 0) -> list[Sentence]:
-    """Split raw augmented text, classifying DataWords sentences by shape.
-
-    Used when only the augmented string is available; pipeline callers
-    pass AugmentedUnit objects instead, which keep exact renderings.
-    """
-    return [
-        replace(s, kind="dataword") if looks_like_dataword_sentence(s.text) else s
-        for s in split_sentences(augmented_doc, doc_index=doc_index)
-    ]
-
-
 def score_sentences(
     bundle: ModelBundle,
     label: str,
-    augmented_doc: "AugmentedUnit | str",
+    unit: AugmentedUnit,
 ) -> list[tuple[Sentence, float]]:
-    """Score each sentence with the label's weights (bias excluded).
+    """Score each of the unit's sentences with the label's weights (bias
+    excluded).
 
     All sentences are returned, including zero-score out-of-vocabulary
     ones, in document order. Raises KeyError for a label the bundle does
-    not know. An AugmentedUnit's sentence vectors are kept on the bundle,
-    so scoring further labels of the same unit does not vectorize again;
-    raw text is vectorized on every call.
+    not know. The unit's sentence vectors are kept on the bundle, so
+    scoring further labels of the same unit does not vectorize again.
     """
     j = bundle.column(label)
-    if isinstance(augmented_doc, str):
-        sentences: Sequence[Sentence] = sentences_from_text(augmented_doc)
-        vectors = vectorize_sentences(bundle.tfidf, sentences)
-    else:
-        sentences = augmented_doc.sentences
-        vectors = bundle.sentence_vectors(augmented_doc)
+    vectors = bundle.sentence_vectors(unit)
     W = bundle.weights
     lo, hi = W.indptr[j], W.indptr[j + 1]
     indices = W.indices[lo:hi]
@@ -95,7 +69,7 @@ def score_sentences(
     values, ptr = vectors.values, vectors.indptr.tolist()
     return [
         (sent, float(np.dot(values[a:b], weights[a:b])) if b > a else 0.0)
-        for sent, a, b in zip(sentences, ptr[:-1], ptr[1:])
+        for sent, a, b in zip(unit.sentences, ptr[:-1], ptr[1:])
     ]
 
 

@@ -399,9 +399,9 @@ def read_json_object(path: str | Path, what: str, error: type[Exception] = Confi
 
 def read_json_lines(path: str | Path, parse) -> Iterator[tuple[int, object]]:
     """Each nonblank line's number and ``parse`` of its JSON value; a line
-    ends at a line feed. A line that is not UTF-8 is a DataError naming the
-    file and the line; bad JSON, or a ValueError from ``parse``, one naming
-    the line."""
+    ends at a line feed. A line that is not UTF-8 or not JSON, or a
+    ValueError from ``parse``, is a DataError naming the file and the
+    line."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -413,9 +413,9 @@ def read_json_lines(path: str | Path, parse) -> Iterator[tuple[int, object]]:
             try:
                 item = parse(json.loads(line))
             except json.JSONDecodeError as exc:
-                raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                raise DataError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
             except ValueError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
+                raise DataError(f"{path}: line {lineno}: {exc}") from exc
             yield lineno, item
 
 

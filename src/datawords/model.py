@@ -17,16 +17,17 @@ values. Loading it checks the spec through EncodingSpec and the labels
 and weights against the tf-idf model.
 
 The regressor minimizes sum((w.x + b - y)^2) + lambda * ||w||^2 with an
-unpenalized bias. Every label shares X and lambda, so ``fit_labels`` solves
-all of them from one dense factorization over the k columns X actually
-uses. Centering removes the bias (b = mean(y) - mean(x).w); with k <= n
-units it factors the k x k centered normal matrix, otherwise the n x n
-centered Gram matrix, and then w = X^T alpha. When min(n, k) is too large
-for two dense min(n, k)^2 arrays it falls back to ``fit_label``, one
-conjugate-gradient solve per label (start at zero, relative tolerance
-1e-10, iteration cap 10 * dimension, a logged warning if it stops short).
-Dense solves round differently with the BLAS thread count, which importing
-the package pins to one.
+unpenalized bias. ``fit_labels`` is the one ridge solve; ``fit_label`` is
+its one-label case. Every label shares X and lambda, so it checks X once,
+keeps the k columns X actually uses and centers them once, which removes
+the bias (b = mean(y) - mean(x).w). With k <= n units it factors the k x k
+centered normal matrix, otherwise the n x n centered Gram matrix, and then
+w = X^T alpha. When min(n, k) is too large for two dense min(n, k)^2
+arrays it runs one conjugate-gradient solve per label on the centered
+normal equations instead (start at zero, relative tolerance 1e-10,
+iteration cap 10 * k, a logged warning naming the label column if it
+stops short). Dense solves round differently with the BLAS thread count,
+which importing the package pins to one.
 """
 
 from __future__ import annotations
@@ -293,66 +294,57 @@ def _as_matrix(X) -> sparse.csr_matrix:
     return stack_vectors(vecs, vecs[0].dimension)
 
 
-def fit_label(
-    X,
-    y: Sequence[float],
-    lam: float,
-    tol: float = 1e-10,
-) -> tuple[np.ndarray, float]:
+def fit_label(X, y: Sequence[float], lam: float) -> tuple[np.ndarray, float]:
     """Ridge fit for one label; returns (weights, bias).
 
     X is a list of DocumentVector or a sparse matrix; y holds 0/1 targets.
-    The bias column is not penalized. Conjugate gradient stops once the
-    residual is within ``tol`` of the right-hand side; stopping short of
-    that, at 10 * dimension iterations or a non-positive curvature, logs a
-    warning with the iteration count and relative residual.
+    This is ``fit_labels`` on the single column y, its weights returned as
+    a dense vector over X's full dimension.
     """
-    if lam <= 0:
-        raise InputError(f"lambda must be positive, got {lam}")
-    Xm = _as_matrix(X)
-    yv = np.asarray(y, dtype=np.float64)
-    if Xm.shape[0] != yv.shape[0]:
-        raise InputError(f"sample count mismatch: {Xm.shape[0]} rows vs {yv.shape[0]} targets")
-    n, d = Xm.shape
-    Xaug = sparse.hstack([Xm, sparse.csr_matrix(np.ones((n, 1)))], format="csr")
-    dim = d + 1
-    penalty = np.full(dim, lam, dtype=np.float64)
-    penalty[d] = 0.0
-
-    rhs = Xaug.T @ yv
-    rhs_norm = math.sqrt(float(np.dot(rhs, rhs)))
-    x = np.zeros(dim, dtype=np.float64)
-    if rhs_norm > 0.0:
-        r = rhs.copy()
-        p = r.copy()
-        rs = float(np.dot(r, r))
-        iterations = 0
-        while math.sqrt(rs) > tol * rhs_norm and iterations < 10 * dim:
-            Ap = Xaug.T @ (Xaug @ p) + penalty * p
-            pAp = float(np.dot(p, Ap))
-            if pAp <= 0.0:
-                break
-            alpha = rs / pAp
-            x += alpha * p
-            r -= alpha * Ap
-            rs_new = float(np.dot(r, r))
-            p = r + (rs_new / rs) * p
-            rs = rs_new
-            iterations += 1
-        if math.sqrt(rs) > tol * rhs_norm:
-            logger.warning(
-                "fit_label: conjugate gradient stopped after %d iterations at "
-                "relative residual %.3g (tol %.3g)",
-                iterations,
-                math.sqrt(rs) / rhs_norm,
-                tol,
-            )
-    return x[:d], float(x[d])
+    W, b = fit_labels(X, np.asarray(y, dtype=np.float64)[:, None], lam)
+    return W.toarray().ravel(), float(b[0])
 
 
 # Largest min(units, used columns) solved densely; two float64 arrays of
 # this side take about 270 MB. Larger problems use per-label CG.
 _DENSE_SOLVE_MAX = 4096
+# Relative residual at which a conjugate-gradient solve stops.
+_CG_TOL = 1e-10
+
+
+def _cg(Xs, x_mean: np.ndarray, rhs: np.ndarray, lam: float, column: int) -> np.ndarray:
+    """Conjugate gradient on (Xs'Xs - n x_mean x_mean' + lam I) w = rhs,
+    the centered normal equations, from w = 0. The matrix is positive
+    definite, as lam > 0. Stopping short of ``_CG_TOL`` at 10 * columns
+    iterations logs a warning naming the label column."""
+    n, k = Xs.shape
+    w = np.zeros(k, dtype=np.float64)
+    rhs_norm = math.sqrt(float(np.dot(rhs, rhs)))
+    if rhs_norm == 0.0:
+        return w
+    r = rhs.copy()
+    p = r.copy()
+    rs = float(np.dot(r, r))
+    iterations = 0
+    while math.sqrt(rs) > _CG_TOL * rhs_norm and iterations < 10 * k:
+        Ap = Xs.T @ (Xs @ p) - (n * float(np.dot(x_mean, p))) * x_mean + lam * p
+        alpha = rs / float(np.dot(p, Ap))
+        w += alpha * p
+        r -= alpha * Ap
+        rs_new = float(np.dot(r, r))
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+        iterations += 1
+    if math.sqrt(rs) > _CG_TOL * rhs_norm:
+        logger.warning(
+            "fit_labels: conjugate gradient for label column %d stopped after %d "
+            "iterations at relative residual %.3g (tol %.3g)",
+            column,
+            iterations,
+            math.sqrt(rs) / rhs_norm,
+            _CG_TOL,
+        )
+    return w
 
 
 def fit_labels(X, Y, lam: float) -> tuple[sparse.csc_matrix, np.ndarray]:
@@ -360,8 +352,7 @@ def fit_labels(X, Y, lam: float) -> tuple[sparse.csc_matrix, np.ndarray]:
 
     X is a list of DocumentVector or a sparse (n x d) matrix and Y an
     (n x labels) array of 0/1 targets. W is a (d x labels) CSC matrix
-    without stored zeros and b the unpenalized biases; column j solves the
-    same problem as ``fit_label(X, Y[:, j], lam)``.
+    without stored zeros and b the unpenalized biases.
     """
     if lam <= 0:
         raise InputError(f"lambda must be positive, got {lam}")
@@ -373,29 +364,28 @@ def fit_labels(X, Y, lam: float) -> tuple[sparse.csc_matrix, np.ndarray]:
     cols = np.unique(Xm.indices)
     k = cols.size
     Xs = Xm[:, cols]
+    x_mean = np.asarray(Xs.sum(axis=0)).ravel() / n
+    y_mean = Yv.mean(axis=0)
     if min(n, k) > _DENSE_SOLVE_MAX:
+        rhs = Xs.T @ (Yv - y_mean)
         Wk = np.empty((k, Yv.shape[1]))
-        b = np.empty(Yv.shape[1])
         for j in range(Yv.shape[1]):
-            Wk[:, j], b[j] = fit_label(Xs, Yv[:, j], lam)
+            Wk[:, j] = _cg(Xs, x_mean, rhs[:, j], lam, j)
+    elif k <= n:
+        A = (Xs.T @ Xs).toarray()
+        A -= np.outer(n * x_mean, x_mean)
+        A.flat[:: k + 1] += lam
+        Wk = np.linalg.solve(A, Xs.T @ (Yv - y_mean))
     else:
-        x_mean = np.asarray(Xs.sum(axis=0)).ravel() / n
-        y_mean = Yv.mean(axis=0)
-        if k <= n:
-            A = (Xs.T @ Xs).toarray()
-            A -= np.outer(n * x_mean, x_mean)
-            A.flat[:: k + 1] += lam
-            Wk = np.linalg.solve(A, Xs.T @ (Yv - y_mean))
-        else:
-            # H K H + lam I, with H = I - 11'/n, built in place on K = Xs Xs'.
-            A = (Xs @ Xs.T).toarray()
-            row_mean = A.mean(axis=1)
-            A -= row_mean[:, None]
-            A -= row_mean[None, :]
-            A += row_mean.mean()
-            A.flat[:: n + 1] += lam
-            Wk = Xs.T @ np.linalg.solve(A, Yv - y_mean)
-        b = y_mean - x_mean @ Wk
+        # H K H + lam I, with H = I - 11'/n, built in place on K = Xs Xs'.
+        A = (Xs @ Xs.T).toarray()
+        row_mean = A.mean(axis=1)
+        A -= row_mean[:, None]
+        A -= row_mean[None, :]
+        A += row_mean.mean()
+        A.flat[:: n + 1] += lam
+        Wk = Xs.T @ np.linalg.solve(A, Yv - y_mean)
+    b = y_mean - x_mean @ Wk
     Wc = sparse.csc_matrix(Wk)
     W = sparse.csc_matrix((Wc.data, cols[Wc.indices], Wc.indptr), shape=(d, Yv.shape[1]))
     return W, b

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datawords.corpus import tokenize
+from datawords.corpus import Encounter, tokenize
 from datawords.encoding import (
     BIN_LABELS,
     ThresholdSpec,
@@ -20,6 +20,7 @@ from datawords.encoding import (
 )
 from datawords.errors import ConfigError, InputError, UnresolvedVariableError
 from datawords.extraction import StructuredRecord
+from datawords.model import PipelineConfig, _encode
 
 CLINICIAN_CUTS = (95.0, 97.7, 100.4, 103.0)
 
@@ -165,31 +166,33 @@ class TestAugmentDocument:
         )
         return num, cat
 
-    def test_text_only_identity(self):
+    def test_document_then_datawords(self):
         num, cat = self.sentences()
-        assert augment_document("Note text.", [num, cat], "text_only") == "Note text."
+        out = augment_document("Note text.", [num, cat])
+        assert out == "Note text.\ndw__Temp__mid_range.\ndw__Prior__diabetes."
 
-    def test_text_plus_datawords(self):
-        num, _ = self.sentences()
-        out = augment_document("Note text.", [num], "text_plus_datawords")
-        assert out == "Note text.\ndw__Temp__mid_range."
-
-    def test_datawords_only(self):
+    def test_empty_document_gives_datawords_only(self):
         num, cat = self.sentences()
-        out = augment_document("Note text.", [num, cat], "datawords_only")
-        assert out == "dw__Temp__mid_range.\ndw__Prior__diabetes."
+        assert augment_document("", [num, cat]) == "dw__Temp__mid_range.\ndw__Prior__diabetes."
+        assert augment_document("", []) == ""
 
-    def test_nonnumeric_keeps_only_categorical(self):
-        num, cat = self.sentences()
-        out = augment_document("Note text.", [num, cat], "nonnumeric_datawords_only")
-        assert out == "dw__Prior__diabetes."
+    def test_no_datawords_leaves_text(self):
+        assert augment_document("Note.", []) == "Note."
 
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            augment_document("x", [], "everything")
-
-    def test_no_sentences_leaves_text(self):
-        assert augment_document("Note.", [], "text_plus_datawords") == "Note."
+    @pytest.mark.parametrize("mode, text", [
+        ("text_only", "Note text."),
+        ("text_plus_datawords", "Note text.\ndw__Temp__mid_range.\ndw__Prior__diabetes."),
+        ("datawords_only", "dw__Temp__mid_range.\ndw__Prior__diabetes."),
+        ("nonnumeric_datawords_only", "dw__Prior__diabetes."),
+    ])
+    def test_unit_text_per_mode(self, mode, text):
+        records = [numeric("Temp", 98.8),
+                   StructuredRecord(name="Prior", value="diabetes", kind="condition")]
+        spec = PipelineConfig(ablation_mode=mode, extraction_source="none",
+                              threshold_spec=temp_spec()).spec
+        encounter = Encounter(encounter_id="e1", documents=("Note text.",), codes=frozenset())
+        [unit] = _encode(encounter, spec, records, {})
+        assert unit.text == text
 
 
 class TestThresholdSpec:

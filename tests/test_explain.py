@@ -9,14 +9,10 @@ from scipy import sparse
 
 from datawords import vectorize
 from datawords.corpus import Encounter, Sentence
-from datawords.encoding import ThresholdSpec
+from datawords.encoding import DataWordSentence, ThresholdSpec
 from datawords.evaluation import PlantedRule, SynthSpec, generate_synthetic
-from datawords.explain import (
-    Justification,
-    score_sentences,
-    sentences_from_text,
-    top_justifications,
-)
+from datawords.explain import Justification, score_sentences, top_justifications
+from datawords.extraction import StructuredRecord
 from datawords.model import (
     AugmentedUnit,
     LabelModel,
@@ -43,34 +39,43 @@ def one_hot_bundle(train_docs, hot_token, label="L1", normalize=True):
     )
 
 
-DOC = "fever noted today. patient resting.\ndw__Temp__very_high_range."
+def unit_of(document, datawords=()):
+    return AugmentedUnit(encounter_id="e", doc_index=0, document=document,
+                         datawords=tuple(datawords), gold=frozenset())
+
+
+FEVER = DataWordSentence(tokens=("dw__Temp__very_high_range",),
+                         source=StructuredRecord(name="Temp", value=104.3),
+                         bin_label="very_high", display_name="Temperature")
+UNIT = unit_of("fever noted today. patient resting.", [FEVER])
 
 
 class TestScoreSentences:
     def test_one_hot_dataword_wins(self):
-        bundle = one_hot_bundle([DOC], "dw__temp__very_high_range")
-        scored = score_sentences(bundle, "L1", DOC)
+        bundle = one_hot_bundle([UNIT.text], "dw__temp__very_high_range")
+        scored = score_sentences(bundle, "L1", UNIT)
         assert len(scored) == 3
         best = max(scored, key=lambda p: p[1])
         assert best[0].text == "dw__Temp__very_high_range."
         assert best[0].kind == "dataword"
+        assert best[0].display == "Temperature was very high [104.3]"
         others = [sc for s, sc in scored if s.text != best[0].text]
         assert all(sc < best[1] for sc in others)
 
     def test_all_oov_scores_zero(self):
-        bundle = one_hot_bundle([DOC], "fever")
-        scored = score_sentences(bundle, "L1", "unrelated words entirely. nothing here.")
+        bundle = one_hot_bundle([UNIT.text], "fever")
+        scored = score_sentences(bundle, "L1", unit_of("unrelated words entirely. nothing here."))
         assert [sc for _, sc in scored] == [0.0, 0.0]
 
     def test_bias_excluded(self):
-        bundle = one_hot_bundle([DOC], "fever")
-        scored = score_sentences(bundle, "L1", "zzz.")
+        bundle = one_hot_bundle([UNIT.text], "fever")
+        scored = score_sentences(bundle, "L1", unit_of("zzz."))
         assert scored[0][1] == 0.0  # bias 0.25 must not leak in
 
     def test_unknown_label_raises(self):
-        bundle = one_hot_bundle([DOC], "fever")
+        bundle = one_hot_bundle([UNIT.text], "fever")
         with pytest.raises(KeyError):
-            score_sentences(bundle, "NOPE", DOC)
+            score_sentences(bundle, "NOPE", UNIT)
 
     def test_matches_dense_dot_oracle(self):
         rng = np.random.default_rng(13)
@@ -84,7 +89,7 @@ class TestScoreSentences:
             label_models=(LabelModel(label="L1", bias=0.0, threshold=0.0),),
             weights=sparse.csc_matrix(w[:, None]),
         )
-        scored = score_sentences(bundle, "L1", docs[0])
+        scored = score_sentences(bundle, "L1", unit_of(docs[0]))
         for sent, score in scored:
             dense = vectorize_document(tfidf, sent.text).to_dense()
             assert abs(score - float(dense @ w)) <= 1e-12
@@ -164,27 +169,17 @@ class TestSumConsistency:
         one_hot = one_hot_bundle([doc], "alpha", normalize=False)
         w = rng.normal(size=len(one_hot.tfidf.vocabulary))
         bundle = replace(one_hot, weights=sparse.csc_matrix(w[:, None]))
-        scored = score_sentences(bundle, "L1", doc)
+        scored = score_sentences(bundle, "L1", unit_of(doc))
         from datawords.vectorize import vectorize_document
 
         doc_score = float(vectorize_document(bundle.tfidf, doc).to_dense() @ w)
         assert sum(sc for _, sc in scored) == pytest.approx(doc_score, abs=1e-9)
 
 
-class TestSentencesFromText:
-    def test_shape_classification(self):
-        sents = sentences_from_text("plain words here.\ndw__X__mid_range.")
-        assert [s.kind for s in sents] == ["text", "dataword"]
-
-    def test_mixed_sentence_is_text(self):
-        sents = sentences_from_text("value dw__X__mid_range inline.")
-        assert sents[0].kind == "text"
-
-
 class TestDataWordsAreFirstClass:
     def test_dataword_can_hold_rank_one_with_filter_all(self):
-        bundle = one_hot_bundle([DOC], "dw__temp__very_high_range")
-        scored = score_sentences(bundle, "L1", DOC)
+        bundle = one_hot_bundle([UNIT.text], "dw__temp__very_high_range")
+        scored = score_sentences(bundle, "L1", UNIT)
         out = top_justifications(scored, k=1, sentence_filter="all")
         assert out[0].sentence.kind == "dataword"
 
@@ -272,14 +267,6 @@ class TestSentenceVectorCache:
                           weights=b2.weights)
         assert hexes(score_sentences(swapped, "L1", u1)) == dense_dot_scores(b2, "L1", u1.sentences)
         assert hexes(score_sentences(bundle, "L1", u1)) == dense_dot_scores(b1, "L1", u1.sentences)
-
-    def test_text_input_unaffected_by_cached_units(self, two_bundles):
-        b1, _, u1, u2 = two_bundles
-        before = hexes(score_sentences(b1, "L2", u1.text))
-        score_sentences(b1, "L2", u1)
-        score_sentences(b1, "L2", u2)
-        assert hexes(score_sentences(b1, "L2", u1.text)) == before
-        assert before == dense_dot_scores(b1, "L2", sentences_from_text(u1.text))
 
 
 WORDS = ["ΑΣ", "ΟΔΟΣ", "σοφός", "ας", "β", "dw__Temp__high_range"] + [f"w{i}" for i in range(20)]

@@ -524,7 +524,7 @@ class TestSharedRecordParser:
             {"encounter_id": "e1", "documents": ["a"], "structured": [{"name": "T", "value": 1}]},
             {"encounter_id": "e2", "documents": ["b"], "structured": [entry]},
         ])
-        with pytest.raises(DataError, match=rf"^line 2: structured entry: .*{field}"):
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: line 2: structured entry: .*{field}"):
             load_corpus(path)
 
     @pytest.mark.parametrize("entry, field", MALFORMED_ENTRIES)
@@ -534,7 +534,7 @@ class TestSharedRecordParser:
             {"encounter_id": "e1", "name": "T", "value": 1},
             {"encounter_id": "e2", **entry},
         ])
-        with pytest.raises(DataError, match=rf"^line 2: .*{field}"):
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: line 2: .*{field}"):
             loader(path)
 
     def test_corpus_entry_takes_line_id_and_no_location(self, tmp_path):

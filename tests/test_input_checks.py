@@ -308,6 +308,23 @@ def test_repro_unreadable_file_exits_naming_it(inputs, tmp_path, name, data, mes
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("line, message", [
+    (json.dumps({**RECORDS[1], "value": True}), "line 2: 'value' must be"),
+    ('{"encounter_id": "synth-0001",', "line 2: invalid JSON"),
+], ids=["bad-field", "bad-json"])
+def test_bad_records_line_names_its_file(inputs, tmp_path, line, message):
+    """Training reads the corpus and the records file; a bad line of the
+    records file is reported under that file's name."""
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(RECORDS[0]) + "\n" + line + "\n", encoding="utf-8")
+    out = tmp_path / "bundle.json"
+    rc, err = run(["train", "--corpus", str(inputs[0] / "corpus.jsonl"), "--source", "db",
+                   "--extractions", str(records), "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert f"error: {records}: {message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_byte_not_utf8_in_any_input_exits_with_message(inputs, tmp_path, name):
     """Byte 0xe9 (Latin-1 "e" acute) put into the first string of a valid file."""

@@ -176,17 +176,26 @@ class TestFitLabel:
         with pytest.raises(InputError):
             fit_label(as_rows(X), [1.0, 0.0], lam=1.0)
 
-    def test_stopping_short_of_tol_warns(self, caplog):
+    def test_stopping_short_of_tol_warns(self, caplog, monkeypatch):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(8, 5))
         y = rng.integers(0, 2, size=8).astype(float)
+        monkeypatch.setattr(model, "_DENSE_SOLVE_MAX", 0)
+        monkeypatch.setattr(model, "_CG_TOL", 0.0)
         with caplog.at_level(logging.WARNING, logger="datawords.model"):
-            w, b = fit_label(as_rows(X), y, lam=1.0, tol=0.0)
+            w, b = fit_label(as_rows(X), y, lam=1.0)
         [record] = caplog.records
         assert record.levelno == logging.WARNING
-        assert "iterations" in record.getMessage() and "relative residual" in record.getMessage()
+        message = record.getMessage()
+        assert "iterations" in message and "relative residual" in message
+        assert "label column 0" in message
         w_ref, b_ref = ridge_oracle(X, y, 1.0)
         assert np.max(np.abs(w - w_ref)) <= 1e-8 and abs(b - b_ref) <= 1e-8
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="datawords.model"):
+            fit_labels(sparse.csr_matrix(X), np.column_stack([y, 1.0 - y]), lam=1.0)
+        assert ["label column 0" in r.getMessage() for r in caplog.records] == [True, False]
+        assert "label column 1" in caplog.records[1].getMessage()
 
     def test_converged_fit_does_not_warn(self, caplog):
         rng = np.random.default_rng(11)
@@ -232,11 +241,12 @@ class TestFitLabels:
         assert np.max(np.abs(W[:, 1].toarray())) <= 1e-8
         assert abs(b[1] - 1.0) <= 1e-8
 
-    @pytest.mark.parametrize("n,d", [(12, 5), (5, 14)])
+    @pytest.mark.parametrize("n,d", SHAPES)
     def test_fallback_matches_dense(self, n, d, monkeypatch):
         X, Y = sparse_problem(np.random.default_rng(3), n, d)
         dense_W, dense_b = fit_labels(sparse.csr_matrix(X), Y, 0.5)
-        monkeypatch.setattr(model, "_DENSE_SOLVE_MAX", 0)
+        # below every min(n, k), so even a problem with no used column runs CG
+        monkeypatch.setattr(model, "_DENSE_SOLVE_MAX", -1)
         W, b = fit_labels(sparse.csr_matrix(X), Y, 0.5)
         for j in range(Y.shape[1]):
             w_ref, b_ref = ridge_oracle(X, Y[:, j], 0.5)

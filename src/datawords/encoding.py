@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigError, InputError, UnresolvedVariableError
+from .errors import ConfigError, DataError, InputError, UnresolvedVariableError
 from .extraction import StructuredRecord, read_json_object
 from .jsontypes import NUMBERS, OBJECT, POSITIVE, STRING, check
 
@@ -81,7 +81,9 @@ def compute_stats(records: Iterable[StructuredRecord]) -> dict[str, VariableStat
     """Mean and population standard deviation per numeric variable.
 
     Must be fed training-side records only. Variables with no numeric
-    readings are simply absent from the result.
+    readings are simply absent from the result. A variable whose mean or
+    variance is not finite or overflows, as readings near 1e200 make it do,
+    is a DataError naming it.
     """
     values: dict[str, list[float]] = {}
     for rec in records:
@@ -90,8 +92,13 @@ def compute_stats(records: Iterable[StructuredRecord]) -> dict[str, VariableStat
     stats = {}
     for name, vals in values.items():
         n = len(vals)
-        mean = sum(vals) / n
-        var = sum((v - mean) ** 2 for v in vals) / n
+        try:
+            mean = sum(vals) / n
+            var = sum((v - mean) ** 2 for v in vals) / n
+        except OverflowError:
+            mean = var = math.inf
+        if not (math.isfinite(mean) and math.isfinite(var)):
+            raise DataError(f"numeric variable {name!r}: readings too large for float arithmetic")
         stats[name] = VariableStats(name=name, count=n, mean=mean, std=math.sqrt(var))
     return stats
 

@@ -9,9 +9,10 @@ than the raw token.
 
 A unit's sentences are vectorized in one pass, however many of its
 predicted labels are explained: the bundle keeps the last unit's sentence
-vectors, one CSR block. Per label, the weights the sentences use are
-looked up once in the label's column of the bundle's weight matrix, the
-one that classifies, and gathered once at every entry of the block, never
+rows, one CSR block as the vectorizer returns it. Per label, the block's
+own feature indices are looked up once, with one ``searchsorted``, in the
+label's column of the bundle's weight matrix, the one that classifies,
+which gathers a weight for every entry of the block; the column is never
 expanded to a dense vector of the full dimension. A sentence's score is
 then the dot product of its slice of values and its slice of weights.
 """
@@ -53,20 +54,19 @@ def score_sentences(
     scoring further labels of the same unit does not vectorize again.
     """
     j = bundle.column(label)
-    vectors = bundle.sentence_vectors(unit)
+    indptr, features, values = bundle.sentence_vectors(unit)
     W = bundle.weights
     lo, hi = W.indptr[j], W.indptr[j + 1]
     indices = W.indices[lo:hi]
-    # the column's weight at each feature the sentences use, 0.0 where it has none
-    pos = np.searchsorted(indices, vectors.features)
+    # the column's weight at each entry of the block, 0.0 where it has none
+    pos = np.searchsorted(indices, features)
     hit = pos < indices.size
-    hit[hit] = indices[pos[hit]] == vectors.features[hit]
-    weights = np.zeros(vectors.features.size, dtype=np.float64)
+    hit[hit] = indices[pos[hit]] == features[hit]
+    weights = np.zeros(features.size, dtype=np.float64)
     weights[hit] = W.data[lo:hi][pos[hit]]
-    # gathered once, aligned with the values; one dot per sentence slice
-    # keeps each score's bits those of the sentence scored alone
-    weights = weights[vectors.positions]
-    values, ptr = vectors.values, vectors.indptr.tolist()
+    # one dot per sentence slice keeps each score's bits those of the
+    # sentence scored alone
+    ptr = indptr.tolist()
     return [
         (sent, float(np.dot(values[a:b], weights[a:b])) if b > a else 0.0)
         for sent, a, b in zip(unit.sentences, ptr[:-1], ptr[1:])

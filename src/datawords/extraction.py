@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
+import statistics
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -29,8 +31,18 @@ if TYPE_CHECKING:
 RECORD_KINDS = ("measurement", "condition", "medication", "test_result", "other")
 PROVENANCES = ("text_extraction", "external_extractor", "database")
 
-# Canonical ordering for roll-up aggregates; policies are normalized to it.
-AGGREGATES = ("mean", "median", "min", "max", "first", "last", "count")
+# Each roll-up aggregate of a group's float readings, in the canonical
+# order that policies are normalized to.
+_AGGREGATE_OF = {
+    "mean": lambda values: sum(values) / len(values),
+    "median": statistics.median,
+    "min": min,
+    "max": max,
+    "first": lambda values: values[0],
+    "last": lambda values: values[-1],
+    "count": lambda values: float(len(values)),
+}
+AGGREGATES = tuple(_AGGREGATE_OF)
 
 _OPTIONAL_INTEGER = nullable(INTEGER)
 _OPTIONAL_COUNT = nullable(COUNT)
@@ -279,8 +291,10 @@ def default_pattern_config() -> PatternConfig:
     )
 
 
-def extract_patterns(text: str, config: PatternConfig) -> list[StructuredRecord]:
-    """Run the built-in extractor over one document's text.
+def extract_patterns(text: str, config: PatternConfig, encounter_id: str | None = None,
+                     doc_index: int | None = None) -> list[StructuredRecord]:
+    """Run the built-in extractor over one document's text, stamping each
+    record with the given encounter id and document index.
 
     Candidate matches come from the config's matcher table: alias-derived
     numeric patterns, explicit numeric patterns, and lexicon phrases. The
@@ -289,7 +303,8 @@ def extract_patterns(text: str, config: PatternConfig) -> list[StructuredRecord]
     last match on, so they find what one ``finditer`` per matcher finds.
     Numeric patterns have no surface and run their own ``finditer``.
     Overlaps are resolved leftmost-longest, then by name, then by table
-    order, so the result spans never intersect.
+    order, so the result spans never intersect. A number that parses to no
+    finite float, such as one of 400 digits, is dropped.
     """
     matchers = config.matchers
     candidates: list[tuple[int, int, str, int, float | str]] = []
@@ -301,6 +316,8 @@ def extract_patterns(text: str, config: PatternConfig) -> list[StructuredRecord]
             try:
                 value = float(match.group(1))
             except (TypeError, ValueError):
+                return
+            if not math.isfinite(value):
                 return
         candidates.append((match.start(), match.end(), matcher.name, index, value))
 
@@ -330,6 +347,8 @@ def extract_patterns(text: str, config: PatternConfig) -> list[StructuredRecord]
                     value=value,
                     kind=matchers[index].kind,
                     provenance="text_extraction",
+                    encounter_id=encounter_id,
+                    doc_index=doc_index,
                     span=(start, end),
                 )
             )
@@ -341,9 +360,9 @@ def extract_encounter(encounter: Encounter, config: PatternConfig) -> list[Struc
     """Pattern records of every document of the encounter, in document
     order, each stamped with the encounter id and its document's index."""
     return [
-        replace(rec, encounter_id=encounter.encounter_id, doc_index=di)
+        rec
         for di, doc in enumerate(encounter.documents)
-        for rec in extract_patterns(doc, config)
+        for rec in extract_patterns(doc, config, encounter.encounter_id, di)
     ]
 
 
@@ -452,28 +471,6 @@ def allowed_variables(counts: Mapping[str, int], filt: MeasurementFilter) -> set
     return {n for n, _ in ranked[filt.m : filt.m + filt.n]}
 
 
-def _aggregate(agg: str, values: list[float]) -> float:
-    if agg == "mean":
-        return sum(values) / len(values)
-    if agg == "median":
-        ordered = sorted(values)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2.0
-    if agg == "min":
-        return min(values)
-    if agg == "max":
-        return max(values)
-    if agg == "first":
-        return values[0]
-    if agg == "last":
-        return values[-1]
-    if agg == "count":
-        return float(len(values))
-    raise ConfigError(f"unknown aggregate: {agg}")
-
-
 def rollup(
     records: Sequence[StructuredRecord],
     policy: RollupPolicy,
@@ -484,41 +481,33 @@ def rollup(
     Each group collapses to one record per aggregate, named
     ``{variable}_{aggregate}``. Categorical records pass through unchanged,
     as do numeric records whose provenance is outside ``provenances``
-    (``None`` means roll up everything). Aggregated records appear at the
-    position of the group's first reading.
+    (``None`` means roll up everything). One pass over the records lays out
+    each record passed through and each group's readings, so aggregated
+    records appear at the position of the group's first reading.
     """
+    slots: list[StructuredRecord | list[StructuredRecord]] = []
     groups: dict[tuple[str | None, str], list[StructuredRecord]] = {}
-    rollable = []
     for rec in records:
-        is_target = rec.is_numeric and (provenances is None or rec.provenance in provenances)
-        rollable.append(is_target)
-        if is_target:
-            groups.setdefault((rec.encounter_id, rec.name), []).append(rec)
+        if rec.is_numeric and (provenances is None or rec.provenance in provenances):
+            group = groups.get((rec.encounter_id, rec.name))
+            if group is None:
+                group = groups[rec.encounter_id, rec.name] = []
+                slots.append(group)
+            group.append(rec)
+        else:
+            slots.append(rec)
 
     out: list[StructuredRecord] = []
-    emitted: set[tuple[str | None, str]] = set()
-    for rec, is_target in zip(records, rollable):
-        if not is_target:
-            out.append(rec)
+    for slot in slots:
+        if isinstance(slot, StructuredRecord):
+            out.append(slot)
             continue
-        key = (rec.encounter_id, rec.name)
-        if key in emitted:
-            continue
-        emitted.add(key)
-        group = groups[key]
-        values = [float(r.value) for r in group]
-        first = group[0]
-        for agg in policy.aggregates:
-            out.append(
-                StructuredRecord(
-                    name=f"{rec.name}_{agg}",
-                    value=_aggregate(agg, values),
-                    kind=first.kind,
-                    provenance=first.provenance,
-                    encounter_id=first.encounter_id,
-                    doc_index=None,
-                    span=None,
-                    unit=first.unit,
-                )
-            )
+        values = [float(r.value) for r in slot]
+        first = slot[0]
+        out.extend(
+            StructuredRecord(name=f"{first.name}_{agg}", value=_AGGREGATE_OF[agg](values),
+                             kind=first.kind, provenance=first.provenance,
+                             encounter_id=first.encounter_id, unit=first.unit)
+            for agg in policy.aggregates
+        )
     return out

@@ -16,6 +16,10 @@ column, the column as base64 of little-endian int32 indices and float64
 values. Loading it checks the spec through EncodingSpec and the labels
 and weights against the tf-idf model.
 
+A PipelineConfig is a frozen EncodingSpec plus the training and evaluation
+settings; ``spec`` projects it onto its encoding fields. ``_encode`` hands
+each DataWord to its document's unit in one pass.
+
 The regressor minimizes sum((w.x + b - y)^2) + lambda * ||w||^2 with an
 unpenalized bias. ``fit_labels`` is the one ridge solve; ``fit_label`` is
 its one-label case. Every label shares X and lambda, so it checks X once,
@@ -37,7 +41,7 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -87,7 +91,6 @@ from .jsontypes import (
     nullable,
 )
 from .vectorize import (
-    SentenceVectors,
     TfIdfModel,
     Vocabulary,
     _hashed_idf,
@@ -118,13 +121,13 @@ class EncodingSpec:
     maps to the same DataWords sentences on both sides.
     """
 
-    extraction_source: str
-    pattern_config: PatternConfig | None
-    rollup_policy: RollupPolicy
-    rollup_provenances: tuple[str, ...] | None
-    threshold_spec: ThresholdSpec
-    ablation_mode: str
-    unit: str
+    extraction_source: str = "patterns"
+    pattern_config: PatternConfig | None = None
+    rollup_policy: RollupPolicy = field(default_factory=RollupPolicy)
+    rollup_provenances: tuple[str, ...] | None = ("database",)
+    threshold_spec: ThresholdSpec = field(default_factory=ThresholdSpec.defaults)
+    ablation_mode: str = "text_plus_datawords"
+    unit: str = "document"
 
     def __post_init__(self):
         if self.ablation_mode not in ABLATION_MODES:
@@ -144,37 +147,29 @@ class EncodingSpec:
         return self.pattern_config if self.pattern_config is not None else default_pattern_config()
 
 
-@dataclass
-class PipelineConfig:
-    """Everything that parameterizes training, prediction, and evaluation.
+@dataclass(frozen=True)
+class PipelineConfig(EncodingSpec):
+    """Everything that parameterizes training, prediction, and evaluation:
+    the encoding fields it inherits, then the training and evaluation ones.
 
-    The encoding fields are kept flat for keyword construction and
-    ``dataclasses.replace``; ``spec`` bundles them into an EncodingSpec.
-    ``threads`` is accepted for compatibility and excluded from the config
-    digest: training solves every label in one shared solve, so outputs
-    never depend on it.
+    ``spec`` projects it onto its EncodingSpec. ``threads`` is accepted for
+    compatibility and excluded from the config digest: training solves
+    every label in one shared solve, so outputs never depend on it.
     """
 
-    ablation_mode: str = "text_plus_datawords"
-    unit: str = "document"
     lam: float = 1.0
     min_positive: int = 1
     min_df: int = 1
     l2_normalize: bool = True
     hash_bits: int | None = None
-    extraction_source: str = "patterns"
-    pattern_config: PatternConfig | None = None
     measurement_filter: MeasurementFilter = field(default_factory=MeasurementFilter)
-    rollup_policy: RollupPolicy = field(default_factory=RollupPolicy)
-    rollup_provenances: tuple[str, ...] | None = ("database",)
-    threshold_spec: ThresholdSpec = field(default_factory=ThresholdSpec.defaults)
     external_records: tuple[StructuredRecord, ...] | None = None
     folds: int = 4
     seed: int = 42
     threads: int = 1
 
     def __post_init__(self):
-        self.spec  # validates the encoding fields
+        super().__post_init__()
         if not (math.isfinite(self.lam) and self.lam > 0):  # a bundle must load it back
             raise ConfigError(f"lambda must be a finite positive number, got {self.lam}")
         if self.threads < 1:
@@ -184,15 +179,7 @@ class PipelineConfig:
 
     @property
     def spec(self) -> EncodingSpec:
-        return EncodingSpec(
-            extraction_source=self.extraction_source,
-            pattern_config=self.pattern_config,
-            rollup_policy=self.rollup_policy,
-            rollup_provenances=self.rollup_provenances,
-            threshold_spec=self.threshold_spec,
-            ablation_mode=self.ablation_mode,
-            unit=self.unit,
-        )
+        return EncodingSpec(**{f.name: getattr(self, f.name) for f in fields(EncodingSpec)})
 
     def digest_dict(self) -> dict:
         """Stable description of the run for the report digest."""
@@ -471,14 +458,20 @@ def _encode(
 
     Only the records the ablation mode keeps are encoded. A document unit
     takes the DataWords of its own document plus the unattributed ones; an
-    encounter unit takes them all, after all of its documents' text.
+    encounter unit takes them all, after all of its documents' text. One
+    attributed to an index outside the documents joins no unit.
     """
     dws = encode_records(select_datawords(records, spec.ablation_mode), spec.threshold_spec, stats)
     if spec.unit == "document":
-        groups = [
-            (di, doc, tuple(dw for dw in dws if dw.source.doc_index in (di, None)))
-            for di, doc in enumerate(encounter.documents)
-        ]
+        per_doc: list[list[DataWordSentence]] = [[] for _ in encounter.documents]
+        for dw in dws:
+            di = dw.source.doc_index
+            if di is None:
+                for group in per_doc:
+                    group.append(dw)
+            elif 0 <= di < len(per_doc):
+                per_doc[di].append(dw)
+        groups = list(zip(range(len(per_doc)), encounter.documents, map(tuple, per_doc)))
     else:
         groups = [(None, "\n".join(encounter.documents), tuple(dws))]
     keep_text = spec.ablation_mode in TEXT_MODES
@@ -546,8 +539,8 @@ class ModelBundle:
         """The label's column of ``weights``; KeyError for an unknown label."""
         return self._columns[label]
 
-    def sentence_vectors(self, unit: AugmentedUnit) -> SentenceVectors:
-        """tf-idf vectors of the unit's sentences.
+    def sentence_vectors(self, unit: AugmentedUnit) -> tuple[np.ndarray, ...]:
+        """``vectorize_sentences`` of the unit's sentences, as CSR arrays.
 
         The last unit's vectors are kept, keyed by the unit's identity, so
         explaining several labels of one unit vectorizes each of its

@@ -17,7 +17,8 @@ One pass turns a list of texts into their tf-idf rows as CSR arrays: each
 text is tokenized by itself, one sort groups and counts every row's
 features, tf-idf is computed over the whole array, and each row is scaled
 by the norm of its own slice. ``vectorize_document`` is the one-row case;
-``vectorize_sentences`` makes one pass per unit for all of its sentences.
+``vectorize_sentences`` makes one pass per unit for all of its sentences
+and returns the CSR arrays as that pass built them.
 """
 
 from __future__ import annotations
@@ -220,29 +221,11 @@ def vectorize_document(model: TfIdfModel, text: str) -> DocumentVector:
     return DocumentVector(indices=indices, values=values, dimension=model.dimension)
 
 
-@dataclass(frozen=True)
-class SentenceVectors:
-    """tf-idf vectors of a run of sentences, laid out for scoring them
-    against many sparse weight columns.
-
-    Sentence i owns the slice ``indptr[i]:indptr[i + 1]`` of ``values`` and
-    ``positions``. ``features`` is the sorted union of the sentences'
-    feature indices, and ``positions`` points each value at its feature in
-    it, so a weight column is looked up once per run, at ``features``, and
-    gathered once, at ``positions``.
-    """
-
-    features: np.ndarray
-    indptr: np.ndarray
-    values: np.ndarray
-    positions: np.ndarray
-
-
-def vectorize_sentences(model: TfIdfModel, sentences: Sequence[Sentence]) -> SentenceVectors:
-    """Vectorize each sentence as vectorize_document does, all in one pass."""
-    indptr, indices, values = _tfidf_rows(model, [s.text for s in sentences])
-    features, positions = np.unique(indices, return_inverse=True)
-    return SentenceVectors(features=features, indptr=indptr, values=values, positions=positions)
+def vectorize_sentences(model: TfIdfModel, sentences: Sequence[Sentence]) -> tuple[np.ndarray, ...]:
+    """Each sentence's row as vectorize_document makes it, all in one pass:
+    the CSR arrays ``(indptr, indices, values)``, sentence i owning the
+    slice ``indptr[i]:indptr[i + 1]``."""
+    return _tfidf_rows(model, [s.text for s in sentences])
 
 
 def stack_vectors(vectors: Iterable[DocumentVector], dimension: int) -> sparse.csr_matrix:

@@ -167,6 +167,37 @@ class TestTrain:
         assert "lambda must be a finite positive number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["text", "records"])
+    def test_reading_too_large_for_float_arithmetic_exits_1(self, tmp_path, capsys, source):
+        lines = [dict(line) for line in FEVER_CORPUS]
+        if source == "text":
+            lines[2]["documents"] = ["Temp = 1" + "0" * 200 + " now."]
+            args, name = [], "Temp"
+        else:
+            recs = write_corpus(tmp_path / "recs.jsonl", [
+                {"encounter_id": line["encounter_id"], "name": "K",
+                 "value": 1e200 if i == 2 else 4.0}
+                for i, line in enumerate(lines)])
+            args, name = ["--source", "db", "--extractions", recs], "K_mean"
+        corpus = write_corpus(tmp_path / "c.jsonl", lines)
+        out = tmp_path / "b.json"
+        rc = main(["train", "--corpus", corpus, "--out", str(out), *args])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"numeric variable {name!r}: readings too large for float arithmetic" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_number_too_large_for_a_float_is_not_extracted(self, tmp_path):
+        lines = [dict(line) for line in FEVER_CORPUS]
+        lines[3]["documents"] = ["Temp = 1" + "0" * 400 + " now."]
+        corpus = write_corpus(tmp_path / "c.jsonl", lines)
+        bundle, preds = tmp_path / "b.json", tmp_path / "p.jsonl"
+        assert main(["train", "--corpus", corpus, "--out", str(bundle)]) == 0
+        assert main(["predict", "--corpus", corpus, "--bundle", str(bundle),
+                     "--out", str(preds)]) == 0
+        assert len(read_jsonl(preds)) == len(lines)
+
     def test_deterministic_bundle_bytes(self, tmp_path):
         corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
         b1, b2 = tmp_path / "b1.json", tmp_path / "b2.json"
@@ -695,6 +726,34 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"setting 'modes' must be a nonempty list of mode names, got {shown}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "train", "evaluate"])
+    def test_run_without_corpus_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out)]) == 2
+        assert "missing required setting: --corpus" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, setting, message",
+        [("explain", {"filter": "bogus"}, "unknown justification filter: 'bogus'"),
+         ("evaluate", {"modes": ["text_only", "bogus"]}, "unknown ablation mode: 'bogus'")],
+        ids=["explain-filter", "evaluate-modes"],
+    )
+    def test_unknown_filter_or_mode_in_config_exits_2(self, tmp_path, capsys, command, setting,
+                                                      message):
+        corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
+        bundle = tmp_path / "b.json"
+        assert main(["train", "--corpus", corpus, "--out", str(bundle)]) == 0
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"corpus": corpus, "bundle": str(bundle), **setting})
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
         assert "Traceback" not in err
         assert not out.exists()
 

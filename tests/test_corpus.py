@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from datawords.corpus import Encounter, Sentence, kfold_split, load_corpus, split_sentences, tokenize
+from datawords.corpus import (
+    Encounter, Sentence, kfold_split, load_corpus, save_corpus, split_sentences, tokenize,
+)
 from datawords.errors import ConfigError, DataError
 
 
@@ -82,6 +84,39 @@ class TestLoadCorpus:
         assert temp.value == 98.8 and temp.kind == "measurement" and temp.unit == "F"
         assert prior.value == "diabetes" and prior.kind == "condition"
         assert temp.provenance == "database"
+
+    def test_blank_line_is_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        good = '{"encounter_id": "e1", "documents": ["a"]}\n'
+        path.write_text(good + "\n  \n" + good.replace("e1", "e2"), encoding="utf-8")
+        assert [e.encounter_id for e in load_corpus(path)] == ["e1", "e2"]
+        path.write_text(good + "\n{oops\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 3: invalid JSON"):
+            load_corpus(path)
+
+    def test_save_round_trips_structured_records(self, tmp_path):
+        path = write_corpus(
+            tmp_path,
+            [
+                {
+                    "encounter_id": "e1",
+                    "documents": ["note", "another"],
+                    "codes": ["B02", "A01"],
+                    "structured": [
+                        {"name": "Temp", "value": 98.8, "unit": "F"},
+                        {"name": "Prior", "value": "diabetes", "kind": "condition"},
+                        {"name": "K", "value": 4},
+                    ],
+                },
+                {"encounter_id": "e2", "documents": ["plain"]},
+            ],
+        )
+        encounters = load_corpus(path)
+        saved, again = tmp_path / "saved.jsonl", tmp_path / "again.jsonl"
+        save_corpus(encounters, saved)
+        assert load_corpus(saved) == encounters
+        save_corpus(load_corpus(saved), again)
+        assert again.read_bytes() == saved.read_bytes()
 
     def test_unknown_fields_ignored(self, tmp_path):
         path = write_corpus(

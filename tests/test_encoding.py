@@ -18,7 +18,7 @@ from datawords.encoding import (
     sanitize_name,
     sanitize_value,
 )
-from datawords.errors import ConfigError, InputError, UnresolvedVariableError
+from datawords.errors import ConfigError, DataError, InputError, UnresolvedVariableError
 from datawords.extraction import StructuredRecord
 from datawords.model import PipelineConfig, _encode
 
@@ -52,6 +52,21 @@ class TestComputeStats:
     def test_no_numeric_records_absent(self):
         stats = compute_stats([StructuredRecord(name="Glucose", value="high", kind="other")])
         assert "Glucose" not in stats
+
+    @pytest.mark.parametrize("values", [(1e200, 1.0), (1e308, 1e308)],
+                             ids=["variance-overflows", "mean-not-finite"])
+    def test_too_large_for_float_arithmetic_names_the_variable(self, values):
+        records = [numeric("Pulse", 60.0)] + [numeric("Temp", v) for v in values]
+        with pytest.raises(DataError, match="numeric variable 'Temp': readings too large"):
+            compute_stats(records)
+
+    @given(st.lists(st.floats(min_value=-1e150, max_value=1e150), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_finite_bits_are_the_two_sum_formula(self, values):
+        mean = sum(values) / len(values)
+        std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+        got = compute_stats([numeric("X", v) for v in values])["X"]
+        assert (got.mean.hex(), got.std.hex()) == (mean.hex(), std.hex())
 
 
 class TestBinValue:
@@ -150,6 +165,10 @@ class TestRenderNatural:
     def test_mid_rendering(self):
         s = encode_record(numeric("Temp", 98.8), temp_spec(), {})
         assert render_natural(s) == "Temperature was in normal range [98.8]"
+
+    def test_integer_reading_renders_as_an_integer(self):
+        s = encode_record(numeric("Temp", 104), temp_spec(), {})
+        assert s.display == "Temperature was very high [104]"
 
     def test_categorical_rendering(self):
         rec = StructuredRecord(name="Previous_condition", value="lung_cancer", kind="condition")

@@ -95,6 +95,19 @@ class TestExtractPatterns:
         (record,) = extract_patterns(text, config)
         assert (record.name, record.value, record.span) == (name, value, span)
 
+    def test_number_too_large_for_a_float_is_dropped(self):
+        assert extract_patterns("Temp = 1" + "0" * 400 + " now", simple_config()) == []
+        (record,) = extract_patterns("Temp = 1" + "0" * 200 + " now", simple_config())
+        assert record.value == 1e200
+
+    def test_records_carry_the_given_stamp(self):
+        text = "Temp 99.1, lung cancer"
+        assert {(r.encounter_id, r.doc_index) for r in extract_patterns(text, simple_config())} \
+            == {(None, None)}
+        stamped = extract_patterns(text, simple_config(), "e9", 2)
+        assert [(r.name, r.encounter_id, r.doc_index) for r in stamped] == [
+            ("Temp", "e9", 2), ("Previous_condition", "e9", 2)]
+
     def test_deterministic(self):
         text = "Temp 100.2, later Temp 101.5, known lung cancer"
         a = extract_patterns(text, simple_config())
@@ -271,8 +284,12 @@ class TestCompiledExtractor:
         # perfbench times extraction by wrapping this module attribute.
         calls = []
         real = extraction.extract_patterns
-        monkeypatch.setattr(extraction, "extract_patterns",
-                            lambda text, config: calls.append(text) or real(text, config))
+
+        def stub(text, config, *stamp):
+            calls.append(text)
+            return real(text, config, *stamp)
+
+        monkeypatch.setattr(extraction, "extract_patterns", stub)
         enc = Encounter(encounter_id="e7", documents=("Temp 99.1", "x", "HR 61"))
         records = extract_encounter(enc, default_pattern_config())
         assert calls == list(enc.documents)
@@ -428,7 +445,85 @@ class TestSelectMeasurements:
             MeasurementFilter(mode="count_range", min_count=5, max_count=1)
 
 
+def reference_rollup(records, policy, provenances=None):
+    """The two-pass roll-up with one if-chain per aggregate that the
+    one-pass table replaced, kept as the oracle."""
+
+    def aggregate(agg, values):
+        ordered, mid = sorted(values), len(values) // 2
+        return {
+            "mean": lambda: sum(values) / len(values),
+            "median": lambda: (ordered[mid] if len(ordered) % 2
+                               else (ordered[mid - 1] + ordered[mid]) / 2.0),
+            "min": lambda: min(values),
+            "max": lambda: max(values),
+            "first": lambda: values[0],
+            "last": lambda: values[-1],
+            "count": lambda: float(len(values)),
+        }[agg]()
+
+    targets = [r.is_numeric and (provenances is None or r.provenance in provenances)
+               for r in records]
+    groups = {}
+    for rec, target in zip(records, targets):
+        if target:
+            groups.setdefault((rec.encounter_id, rec.name), []).append(rec)
+    out, emitted = [], set()
+    for rec, target in zip(records, targets):
+        key = (rec.encounter_id, rec.name)
+        if not target:
+            out.append(rec)
+        elif key not in emitted:
+            emitted.add(key)
+            group = groups[key]
+            values = [float(r.value) for r in group]
+            out.extend(
+                StructuredRecord(name=f"{rec.name}_{agg}", value=aggregate(agg, values),
+                                 kind=group[0].kind, provenance=group[0].provenance,
+                                 encounter_id=group[0].encounter_id, unit=group[0].unit)
+                for agg in policy.aggregates
+            )
+    return out
+
+
+@st.composite
+def rollup_cases(draw):
+    readings = st.tuples(
+        st.sampled_from(["e1", "e2", None]),
+        st.sampled_from(["Glucose", "Temp"]),
+        st.one_of(st.floats(min_value=-1e6, max_value=1e6), st.integers(-5, 5),
+                  st.sampled_from(["high", "low"])),
+        st.sampled_from(extraction.PROVENANCES),
+        st.sampled_from([None, "mg/dL"]),
+    )
+    records = [
+        StructuredRecord(name=name, value=value, provenance=prov, encounter_id=eid, unit=unit,
+                         kind="other" if isinstance(value, str) else "measurement")
+        for eid, name, value, prov, unit in draw(st.lists(readings, max_size=15))
+    ]
+    aggregates = draw(st.sets(st.sampled_from(extraction.AGGREGATES), min_size=1))
+    provenances = draw(st.one_of(st.none(), st.sets(st.sampled_from(extraction.PROVENANCES))
+                                 .map(lambda p: tuple(sorted(p)))))
+    return records, RollupPolicy(tuple(aggregates)), provenances
+
+
 class TestRollup:
+    @given(rollup_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_two_pass_reference(self, case):
+        records, policy, provenances = case
+        got = rollup(records, policy, provenances)
+        want = reference_rollup(records, policy, provenances)
+
+        def bits(out):
+            return [(r, r.value.hex() if isinstance(r.value, float) else r.value) for r in out]
+
+        assert bits(got) == bits(want)
+
+    def test_policy_takes_the_canonical_order(self):
+        assert RollupPolicy(tuple(reversed(extraction.AGGREGATES))).aggregates == (
+            "mean", "median", "min", "max", "first", "last", "count")
+
     def glucose(self, values):
         return [
             StructuredRecord(name="Glucose", value=v, provenance="database", encounter_id="e1")

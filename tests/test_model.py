@@ -384,6 +384,13 @@ class TestPipelineConfig:
         )
         assert train_all(trivial_corpus(), cfg).spec == cfg.spec
 
+    def test_a_frozen_encoding_spec_with_its_defaults(self):
+        cfg = PipelineConfig()
+        assert isinstance(cfg, EncodingSpec) and type(cfg.spec) is EncodingSpec
+        assert cfg.spec == EncodingSpec()
+        with pytest.raises(FrozenInstanceError):
+            cfg.lam = 2.0
+
 
 class TestTrainAll:
     def test_smallest_case(self):
@@ -564,6 +571,21 @@ def test_unit_sentences_derive_from_its_text(unit, mode):
         assert all(s.kind == "text" for s in sentences[:split])
         keys = [(s.doc_index, s.sent_index) for s in sentences]
         assert keys == sorted(set(keys))
+
+
+@given(st.integers(1, 4), st.lists(st.one_of(st.none(), st.integers(-2, 6)), max_size=12))
+@settings(max_examples=100, deadline=None)
+@example(3, [None, 0, 2, 5, None, 1, -1, 2])
+def test_document_units_group_as_the_per_document_filter(n_docs, doc_indices):
+    """One pass over the DataWords gives each document unit what filtering
+    them all by ``doc_index in (di, None)`` gives, in the same order; an
+    index outside the documents joins no unit."""
+    records = [StructuredRecord(name=f"V{i}", value="x", kind="condition", doc_index=di)
+               for i, di in enumerate(doc_indices)]
+    enc = Encounter(encounter_id="e", documents=tuple(f"doc {i}" for i in range(n_docs)))
+    units = model._encode(enc, PipelineConfig(extraction_source="none").spec, records, {})
+    assert [[dw.source.name for dw in u.datawords] for u in units] == [
+        [r.name for r in records if r.doc_index in (di, None)] for di in range(n_docs)]
 
 
 def test_training_splits_no_sentences_and_text_only_encodes_no_record(monkeypatch):

@@ -272,13 +272,13 @@ class TestOnePassCore:
     @settings(max_examples=50, deadline=None)
     def test_sentence_layout_points_at_each_row(self, case):
         model, texts = case
-        vecs = vectorize_sentences(model, [Sentence(text=t, doc_index=0, sent_index=i)
-                                           for i, t in enumerate(texts)])
-        indptr, indices, values = _tfidf_rows(model, texts)
-        assert np.array_equal(vecs.indptr, indptr)
-        assert vecs.values.tobytes() == values.tobytes()
-        assert np.array_equal(vecs.features[vecs.positions], indices)
-        assert np.array_equal(vecs.features, np.unique(indices))
+        indptr, indices, values = vectorize_sentences(
+            model, [Sentence(text=t, doc_index=0, sent_index=i) for i, t in enumerate(texts)])
+        assert indptr.tolist()[0] == 0 and indptr.size == len(texts) + 1
+        for i, text in enumerate(texts):
+            lo, hi = indptr[i], indptr[i + 1]
+            vec = vectorize_document(model, text)
+            assert hex_row(indices[lo:hi], values[lo:hi]) == hex_row(vec.indices, vec.values)
 
     def test_final_sigma_follows_each_text(self):
         # "ΑΣ.Β" lowers to "ασ.β" as one text but "ας." as a sentence of its own

@@ -287,9 +287,9 @@ def encode_record(
     """Encode one record as a DataWords sentence.
 
     Numeric records need cuts resolvable from the spec (explicit, or auto
-    via stats); otherwise UnresolvedVariableError is raised and pipeline
-    callers skip the record with a warning. Categorical records never
-    consult stats.
+    via stats), else UnresolvedVariableError, and a finite value, else
+    InputError, as for a name or categorical value that sanitizes to
+    nothing. Categorical records never consult stats.
     """
     name_token = sanitize_name(record.name)
     display = spec.display_name(record.name)
@@ -321,24 +321,16 @@ def encode_records(
     spec: ThresholdSpec,
     stats: Mapping[str, VariableStats],
 ) -> list[DataWordSentence]:
-    """Encode many records, skipping unresolvable ones with a warning."""
+    """Encode many records, skipping each one ``encode_record`` refuses
+    with a warning naming its variable, its encounter and the reason."""
     out = []
     for rec in records:
         try:
             out.append(encode_record(rec, spec, stats))
-        except UnresolvedVariableError as exc:
-            logger.warning("skipping record: %s", exc)
+        except (UnresolvedVariableError, InputError) as exc:
+            logger.warning("skipping record %r of encounter %r: %s",
+                           rec.name, rec.encounter_id, exc)
     return out
-
-
-def select_datawords(records: Sequence[StructuredRecord], mode: str) -> list[StructuredRecord]:
-    """The records an ablation mode encodes: none for ``text_only``, the
-    categorical ones for ``nonnumeric_datawords_only``, all otherwise."""
-    if mode == "text_only":
-        return []
-    if mode == "nonnumeric_datawords_only":
-        return [r for r in records if not r.is_numeric]
-    return list(records)
 
 
 def augment_document(document: str, datawords: Sequence[DataWordSentence]) -> str:

@@ -59,7 +59,6 @@ from .encoding import (
     augment_document,
     compute_stats,
     encode_records,
-    select_datawords,
 )
 from .errors import ConfigError, DataError, InputError, UnsupportedVersionError
 from .extraction import (
@@ -431,7 +430,9 @@ def _key_external(records: Iterable[StructuredRecord]) -> dict[str, list[Structu
 def _collect_records(
     encounter: Encounter, spec: EncodingSpec, external: Mapping[str, list[StructuredRecord]]
 ) -> list[StructuredRecord]:
-    """The encounter's embedded records plus what the spec's source contributes."""
+    """The encounter's embedded records and its source's; none in text_only."""
+    if spec.ablation_mode == "text_only":
+        return []
     records = list(encounter.structured)
     if spec.extraction_source == "patterns":
         records.extend(extract_encounter(encounter, spec.resolved_pattern_config()))
@@ -443,9 +444,13 @@ def _collect_records(
 def _process_records(
     records: list[StructuredRecord], spec: EncodingSpec, selected: set[str] | None
 ) -> list[StructuredRecord]:
+    """The selected records, less the numeric ones in
+    ``nonnumeric_datawords_only``, rolled up (when there are any)."""
     if selected is not None:
         records = [r for r in records if r.name in selected]
-    return rollup(records, spec.rollup_policy, provenances=spec.rollup_provenances)
+    if spec.ablation_mode == "nonnumeric_datawords_only":
+        records = [r for r in records if not r.is_numeric]
+    return rollup(records, spec.rollup_policy, spec.rollup_provenances) if records else []
 
 
 def _encode(
@@ -454,14 +459,14 @@ def _encode(
     records: list[StructuredRecord],
     stats: Mapping[str, VariableStats],
 ) -> list[AugmentedUnit]:
-    """The encounter's units, built from its filtered and rolled-up records.
+    """The encounter's units, encoding all of ``records``.
 
-    Only the records the ablation mode keeps are encoded. A document unit
-    takes the DataWords of its own document plus the unattributed ones; an
-    encounter unit takes them all, after all of its documents' text. One
-    attributed to an index outside the documents joins no unit.
+    A document unit takes the DataWords of its own document plus the
+    unattributed ones; an encounter unit takes them all, after all of its
+    documents' text. One attributed to an index outside the documents joins
+    no unit.
     """
-    dws = encode_records(select_datawords(records, spec.ablation_mode), spec.threshold_spec, stats)
+    dws = encode_records(records, spec.threshold_spec, stats)
     if spec.unit == "document":
         per_doc: list[list[DataWordSentence]] = [[] for _ in encounter.documents]
         for dw in dws:

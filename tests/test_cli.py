@@ -167,8 +167,26 @@ class TestTrain:
         assert "lambda must be a finite positive number" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", ["text", "records"])
-    def test_reading_too_large_for_float_arithmetic_exits_1(self, tmp_path, capsys, source):
+    def test_corpus_of_blank_lines_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("\n  \n\n", encoding="utf-8")
+        out = tmp_path / "b.json"
+        assert main(["train", "--corpus", str(corpus), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot process an empty corpus" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, mode", [
+        pytest.param("text", "text_plus_datawords", id="text"),
+        pytest.param("records", "text_plus_datawords", id="records"),
+        pytest.param("text", "text_only", id="text-text_only"),
+        pytest.param("text", "nonnumeric_datawords_only", id="text-nonnumeric_datawords_only"),
+    ])
+    def test_reading_too_large_for_float_arithmetic_exits_1(self, tmp_path, capsys, source,
+                                                             mode):
+        """Only a mode that encodes numeric DataWords computes statistics,
+        so only such a mode refuses the reading."""
         lines = [dict(line) for line in FEVER_CORPUS]
         if source == "text":
             lines[2]["documents"] = ["Temp = 1" + "0" * 200 + " now."]
@@ -181,12 +199,56 @@ class TestTrain:
             args, name = ["--source", "db", "--extractions", recs], "K_mean"
         corpus = write_corpus(tmp_path / "c.jsonl", lines)
         out = tmp_path / "b.json"
-        rc = main(["train", "--corpus", corpus, "--out", str(out), *args])
+        rc = main(["train", "--corpus", corpus, "--out", str(out), "--mode", mode, *args])
         err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if mode != "text_plus_datawords":
+            assert rc == 0, err
+            assert json.loads(out.read_text())["variable_stats"] == {}
+            return
         assert rc == 1
         assert f"numeric variable {name!r}: readings too large for float arithmetic" in err
-        assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode, bad, name", [
+        pytest.param("text_plus_datawords", [{"name": "K", "value": 1e308}] * 2, "K_mean",
+                     id="roll-up-not-finite"),
+        pytest.param("datawords_only", [{"name": "Cond", "value": "???"}], "Cond",
+                     id="value-sanitizes-to-nothing"),
+    ])
+    def test_record_that_cannot_become_a_dataword_is_skipped(self, tmp_path, mode, bad, name):
+        """A bundle trained on finite K readings and a good Cond, then a
+        records file whose records of encounter e0 cannot be encoded: two
+        readings of 1e308 roll up to an infinite K_mean, or a Cond value
+        sanitizes to nothing. A run that reads it skips the record with a
+        warning on stderr naming it and e0, and writes a row for every
+        unit. Training refuses non-finite readings in its statistics, so
+        only the Cond file is trained on too."""
+        lines = [{"encounter_id": f"e{i}", "documents": [f"note {i}."], "codes": ["A"] * (i % 2)}
+                 for i in range(4)]
+        corpus = write_corpus(tmp_path / "c.jsonl", lines)
+        good = write_corpus(tmp_path / "good.jsonl", [
+            {"encounter_id": f"e{i}", "name": n, "value": v}
+            for i in range(4) for n, v in (("K", 4.0 + i), ("Cond", "stable"))])
+        bad = write_corpus(tmp_path / "bad.jsonl", [{"encounter_id": "e0", **rec} for rec in bad])
+        bundle, preds = tmp_path / "b.json", tmp_path / "p.jsonl"
+        train = ["train", "--source", "db", "--mode", mode]
+        assert main([*train, "--corpus", corpus, "--extractions", good,
+                     "--out", str(bundle)]) == 0
+        runs = [["predict", "--bundle", str(bundle), "--out", str(preds)]]
+        if mode == "datawords_only":
+            runs.append([*train, "--out", str(tmp_path / "b2.json")])
+        src = str(Path(datawords.__file__).resolve().parent.parent)
+        for run in runs:
+            result = subprocess.run(
+                [sys.executable, "-m", "datawords", *run, "--corpus", corpus,
+                 "--extractions", bad],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            assert f"skipping record {name!r} of encounter 'e0'" in result.stderr
+        assert len(read_jsonl(preds)) == len(lines)
 
     def test_number_too_large_for_a_float_is_not_extracted(self, tmp_path):
         lines = [dict(line) for line in FEVER_CORPUS]
@@ -694,12 +756,13 @@ class TestConfigFile:
             ({"bundle": 7}, "setting 'bundle' must be a string, got 7"),
             ({"spec": 7}, "setting 'spec' must be a string, got 7"),
             ({"extractions": 7}, "setting 'extractions' must be a string, got 7"),
+            ({"threads": 0}, "threads must be >= 1, got 0"),
         ],
         ids=["filter_string", "filter_n_string", "hash_bits_string", "lam_string",
              "min_df_string", "l2_normalize_string", "thresholds_object", "rollup_string",
              "lam_null", "min_df_null", "min_positive_null", "threads_null", "topk_null",
              "l2_normalize_null", "seed_null", "corpus_number", "out_number", "bundle_number",
-             "spec_number", "extractions_number"],
+             "spec_number", "extractions_number", "threads_zero"],
     )
     def test_mistyped_setting_exits_2(self, tmp_path, capsys, setting, message):
         # corpus and out come from the file, so that the setting can replace them

@@ -20,7 +20,7 @@ from datawords.encoding import (
 )
 from datawords.errors import ConfigError, DataError, InputError, UnresolvedVariableError
 from datawords.extraction import StructuredRecord
-from datawords.model import PipelineConfig, _encode
+from datawords.model import PipelineConfig, _collect_records, _encode, _process_records
 
 CLINICIAN_CUTS = (95.0, 97.7, 100.4, 103.0)
 
@@ -205,12 +205,14 @@ class TestAugmentDocument:
         ("nonnumeric_datawords_only", "dw__Prior__diabetes."),
     ])
     def test_unit_text_per_mode(self, mode, text):
-        records = [numeric("Temp", 98.8),
-                   StructuredRecord(name="Prior", value="diabetes", kind="condition")]
+        records = (numeric("Temp", 98.8),
+                   StructuredRecord(name="Prior", value="diabetes", kind="condition"))
         spec = PipelineConfig(ablation_mode=mode, extraction_source="none",
                               threshold_spec=temp_spec()).spec
-        encounter = Encounter(encounter_id="e1", documents=("Note text.",), codes=frozenset())
-        [unit] = _encode(encounter, spec, records, {})
+        encounter = Encounter(encounter_id="e1", documents=("Note text.",), codes=frozenset(),
+                              structured=records)
+        kept = _process_records(_collect_records(encounter, spec, {}), spec, None)
+        [unit] = _encode(encounter, spec, kept, {})
         assert unit.text == text
 
 

@@ -247,6 +247,9 @@ REPROS = [
     ("spec.json", ("seed",), True, 2, "seed must be an integer >= 0, got True"),
     ("spec.json", ("documents",), "40", 2, "documents must be an integer, got '40'"),
     ("spec.json", ("rules", 0, "label"), 5, 2, "rule label must be a nonempty string, got 5"),
+    ("spec.json", ("rules", 0, "base_rate"), 1.5, 2, "base rate must be in [0, 1], got 1.5"),
+    ("config.json", ("measurement_filter",), {"mode": "top_n_excluding_top_m", "n": 2, "m": -1},
+     2, "top_n_excluding_top_m filter needs n >= 1 and m >= 0"),
     pytest.param("config.json", ("lam",), 10**400, 2,
                  "lambda must be a finite positive number, got inf", id="config-lam-400-digits"),
 ]

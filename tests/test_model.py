@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from datawords import corpus as corpus_module
-from datawords import encoding, model
+from datawords import encoding, extraction, model
 from datawords.corpus import Encounter, load_corpus, tokenize
 from datawords.encoding import ABLATION_MODES
 from datawords.errors import ConfigError, DataError, InputError, UnsupportedVersionError
@@ -603,18 +603,53 @@ def test_training_splits_no_sentences_and_text_only_encodes_no_record(monkeypatc
     count(corpus_module, "split_sentences")
     count(model, "split_sentences")
     count(encoding, "encode_record")
+    count(extraction, "extract_patterns")
+    count(model, "rollup")
     synth = generate_synthetic(SynthSpec(seed=5, documents=16, rules=(
         PlantedRule("L1", "Temp", "very_high", 0.9, 0.5),)))
+
+    def structured_calls():
+        return [calls.pop(name, 0) for name in ("encode_record", "extract_patterns", "rollup")]
+
     for mode in ABLATION_MODES:
         config = PipelineConfig(ablation_mode=mode, folds=2)
-        train_all(MULTI_DOC, config)
+        bundle = train_all(MULTI_DOC, config)
+        counted = [structured_calls()]
         run_cv(synth, config)
+        counted.append(structured_calls())
+        prepare_units(bundle, MULTI_DOC[0])
+        counted.append(structured_calls())
         assert calls["split_sentences"] == 0
-        assert (calls.pop("encode_record", 0) == 0) == (mode == "text_only")
+        if mode == "text_only":
+            assert counted == [[0, 0, 0]] * 3
+        else:  # MULTI_DOC holds records of both kinds, synth numeric ones only
+            assert all(counted[0]) and all(counted[2]), (mode, counted)
     units = build_corpus_units(MULTI_DOC, PipelineConfig()).units
     for u in units + units:
         u.sentences
     assert calls["split_sentences"] == len(units)  # built once, when first read
+
+
+def test_nonnumeric_ablation_keeps_the_selection_and_stores_no_statistics():
+    """The measurement filter counts every record collected, numeric ones
+    too, so the nonnumeric ablation selects the variables text plus
+    DataWords selects and drops the numeric ones from that selection. A
+    mode without numeric DataWords stores no statistics, and text only
+    collects no record to select."""
+    config = PipelineConfig(
+        measurement_filter=MeasurementFilter(mode="top_n_excluding_top_m", n=4, m=1))
+    bundles = {mode: train_all(MULTI_DOC, replace(config, ablation_mode=mode))
+               for mode in ABLATION_MODES}
+    assert bundles["text_plus_datawords"].selected_variables == ("Pulse", "Smoking", "Temp",
+                                                                 "Weight")
+    assert (bundles["nonnumeric_datawords_only"].selected_variables
+            == bundles["text_plus_datawords"].selected_variables)
+    assert bundles["text_only"].selected_variables == ()
+    units = build_corpus_units(
+        MULTI_DOC, replace(config, ablation_mode="nonnumeric_datawords_only")).units
+    assert {dw.source.name for u in units for dw in u.datawords} == {"Smoking"}
+    assert [mode for mode, b in bundles.items() if b.variable_stats] == [
+        "text_plus_datawords", "datawords_only"]
 
 
 class TestIdfRescaling:

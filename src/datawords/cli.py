@@ -3,8 +3,9 @@
 Subcommands: extract, stats, encode, train, predict, explain, evaluate,
 synth. Settings come from an optional JSON config file (--config) with
 command-line flags taking precedence. All randomness flows from --seed.
-Stage timings go to standard error and never into data outputs, so every
-output file is byte-identical across reruns with the same inputs.
+A command that succeeds prints one "[time] <command>: <seconds>s" line to
+standard error; timings never enter data outputs, so every output file is
+byte-identical across reruns with the same inputs.
 
 Exit codes: 0 success, 1 data error, 2 configuration or usage error.
 """
@@ -46,10 +47,6 @@ from .model import (
     save_bundle,
     train_all,
 )
-
-
-def _timed(stage: str, started: float) -> None:
-    print(f"[time] {stage}: {time.perf_counter() - started:.3f}s", file=sys.stderr)
 
 
 def _float(value: int | float) -> float:
@@ -174,7 +171,6 @@ def _write_jsonl(path: str, rows) -> None:
 
 def cmd_extract(args) -> int:
     settings = _settings(args, "corpus", "out")
-    t0 = time.perf_counter()
     config = _pipeline_config(settings)
     if config.extraction_source == "none":
         raise ConfigError("extract requires a source (patterns, external, or db)")
@@ -191,14 +187,12 @@ def cmd_extract(args) -> int:
             if rec.encounter_id in ids:
                 rows.append(_record_to_json(rec))
     _write_jsonl(settings["out"], rows)
-    _timed("extract", t0)
     print(f"wrote {len(rows)} records to {settings['out']}", file=sys.stderr)
     return 0
 
 
 def cmd_stats(args) -> int:
     settings = _settings(args, "corpus", "out")
-    t0 = time.perf_counter()
     encounters = load_corpus(settings["corpus"])
     config = _pipeline_config(settings)
     corpus_units = build_corpus_units(encounters, config)
@@ -208,14 +202,12 @@ def cmd_stats(args) -> int:
     }
     with open(settings["out"], "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj, indent=2) + "\n")
-    _timed("stats", t0)
     print(f"wrote statistics for {len(obj)} variables to {settings['out']}", file=sys.stderr)
     return 0
 
 
 def cmd_encode(args) -> int:
     settings = _settings(args, "corpus", "out")
-    t0 = time.perf_counter()
     encounters = load_corpus(settings["corpus"])
     config = _pipeline_config(settings)
     corpus_units = build_corpus_units(encounters, config)
@@ -230,18 +222,15 @@ def cmd_encode(args) -> int:
             }
         )
     _write_jsonl(settings["out"], rows)
-    _timed("encode", t0)
     return 0
 
 
 def cmd_train(args) -> int:
     settings = _settings(args, "corpus", "out")
-    t0 = time.perf_counter()
     encounters = load_corpus(settings["corpus"])
     config = _pipeline_config(settings)
     bundle = train_all(encounters, config)
     save_bundle(bundle, settings["out"])
-    _timed("train", t0)
     print(
         f"trained {len(bundle.label_models)} label models "
         f"({bundle.tfidf.dimension} features) -> {settings['out']}",
@@ -252,7 +241,6 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     settings = _settings(args, "corpus", "bundle", "out")
-    t0 = time.perf_counter()
     bundle = load_bundle(settings["bundle"])
     encounters = load_corpus(settings["corpus"])
     units = _predictside_units(settings, bundle, encounters)
@@ -268,7 +256,6 @@ def cmd_predict(args) -> int:
         for pset in predict_units(bundle, units)
     ]
     _write_jsonl(settings["out"], rows)
-    _timed("predict", t0)
     return 0
 
 
@@ -280,7 +267,6 @@ def cmd_explain(args) -> int:
     sentence_filter = settings.get("filter", "all")
     if sentence_filter not in JUSTIFICATION_FILTERS:
         raise ConfigError(f"unknown justification filter: {sentence_filter!r}")
-    t0 = time.perf_counter()
     bundle = load_bundle(settings["bundle"])
     encounters = load_corpus(settings["corpus"])
     units = _predictside_units(settings, bundle, encounters)
@@ -309,7 +295,6 @@ def cmd_explain(args) -> int:
                 }
             )
     _write_jsonl(settings["out"], rows)
-    _timed("explain", t0)
     return 0
 
 
@@ -323,24 +308,17 @@ def cmd_evaluate(args) -> int:
             raise ConfigError(f"unknown ablation mode: {m!r}")
     base = _pipeline_config({**settings, "mode": modes[0]})
     encounters = load_corpus(settings["corpus"])
-    for m in modes:
-        t0 = time.perf_counter()
-        config = replace(base, ablation_mode=m)
-        report = run_cv(encounters, config)
-        out_dir.mkdir(parents=True, exist_ok=True)  # after run_cv accepted the fold count
+    # every mode runs before anything is written, so a run that fails
+    # leaves no report behind, nor an --out directory
+    reports = [run_cv(encounters, replace(base, ablation_mode=m)) for m in modes]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for m, report in zip(modes, reports):
         report_path = out_dir / f"report_{m}.json"
         with open(report_path, "wb") as fh:
             fh.write(report.to_json_bytes())
         if args.label_table:
             with open(out_dir / f"labels_{m}.csv", "w", encoding="utf-8") as fh:
                 fh.write(report.label_table_csv())
-        for row in report.timings:
-            print(
-                f"[time] {m} fold {row['fold']}: train {row['train_seconds']:.3f}s, "
-                f"predict {row['predict_seconds']:.3f}s",
-                file=sys.stderr,
-            )
-        _timed(f"evaluate[{m}]", t0)
         micro = report.micro
         print(
             f"{m}: micro P={micro[0]:.4f} R={micro[1]:.4f} F1={micro[2]:.4f} -> {report_path}",
@@ -351,12 +329,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     settings = _settings(args, "spec", "out")
-    t0 = time.perf_counter()
     spec = SynthSpec.from_dict(read_json_object(settings["spec"], "synthetic spec"))
     spec.validate_for_folds(settings.get("folds", PipelineConfig.folds))
     encounters = generate_synthetic(spec)
     save_corpus(encounters, settings["out"])
-    _timed("synth", t0)
     print(f"wrote {len(encounters)} encounters to {settings['out']}", file=sys.stderr)
     return 0
 
@@ -416,17 +392,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        rc = args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # a path that cannot be used: a directory for a file, a file for a
+        # directory, no permission
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     except DataWordsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(f"[time] {args.command}: {time.perf_counter() - started:.3f}s", file=sys.stderr)
+    return rc
 
 
 if __name__ == "__main__":

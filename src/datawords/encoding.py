@@ -299,11 +299,6 @@ def encode_record(
             raise UnresolvedVariableError(
                 f"no cuts or statistics for numeric variable {record.name!r}"
             )
-        if cuts[0] == cuts[3]:
-            logger.warning(
-                "degenerate cuts for %r (zero spread); binning carries no information",
-                record.name,
-            )
         label = bin_value(float(record.value), cuts)
         tokens = tuple(f"dw__{name_token}__{suffix}" for suffix in BIN_TOKENS[label])
         return DataWordSentence(tokens=tokens, source=record, bin_label=label, display_name=display)

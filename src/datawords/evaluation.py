@@ -8,16 +8,14 @@ say which one they used. Every F1 in a report is computed as
 identity can be checked exactly.
 
 Report bytes are fully determined by the corpus, the configuration
-digest, and the seed. Timings are collected in memory for logging but
-never serialized into the report.
+digest, and the seed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -150,7 +148,6 @@ class MetricsReport:
     per_document: tuple[float, float, float]
     label_table: dict[str, tuple[int, int, int, float, float, float]]
     folds: list[dict]
-    timings: list[dict] = field(default_factory=list, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -215,18 +212,14 @@ def run_cv(encounters: Sequence[Encounter], config: PipelineConfig) -> MetricsRe
     all_predictions: list[PredictionSet] = []
     all_gold: list[frozenset[str]] = []
     fold_rows: list[dict] = []
-    timings: list[dict] = []
 
     for fold in range(config.folds):
-        t0 = time.perf_counter()
         train_encs = [by_id[eid] for eid in split.train_ids(fold)]
         test_encs = [by_id[eid] for eid in split.test_ids(fold)]
         bundle = train_all(train_encs, config)
-        t_train = time.perf_counter()
         units = [u for enc in test_encs for u in prepare_units(bundle, enc, external)]
         fold_preds = predict_units(bundle, units)
         fold_gold = [u.gold for u in units]
-        t_pred = time.perf_counter()
 
         fold_counts = confusion_counts(fold_preds, fold_gold)
         p, r, f1 = micro_metrics(fold_counts)
@@ -235,13 +228,6 @@ def run_cv(encounters: Sequence[Encounter], config: PipelineConfig) -> MetricsRe
                 "fold": fold,
                 "test_units": len(fold_preds),
                 "micro": {"precision": p, "recall": r, "f1": f1},
-            }
-        )
-        timings.append(
-            {
-                "fold": fold,
-                "train_seconds": t_train - t0,
-                "predict_seconds": t_pred - t_train,
             }
         )
         all_predictions.extend(fold_preds)
@@ -262,7 +248,6 @@ def run_cv(encounters: Sequence[Encounter], config: PipelineConfig) -> MetricsRe
         per_document=per_document_metrics(all_predictions, all_gold),
         label_table=table,
         folds=fold_rows,
-        timings=timings,
     )
 
 

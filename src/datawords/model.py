@@ -594,6 +594,13 @@ def build_corpus_units(
         eid: _process_records(recs, spec, selected) for eid, recs in raw_records.items()
     }
     stats = compute_stats(r for recs in processed.values() for r in recs)
+    # explicit cuts are strictly increasing, so only cuts from statistics,
+    # of a variable with zero spread, can be degenerate
+    for name in sorted(stats):
+        cuts = spec.threshold_spec.resolve_cuts(name, stats)
+        if cuts[0] == cuts[3]:
+            logger.warning("degenerate cuts for %r (zero spread); binning carries no "
+                           "information", name)
     units = [u for e in encounters for u in _encode(e, spec, processed[e.encounter_id], stats)]
     return CorpusUnits(units=units, stats=stats, selected=selected)
 

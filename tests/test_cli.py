@@ -367,12 +367,15 @@ class TestExplain:
 
 
 class TestEvaluate:
-    def test_default_mode_list_writes_two_reports(self, tmp_path, synth_corpus):
+    def test_default_mode_list_writes_two_reports(self, tmp_path, capsys, synth_corpus):
         out = tmp_path / "reports"
+        capsys.readouterr()
         rc = main(["evaluate", "--corpus", synth_corpus, "--out", str(out)])
         assert rc == 0
         assert (out / "report_text_only.json").exists()
         assert (out / "report_text_plus_datawords.json").exists()
+        times = [line for line in capsys.readouterr().err.splitlines() if "[time]" in line]
+        assert len(times) == 1 and times[0].startswith("[time] evaluate: ")
 
     def test_too_few_encounters_exits_2(self, tmp_path):
         corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS[:2])
@@ -386,6 +389,24 @@ class TestEvaluate:
         out = tmp_path / "reports"
         rc = main(["evaluate", "--corpus", corpus, "--out", str(out), "--folds", folds])
         assert rc == 2
+        assert not out.exists()
+
+    def test_failing_mode_leaves_no_out_directory(self, tmp_path, capsys):
+        """text_only computes no statistics and passes; text_plus_datawords
+        refuses the Temp reading. Every mode runs before anything is
+        written, so not even text_only's report is left behind."""
+        lines = FEVER_CORPUS + [
+            {"encounter_id": "e5", "documents": ["Temp = 1" + "0" * 200 + " now."],
+             "codes": ["A01"]},
+            {"encounter_id": "e6", "documents": ["a quiet night."], "codes": []},
+        ]
+        corpus = write_corpus(tmp_path / "c.jsonl", lines)
+        out = tmp_path / "reports"
+        rc = main(["evaluate", "--corpus", corpus, "--out", str(out), "--folds", "2"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "numeric variable 'Temp': readings too large for float arithmetic" in err
+        assert "[time]" not in err
         assert not out.exists()
 
     def test_fixed_seed_identical_bytes(self, tmp_path, synth_corpus):
@@ -799,6 +820,29 @@ class TestConfigFile:
         assert "missing required setting: --corpus" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, message", [
+        pytest.param("train", "--corpus", "Is a directory", id="corpus-directory"),
+        pytest.param("train", "--config", "Is a directory", id="config-directory"),
+        pytest.param("train", "--out", "Is a directory", id="train-out-directory"),
+        pytest.param("evaluate", "--out", "File exists", id="evaluate-out-file"),
+    ])
+    def test_unusable_path_exits_2_naming_it(self, tmp_path, capsys, command, flag, message):
+        """A path that exists but is the wrong kind of thing is refused with
+        the system's reason, and nothing is written."""
+        corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
+        bad = tmp_path / "bad"
+        if message == "Is a directory":
+            bad.mkdir()
+        else:
+            bad.write_text("", encoding="utf-8")
+        args = {"--corpus": corpus, "--out": str(tmp_path / "out"), "--folds": "2", flag: str(bad)}
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, *(word for item in args.items() for word in item)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: {message}" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize(
         "command, setting, message",
         [("explain", {"filter": "bogus"}, "unknown justification filter: 'bogus'"),
@@ -899,6 +943,8 @@ def test_python_dash_m_datawords_runs_the_cli(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert via_module.read_bytes() == in_process.read_bytes()
+    times = [line for line in result.stderr.splitlines() if "[time]" in line]
+    assert len(times) == 1 and times[0].startswith("[time] synth: ")
 
 
 def test_bundle_bytes_independent_of_blas_threads(tmp_path):

@@ -652,6 +652,23 @@ def test_nonnumeric_ablation_keeps_the_selection_and_stores_no_statistics():
         "text_plus_datawords", "datawords_only"]
 
 
+def test_degenerate_cuts_warn_once_per_variable(caplog):
+    """Many records of one flat variable give one warning, naming it; a
+    variable with spread gives none."""
+    encounters = [
+        Encounter(encounter_id=f"e{i}", documents=(f"Flat = 5. Temp = {97 + i}.",),
+                  codes=frozenset({"A"}))
+        for i in range(50)
+    ]
+    with caplog.at_level(logging.WARNING, logger="datawords"):
+        units = build_corpus_units(encounters, PipelineConfig(
+            pattern_config=extraction.PatternConfig(aliases={"Flat": "Flat", "Temp": "Temp"})
+        )).units
+    assert sum(len(u.datawords) for u in units) == 100
+    assert [r.getMessage() for r in caplog.records] == [
+        "degenerate cuts for 'Flat' (zero spread); binning carries no information"]
+
+
 class TestIdfRescaling:
     def test_ranking_stable_under_idf_scaling(self):
         # with L2 normalization on, scaling every idf by c > 0 leaves the

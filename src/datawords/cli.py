@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 data error, 2 configuration or usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -307,9 +309,14 @@ def cmd_evaluate(args) -> int:
         if m not in ABLATION_MODES:
             raise ConfigError(f"unknown ablation mode: {m!r}")
     base = _pipeline_config({**settings, "mode": modes[0]})
-    encounters = load_corpus(settings["corpus"])
     # every mode runs before anything is written, so a run that fails
-    # leaves no report behind, nor an --out directory
+    # leaves no report behind, nor an --out directory; a path mkdir would
+    # refuse is refused before the first fold
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        code = errno.EEXIST if nearest == out_dir else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out_dir))
+    encounters = load_corpus(settings["corpus"])
     reports = [run_cv(encounters, replace(base, ablation_mode=m)) for m in modes]
     out_dir.mkdir(parents=True, exist_ok=True)
     for m, report in zip(modes, reports):

@@ -316,15 +316,22 @@ def encode_records(
     spec: ThresholdSpec,
     stats: Mapping[str, VariableStats],
 ) -> list[DataWordSentence]:
-    """Encode many records, skipping each one ``encode_record`` refuses
-    with a warning naming its variable, its encounter and the reason."""
+    """Encode many records, skipping each one ``encode_record`` refuses.
+
+    The skipped records are warned about once per variable and kind of
+    refusal, in one line that names the variable, the encounter and reason
+    of the first such record, and how many there were.
+    """
     out = []
+    skipped: dict[tuple[str, type], list] = {}
     for rec in records:
         try:
             out.append(encode_record(rec, spec, stats))
         except (UnresolvedVariableError, InputError) as exc:
-            logger.warning("skipping record %r of encounter %r: %s",
-                           rec.name, rec.encounter_id, exc)
+            skipped.setdefault((rec.name, type(exc)), [rec.encounter_id, exc, 0])[2] += 1
+    for (name, _), (encounter_id, exc, count) in skipped.items():
+        logger.warning("skipping record %r of encounter %r: %s (%d of this kind)",
+                       name, encounter_id, exc, count)
     return out
 
 

@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -93,6 +93,7 @@ from .vectorize import (
     TfIdfModel,
     Vocabulary,
     _hashed_idf,
+    _tfidf_rows,
     build_vocabulary,
     fit_hashed_idf,
     fit_idf,
@@ -102,6 +103,10 @@ from .vectorize import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Gathered (entry of X, weight) pairs that one block of ``predict_units``
+# holds at a time: whole units are scored together up to this many.
+_GATHER_BLOCK = 1 << 16
 
 FORMAT_VERSION = "2"
 # The tokenizer every bundle is written with (``corpus.tokenize``).
@@ -247,8 +252,7 @@ class LabelModel:
     threshold: float
 
 
-@dataclass(frozen=True)
-class PredictionItem:
+class PredictionItem(NamedTuple):
     label: str
     score: float
     predicted: bool
@@ -502,8 +506,10 @@ class ModelBundle:
     """Self-contained model state: everything prediction needs.
 
     ``weights`` is the (dimension x labels) CSC matrix, with sorted indices,
-    whose column j holds the weights of ``label_models[j]``. Its CSR view is
-    built once here, so scoring a batch converts no format per call.
+    whose column j holds the weights of ``label_models[j]``. Its CSR view,
+    the label, bias and threshold arrays and each column's rank in sorted
+    label order are built once here, so scoring a batch converts nothing
+    per call.
     """
 
     tfidf: TfIdfModel
@@ -528,10 +534,15 @@ class ModelBundle:
         for j, lm in enumerate(self.label_models):
             if columns.setdefault(lm.label, j) != j:
                 raise ValueError(f"label {lm.label!r}: repeats an earlier label")
+        labels = np.array([lm.label for lm in self.label_models], dtype=object)
+        rank = np.empty(n, dtype=np.int64)
+        rank[sorted(range(n), key=labels.__getitem__)] = np.arange(n)
         scoring = (
             W.tocsr(),
             np.array([lm.bias for lm in self.label_models], dtype=np.float64),
             np.array([lm.threshold for lm in self.label_models], dtype=np.float64),
+            labels,
+            rank,
         )
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_scoring", scoring)
@@ -687,33 +698,55 @@ def prepare_units(
 def predict_units(bundle: ModelBundle, units: Sequence[AugmentedUnit]) -> list[PredictionSet]:
     """Score already-prepared units against every label in the bundle.
 
-    The units' vectors are stacked into one CSR matrix X and scored with a
-    single product X W + b against the bundle's CSR view of its weights. Row i
-    of that product sums the same terms in the same order as scoring unit
-    i alone, so one call over a batch gives bit-identical scores to one
-    call per unit; callers should pass every unit they have at once.
+    One call vectorizes every unit's text in one tf-idf pass and computes
+    S = X W + b without a sparse product: each entry of X gathers its
+    feature's row of W (the bundle's CSR view), and one ``np.bincount``
+    over ``unit * labels + label`` sums the products. bincount adds each
+    score's terms in X's entry order starting from 0.0, as scipy's CSR
+    product does, so a score does not depend on the batch it is in;
+    callers should pass every unit they have at once. The gathered arrays
+    are O(nnz(X) * labels), so units are scored in blocks of whole units
+    of at most ``_GATHER_BLOCK`` gathered entries, a unit that gathers
+    more alone. Each unit's items come out sorted by descending score,
+    then label, from one ``np.lexsort`` over the batch.
     """
-    W, biases, thresholds = bundle._scoring
-    X = stack_vectors(
-        [vectorize_document(bundle.tfidf, unit.text) for unit in units], bundle.tfidf.dimension
-    )
-    S = (X @ W).toarray() + biases
-    labels = bundle.labels
-    out: list[PredictionSet] = []
-    for unit, scores, hits in zip(units, S.tolist(), (S >= thresholds).tolist()):
-        items = [
-            PredictionItem(label=label, score=score, predicted=hit)
-            for label, score, hit in zip(labels, scores, hits)
-        ]
-        items.sort(key=lambda it: (-it.score, it.label))
-        out.append(
-            PredictionSet(
-                encounter_id=unit.encounter_id,
-                doc_index=unit.doc_index,
-                items=tuple(items),
-            )
+    W, biases, thresholds, labels, rank = bundle._scoring
+    indptr, features, values = _tfidf_rows(bundle.tfidf, [unit.text for unit in units])
+    n, n_labels = len(units), len(biases)
+    gathered = W.indptr[features + 1] - W.indptr[features]
+    # gathered entries before each unit's first entry, and in all
+    before = np.concatenate(([0], np.cumsum(gathered)))[indptr]
+    S = np.empty((n, n_labels), dtype=np.float64)
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(before, before[lo] + _GATHER_BLOCK, side="right")) - 1
+        hi = max(hi, lo + 1)
+        a, b = indptr[lo], indptr[hi]
+        counts = gathered[a:b]
+        # positions in W of every gathered weight, entry after entry
+        shift = W.indptr[features[a:b]] - (np.cumsum(counts) - counts)
+        pos = np.arange(before[hi] - before[lo]) + np.repeat(shift, counts)
+        unit_of = np.repeat(np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1])), counts)
+        S[lo:hi] = np.bincount(
+            unit_of * n_labels + W.indices[pos],
+            weights=np.repeat(values[a:b], counts) * W.data[pos],
+            minlength=(hi - lo) * n_labels,
+        ).reshape(hi - lo, n_labels)
+        lo = hi
+    S += biases
+    order = np.lexsort((np.broadcast_to(rank, S.shape), -S))
+    scores = np.take_along_axis(S, order, axis=1)
+    hits = scores >= thresholds[order]
+    return [
+        PredictionSet(
+            encounter_id=unit.encounter_id,
+            doc_index=unit.doc_index,
+            items=tuple(map(PredictionItem, names, row_scores, row_hits)),
         )
-    return out
+        for unit, names, row_scores, row_hits in zip(
+            units, labels[order].tolist(), scores.tolist(), hits.tolist()
+        )
+    ]
 
 
 def predict(

@@ -825,16 +825,25 @@ class TestConfigFile:
         pytest.param("train", "--config", "Is a directory", id="config-directory"),
         pytest.param("train", "--out", "Is a directory", id="train-out-directory"),
         pytest.param("evaluate", "--out", "File exists", id="evaluate-out-file"),
+        pytest.param("evaluate", "--out", "Not a directory", id="evaluate-out-under-file"),
     ])
-    def test_unusable_path_exits_2_naming_it(self, tmp_path, capsys, command, flag, message):
+    def test_unusable_path_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, command, flag,
+                                             message):
         """A path that exists but is the wrong kind of thing is refused with
-        the system's reason, and nothing is written."""
+        the system's reason, before any cross-validation runs, and nothing
+        is written."""
+        def no_cv(*args, **kwargs):
+            raise AssertionError("run_cv called before the path was refused")
+
+        monkeypatch.setattr(cli, "run_cv", no_cv)
         corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
         bad = tmp_path / "bad"
         if message == "Is a directory":
             bad.mkdir()
         else:
             bad.write_text("", encoding="utf-8")
+        if message == "Not a directory":
+            bad = bad / "reports"
         args = {"--corpus": corpus, "--out": str(tmp_path / "out"), "--folds": "2", flag: str(bad)}
         before = sorted(tmp_path.rglob("*"))
         assert main([command, *(word for item in args.items() for word in item)]) == 2

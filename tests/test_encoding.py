@@ -138,6 +138,22 @@ class TestEncodeRecord:
         assert len(out) == 1
         assert "Unknown" in caplog.text
 
+    def test_skipped_records_warn_once_per_variable_and_reason(self, caplog):
+        records = ([numeric("Unknown", float(v)) for v in range(50)]
+                   + [numeric("Temp", 98.8), numeric("Temp", math.inf),
+                      StructuredRecord(name="Cond", value="???", kind="other", encounter_id="e0")])
+        with caplog.at_level(logging.WARNING):
+            out = encode_records(records, temp_spec(), {})
+        assert len(out) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping record 'Unknown' of encounter None: no cuts or statistics for numeric "
+            "variable 'Unknown' (50 of this kind)",
+            "skipping record 'Temp' of encounter None: cannot bin non-finite value inf "
+            "(1 of this kind)",
+            "skipping record 'Cond' of encounter 'e0': categorical value '???' sanitizes to "
+            "nothing (1 of this kind)",
+        ]
+
     def test_degenerate_stats_warned_and_deterministic(self, caplog):
         """Training warns once per variable with degenerate cuts (see
         test_model), so encoding a record of one stays silent."""

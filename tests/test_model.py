@@ -39,7 +39,13 @@ from datawords.model import (
     save_bundle,
     train_all,
 )
-from datawords.vectorize import build_vocabulary, fit_idf, stack_vectors, vectorize_document
+from datawords.vectorize import (
+    build_vocabulary,
+    fit_hashed_idf,
+    fit_idf,
+    stack_vectors,
+    vectorize_document,
+)
 
 
 def ridge_oracle(X_dense, y, lam):
@@ -792,6 +798,88 @@ class TestPredictUnitsBatch:
         assert score_bits(predict_units(bundle, batch)) == score_bits(alone)
         biases = {lm.label: lm.bias for lm in bundle.label_models}
         assert all(it.score == biases[it.label] for it in alone[3].items)
+
+    def test_batch_across_gather_blocks_equals_one_call_per_unit(self, bundle_and_units,
+                                                                  monkeypatch):
+        bundle, units = bundle_and_units
+        whole = score_bits(predict_units(bundle, units))
+        # a bound below one unit's gathered entries puts each unit in a block
+        # of its own; 200 puts several units in most blocks
+        for block in (1, 200):
+            monkeypatch.setattr(model, "_GATHER_BLOCK", block)
+            assert score_bits(predict_units(bundle, units)) == whole
+
+
+_PROBE_WORDS = ("fever", "cough", "rash", "pain", "stable", "dw_temp_high")
+_probe_texts = st.lists(st.sampled_from(_PROBE_WORDS + ("unseen",)), max_size=6).map(" ".join)
+# a few repeated values make tied scores likely; zero is stored explicitly
+_weight = st.sampled_from([0.0, 0.25, -0.5, 1.0]) | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def scoring_cases(draw):
+    """A bundle, indexed or hashed, normalized or not, whose labels are in
+    drawn (mostly unsorted) order and whose weight columns may store zeros;
+    plus units that include zero vectors (empty or all-OOV texts)."""
+    docs = draw(st.lists(_probe_texts.filter(bool), min_size=1, max_size=5))
+    normalize = draw(st.booleans())
+    bits = draw(st.none() | st.integers(1, 4))
+    if bits is None:
+        tfidf = fit_idf(build_vocabulary(docs), normalize)
+    else:
+        tfidf = fit_hashed_idf(docs, bits, normalize)
+    d = tfidf.dimension
+    labels = draw(st.lists(st.text("ABCab", min_size=1, max_size=3), min_size=1, max_size=6,
+                           unique=True))
+    # None: no stored weight
+    cells = draw(st.lists(st.lists(st.none() | _weight, min_size=d, max_size=d),
+                          min_size=len(labels), max_size=len(labels)))
+    weights = sparse.csc_matrix(
+        ([w for col in cells for w in col if w is not None],
+         [i for col in cells for i, w in enumerate(col) if w is not None],
+         np.cumsum([0] + [sum(w is not None for w in col) for col in cells])),
+        shape=(d, len(labels)),
+    )
+    bias = st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-4.0, 4.0)
+    models = tuple(LabelModel(label=label, bias=draw(bias), threshold=draw(bias | st.just(math.inf)))
+                   for label in labels)
+    bundle = ModelBundle(tfidf=tfidf, variable_stats={}, spec=EncodingSpec(),
+                         label_models=models, weights=weights)
+    units = [AugmentedUnit(encounter_id=f"e{i}", doc_index=0, document=text, datawords=(),
+                           gold=frozenset())
+             for i, text in enumerate(draw(st.lists(_probe_texts, min_size=1, max_size=6)))]
+    return bundle, units
+
+
+def predict_oracle(bundle, unit):
+    """Each label's score summed in pure Python, over the unit's entries in
+    order from 0.0 and then plus the bias, and whether it is predicted."""
+    vec = vectorize_document(bundle.tfidf, unit.text)
+    W = bundle.weights.toarray()
+    out = {}
+    for j, lm in enumerate(bundle.label_models):
+        acc = 0.0
+        for f, v in zip(vec.indices.tolist(), vec.values.tolist()):
+            acc += v * float(W[f, j])
+        score = acc + lm.bias
+        out[lm.label] = (score.hex(), score >= lm.threshold)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=scoring_cases(), block=st.integers(1, 40))
+def test_predict_units_matches_oracle_in_any_batch(case, block):
+    bundle, units = case
+    batch = predict_units(bundle, units)
+    for unit, pset in zip(units, batch):
+        oracle = predict_oracle(bundle, unit)
+        assert {it.label: (it.score.hex(), it.predicted) for it in pset.items} == oracle
+        assert list(pset.items) == sorted(pset.items, key=lambda it: (-it.score, it.label))
+    one_by_one = [p for u in units for p in predict_units(bundle, [u])]
+    assert score_bits(batch) == score_bits(one_by_one)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_GATHER_BLOCK", block)
+        assert score_bits(predict_units(bundle, units)) == score_bits(batch)
 
 
 class TestWeightMatrix:

@@ -246,7 +246,7 @@ def cmd_predict(args) -> int:
     bundle = load_bundle(settings["bundle"])
     encounters = load_corpus(settings["corpus"])
     units = _predictside_units(settings, bundle, encounters)
-    rows = [
+    rows = (
         {
             "encounter_id": pset.encounter_id,
             "doc_index": pset.doc_index,
@@ -256,7 +256,7 @@ def cmd_predict(args) -> int:
             ],
         }
         for pset in predict_units(bundle, units)
-    ]
+    )
     _write_jsonl(settings["out"], rows)
     return 0
 
@@ -272,30 +272,27 @@ def cmd_explain(args) -> int:
     bundle = load_bundle(settings["bundle"])
     encounters = load_corpus(settings["corpus"])
     units = _predictside_units(settings, bundle, encounters)
-    rows = []
-    for unit, pset in zip(units, predict_units(bundle, units)):
-        for item in pset.items:
-            if not item.predicted:
-                continue
-            scored = score_sentences(bundle, item.label, unit)
-            just = top_justifications(scored, k=topk, sentence_filter=sentence_filter)
-            rows.append(
+    rows = (
+        {
+            "encounter_id": unit.encounter_id,
+            "doc_index": unit.doc_index,
+            "label": item.label,
+            "justifications": [
                 {
-                    "encounter_id": unit.encounter_id,
-                    "doc_index": unit.doc_index,
-                    "label": item.label,
-                    "justifications": [
-                        {
-                            "rank": j.rank,
-                            "kind": j.sentence.kind,
-                            "score": j.score,
-                            "text": j.sentence.text,
-                            "rendering": j.rendering,
-                        }
-                        for j in just
-                    ],
+                    "rank": j.rank,
+                    "kind": j.sentence.kind,
+                    "score": j.score,
+                    "text": j.sentence.text,
+                    "rendering": j.rendering,
                 }
-            )
+                for j in top_justifications(score_sentences(bundle, item.label, unit),
+                                            k=topk, sentence_filter=sentence_filter)
+            ],
+        }
+        for unit, pset in zip(units, predict_units(bundle, units))
+        for item in pset.items
+        if item.predicted
+    )
     _write_jsonl(settings["out"], rows)
     return 0
 

@@ -24,6 +24,7 @@ COUNT = Kind(lambda v: type(v) is int and v >= 0, "an integer >= 0")
 NUMBER = Kind(lambda v: type(v) in (int, float), "a number")
 FINITE = Kind(lambda v: type(v) in (int, float) and -_MAX <= v <= _MAX, "a finite number")
 POSITIVE = Kind(lambda v: type(v) in (int, float) and 0 < v <= _MAX, "a finite positive number")
+NONNEGATIVE = Kind(lambda v: type(v) in (int, float) and 0 <= v <= _MAX, "a finite number >= 0")
 SCALAR = Kind(lambda v: type(v) is str or FINITE.test(v), "a finite number or a string")
 BOOL = Kind(lambda v: type(v) is bool, "true or false")
 STRING = Kind(lambda v: type(v) is str, "a string")

@@ -77,9 +77,11 @@ from .extraction import (
 from .jsontypes import (
     BOOL,
     COUNT,
+    FINITE,
     INTEGER,
     LIST,
     NONEMPTY,
+    NONNEGATIVE,
     NUMBER,
     OBJECT,
     POSITIVE,
@@ -98,15 +100,9 @@ from .vectorize import (
     fit_hashed_idf,
     fit_idf,
     stack_vectors,
-    vectorize_document,
-    vectorize_sentences,
 )
 
 logger = logging.getLogger(__name__)
-
-# Gathered (entry of X, weight) pairs that one block of ``predict_units``
-# holds at a time: whole units are scored together up to this many.
-_GATHER_BLOCK = 1 << 16
 
 FORMAT_VERSION = "2"
 # The tokenizer every bundle is written with (``corpus.tokenize``).
@@ -556,7 +552,8 @@ class ModelBundle:
         return self._columns[label]
 
     def sentence_vectors(self, unit: AugmentedUnit) -> tuple[np.ndarray, ...]:
-        """``vectorize_sentences`` of the unit's sentences, as CSR arrays.
+        """The tf-idf rows of the unit's sentences, as the CSR arrays
+        ``(indptr, indices, values)`` of one ``_tfidf_rows`` pass.
 
         The last unit's vectors are kept, keyed by the unit's identity, so
         explaining several labels of one unit vectorizes each of its
@@ -564,7 +561,7 @@ class ModelBundle:
         """
         cached = self._sentence_vectors
         if cached is None or cached[0] is not unit:
-            cached = (unit, vectorize_sentences(self.tfidf, unit.sentences))
+            cached = (unit, _tfidf_rows(self.tfidf, [s.text for s in unit.sentences]))
             object.__setattr__(self, "_sentence_vectors", cached)
         return cached[1]
 
@@ -616,12 +613,21 @@ def build_corpus_units(
     return CorpusUnits(units=units, stats=stats, selected=selected)
 
 
+def _tfidf_matrix(tfidf: TfIdfModel, texts: Sequence[str]) -> sparse.csr_matrix:
+    """X: the texts' tf-idf rows as one CSR matrix, from one ``_tfidf_rows``
+    pass. Training and prediction both build X here."""
+    indptr, indices, values = _tfidf_rows(tfidf, texts)
+    return sparse.csr_matrix((values, indices, indptr), shape=(len(texts), tfidf.dimension))
+
+
 def train_all(encounters: Sequence[Encounter], config: PipelineConfig) -> ModelBundle:
     """Run the full training pipeline and return a frozen bundle.
 
     Statistics, vocabulary, idf weights, measurement-selection sets, and
     thresholds are all computed from the given encounters only, so a
     cross-validation harness can call this per fold without leakage.
+    X is built and scored as ``predict_units`` builds and scores it, so
+    each threshold is fit on the scores prediction reproduces.
     """
     corpus_units = build_corpus_units(encounters, config)
     units = corpus_units.units
@@ -635,7 +641,7 @@ def train_all(encounters: Sequence[Encounter], config: PipelineConfig) -> ModelB
         vocab = build_vocabulary(texts, min_df=config.min_df)
         tfidf = fit_idf(vocab, config.l2_normalize)
 
-    X = stack_vectors((vectorize_document(tfidf, t) for t in texts), tfidf.dimension)
+    X = _tfidf_matrix(tfidf, texts)
 
     label_counts = Counter(code for u in units for code in u.gold)
     labels = sorted(c for c, n in label_counts.items() if n >= config.min_positive)
@@ -698,42 +704,16 @@ def prepare_units(
 def predict_units(bundle: ModelBundle, units: Sequence[AugmentedUnit]) -> list[PredictionSet]:
     """Score already-prepared units against every label in the bundle.
 
-    One call vectorizes every unit's text in one tf-idf pass and computes
-    S = X W + b without a sparse product: each entry of X gathers its
-    feature's row of W (the bundle's CSR view), and one ``np.bincount``
-    over ``unit * labels + label`` sums the products. bincount adds each
-    score's terms in X's entry order starting from 0.0, as scipy's CSR
-    product does, so a score does not depend on the batch it is in;
-    callers should pass every unit they have at once. The gathered arrays
-    are O(nnz(X) * labels), so units are scored in blocks of whole units
-    of at most ``_GATHER_BLOCK`` gathered entries, a unit that gathers
-    more alone. Each unit's items come out sorted by descending score,
+    One call builds X for every unit's text with one tf-idf pass, as
+    ``train_all`` does, and computes S = X W + b with scipy's sparse
+    product over the bundle's CSR view of W. That product adds each
+    score's terms in X's entry order, starting from 0.0, so a score does
+    not depend on the batch it is in; callers should pass every unit they
+    have at once. Each unit's items come out sorted by descending score,
     then label, from one ``np.lexsort`` over the batch.
     """
     W, biases, thresholds, labels, rank = bundle._scoring
-    indptr, features, values = _tfidf_rows(bundle.tfidf, [unit.text for unit in units])
-    n, n_labels = len(units), len(biases)
-    gathered = W.indptr[features + 1] - W.indptr[features]
-    # gathered entries before each unit's first entry, and in all
-    before = np.concatenate(([0], np.cumsum(gathered)))[indptr]
-    S = np.empty((n, n_labels), dtype=np.float64)
-    lo = 0
-    while lo < n:
-        hi = int(np.searchsorted(before, before[lo] + _GATHER_BLOCK, side="right")) - 1
-        hi = max(hi, lo + 1)
-        a, b = indptr[lo], indptr[hi]
-        counts = gathered[a:b]
-        # positions in W of every gathered weight, entry after entry
-        shift = W.indptr[features[a:b]] - (np.cumsum(counts) - counts)
-        pos = np.arange(before[hi] - before[lo]) + np.repeat(shift, counts)
-        unit_of = np.repeat(np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1])), counts)
-        S[lo:hi] = np.bincount(
-            unit_of * n_labels + W.indices[pos],
-            weights=np.repeat(values[a:b], counts) * W.data[pos],
-            minlength=(hi - lo) * n_labels,
-        ).reshape(hi - lo, n_labels)
-        lo = hi
-    S += biases
+    S = (_tfidf_matrix(bundle.tfidf, [unit.text for unit in units]) @ W).toarray() + biases
     order = np.lexsort((np.broadcast_to(rank, S.shape), -S))
     scores = np.take_along_axis(S, order, axis=1)
     hits = scores >= thresholds[order]
@@ -980,8 +960,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
             name: VariableStats(
                 name=name,
                 count=check(c, COUNT, f"variable_stats.{name} count"),
-                mean=float(check(m, NUMBER, f"variable_stats.{name} mean")),
-                std=float(check(s, NUMBER, f"variable_stats.{name} std")),
+                mean=float(check(m, FINITE, f"variable_stats.{name} mean")),
+                std=float(check(s, NONNEGATIVE, f"variable_stats.{name} std")),
             )
             for name, (c, m, s) in check(obj["variable_stats"], OBJECT, "variable_stats").items()
         }

@@ -13,12 +13,13 @@ Two modes:
   sign-less count accumulation, for corpora whose vocabulary would not
   fit in memory.
 
-One pass turns a list of texts into their tf-idf rows as CSR arrays: each
-text is tokenized by itself, one sort groups and counts every row's
-features, tf-idf is computed over the whole array, and each row is scaled
-by the norm of its own slice. ``vectorize_document`` is the one-row case;
-``vectorize_sentences`` makes one pass per unit for all of its sentences
-and returns the CSR arrays as that pass built them.
+One pass, ``_tfidf_rows``, turns a list of texts into their tf-idf rows
+as CSR arrays: each text is tokenized by itself, one sort groups and
+counts every row's features, tf-idf is computed over the whole array, and
+each row is scaled by the norm of its own slice. Training and prediction
+make one pass over all of their units' texts, and explanation one per unit
+over its sentences. ``vectorize_document`` is the one-row case, and
+``stack_vectors`` stacks such rows into a matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import Sentence, tokenize
+from .corpus import tokenize
 from .errors import ConfigError
 
 _FNV_OFFSET = 2166136261
@@ -219,13 +220,6 @@ def vectorize_document(model: TfIdfModel, text: str) -> DocumentVector:
     empty or all-OOV text yields the zero vector."""
     _, indices, values = _tfidf_rows(model, [text])
     return DocumentVector(indices=indices, values=values, dimension=model.dimension)
-
-
-def vectorize_sentences(model: TfIdfModel, sentences: Sequence[Sentence]) -> tuple[np.ndarray, ...]:
-    """Each sentence's row as vectorize_document makes it, all in one pass:
-    the CSR arrays ``(indptr, indices, values)``, sentence i owning the
-    slice ``indptr[i]:indptr[i + 1]``."""
-    return _tfidf_rows(model, [s.text for s in sentences])
 
 
 def stack_vectors(vectors: Iterable[DocumentVector], dimension: int) -> sparse.csr_matrix:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from datawords import vectorize
+from datawords import model
 from datawords.corpus import Encounter, Sentence
 from datawords.encoding import DataWordSentence, ThresholdSpec
 from datawords.evaluation import PlantedRule, SynthSpec, generate_synthetic
@@ -327,13 +327,13 @@ class TestVectorizeOncePerUnit:
         b1, _, u1, _ = two_bundles
         bundle = replace(b1)
         calls = []
-        original = vectorize._tfidf_rows
+        original = model._tfidf_rows
 
-        def counting(model, texts):
+        def counting(tfidf, texts):
             calls.append(list(texts))
-            return original(model, texts)
+            return original(tfidf, texts)
 
-        monkeypatch.setattr(vectorize, "_tfidf_rows", counting)
+        monkeypatch.setattr(model, "_tfidf_rows", counting)
         labels = bundle.labels * 3
         for label in labels:
             score_sentences(bundle, label, u1)

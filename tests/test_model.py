@@ -500,6 +500,21 @@ class TestTrainPredictSymmetry:
             assert replay.text == train_unit.text
             assert [s.text for s in replay.sentences] == [s.text for s in train_unit.sentences]
 
+    @pytest.mark.parametrize("hash_bits", [None, 12], ids=["indexed", "hashed"])
+    def test_thresholds_refit_on_predicted_scores(self, hash_bits):
+        spec = SynthSpec(seed=21, documents=60,
+                         rules=(PlantedRule("L1", "Temp", "very_high", 0.9, 0.5),
+                                PlantedRule("L2", "HR", "low", 0.9, 0.5)))
+        encs = generate_synthetic(spec)
+        cfg = PipelineConfig(hash_bits=hash_bits)
+        bundle = train_all(encs, cfg)
+        units = build_corpus_units(encs, cfg).units
+        psets = predict_units(bundle, units)
+        for lm in bundle.label_models:
+            scores = [next(it.score for it in p.items if it.label == lm.label) for p in psets]
+            y = [int(lm.label in u.gold) for u in units]
+            assert fit_threshold(scores, y).hex() == lm.threshold.hex()
+
     @pytest.mark.parametrize("unit", ["document", "encounter"])
     @pytest.mark.parametrize("mode", ["text_plus_datawords", "nonnumeric_datawords_only"])
     def test_db_units_replay_exactly(self, db_synth_corpus, unit, mode):
@@ -799,16 +814,6 @@ class TestPredictUnitsBatch:
         biases = {lm.label: lm.bias for lm in bundle.label_models}
         assert all(it.score == biases[it.label] for it in alone[3].items)
 
-    def test_batch_across_gather_blocks_equals_one_call_per_unit(self, bundle_and_units,
-                                                                  monkeypatch):
-        bundle, units = bundle_and_units
-        whole = score_bits(predict_units(bundle, units))
-        # a bound below one unit's gathered entries puts each unit in a block
-        # of its own; 200 puts several units in most blocks
-        for block in (1, 200):
-            monkeypatch.setattr(model, "_GATHER_BLOCK", block)
-            assert score_bits(predict_units(bundle, units)) == whole
-
 
 _PROBE_WORDS = ("fever", "cough", "rash", "pain", "stable", "dw_temp_high")
 _probe_texts = st.lists(st.sampled_from(_PROBE_WORDS + ("unseen",)), max_size=6).map(" ".join)
@@ -867,8 +872,8 @@ def predict_oracle(bundle, unit):
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=scoring_cases(), block=st.integers(1, 40))
-def test_predict_units_matches_oracle_in_any_batch(case, block):
+@given(case=scoring_cases())
+def test_predict_units_matches_oracle_in_any_batch(case):
     bundle, units = case
     batch = predict_units(bundle, units)
     for unit, pset in zip(units, batch):
@@ -877,9 +882,6 @@ def test_predict_units_matches_oracle_in_any_batch(case, block):
         assert list(pset.items) == sorted(pset.items, key=lambda it: (-it.score, it.label))
     one_by_one = [p for u in units for p in predict_units(bundle, [u])]
     assert score_bits(batch) == score_bits(one_by_one)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "_GATHER_BLOCK", block)
-        assert score_bits(predict_units(bundle, units)) == score_bits(batch)
 
 
 class TestWeightMatrix:
@@ -1257,15 +1259,22 @@ class TestLoadBundleValidation:
         [(0, "3", "count must be an integer >= 0, got '3'"),
          (0, True, "count must be an integer >= 0, got True"),
          (0, 3.0, "count must be an integer >= 0, got 3.0"),
-         (1, "98.6", "mean must be a number, got '98.6'"),
-         (2, None, "std must be a number, got None")],
-        ids=["string_count", "boolean_count", "float_count", "string_mean", "null_std"],
+         (1, "98.6", "mean must be a finite number, got '98.6'"),
+         (2, None, "std must be a finite number >= 0, got None"),
+         # JSON's NaN and Infinity literals parse; compute_stats writes none
+         # of these, and each would change how Temp readings bin
+         (1, math.nan, "mean must be a finite number, got nan"),
+         (1, -math.inf, "mean must be a finite number, got -inf"),
+         (2, math.nan, "std must be a finite number >= 0, got nan"),
+         (2, math.inf, "std must be a finite number >= 0, got inf"),
+         (2, -3.0, "std must be a finite number >= 0, got -3.0")],
+        ids=["string_count", "boolean_count", "float_count", "string_mean", "null_std",
+             "nan_mean", "minus_infinity_mean", "nan_std", "infinite_std", "negative_std"],
     )
     def test_bad_variable_stats(self, saved, position, value, message):
         path, obj = saved
-        name = sorted(obj["variable_stats"])[0]
-        obj["variable_stats"][name][position] = value
-        self.rejects(path, obj, f"variable_stats.{name} {message}")
+        obj["variable_stats"]["Temp"][position] = value
+        self.rejects(path, obj, f"variable_stats.Temp {message}")
 
     @pytest.fixture
     def saved_hashed(self, tmp_path):

@@ -16,7 +16,6 @@ from datawords.vectorize import (
     fit_idf,
     stack_vectors,
     vectorize_document,
-    vectorize_sentences,
 )
 
 
@@ -272,8 +271,8 @@ class TestOnePassCore:
     @settings(max_examples=50, deadline=None)
     def test_sentence_layout_points_at_each_row(self, case):
         model, texts = case
-        indptr, indices, values = vectorize_sentences(
-            model, [Sentence(text=t, doc_index=0, sent_index=i) for i, t in enumerate(texts)])
+        sentences = [Sentence(text=t, doc_index=0, sent_index=i) for i, t in enumerate(texts)]
+        indptr, indices, values = _tfidf_rows(model, [s.text for s in sentences])
         assert indptr.tolist()[0] == 0 and indptr.size == len(texts) + 1
         for i, text in enumerate(texts):
             lo, hi = indptr[i], indptr[i + 1]

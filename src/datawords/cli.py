@@ -165,10 +165,13 @@ def _record_to_json(rec) -> dict:
     return obj
 
 
-def _write_jsonl(path: str, rows) -> None:
+def _write_jsonl(path: str, rows) -> int:
+    """Write each row as one JSON line; returns the number written."""
+    count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
+        for count, row in enumerate(rows, 1):
             fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+    return count
 
 
 def cmd_extract(args) -> int:
@@ -177,19 +180,15 @@ def cmd_extract(args) -> int:
     if config.extraction_source == "none":
         raise ConfigError("extract requires a source (patterns, external, or db)")
     encounters = load_corpus(settings["corpus"])
-    rows = []
     if config.extraction_source == "patterns":
         pattern_config = config.spec.resolved_pattern_config()
-        for enc in encounters:
-            rows.extend(_record_to_json(rec) for rec in extract_encounter(enc, pattern_config))
+        records = (rec for enc in encounters for rec in extract_encounter(enc, pattern_config))
     else:
         # pass-through: validate, normalize, and keep records for this corpus
         ids = {e.encounter_id for e in encounters}
-        for rec in config.external_records or ():
-            if rec.encounter_id in ids:
-                rows.append(_record_to_json(rec))
-    _write_jsonl(settings["out"], rows)
-    print(f"wrote {len(rows)} records to {settings['out']}", file=sys.stderr)
+        records = (rec for rec in config.external_records or () if rec.encounter_id in ids)
+    count = _write_jsonl(settings["out"], map(_record_to_json, records))
+    print(f"wrote {count} records to {settings['out']}", file=sys.stderr)
     return 0
 
 
@@ -272,28 +271,33 @@ def cmd_explain(args) -> int:
     bundle = load_bundle(settings["bundle"])
     encounters = load_corpus(settings["corpus"])
     units = _predictside_units(settings, bundle, encounters)
-    rows = (
-        {
-            "encounter_id": unit.encounter_id,
-            "doc_index": unit.doc_index,
-            "label": item.label,
-            "justifications": [
-                {
-                    "rank": j.rank,
-                    "kind": j.sentence.kind,
-                    "score": j.score,
-                    "text": j.sentence.text,
-                    "rendering": j.rendering,
-                }
-                for j in top_justifications(score_sentences(bundle, item.label, unit),
-                                            k=topk, sentence_filter=sentence_filter)
-            ],
-        }
-        for unit, pset in zip(units, predict_units(bundle, units))
-        for item in pset.items
-        if item.predicted
-    )
-    _write_jsonl(settings["out"], rows)
+    psets = predict_units(bundle, units)
+
+    def rows():
+        # Each unit leaves the list as it is explained, so the sentences
+        # its explanation builds are freed once its rows are written.
+        for i, pset in enumerate(psets):
+            unit, units[i] = units[i], None
+            for item in pset.items:
+                if item.predicted:
+                    yield {
+                        "encounter_id": unit.encounter_id,
+                        "doc_index": unit.doc_index,
+                        "label": item.label,
+                        "justifications": [
+                            {
+                                "rank": j.rank,
+                                "kind": j.sentence.kind,
+                                "score": j.score,
+                                "text": j.sentence.text,
+                                "rendering": j.rendering,
+                            }
+                            for j in top_justifications(score_sentences(bundle, item.label, unit),
+                                                        k=topk, sentence_filter=sentence_filter)
+                        ],
+                    }
+
+    _write_jsonl(settings["out"], rows())
     return 0
 
 

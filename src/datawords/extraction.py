@@ -140,14 +140,14 @@ _WORD = re.compile(r"\w")
 
 class _Matcher(NamedTuple):
     """One compiled extractor entry; ``value`` None means the number in group 1.
-    ``literal`` marks alias and lexicon entries, whose regex starts with
-    their surface at a word edge (``_edged``)."""
+    ``surface`` is the alias or lexicon phrase that its regex starts with, at
+    a word edge (``_edged``), and None for a numeric pattern."""
 
     regex: re.Pattern
     name: str
     kind: str
     value: str | None
-    literal: bool
+    surface: str | None
 
 
 def _edged(surface: str) -> str:
@@ -167,8 +167,13 @@ class PatternConfig:
     phrase. The table order decides exact ties. It also compiles ``scan``,
     a zero-width regex that stops wherever some alias surface or lexicon
     phrase starts with no word character before it (None when there is
-    neither), and lists in ``scanned`` the table index and regex of each
-    matcher tried there. A config is shared by every call.
+    neither), and ``ident``, one group per distinct surface, longest
+    first, so that the ``lastindex`` of its match at a stop names the
+    longest surface there. ``tried`` maps each group to the table index
+    and regex of the alias and lexicon matchers whose surface is a
+    case-insensitive prefix of that longest one, in table order: the only
+    matchers that can match at such a stop. A config is shared by every
+    call.
     """
 
     aliases: dict[str, str] = field(default_factory=dict)
@@ -176,38 +181,41 @@ class PatternConfig:
     lexicon: tuple[tuple[str, str, str, str], ...] = ()
     matchers: tuple[_Matcher, ...] = field(init=False, repr=False, compare=False)
     scan: re.Pattern | None = field(init=False, repr=False, compare=False)
-    scanned: tuple[tuple[int, re.Pattern], ...] = field(init=False, repr=False, compare=False)
+    ident: re.Pattern | None = field(init=False, repr=False, compare=False)
+    tried: dict[int, tuple[tuple[int, re.Pattern], ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "numeric_patterns", tuple(self.numeric_patterns))
         object.__setattr__(self, "lexicon", tuple(self.lexicon))
         matchers = []
-        surfaces: dict[str, None] = {}
         try:
             for surface, canonical in self.aliases.items():
-                surfaces[check(surface, NONEMPTY, "alias")] = None
+                check(surface, NONEMPTY, "alias")
                 check(canonical, NONEMPTY, f"alias {surface!r}")
                 regex = re.compile(
                     rf"{_edged(surface)}\s*(?:=|:|is|was|of)?\s*{_DEFAULT_NUMBER}", re.IGNORECASE
                 )
-                matchers.append(_Matcher(regex, canonical, "measurement", None, True))
+                matchers.append(_Matcher(regex, canonical, "measurement", None, surface))
             for variable, pat in self.numeric_patterns:
                 check(variable, NONEMPTY, "numeric pattern variable")
                 if not isinstance(pat, re.Pattern) or pat.groups < 1:
                     raise ValueError(f"numeric pattern for {variable!r} needs a compiled regex "
                                      "with a capture group")
-                matchers.append(_Matcher(pat, variable, "measurement", None, False))
+                matchers.append(_Matcher(pat, variable, "measurement", None, None))
             for phrase, name, value, kind in self.lexicon:
-                surfaces[check(phrase, NONEMPTY, "lexicon phrase")] = None
+                check(phrase, NONEMPTY, "lexicon phrase")
                 check(name, NONEMPTY, f"lexicon {phrase!r} name")
                 check(value, STRING, f"lexicon {phrase!r} value")
                 check(kind, _OPTIONAL_STRING, f"lexicon {phrase!r} kind")
                 regex = re.compile(_edged(phrase), re.IGNORECASE)
                 kind = kind if kind in RECORD_KINDS else "other"
-                matchers.append(_Matcher(regex, name, kind, value, True))
+                matchers.append(_Matcher(regex, name, kind, value, phrase))
         except ValueError as exc:
             raise ConfigError(f"malformed pattern config: {exc}") from exc
-        scan = None
+        scan = ident = None
+        tried = {}
+        surfaces = list(dict.fromkeys(m.surface for m in matchers if m.surface is not None))
         if surfaces:
             # Surfaces that all start with a word character give one \b branch.
             word = [re.escape(s) for s in surfaces if _WORD.match(s)]
@@ -216,11 +224,30 @@ class PatternConfig:
             if other:
                 branches.append(rf"(?<!\w)(?:{'|'.join(other)})")
             scan = re.compile(rf"(?={'|'.join(branches)})", re.IGNORECASE)
+            # Capture groups stay out of scan, where they would cost sre its
+            # literal-prefix search.
+            surfaces.sort(key=len, reverse=True)
+            ident = re.compile("|".join(f"({re.escape(s)})" for s in surfaces), re.IGNORECASE)
+            # Surface s is a case-insensitive prefix of surface t when re
+            # equates their characters one by one. Naming each character by
+            # the first one that re equates with it makes that a tuple
+            # prefix, found by dict lookups rather than by testing every
+            # pair of surfaces.
+            chars = list(dict.fromkeys("".join(surfaces)))
+            same = re.compile("|".join(f"({re.escape(c)})" for c in chars), re.IGNORECASE)
+            fold = {c: same.fullmatch(c).lastindex for c in chars}
+            by_key: dict[tuple[int, ...], list[int]] = {}
+            for i, m in enumerate(matchers):
+                if m.surface is not None:
+                    by_key.setdefault(tuple(map(fold.get, m.surface)), []).append(i)
+            for group, longest in enumerate(surfaces, 1):
+                key = tuple(map(fold.get, longest))
+                tried[group] = tuple((i, matchers[i].regex) for i in sorted(
+                    i for n in range(1, len(key) + 1) for i in by_key.get(key[:n], ())))
         object.__setattr__(self, "matchers", tuple(matchers))
         object.__setattr__(self, "scan", scan)
-        object.__setattr__(
-            self, "scanned", tuple((i, m.regex) for i, m in enumerate(matchers) if m.literal)
-        )
+        object.__setattr__(self, "ident", ident)
+        object.__setattr__(self, "tried", tried)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "PatternConfig":
@@ -298,9 +325,12 @@ def extract_patterns(text: str, config: PatternConfig, encounter_id: str | None 
 
     Candidate matches come from the config's matcher table: alias-derived
     numeric patterns, explicit numeric patterns, and lexicon phrases. The
-    config's scan runs once over the text, and the alias and lexicon
-    matchers are tried only where it stops, each from the end of its own
-    last match on, so they find what one ``finditer`` per matcher finds.
+    config's scan runs once over the text. At each stop, ``ident`` names
+    the longest surface there, and only the alias and lexicon matchers
+    whose surface is a case-insensitive prefix of it are tried, each from
+    the end of its own last match on, so they find what one ``finditer``
+    per matcher finds: a surface that matches at the stop is a prefix of
+    the text there, and so of the longest surface.
     Numeric patterns have no surface and run their own ``finditer``.
     Overlaps are resolved leftmost-longest, then by name, then by table
     order, so the result spans never intersect. A number that parses to no
@@ -322,14 +352,15 @@ def extract_patterns(text: str, config: PatternConfig, encounter_id: str | None 
         candidates.append((match.start(), match.end(), matcher.name, index, value))
 
     for index, matcher in enumerate(matchers):
-        if not matcher.literal:
+        if matcher.surface is None:
             for match in matcher.regex.finditer(text):
                 add(index, match)
     if config.scan is not None:
         resume = [0] * len(matchers)
+        longest_at, tried = config.ident.match, config.tried
         for hit in config.scan.finditer(text):
             pos = hit.start()
-            for index, regex in config.scanned:
+            for index, regex in tried[longest_at(text, pos).lastindex]:
                 if resume[index] <= pos:
                     match = regex.match(text, pos)
                     if match:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from datetime import timedelta
 from pathlib import Path
 
@@ -353,6 +354,32 @@ class TestExplain:
         e1 = [r for r in rows if r["encounter_id"] == "e1" and r["label"] == "A01"][0]
         # e1 has three text sentences ("104.3" splits on its period) + one DataWords line
         assert len(e1["justifications"]) == 4
+
+    def test_units_already_explained_are_freed(self, tmp_path, monkeypatch):
+        # a unit's sentences are built when it is explained; holding every
+        # explained unit until the last row is written would keep them all
+        corpus, bundle = self.trained(tmp_path)
+        refs, alive = [], []
+        real_units, real_score = cli._predictside_units, cli.score_sentences
+
+        def units(*args):
+            prepared = real_units(*args)
+            refs.extend(weakref.ref(u) for u in prepared)
+            return prepared
+
+        def score(bundle, label, unit):
+            scored = real_score(bundle, label, unit)
+            k = next(i for i, ref in enumerate(refs) if ref() is unit)
+            alive.append((k, [i for i, ref in enumerate(refs[:k]) if ref() is not None]))
+            return scored
+
+        monkeypatch.setattr(cli, "_predictside_units", units)
+        monkeypatch.setattr(cli, "score_sentences", score)
+        out = tmp_path / "just.jsonl"
+        assert main(["explain", "--corpus", corpus, "--bundle", bundle, "--out", str(out)]) == 0
+        assert len({k for k, _ in alive}) >= 2
+        assert alive == [(k, []) for k, _ in alive]
+        assert len(read_jsonl(out)) == len(alive)
 
     @pytest.mark.parametrize("topk", ["0", "-1"])
     def test_topk_below_one_exits_2(self, tmp_path, capsys, topk):

@@ -165,11 +165,15 @@ def reference_extract_patterns(text, config):
 # "x hr" wins over the first "hr hr", and a matcher that did not resume
 # after its own last match would add a second one); "Na+" and "%sat"
 # start or end with a non-word character; the Kelvin sign matches "k" and
-# "K", and the long s matches "s" and "S", under IGNORECASE.
+# "K", and the long s matches "s" and "S", under IGNORECASE. A stop tries
+# only the matchers whose surface is a prefix of the longest one there:
+# "Lab1" is a prefix of "LAB10" across a word edge, so in "lab10 5" it is
+# tried and fails, and "Temp high" begins with the alias "Temp".
 ALIAS_POOL = [("Temp", "Temp"), ("Temperature", "Temp"), ("T", "Temp"), ("HR", "Pulse"),
               ("Heart rate", "Pulse"), ("rate", "Rate"), ("BP", "BP"), ("hr", "Rate"),
               ("HR HR", "Pulse"), ("Na+", "Sodium"), ("%sat", "SpO2"), ("k", "Potassium"),
-              ("\u212a", "Kelvin"), ("s", "Sign"), ("\u017fat", "SpO2")]
+              ("\u212a", "Kelvin"), ("s", "Sign"), ("\u017fat", "SpO2"), ("Lab1", "Lab1"),
+              ("LAB10", "Lab10")]
 NUMERIC_POOL = [("Pulse", r"\bHR\s*(\d+)"), ("Rate", r"rate\s+(\d+)"),
                 ("Temp", r"(\d+(?:\.\d+)?)\s*F\b"), ("SpO2", r"sat(?:\s+(\d+))?"),
                 ("Level", r"level\s+(\w+)"), ("HR_any", r"\bHR\s*(\d+)"),
@@ -180,12 +184,14 @@ LEXICON_POOL = [("HR 80", "Pulse", "fast", "measurement"), ("heart", "Organ", "h
                 ("cancer", "Previous_condition", "cancer", "condition"),
                 ("na+", "Sodium", "high", "test_result"), ("\u212a", "Unit", "kelvin", "other"),
                 ("%sat", "SpO2", "low", "test_result"),
-                ("hr hr", "Pulse", "double", "measurement"), ("x hr", "Finding", "x_hr", "other")]
+                ("hr hr", "Pulse", "double", "measurement"), ("x hr", "Finding", "x_hr", "other"),
+                ("Temp high", "Temp", "high", "measurement"), ("lab1", "Lab1", "seen", "other")]
 TOKENS = ["Temp", "temp", "Temperature", "T", "HR", "hr", "Heart", "heart", "rate", "Rate", "80",
           "98.6", "-3", "+4.5", "F", "sat", "level", "abc", "12", "lung", "cancer", "BP", "=",
           ":", "is", "was", "of", ",", ".", "x", "Na+", "na", "+", "%sat", "%", "SAT", "k", "K",
-          "\u212a", "s", "S", "\u017f", "\u017fat"]
+          "\u212a", "s", "S", "\u017f", "\u017fat", "Lab1", "LAB10", "lab10", "0", "high"]
 SEPARATORS = [" ", "", "  ", "\n", ":"]
+LAB_ALIASES = [(f"Lab{i:02d}", f"Lab{i:02d}") for i in range(40)]
 
 
 def pool_config(aliases, numeric, lexicon):
@@ -196,15 +202,17 @@ def pool_config(aliases, numeric, lexicon):
     })
 
 
+POOLS = dict(
+    aliases=st.lists(st.sampled_from(ALIAS_POOL), unique=True),
+    numeric=st.lists(st.sampled_from(NUMERIC_POOL), unique=True),
+    lexicon=st.lists(st.sampled_from(LEXICON_POOL), unique=True),
+    words=st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(SEPARATORS)), max_size=30),
+)
+
+
 class TestCompiledExtractor:
     @settings(max_examples=300, deadline=None)
-    @given(
-        aliases=st.lists(st.sampled_from(ALIAS_POOL), unique=True),
-        numeric=st.lists(st.sampled_from(NUMERIC_POOL), unique=True),
-        lexicon=st.lists(st.sampled_from(LEXICON_POOL), unique=True),
-        words=st.lists(st.tuples(st.sampled_from(TOKENS), st.sampled_from(SEPARATORS)),
-                       max_size=30),
-    )
+    @given(**POOLS)
     @example(aliases=ALIAS_POOL, numeric=NUMERIC_POOL, lexicon=LEXICON_POOL,
              words=[("HR", " "), ("80", " "), ("heart", " "), ("rate", " "), ("12", "")])
     @example(aliases=ALIAS_POOL, numeric=[], lexicon=LEXICON_POOL,
@@ -220,10 +228,33 @@ class TestCompiledExtractor:
     @example(aliases=[], numeric=NUMERIC_POOL, lexicon=[],
              words=[("HR", " "), ("80", " "), ("sat", " "), ("level", " "), ("abc", "")])
     @example(aliases=ALIAS_POOL, numeric=NUMERIC_POOL, lexicon=LEXICON_POOL, words=[])
+    @example(aliases=ALIAS_POOL, numeric=[], lexicon=LEXICON_POOL,
+             words=[("lab10", " "), ("5", " "), ("Lab1", ""), ("0", " "), ("4", " "), ("Lab1", " "),
+                    ("3", " "), ("temp", " "), ("high", " "), ("Temp", " "), ("high", ""),
+                    ("80", "")])
+    # the shape of the train_wide benchmark: 40 aliases that all begin "Lab"
+    @example(aliases=LAB_ALIASES, numeric=[], lexicon=[],
+             words=[("Lab26", " "), ("=", " "), ("148.2", ". "), ("lab39", " "), ("130.9", " "),
+                    ("Lab10", ""), ("0", " "), ("4", " "), ("Lab1", " "), ("5", " "),
+                    ("LAB10", ":"), ("80", "")])
     def test_same_records_as_three_loop_reference(self, aliases, numeric, lexicon, words):
         config = pool_config(aliases, numeric, lexicon)
         text = "".join(w + sep for w, sep in words)
         assert extract_patterns(text, config) == reference_extract_patterns(text, config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**POOLS)
+    @example(aliases=ALIAS_POOL, numeric=[], lexicon=LEXICON_POOL,
+             words=[(w, " ") for w in TOKENS])
+    def test_each_stop_tries_exactly_the_surfaces_that_match_there(self, aliases, numeric,
+                                                                  lexicon, words):
+        config = pool_config(aliases, numeric, lexicon)
+        text = "".join(w + sep for w, sep in words)
+        for hit in config.scan.finditer(text) if config.scan else ():
+            group = config.ident.match(text, hit.start()).lastindex
+            assert [i for i, _ in config.tried[group]] == [
+                i for i, m in enumerate(config.matchers) if m.surface is not None
+                and re.match(re.escape(m.surface), text[hit.start():], re.IGNORECASE)]
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2), (2,)])
     def test_exact_tie_goes_to_the_first_matcher(self, order):
@@ -272,13 +303,34 @@ class TestCompiledExtractor:
         config = pool_config([("k", "Potassium"), ("Na+", "Sodium")], [], [])
         text = "\u212a 4, xk 4, K+Na+ 140"
         assert [hit.start() for hit in config.scan.finditer(text)] == [0, 11, 13]
-        assert config.scanned == tuple((i, m.regex) for i, m in enumerate(config.matchers))
+        # one ident group per surface, longest first, each naming its matchers
+        assert config.ident.pattern == r"(Na\+)|(k)"
+        assert config.tried == {1: ((1, config.matchers[1].regex),),
+                                2: ((0, config.matchers[0].regex),)}
         # only a surface that starts with a non-word character adds a branch
         assert config.scan.pattern == r"(?=\b(?:k|Na\+))"
         config = pool_config([("k", "Potassium"), ("Na+", "Sodium"), ("%sat", "SpO2")], [], [])
         text += ", x%sat 9 %sat 8"
         assert [hit.start() for hit in config.scan.finditer(text)] == [0, 11, 13, 30]
         assert pool_config([], NUMERIC_POOL[:1], []).scan is None
+
+    def test_each_stop_tries_only_the_matchers_whose_surface_is_there(self):
+        config = pool_config([("Temp", "Temp"), ("Temperature", "Temp"), ("T", "Temp"),
+                              ("k", "Potassium"), ("\u212a", "Kelvin")], [], [])
+        text = "Temperature 98, Temp 99, T 97, K 4, k 3, \u212a 5, temps 1"
+        tried = []
+        for hit in config.scan.finditer(text):
+            group = config.ident.match(text, hit.start()).lastindex
+            assert [regex for _, regex in config.tried[group]] == [
+                config.matchers[i].regex for i, _ in config.tried[group]]
+            tried.append([i for i, _ in config.tried[group]])
+        # Temperature, Temp, T; Temp, T; T; then k and the Kelvin sign, which
+        # match each other's K; "temps" is a stop where "Temp" is tried and fails
+        assert tried == [[0, 1, 2], [0, 2], [2], [3, 4], [3, 4], [3, 4], [0, 2]]
+        assert [(r.name, r.value) for r in extract_patterns(text, config)] == [
+            ("Temp", 98.0), ("Temp", 99.0), ("Temp", 97.0), ("Kelvin", 4.0),
+            ("Kelvin", 3.0), ("Kelvin", 5.0)]
+        assert extract_patterns(text, config) == reference_extract_patterns(text, config)
 
     def test_extract_encounter_calls_extract_patterns_once_per_document(self, monkeypatch):
         # perfbench times extraction by wrapping this module attribute.

@@ -65,6 +65,7 @@ from .model import (
     fit_label,
     fit_labels,
     fit_threshold,
+    fit_thresholds,
     load_bundle,
     predict,
     prepare_units,

@@ -26,7 +26,7 @@ from .jsontypes import COUNT, INTEGER, LIST, NONEMPTY, NONEMPTY_STRINGS, NUMBER,
 from .model import (
     PipelineConfig,
     PredictionSet,
-    _key_external,
+    _keyed_external,
     predict_units,
     prepare_units,
     train_all,
@@ -202,12 +202,13 @@ def run_cv(encounters: Sequence[Encounter], config: PipelineConfig) -> MetricsRe
     idf, measurement selection, thresholds) comes from the other folds
     only. Confusion counts aggregate across folds; per-document metrics
     pool every held-out unit. The external records are indexed once per
-    run, and each fold's held-out units are scored in one batch.
+    run, when the mode and source read them, and each fold's held-out
+    units are scored in one batch.
     """
     encounters = list(encounters)
     split = kfold_split(encounters, config.folds, config.seed)
     by_id = {e.encounter_id: e for e in encounters}
-    external = _key_external(config.external_records or ())
+    external = _keyed_external(config.spec, config.external_records)
 
     all_predictions: list[PredictionSet] = []
     all_gold: list[frozenset[str]] = []

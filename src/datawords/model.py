@@ -21,17 +21,24 @@ settings; ``spec`` projects it onto its encoding fields. ``_encode`` hands
 each DataWord to its document's unit in one pass.
 
 The regressor minimizes sum((w.x + b - y)^2) + lambda * ||w||^2 with an
-unpenalized bias. ``fit_labels`` is the one ridge solve; ``fit_label`` is
-its one-label case. Every label shares X and lambda, so it checks X once,
-keeps the k columns X actually uses and centers them once, which removes
-the bias (b = mean(y) - mean(x).w). With k <= n units it factors the k x k
-centered normal matrix, otherwise the n x n centered Gram matrix, and then
-w = X^T alpha. When min(n, k) is too large for two dense min(n, k)^2
-arrays it runs one conjugate-gradient solve per label on the centered
-normal equations instead (start at zero, relative tolerance 1e-10,
-iteration cap 10 * k, a logged warning naming the label column if it
-stops short). Dense solves round differently with the BLAS thread count,
-which importing the package pins to one.
+unpenalized bias. ``fit_labels`` is the one ridge solve, ``_ridge``;
+``fit_label`` is its one-label case. Every label shares X and lambda, so
+the solve keeps the k columns X actually uses and centers them once,
+which removes the bias (b = mean(y) - mean(x).w). With k <= n units it
+factors the k x k centered normal matrix, otherwise the n x n centered
+Gram matrix, and then w = X^T alpha. When min(n, k) is too large for two
+dense min(n, k)^2 arrays it runs one conjugate-gradient solve per label
+on the centered normal equations instead (start at zero, relative
+tolerance 1e-10, iteration cap 10 * k, a logged warning naming the label
+column if it stops short). Dense solves round differently with the BLAS
+thread count, which importing the package pins to one.
+
+Training fits its tf-idf model and builds X in one pass that tokenizes
+each unit's text once (``vectorize._fit_tfidf``). The solve returns the
+dense (k x labels) weights Wk over the used columns; training scores its
+units with them, S = X[:, cols] Wk + b, and stores them as the sparse W.
+``fit_thresholds`` then fits every label's F1 threshold from one sort of
+S's columns; ``fit_threshold`` is its one-column case.
 """
 
 from __future__ import annotations
@@ -94,11 +101,9 @@ from .jsontypes import (
 from .vectorize import (
     TfIdfModel,
     Vocabulary,
+    _fit_tfidf,
     _hashed_idf,
     _tfidf_rows,
-    build_vocabulary,
-    fit_hashed_idf,
-    fit_idf,
     stack_vectors,
 )
 
@@ -338,7 +343,8 @@ def fit_labels(X, Y, lam: float) -> tuple[sparse.csc_matrix, np.ndarray]:
 
     X is a list of DocumentVector or a sparse (n x d) matrix and Y an
     (n x labels) array of 0/1 targets. W is a (d x labels) CSC matrix
-    without stored zeros and b the unpenalized biases.
+    without stored zeros and b the unpenalized biases. ``_ridge`` solves;
+    W holds its dense weights over X's used columns.
     """
     if lam <= 0:
         raise InputError(f"lambda must be positive, got {lam}")
@@ -346,22 +352,33 @@ def fit_labels(X, Y, lam: float) -> tuple[sparse.csc_matrix, np.ndarray]:
     Yv = np.asarray(Y, dtype=np.float64)
     if Yv.ndim != 2 or Xm.shape[0] != Yv.shape[0]:
         raise InputError(f"targets must be ({Xm.shape[0]} x labels), got shape {Yv.shape}")
-    n, d = Xm.shape
-    cols = np.unique(Xm.indices)
+    cols, _, Wk, b = _ridge(Xm, Yv, lam)
+    return _weight_matrix(cols, Wk, Xm.shape[1]), b
+
+
+def _ridge(
+    X: sparse.csr_matrix, Y: np.ndarray, lam: float
+) -> tuple[np.ndarray, sparse.csr_matrix, np.ndarray, np.ndarray]:
+    """fit_labels' solve over a checked CSR X and float targets Y. Returns
+    the k columns ``cols`` that X uses, ``Xs = X[:, cols]``, the dense
+    (k x labels) weights ``Wk`` over them and the biases b, so that
+    ``Xs @ Wk + b`` scores X."""
+    n = X.shape[0]
+    cols = np.unique(X.indices)
     k = cols.size
-    Xs = Xm[:, cols]
+    Xs = X[:, cols]
     x_mean = np.asarray(Xs.sum(axis=0)).ravel() / n
-    y_mean = Yv.mean(axis=0)
+    y_mean = Y.mean(axis=0)
     if min(n, k) > _DENSE_SOLVE_MAX:
-        rhs = Xs.T @ (Yv - y_mean)
-        Wk = np.empty((k, Yv.shape[1]))
-        for j in range(Yv.shape[1]):
+        rhs = Xs.T @ (Y - y_mean)
+        Wk = np.empty((k, Y.shape[1]))
+        for j in range(Y.shape[1]):
             Wk[:, j] = _cg(Xs, x_mean, rhs[:, j], lam, j)
     elif k <= n:
         A = (Xs.T @ Xs).toarray()
         A -= np.outer(n * x_mean, x_mean)
         A.flat[:: k + 1] += lam
-        Wk = np.linalg.solve(A, Xs.T @ (Yv - y_mean))
+        Wk = np.linalg.solve(A, Xs.T @ (Y - y_mean))
     else:
         # H K H + lam I, with H = I - 11'/n, built in place on K = Xs Xs'.
         A = (Xs @ Xs.T).toarray()
@@ -370,11 +387,15 @@ def fit_labels(X, Y, lam: float) -> tuple[sparse.csc_matrix, np.ndarray]:
         A -= row_mean[None, :]
         A += row_mean.mean()
         A.flat[:: n + 1] += lam
-        Wk = Xs.T @ np.linalg.solve(A, Yv - y_mean)
-    b = y_mean - x_mean @ Wk
+        Wk = Xs.T @ np.linalg.solve(A, Y - y_mean)
+    return cols, Xs, Wk, y_mean - x_mean @ Wk
+
+
+def _weight_matrix(cols: np.ndarray, Wk: np.ndarray, d: int) -> sparse.csc_matrix:
+    """The (d x labels) CSC matrix of the dense weights ``Wk`` over the
+    columns ``cols``, without stored zeros."""
     Wc = sparse.csc_matrix(Wk)
-    W = sparse.csc_matrix((Wc.data, cols[Wc.indices], Wc.indptr), shape=(d, Yv.shape[1]))
-    return W, b
+    return sparse.csc_matrix((Wc.data, cols[Wc.indices], Wc.indptr), shape=(d, Wk.shape[1]))
 
 
 def fit_threshold(scores: Sequence[float], y: Sequence[int]) -> float:
@@ -383,8 +404,7 @@ def fit_threshold(scores: Sequence[float], y: Sequence[int]) -> float:
     Candidates are the midpoints of adjacent sorted unique scores plus
     (min - 1) and (max + 1); ties go to the lowest threshold. With no
     positive targets the label can never be predicted and the sentinel
-    +inf is returned. Runs in O(n log n): one sort, then counts of the
-    scores and positives at or above each candidate.
+    +inf is returned. This is ``fit_thresholds`` on one column.
     """
     s = np.asarray(scores, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
@@ -392,27 +412,73 @@ def fit_threshold(scores: Sequence[float], y: Sequence[int]) -> float:
         raise InputError("cannot fit a threshold on empty scores")
     if s.size != yv.size:
         raise InputError(f"scores and targets misaligned: {s.size} vs {yv.size}")
-    n_pos = float(yv.sum())
-    if n_pos == 0.0:
-        return math.inf
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    pos_below = np.concatenate([[0], np.cumsum(yv[order] == 1.0)])
-    uniq = np.unique(s)
-    cands = np.concatenate(
-        [[uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2.0, [uniq[-1] + 1.0]]
-    )
-    # first sorted position with score >= candidate: everything from there on is predicted
-    first = np.searchsorted(s_sorted, cands, side="left")
-    tp = (pos_below[-1] - pos_below[first]).astype(np.float64)
-    npred = (s.size - first).astype(np.float64)
+    return float(fit_thresholds(s.reshape(-1, 1), yv.reshape(-1, 1))[0])
+
+
+def fit_thresholds(S, Y) -> np.ndarray:
+    """``fit_threshold`` of every column of the (n x labels) scores S and
+    targets Y, from one sort; returns one threshold per column.
+
+    Every column is sorted in one 2-D sort. Any sort will do, as the
+    counts of positives are read only where a run of equal scores starts.
+    Candidate p sits below sorted position p: (min - 1) at 0, the midpoint
+    of its two neighbours where a run starts, (max + 1) at n. The scores
+    from the first one at or above a candidate on are predicted, and that
+    first position is p unless the candidate is not above the score below
+    it: a midpoint of two adjacent floats rounds onto the lower one, max +
+    1 == max once |max| >= 2**53, or a sum overflows to -inf. (A sum that
+    overflows to +inf needs max >= 2**53, so its column has such a
+    candidate too.) A column with one counts the scores below each of its
+    candidates by binary search, as ``np.searchsorted`` does. Scores must
+    not be NaN.
+    """
+    S = np.asarray(S, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if S.ndim != 2 or S.shape != Y.shape:
+        raise InputError(f"scores and targets misaligned: {S.shape} vs {Y.shape}")
+    n = S.shape[0]
+    if n == 0:
+        raise InputError("cannot fit a threshold on empty scores")
+    Yt = np.ascontiguousarray(Y.T)
+    n_pos = Yt.sum(axis=1)
+    thresholds = np.full(S.shape[1], math.inf)
+    live = np.flatnonzero(n_pos)  # a label without positives keeps +inf
+    St = S.T[live]
+    order = np.argsort(St, axis=1)
+    s = np.take_along_axis(St, order, axis=1)
+    pos_below = np.zeros((live.size, n + 1), dtype=np.int64)
+    np.cumsum(np.take_along_axis(Yt[live] == 1.0, order, axis=1), axis=1, out=pos_below[:, 1:])
+    del St, order
+    cands = np.empty((live.size, n + 1))
+    cands[:, 0] = s[:, 0] - 1.0
+    np.add(s[:, :-1], s[:, 1:], out=cands[:, 1:n])
+    cands[:, 1:n] /= 2.0
+    cands[:, n] = s[:, -1] + 1.0
+    starts = np.ones(cands.shape, dtype=bool)
+    np.not_equal(s[:, 1:], s[:, :-1], out=starts[:, 1:n])
+    first = np.arange(n + 1)
+    below = pos_below
+    stray = np.flatnonzero((starts[:, 1:] & (cands[:, 1:] <= s)).any(axis=1))
+    if stray.size:
+        first = np.broadcast_to(first, cands.shape).copy()
+        for r in stray:
+            first[r] = np.searchsorted(s[r], cands[r], side="left")
+        below = np.take_along_axis(pos_below, first, axis=1)
+    del s
+    tp = (pos_below[:, -1:] - below).astype(np.float64)
+    del pos_below, below
+    npred = (n - first).astype(np.float64)
     # tp = 0 wherever a denominator is 0, so those F1 values come out 0
     precision = tp / np.maximum(npred, 1.0)
-    recall = tp / n_pos
+    recall = np.divide(tp, n_pos[live, None], out=tp)
     total = precision + recall
-    f1 = 2.0 * precision * recall / np.where(total > 0.0, total, 1.0)
+    f1 = np.multiply(2.0, precision, out=precision)
+    f1 *= recall
+    f1 /= np.where(total > 0.0, total, 1.0)
+    f1[~starts] = -1.0  # not a candidate
     # argmax takes the first maximum, i.e. the lowest threshold
-    return float(cands[int(np.argmax(f1))])
+    thresholds[live] = cands[np.arange(live.size), f1.argmax(axis=1)]
+    return thresholds
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +493,18 @@ def _key_external(records: Iterable[StructuredRecord]) -> dict[str, list[Structu
     return keyed
 
 
+def _reads_external(spec: EncodingSpec) -> bool:
+    """Whether ``_collect_records`` reads external records under ``spec``."""
+    return spec.ablation_mode != "text_only" and spec.extraction_source in ("external", "db")
+
+
+def _keyed_external(
+    spec: EncodingSpec, records: Iterable[StructuredRecord] | None
+) -> Mapping[str, list[StructuredRecord]]:
+    """The records indexed by encounter id, when ``spec`` reads them."""
+    return _key_external(records or ()) if _reads_external(spec) else {}
+
+
 def _collect_records(
     encounter: Encounter, spec: EncodingSpec, external: Mapping[str, list[StructuredRecord]]
 ) -> list[StructuredRecord]:
@@ -436,7 +514,7 @@ def _collect_records(
     records = list(encounter.structured)
     if spec.extraction_source == "patterns":
         records.extend(extract_encounter(encounter, spec.resolved_pattern_config()))
-    elif spec.extraction_source in ("external", "db"):
+    elif _reads_external(spec):
         records.extend(external.get(encounter.encounter_id, []))
     return records
 
@@ -588,7 +666,7 @@ def build_corpus_units(
         raise ConfigError("cannot process an empty corpus")
 
     spec = config.spec
-    external = _key_external(config.external_records or ())
+    external = _keyed_external(spec, config.external_records)
     raw_records = {e.encounter_id: _collect_records(e, spec, external) for e in encounters}
 
     filt = config.measurement_filter
@@ -613,11 +691,25 @@ def build_corpus_units(
     return CorpusUnits(units=units, stats=stats, selected=selected)
 
 
+def _csr(rows: tuple[np.ndarray, np.ndarray, np.ndarray], dimension: int) -> sparse.csr_matrix:
+    indptr, indices, values = rows
+    return sparse.csr_matrix((values, indices, indptr), shape=(indptr.size - 1, dimension))
+
+
 def _tfidf_matrix(tfidf: TfIdfModel, texts: Sequence[str]) -> sparse.csr_matrix:
     """X: the texts' tf-idf rows as one CSR matrix, from one ``_tfidf_rows``
-    pass. Training and prediction both build X here."""
-    indptr, indices, values = _tfidf_rows(tfidf, texts)
-    return sparse.csr_matrix((values, indices, indptr), shape=(len(texts), tfidf.dimension))
+    pass. Prediction builds X here, and training builds the same X as it
+    fits the model (``_fit_tfidf_matrix``)."""
+    return _csr(_tfidf_rows(tfidf, texts), tfidf.dimension)
+
+
+def _fit_tfidf_matrix(
+    texts: Sequence[str], config: PipelineConfig
+) -> tuple[TfIdfModel, sparse.csr_matrix]:
+    """The config's tf-idf model fit on ``texts``, and the texts' X under it,
+    as ``_tfidf_matrix`` builds it, from one tokenization of each text."""
+    tfidf, rows = _fit_tfidf(texts, config.hash_bits, config.min_df, config.l2_normalize)
+    return tfidf, _csr(rows, tfidf.dimension)
 
 
 def train_all(encounters: Sequence[Encounter], config: PipelineConfig) -> ModelBundle:
@@ -626,22 +718,20 @@ def train_all(encounters: Sequence[Encounter], config: PipelineConfig) -> ModelB
     Statistics, vocabulary, idf weights, measurement-selection sets, and
     thresholds are all computed from the given encounters only, so a
     cross-validation harness can call this per fold without leakage.
-    X is built and scored as ``predict_units`` builds and scores it, so
-    each threshold is fit on the scores prediction reproduces.
+    The vocabulary (or hashed df) and X come from one tokenization of each
+    unit's text. The training scores are S = Xs Wk + b, over the used
+    columns ``_ridge`` solved for. scipy's sparse-by-dense product adds
+    each score's terms in X's entry order from 0.0, as ``predict_units``
+    does with the sparse W, and the +-0.0 terms of Wk's zeros change no
+    sum, so S holds the scores prediction reproduces. ``fit_thresholds`` then fits every
+    label's threshold on them at once.
     """
     corpus_units = build_corpus_units(encounters, config)
     units = corpus_units.units
     stats = corpus_units.stats
     selected = corpus_units.selected
 
-    texts = [u.text for u in units]
-    if config.hash_bits is not None:
-        tfidf = fit_hashed_idf(texts, config.hash_bits, config.l2_normalize)
-    else:
-        vocab = build_vocabulary(texts, min_df=config.min_df)
-        tfidf = fit_idf(vocab, config.l2_normalize)
-
-    X = _tfidf_matrix(tfidf, texts)
+    tfidf, X = _fit_tfidf_matrix([u.text for u in units], config)
 
     label_counts = Counter(code for u in units for code in u.gold)
     labels = sorted(c for c, n in label_counts.items() if n >= config.min_positive)
@@ -658,10 +748,10 @@ def train_all(encounters: Sequence[Encounter], config: PipelineConfig) -> ModelB
             if code in column:
                 Y[i, column[code]] = 1.0
 
-    W, b = fit_labels(X, Y, config.lam)
-    S = (X @ W).toarray() + b
+    cols, Xs, Wk, b = _ridge(X, Y, config.lam)
+    thresholds = fit_thresholds(Xs @ Wk + b, Y)
     models = tuple(
-        LabelModel(label=label, bias=float(b[j]), threshold=fit_threshold(S[:, j], Y[:, j]))
+        LabelModel(label=label, bias=float(b[j]), threshold=float(thresholds[j]))
         for j, label in enumerate(labels)
     )
 
@@ -670,7 +760,7 @@ def train_all(encounters: Sequence[Encounter], config: PipelineConfig) -> ModelB
         variable_stats=stats,
         spec=config.spec,
         label_models=models,
-        weights=W,
+        weights=_weight_matrix(cols, Wk, X.shape[1]),
         selected_variables=tuple(sorted(selected)) if selected is not None else None,
         lam=config.lam,
     )
@@ -689,13 +779,13 @@ def prepare_units(
     contract: an encounter encodes here exactly as it would have encoded
     as a member of the bundle's training set. A caller preparing many
     encounters passes the external records already indexed by encounter
-    id (``_key_external``), so they are indexed once, not per encounter.
+    id (``_keyed_external``), so they are indexed once, not per encounter.
     """
+    spec = bundle.spec
     if isinstance(external_records, Mapping):
         external = external_records
     else:
-        external = _key_external(external_records or ())
-    spec = bundle.spec
+        external = _keyed_external(spec, external_records)
     selected = set(bundle.selected_variables) if bundle.selected_variables is not None else None
     records = _process_records(_collect_records(encounter, spec, external), spec, selected)
     return _encode(encounter, spec, records, bundle.variable_stats)

@@ -13,21 +13,26 @@ Two modes:
   sign-less count accumulation, for corpora whose vocabulary would not
   fit in memory.
 
-One pass, ``_tfidf_rows``, turns a list of texts into their tf-idf rows
-as CSR arrays: each text is tokenized by itself, one sort groups and
-counts every row's features, tf-idf is computed over the whole array, and
-each row is scaled by the norm of its own slice. Training and prediction
-make one pass over all of their units' texts, and explanation one per unit
-over its sentences. ``vectorize_document`` is the one-row case, and
-``stack_vectors`` stacks such rows into a matrix.
+One pass turns a list of texts into their tf-idf rows as CSR arrays:
+one loop tokenizes each text by itself and maps each token to its feature
+id, one sort groups and counts every row's features, tf-idf is computed
+over the whole array, and each row is scaled by the norm of its own
+slice. ``_tfidf_rows`` makes this pass with a fitted model. Fitting makes
+it too: the loop gives each new token the next vocabulary index (or its
+hash slot), the document frequencies are counted from the grouped pairs,
+and ``_fit_tfidf`` weighs the same pairs, so training tokenizes each text
+once. ``build_vocabulary`` and ``fit_hashed_idf`` are the fitting half.
+Training and prediction make one pass over all of their units' texts, and
+explanation one per unit over its sentences. ``vectorize_document`` is the
+one-row case, and ``stack_vectors`` stacks such rows into a matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,23 +69,7 @@ def build_vocabulary(train_docs: Sequence[str], min_df: int = 1) -> Vocabulary:
     min_df defaults to 1 so rare structured-value tokens are never
     silently dropped.
     """
-    docs = list(train_docs)
-    if not docs:
-        raise ConfigError("cannot build a vocabulary from an empty training set")
-    index: dict[str, int] = {}
-    df: Counter = Counter()
-    for doc in docs:
-        seen = set()
-        for tok in tokenize(doc):
-            if tok not in index:
-                index[tok] = len(index)
-            seen.add(tok)
-        df.update(seen)
-    if min_df > 1:
-        kept = [t for t in sorted(index, key=index.__getitem__) if df[t] >= min_df]
-        index = {t: i for i, t in enumerate(kept)}
-        df = Counter({t: df[t] for t in kept})
-    return Vocabulary(index=index, df=dict(df), document_count=len(docs))
+    return _fit_indexed(list(train_docs), min_df)[0]
 
 
 @functools.lru_cache(maxsize=_HASH_SLOT_CACHE)
@@ -124,12 +113,17 @@ def fit_idf(vocab: Vocabulary, l2_normalize: bool = True) -> TfIdfModel:
     )
 
 
-def _hashed_idf(bits: int, n: int, df: Iterable[tuple[int, int]]) -> np.ndarray:
-    """fit_idf's idf of each of the 2**bits hash slots, from (slot, document
-    count) pairs over ``n`` documents, read once bits are in [1, 30]."""
+def _hash_dim(bits: int) -> int:
+    """2**bits, once bits are in [1, 30]."""
     if not (1 <= bits <= 30):
         raise ConfigError(f"hash bits must be in [1, 30], got {bits}")
-    dim = 1 << bits
+    return 1 << bits
+
+
+def _hashed_idf(bits: int, n: int, df: Iterable[tuple[int, int]]) -> np.ndarray:
+    """fit_idf's idf of each of the 2**bits hash slots, from (slot, document
+    count) pairs over ``n`` documents."""
+    dim = _hash_dim(bits)
     idf = np.full(dim, math.log(1.0 + n) + 1.0, dtype=np.float64)
     for slot, count in df:
         if not (0 <= slot < dim):
@@ -142,25 +136,7 @@ def fit_hashed_idf(
     train_docs: Sequence[str], bits: int, l2_normalize: bool = True
 ) -> TfIdfModel:
     """Hashed-mode counterpart of build_vocabulary + fit_idf."""
-    docs = list(train_docs)
-    if not docs:
-        raise ConfigError("cannot fit a hashed model on an empty training set")
-    df: Counter = Counter()
-
-    def counted():  # hashes only after _hashed_idf has checked bits
-        for doc in docs:
-            df.update({_hash_slot(t, bits) for t in tokenize(doc)})
-        yield from df.items()
-
-    n = len(docs)
-    return TfIdfModel(
-        vocabulary=None,
-        idf=_hashed_idf(bits, n, counted()),
-        l2_normalize=l2_normalize,
-        hash_bits=bits,
-        document_count=n,
-        hashed_df=dict(sorted(df.items())),
-    )
+    return _fit_hashed(list(train_docs), bits, l2_normalize)[0]
 
 
 @dataclass
@@ -181,29 +157,49 @@ class DocumentVector:
         return dense
 
 
-def _tfidf_rows(
-    model: TfIdfModel, texts: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """tf-idf rows of ``texts`` as CSR arrays ``(indptr, indices, values)``:
-    OOV tokens dropped, indices strictly increasing within a row, and an
-    empty or all-OOV text an empty row."""
-    if model.hash_bits is not None:
-        bits = model.hash_bits
-        per_text = ([_hash_slot(tok, bits) for tok in tokenize(text)] for text in texts)
-    else:
-        lookup = model.vocabulary.index.get
-        per_text = ([ix for ix in map(lookup, tokenize(text)) if ix is not None] for text in texts)
+class _FirstSeen(dict):
+    """Token -> index, a token new to it taking the next index."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = index = len(self)
+        return index
+
+
+def _hashed_ids(bits: int):
+    """``_token_ids``' map of a text's tokens to their hash slots."""
+    same_bits = repeat(bits)
+    return lambda tokens: map(_hash_slot, tokens, same_bits)
+
+
+def _token_ids(texts: Iterable[str], ids) -> tuple[int, np.ndarray, np.ndarray]:
+    """The one loop that tokenizes: ``ids`` maps each text's tokens to their
+    feature ids, leaving out a token without one. Returns the number of
+    texts, then each id's row and the id, as int64 arrays in text and
+    token order."""
     features: list[int] = []
     lengths: list[int] = []
-    for row in per_text:
-        features.extend(row)
-        lengths.append(len(row))
-    dim = model.dimension
-    row_ids = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    keys, counts = np.unique(row_ids * dim + np.asarray(features, dtype=np.int64),
-                             return_counts=True)
-    key_rows, indices = np.divmod(keys, dim)
-    indptr = np.searchsorted(key_rows, np.arange(len(lengths) + 1))
+    for text in texts:
+        start = len(features)
+        features.extend(ids(tokenize(text)))
+        lengths.append(len(features) - start)
+    rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    return len(lengths), rows, np.asarray(features, dtype=np.int64)
+
+
+def _count(rows: np.ndarray, features: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """The distinct (row, feature) pairs, sorted, from one sort: each pair's
+    row, its feature and how often it occurs."""
+    keys, counts = np.unique(rows * dim + features, return_counts=True)
+    return *np.divmod(keys, dim), counts
+
+
+def _weigh(
+    model: TfIdfModel, n: int, key_rows: np.ndarray, indices: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR arrays ``(indptr, indices, values)`` of ``n`` rows from their
+    counted (row, feature) pairs: tf-idf over the whole array, then each
+    row scaled by the norm of its own slice."""
+    indptr = np.searchsorted(key_rows, np.arange(n + 1))
     values = (1.0 + np.log(counts.astype(np.float64))) * model.idf[indices]
     if model.l2_normalize:
         bounds = indptr.tolist()
@@ -213,6 +209,87 @@ def _tfidf_rows(
         norms = [math.sqrt(float(np.dot(v, v))) or 1.0 for v in row_values]
         values /= np.array(norms)[key_rows]
     return indptr, indices, values
+
+
+def _tfidf_rows(
+    model: TfIdfModel, texts: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tf-idf rows of ``texts`` as CSR arrays ``(indptr, indices, values)``:
+    OOV tokens dropped, indices strictly increasing within a row, and an
+    empty or all-OOV text an empty row."""
+    if model.hash_bits is not None:
+        ids = _hashed_ids(model.hash_bits)
+    else:
+        get = model.vocabulary.index.get
+
+        def ids(tokens):
+            return [ix for ix in map(get, tokens) if ix is not None]
+
+    n, rows, features = _token_ids(texts, ids)
+    return _weigh(model, n, *_count(rows, features, model.dimension))
+
+
+def _fit_indexed(docs: list[str], min_df: int) -> tuple[Vocabulary, tuple[np.ndarray, ...]]:
+    """build_vocabulary's vocabulary of ``docs``, and the docs' counted
+    (row, feature) pairs under it."""
+    if not docs:
+        raise ConfigError("cannot build a vocabulary from an empty training set")
+    index = _FirstSeen()
+    _, rows, features = _token_ids(docs, lambda tokens: map(index.__getitem__, tokens))
+    key_rows, indices, counts = _count(rows, features, len(index))
+    df = np.bincount(indices, minlength=len(index))
+    tokens = list(index)
+    if min_df > 1:  # drop the rarer tokens and renumber the rest in order
+        kept = df >= min_df
+        tokens = [t for t, keep in zip(tokens, kept.tolist()) if keep]
+        df = df[kept]
+        pair_kept = kept[indices]
+        indices = (np.cumsum(kept) - 1)[indices[pair_kept]]
+        key_rows, counts = key_rows[pair_kept], counts[pair_kept]
+    vocab = Vocabulary(
+        index={t: i for i, t in enumerate(tokens)},
+        df=dict(zip(tokens, df.tolist())),
+        document_count=len(docs),
+    )
+    return vocab, (key_rows, indices, counts)
+
+
+def _fit_hashed(
+    docs: list[str], bits: int, l2_normalize: bool
+) -> tuple[TfIdfModel, tuple[np.ndarray, ...]]:
+    """fit_hashed_idf's model of ``docs``, and the docs' counted (row,
+    feature) pairs under it."""
+    if not docs:
+        raise ConfigError("cannot fit a hashed model on an empty training set")
+    dim = _hash_dim(bits)  # checked before any token is hashed
+    _, rows, features = _token_ids(docs, _hashed_ids(bits))
+    pairs = _count(rows, features, dim)
+    slots, df = np.unique(pairs[1], return_counts=True)
+    hashed_df = dict(zip(slots.tolist(), df.tolist()))
+    model = TfIdfModel(
+        vocabulary=None,
+        idf=_hashed_idf(bits, len(docs), hashed_df.items()),
+        l2_normalize=l2_normalize,
+        hash_bits=bits,
+        document_count=len(docs),
+        hashed_df=hashed_df,
+    )
+    return model, pairs
+
+
+def _fit_tfidf(
+    texts: Sequence[str], hash_bits: int | None, min_df: int, l2_normalize: bool
+) -> tuple[TfIdfModel, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A tf-idf model fit on ``texts`` and the texts' rows under it: what
+    ``build_vocabulary`` (or ``fit_hashed_idf``), ``fit_idf`` and
+    ``_tfidf_rows`` give, from one tokenization of each text."""
+    docs = list(texts)
+    if hash_bits is None:
+        vocab, pairs = _fit_indexed(docs, min_df)
+        model = fit_idf(vocab, l2_normalize)
+    else:
+        model, pairs = _fit_hashed(docs, hash_bits, l2_normalize)
+    return model, _weigh(model, len(docs), *pairs)
 
 
 def vectorize_document(model: TfIdfModel, text: str) -> DocumentVector:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from datawords import evaluation, model
+from datawords import model
 from datawords.corpus import Encounter, kfold_split, load_corpus
 from datawords.errors import ConfigError, InputError
 from datawords.evaluation import (
@@ -356,7 +356,6 @@ class TestBatchedRunCV:
 
         # run_cv indexes for its held-out encounters; train_all for its training set
         monkeypatch.setattr(model, "_key_external", counting)
-        monkeypatch.setattr(evaluation, "_key_external", counting)
         run_cv(encounters, config)
         assert len(encounters) > 4 * config.folds
         assert len(calls) == config.folds + 1

@@ -32,6 +32,7 @@ from datawords.model import (
     fit_label,
     fit_labels,
     fit_threshold,
+    fit_thresholds,
     load_bundle,
     predict,
     predict_units,
@@ -333,6 +334,84 @@ class TestFitThreshold:
         assert fit_threshold(scores, y) == quadratic_threshold_oracle(scores, y)
 
 
+
+def per_column_threshold_oracle(scores, y):
+    """fit_threshold as it was before thresholds were fit in one batch: one
+    column, one stable sort, and a binary search per candidate."""
+    s = np.asarray(scores, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    n_pos = float(yv.sum())
+    if n_pos == 0.0:
+        return math.inf
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
+    pos_below = np.concatenate([[0], np.cumsum(yv[order] == 1.0)])
+    uniq = np.unique(s)
+    cands = np.concatenate(
+        [[uniq[0] - 1.0], (uniq[:-1] + uniq[1:]) / 2.0, [uniq[-1] + 1.0]]
+    )
+    first = np.searchsorted(s_sorted, cands, side="left")
+    tp = (pos_below[-1] - pos_below[first]).astype(np.float64)
+    npred = (s.size - first).astype(np.float64)
+    precision = tp / np.maximum(npred, 1.0)
+    recall = tp / n_pos
+    total = precision + recall
+    f1 = 2.0 * precision * recall / np.where(total > 0.0, total, 1.0)
+    return float(cands[int(np.argmax(f1))])
+
+
+# Column centres: small ones, and magnitudes where u + 1 == u (>= 2**53)
+# or where the sum of two neighbours overflows to +-inf.
+_CENTRES = [0.0, -0.0, 0.25, -3.0, 2.0**53, -(2.0**53), 2.0**60, -(2.0**62), 1.5e308, -1.5e308]
+
+
+@st.composite
+def threshold_batches(draw):
+    """(n x labels) scores and 0/1 targets. Each column draws from a centre,
+    its float neighbours (np.nextafter) and the centre +-1, so ties and
+    adjacent floats are common; some columns are constant, some targets
+    have no positive, and n may be 1."""
+    n = draw(st.integers(1, 12))
+    columns, targets = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        c = draw(st.sampled_from(_CENTRES))
+        up, down = np.nextafter(c, np.inf), np.nextafter(c, -np.inf)
+        near = [c, up, down, np.nextafter(up, np.inf), c + 1.0, c - 1.0, c * 0.5]
+        value = st.sampled_from([float(v) for v in near]) | st.floats(-10.0, 10.0)
+        if draw(st.booleans()):
+            columns.append([draw(value)] * n)
+        else:
+            columns.append(draw(st.lists(value, min_size=n, max_size=n)))
+        targets.append(draw(st.just([0] * n) | st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return np.array(columns, dtype=np.float64).T, np.array(targets, dtype=np.float64).T
+
+
+class TestFitThresholds:
+    @given(threshold_batches())
+    @example((np.array([[1.0, 1.0], [float(np.nextafter(1.0, 2.0)), 1.0]]),
+              np.array([[0.0, 1.0], [1.0, 0.0]])))
+    @example((np.array([[2.0**53], [2.0**53 + 2.0]]), np.array([[0.0], [1.0]])))
+    @example((np.array([[1.5e308, -3.0], [1.7e308, 5.0], [1.6e308, 5.0]]),
+              np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])))
+    @settings(max_examples=400, deadline=None)
+    def test_each_column_matches_the_per_column_oracle(self, case):
+        S, Y = case
+        with np.errstate(over="ignore"):
+            got = fit_thresholds(S, Y)
+            want = [per_column_threshold_oracle(S[:, j], Y[:, j]) for j in range(S.shape[1])]
+            one = [fit_threshold(S[:, j], Y[:, j]) for j in range(S.shape[1])]
+        assert got.shape == (S.shape[1],)
+        assert [float(t).hex() for t in got] == [t.hex() for t in want] == [t.hex() for t in one]
+
+    def test_misaligned_or_empty_rejected(self):
+        with pytest.raises(InputError, match="misaligned"):
+            fit_thresholds(np.zeros((3, 2)), np.zeros((3, 1)))
+        with pytest.raises(InputError, match="misaligned"):
+            fit_thresholds(np.zeros(3), np.zeros(3))
+        with pytest.raises(InputError, match="empty"):
+            fit_thresholds(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
 def trivial_corpus():
     return [
         Encounter(encounter_id="e1", documents=("fever and chills today.",),
@@ -533,6 +612,129 @@ class TestTrainPredictSymmetry:
         bundle = train_all(encs, cfg)
         replay = [u for enc in encs for u in prepare_units(bundle, enc, records)]
         assert replay == build_corpus_units(encs, cfg).units
+
+
+
+def word_encounters(seed, n, words_per_doc, vocabulary):
+    """``n`` one-document encounters of words drawn from ``vocabulary`` words.
+    Every encounter has code ALL, so that label's targets are constant and
+    its weights come out exactly zero; every second has A, every third B."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(vocabulary)]
+    return [
+        Encounter(encounter_id=f"e{i}",
+                  documents=(" ".join(rng.choice(words, size=words_per_doc)) + ".",),
+                  codes=frozenset(["ALL"] + ["A"] * (i % 2 == 0) + ["B"] * (i % 3 == 0)))
+        for i in range(n)
+    ]
+
+
+def train_capturing_scores(monkeypatch, encounters, config):
+    """train_all's bundle and the score matrix S it fit the thresholds on."""
+    seen = {}
+    original = model.fit_thresholds
+
+    def capture(S, Y):
+        seen["S"] = S.copy()
+        return original(S, Y)
+
+    monkeypatch.setattr(model, "fit_thresholds", capture)
+    return train_all(encounters, config), seen["S"]
+
+
+class TestTrainingScores:
+    """Training scores S = Xs Wk + b bit for bit as (X @ W).toarray() + b,
+    the sparse product prediction makes."""
+
+    @pytest.mark.parametrize("regime, n, words, vocabulary, hash_bits", [
+        ("dual", 8, 30, 400, None),
+        ("primal", 60, 12, 10, None),
+        ("dual", 10, 25, 300, 8),
+        ("primal", 80, 10, 400, 4),
+    ], ids=["dual", "primal", "hashed-dual", "hashed-primal"])
+    def test_scores_equal_the_sparse_product(self, monkeypatch, regime, n, words, vocabulary,
+                                             hash_bits):
+        encounters = word_encounters(n, n, words, vocabulary)
+        config = PipelineConfig(ablation_mode="text_only", hash_bits=hash_bits)
+        bundle, S = train_capturing_scores(monkeypatch, encounters, config)
+        units = build_corpus_units(encounters, config).units
+        X = model._tfidf_matrix(bundle.tfidf, [u.text for u in units])
+        used = np.unique(X.indices).size
+        assert (X.shape[0] < used) == (regime == "dual")
+        W = bundle.weights
+        all_column = bundle.column("ALL")
+        assert W.indptr[all_column] == W.indptr[all_column + 1]  # Wk's column is all zeros
+        b = np.array([lm.bias for lm in bundle.label_models])
+        want = (X @ W).toarray() + b
+        assert S.shape == want.shape
+        assert np.array_equal(S.view(np.int64), want.view(np.int64))
+
+
+def test_min_df_training_matches_public_reference():
+    """train_all with min_df=2 against the same fit built from public
+    functions: build_vocabulary, fit_idf, vectorize_document, fit_labels
+    and one fit_threshold per label."""
+    spec = SynthSpec(seed=8, documents=50, rules=(
+        PlantedRule("L1", "Temp", "very_high", 0.9, 0.5),
+        PlantedRule("L2", "HR", "low", 0.9, 0.5)))
+    encounters = generate_synthetic(spec) + word_encounters(3, 12, 6, 5000)
+    config = PipelineConfig(min_df=2)
+    bundle = train_all(encounters, config)
+
+    units = build_corpus_units(encounters, config).units
+    texts = [u.text for u in units]
+    vocab = build_vocabulary(texts, min_df=2)
+    assert 0 < len(vocab) < len(build_vocabulary(texts))
+    tfidf = fit_idf(vocab)
+    X = stack_vectors([vectorize_document(tfidf, t) for t in texts], tfidf.dimension)
+    labels = sorted({c for u in units for c in u.gold})
+    Y = np.array([[float(label in u.gold) for label in labels] for u in units])
+    W, b = fit_labels(X, Y, config.lam)
+    S = (X @ W).toarray() + b
+
+    assert bundle.tfidf.vocabulary.index == vocab.index
+    assert list(bundle.tfidf.vocabulary.index) == list(vocab.index)
+    assert bundle.tfidf.vocabulary.df == vocab.df
+    assert bundle.tfidf.idf.tobytes() == tfidf.idf.tobytes()
+    assert bundle.labels == labels
+    got = bundle.weights
+    assert np.array_equal(got.indptr, W.indptr) and np.array_equal(got.indices, W.indices)
+    assert got.data.tobytes() == W.data.tobytes()
+    assert [lm.bias.hex() for lm in bundle.label_models] == [float(v).hex() for v in b]
+    assert [lm.threshold.hex() for lm in bundle.label_models] == [
+        fit_threshold(S[:, j], Y[:, j]).hex() for j in range(len(labels))]
+
+
+def test_external_records_keyed_only_where_read(db_synth_corpus, monkeypatch):
+    """The external records are indexed by encounter only when the ablation
+    mode and the extraction source read them: never in text_only or with
+    the patterns source; else once per training set and once per run_cv."""
+    corpus_path, db_path = db_synth_corpus
+    encounters = load_corpus(corpus_path)
+    records = tuple(load_db_measurements(db_path))
+    calls = []
+    original = model._key_external
+
+    def counting(recs):
+        calls.append(1)
+        return original(recs)
+
+    monkeypatch.setattr(model, "_key_external", counting)
+    cases = [("text_only", "db", False), ("text_only", "external", False),
+             ("text_plus_datawords", "patterns", False), ("text_plus_datawords", "db", True),
+             ("datawords_only", "external", True)]
+    for mode, source, reads in cases:
+        config = PipelineConfig(ablation_mode=mode, extraction_source=source,
+                                external_records=records, rollup_provenances=None, folds=3)
+        bundle = train_all(encounters, config)
+        counted = []
+        for step in (lambda: build_corpus_units(encounters, config),
+                     lambda: prepare_units(bundle, encounters[0], records),
+                     lambda: run_cv(encounters, config)):
+            calls.clear()
+            step()
+            counted.append(len(calls))
+        assert counted == ([1, 1, config.folds + 1] if reads else [0, 0, 0]), (mode, source)
 
 
 class TestUnitSentences:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from datawords import vectorize
 from datawords.corpus import Sentence, tokenize
 from datawords.errors import ConfigError
+from datawords.model import PipelineConfig, _fit_tfidf_matrix, _tfidf_matrix
 from datawords.vectorize import (
     _hash_slot,
     _tfidf_rows,
@@ -291,3 +293,91 @@ class TestOnePassCore:
         model = fit_idf(build_vocabulary(["a b"]))
         indptr, indices, values = _tfidf_rows(model, [])
         assert indptr.tolist() == [0] and indices.size == 0 and values.size == 0
+
+
+def reference_vocabulary(docs, min_df):
+    """build_vocabulary as it was before fitting shared the one pass: a set
+    of tokens per document, and the kept tokens renumbered in order."""
+    index, df = {}, Counter()
+    for doc in docs:
+        seen = set()
+        for tok in tokenize(doc):
+            if tok not in index:
+                index[tok] = len(index)
+            seen.add(tok)
+        df.update(seen)
+    kept = [t for t in sorted(index, key=index.__getitem__) if df[t] >= min_df]
+    return {t: i for i, t in enumerate(kept)}, {t: df[t] for t in kept}
+
+
+def reference_hashed_df(docs, bits):
+    """fit_hashed_idf's document frequencies as it counted them before: a set
+    of slots per document, sorted by slot."""
+    df = Counter()
+    for doc in docs:
+        df.update({_hash_slot(t, bits) for t in tokenize(doc)})
+    return dict(sorted(df.items()))
+
+
+# Words seen in one training text only, so min_df 2 or 3 drops them, and a
+# text made of them alone is all-OOV under the fitted vocabulary.
+RARE_WORDS = ["r1", "r2", "r3", "ΣΣ"]
+
+
+@st.composite
+def training_texts(draw):
+    texts = draw(st.lists(
+        st.one_of(text_strategy(VOCAB_WORDS), text_strategy(VOCAB_WORDS + RARE_WORDS),
+                  text_strategy(RARE_WORDS, min_size=1), st.just("")),
+        min_size=1, max_size=8))
+    return texts
+
+
+class TestOnePassFit:
+    """Fitting the model and building X from one tokenization per text gives
+    what fitting and then vectorizing give, bit for bit."""
+
+    @given(training_texts(), st.integers(1, 3), st.none() | st.integers(1, 16), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_model_and_matrix_match_the_two_pass_fit(self, texts, min_df, bits, normalize):
+        config = PipelineConfig(min_df=min_df, hash_bits=bits, l2_normalize=normalize)
+        model, X = _fit_tfidf_matrix(texts, config)
+        if bits is None:
+            vocab = build_vocabulary(texts, min_df=min_df)
+            want = fit_idf(vocab, l2_normalize=normalize)
+            index, df = reference_vocabulary(texts, min_df)
+            assert list(vocab.index.items()) == list(index.items()) and vocab.df == df
+            assert list(model.vocabulary.index.items()) == list(index.items())
+            assert model.vocabulary.df == df
+            assert model.vocabulary.document_count == len(texts)
+        else:
+            want = fit_hashed_idf(texts, bits, l2_normalize=normalize)
+            df = reference_hashed_df(texts, bits)
+            assert list(want.hashed_df.items()) == list(df.items())
+            assert list(model.hashed_df.items()) == list(df.items())
+            assert model.hash_bits == bits
+        assert model.document_count == want.document_count == len(texts)
+        assert model.l2_normalize == normalize
+        assert model.idf.tobytes() == want.idf.tobytes()
+        ref = _tfidf_matrix(want, texts)
+        assert X.shape == ref.shape == (len(texts), want.dimension)
+        assert np.array_equal(X.indptr, ref.indptr) and np.array_equal(X.indices, ref.indices)
+        assert X.data.tobytes() == ref.data.tobytes()
+
+    def test_min_df_drops_rare_tokens_and_leaves_all_oov_rows_empty(self):
+        # capital sigma lowers to the final sigma at a word's end
+        texts = ["ΑΣ r1 ΟΔΟΣ", "b ας r1", "r2 r2 σοφός", "", "οδος b ΣΟΦΟΣ"]
+        model, X = _fit_tfidf_matrix(texts, PipelineConfig(min_df=2))
+        assert list(model.vocabulary.index.items()) == [("ας", 0), ("r1", 1), ("οδος", 2),
+                                                         ("b", 3)]
+        assert model.vocabulary.df == {"ας": 2, "r1": 2, "οδος": 2, "b": 2}
+        assert X.indptr.tolist() == [0, 3, 6, 6, 6, 8]
+        assert X.indices.tolist() == [0, 1, 2, 0, 1, 3, 2, 3]
+
+    @pytest.mark.parametrize("bits", [0, 31, 40])
+    def test_hash_bits_checked_before_any_token_is_hashed(self, monkeypatch, bits):
+        hashed = []
+        monkeypatch.setattr(vectorize, "_hash_slot", lambda token, b: hashed.append(token))
+        with pytest.raises(ConfigError, match=rf"^hash bits must be in \[1, 30\], got {bits}$"):
+            fit_hashed_idf(["a b", "c"], bits=bits)
+        assert hashed == []

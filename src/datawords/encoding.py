@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigError, DataError, InputError, UnresolvedVariableError
+from .errors import ConfigError, DataError, DataWordsError, InputError, UnresolvedVariableError
 from .extraction import StructuredRecord, read_json_object
 from .jsontypes import NUMBERS, OBJECT, POSITIVE, STRING, check
 
@@ -311,24 +311,105 @@ def encode_record(
     )
 
 
+class EncodeTable(Mapping[str, VariableStats]):
+    """Statistics, read as a mapping, together with what ``encode_record``
+    derives from them and one threshold spec.
+
+    Per variable name it keeps the name token, the display name, and the
+    cuts' token tuple for each bin, or the refusal of the variable's
+    records; per categorical (variable, value) it keeps the token or the
+    refusal. Each entry is worked out the first time a record needs it;
+    it depends on its key alone, so threads that fill one at once store
+    equal entries. A table is built where its statistics are made, one per
+    training set and one per ``ModelBundle``, and lives as long as they do.
+    """
+
+    def __init__(self, spec: ThresholdSpec, stats: Mapping[str, VariableStats]):
+        self.spec = spec
+        self.stats = stats
+        # name -> (name token or refusal, display name, (cuts, tokens per bin) or refusal)
+        self._variables: dict[str, tuple] = {}
+        # (name, str(value)) -> token or refusal
+        self._values: dict[tuple[str, str], str | InputError] = {}
+
+    def __getitem__(self, name: str) -> VariableStats:
+        return self.stats[name]
+
+    def __iter__(self):
+        return iter(self.stats)
+
+    def __len__(self) -> int:
+        return len(self.stats)
+
+    def _variable(self, name: str) -> tuple:
+        try:
+            name_token = sanitize_name(name)
+        except InputError as exc:
+            return exc, None, None
+        cuts = self.spec.resolve_cuts(name, self.stats)
+        if cuts is None:
+            bins = UnresolvedVariableError(f"no cuts or statistics for numeric variable {name!r}")
+        else:
+            bins = (cuts, {label: tuple(f"dw__{name_token}__{suffix}" for suffix in suffixes)
+                           for label, suffixes in BIN_TOKENS.items()})
+        return name_token, self.spec.display_name(name), bins
+
+    def encode(self, record: StructuredRecord) -> DataWordSentence | DataWordsError:
+        """``encode_record`` of the record, or the error it raises, returned."""
+        name = record.name
+        entry = self._variables.get(name)
+        if entry is None:
+            entry = self._variables[name] = self._variable(name)
+        name_token, display, bins = entry
+        if not isinstance(name_token, str):
+            return name_token
+        if record.is_numeric:
+            if not isinstance(bins, tuple):
+                return bins
+            try:
+                label = bin_value(float(record.value), bins[0])
+            except InputError as exc:
+                return exc
+            return DataWordSentence(tokens=bins[1][label], source=record, bin_label=label,
+                                    display_name=display)
+        key = (name, str(record.value))
+        token = self._values.get(key)
+        if token is None:
+            try:
+                token = f"dw__{name_token}__{sanitize_value(key[1])}"
+            except InputError as exc:
+                token = exc
+            self._values[key] = token
+        if not isinstance(token, str):
+            return token
+        return DataWordSentence(tokens=(token,), source=record, bin_label=None,
+                                display_name=display)
+
+
 def encode_records(
     records: Iterable[StructuredRecord],
     spec: ThresholdSpec,
     stats: Mapping[str, VariableStats],
 ) -> list[DataWordSentence]:
-    """Encode many records, skipping each one ``encode_record`` refuses.
+    """Encode many records as ``encode_record`` does, skipping each one it
+    refuses.
 
-    The skipped records are warned about once per variable and kind of
-    refusal, in one line that names the variable, the encounter and reason
-    of the first such record, and how many there were.
+    The records are encoded from ``stats`` when it is an ``EncodeTable``
+    built for ``spec``, else from a table built for this call. The skipped
+    records are warned about once per variable and kind of refusal, in one
+    line that names the variable, the encounter and reason of the first
+    such record, and how many there were.
     """
+    if not (isinstance(stats, EncodeTable) and stats.spec is spec):
+        stats = EncodeTable(spec, stats)
     out = []
     skipped: dict[tuple[str, type], list] = {}
     for rec in records:
-        try:
-            out.append(encode_record(rec, spec, stats))
-        except (UnresolvedVariableError, InputError) as exc:
-            skipped.setdefault((rec.name, type(exc)), [rec.encounter_id, exc, 0])[2] += 1
+        dw = stats.encode(rec)
+        if isinstance(dw, DataWordSentence):
+            out.append(dw)
+        else:
+            skipped.setdefault((rec.name, type(dw)), [rec.encounter_id, dw, 0])[2] += 1
     for (name, _), (encounter_id, exc, count) in skipped.items():
         logger.warning("skipping record %r of encounter %r: %s (%d of this kind)",
                        name, encounter_id, exc, count)

@@ -26,6 +26,7 @@ from .jsontypes import COUNT, INTEGER, LIST, NONEMPTY, NONEMPTY_STRINGS, NUMBER,
 from .model import (
     PipelineConfig,
     PredictionSet,
+    _encounter_records,
     _keyed_external,
     predict_units,
     prepare_units,
@@ -201,14 +202,19 @@ def run_cv(encounters: Sequence[Encounter], config: PipelineConfig) -> MetricsRe
     Per fold, every training-derived quantity (statistics, vocabulary,
     idf, measurement selection, thresholds) comes from the other folds
     only. Confusion counts aggregate across folds; per-document metrics
-    pool every held-out unit. The external records are indexed once per
-    run, when the mode and source read them, and each fold's held-out
-    units are scored in one batch.
+    pool every held-out unit. The work that no fold decides is done once
+    per run: the external records are indexed, when the mode and source
+    read them, and each encounter's records are collected (extracted, with
+    the patterns source), counted and rolled up. Each fold's ``train_all``
+    and ``prepare_units`` take those records, select from them and encode
+    them, and each fold's held-out units are scored in one batch.
     """
     encounters = list(encounters)
     split = kfold_split(encounters, config.folds, config.seed)
     by_id = {e.encounter_id: e for e in encounters}
-    external = _keyed_external(config.spec, config.external_records)
+    spec = config.spec
+    external = _keyed_external(spec, config.external_records)
+    records = {e.encounter_id: _encounter_records(e, spec, external) for e in encounters}
 
     all_predictions: list[PredictionSet] = []
     all_gold: list[frozenset[str]] = []
@@ -217,8 +223,8 @@ def run_cv(encounters: Sequence[Encounter], config: PipelineConfig) -> MetricsRe
     for fold in range(config.folds):
         train_encs = [by_id[eid] for eid in split.train_ids(fold)]
         test_encs = [by_id[eid] for eid in split.test_ids(fold)]
-        bundle = train_all(train_encs, config)
-        units = [u for enc in test_encs for u in prepare_units(bundle, enc, external)]
+        bundle = train_all(train_encs, config, _records=records)
+        units = [u for enc in test_encs for u in prepare_units(bundle, enc, _records=records)]
         fold_preds = predict_units(bundle, units)
         fold_gold = [u.gold for u in units]
 

@@ -516,6 +516,16 @@ def rollup(
     each record passed through and each group's readings, so aggregated
     records appear at the position of the group's first reading.
     """
+    return [rec for _, rec in _rolled(records, policy, provenances)]
+
+
+def _rolled(
+    records: Sequence[StructuredRecord],
+    policy: RollupPolicy,
+    provenances: tuple[str, ...] | None,
+) -> Iterator[tuple[str, StructuredRecord]]:
+    """``rollup``'s records in its order, each after its source variable:
+    the name of the record passed through, or of the group's readings."""
     slots: list[StructuredRecord | list[StructuredRecord]] = []
     groups: dict[tuple[str | None, str], list[StructuredRecord]] = {}
     for rec in records:
@@ -528,17 +538,13 @@ def rollup(
         else:
             slots.append(rec)
 
-    out: list[StructuredRecord] = []
     for slot in slots:
         if isinstance(slot, StructuredRecord):
-            out.append(slot)
+            yield slot.name, slot
             continue
         values = [float(r.value) for r in slot]
         first = slot[0]
-        out.extend(
-            StructuredRecord(name=f"{first.name}_{agg}", value=_AGGREGATE_OF[agg](values),
-                             kind=first.kind, provenance=first.provenance,
-                             encounter_id=first.encounter_id, unit=first.unit)
-            for agg in policy.aggregates
-        )
-    return out
+        for agg in policy.aggregates:
+            yield first.name, StructuredRecord(
+                name=f"{first.name}_{agg}", value=_AGGREGATE_OF[agg](values), kind=first.kind,
+                provenance=first.provenance, encounter_id=first.encounter_id, unit=first.unit)

@@ -61,6 +61,7 @@ from .encoding import (
     ABLATION_MODES,
     TEXT_MODES,
     DataWordSentence,
+    EncodeTable,
     ThresholdSpec,
     VariableStats,
     augment_document,
@@ -74,11 +75,11 @@ from .extraction import (
     PatternConfig,
     RollupPolicy,
     StructuredRecord,
+    _rolled,
     allowed_variables,
     default_pattern_config,
     extract_encounter,
     read_json_object,
-    rollup,
     variable_counts,
 )
 from .jsontypes import (
@@ -181,6 +182,9 @@ class PipelineConfig(EncodingSpec):
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.hash_bits is not None and not (1 <= self.hash_bits <= 30):
             raise ConfigError(f"hash bits must be in [1, 30], got {self.hash_bits}")
+        if self.hash_bits is not None and self.min_df > 1:
+            raise ConfigError("min_df must be 1 with hash_bits, as the hashed vectorizer keeps "
+                              f"every slot; got {self.min_df}")
 
     @property
     def spec(self) -> EncodingSpec:
@@ -519,16 +523,36 @@ def _collect_records(
     return records
 
 
-def _process_records(
-    records: list[StructuredRecord], spec: EncodingSpec, selected: set[str] | None
-) -> list[StructuredRecord]:
-    """The selected records, less the numeric ones in
-    ``nonnumeric_datawords_only``, rolled up (when there are any)."""
-    if selected is not None:
-        records = [r for r in records if r.name in selected]
+class _EncounterRecords(NamedTuple):
+    """An encounter's records as far as no training set decides them:
+    ``counts``, its collected records per variable, which the measurement
+    filter ranks, and ``rolled``, the records left after the ablation
+    mode's numeric filter, rolled up, each after its source variable."""
+
+    counts: Counter
+    rolled: list[tuple[str, StructuredRecord]]
+
+
+def _encounter_records(
+    encounter: Encounter, spec: EncodingSpec, external: Mapping[str, list[StructuredRecord]]
+) -> _EncounterRecords:
+    """The encounter's records collected, counted, less the numeric ones in
+    ``nonnumeric_datawords_only``, and rolled up."""
+    records = _collect_records(encounter, spec, external)
+    counts = variable_counts(records)
     if spec.ablation_mode == "nonnumeric_datawords_only":
         records = [r for r in records if not r.is_numeric]
-    return rollup(records, spec.rollup_policy, spec.rollup_provenances) if records else []
+    return _EncounterRecords(
+        counts, list(_rolled(records, spec.rollup_policy, spec.rollup_provenances)))
+
+
+def _selected_records(
+    records: _EncounterRecords, selected: set[str] | None
+) -> list[StructuredRecord]:
+    """The rolled records whose source variable is selected; all of them
+    when ``selected`` is None. Roll-up groups readings by (encounter,
+    variable), so this is what rolling up the selected records gives."""
+    return [rec for variable, rec in records.rolled if selected is None or variable in selected]
 
 
 def _encode(
@@ -583,7 +607,8 @@ class ModelBundle:
     whose column j holds the weights of ``label_models[j]``. Its CSR view,
     the label, bias and threshold arrays and each column's rank in sorted
     label order are built once here, so scoring a batch converts nothing
-    per call.
+    per call, and so is the ``EncodeTable`` of its threshold spec and
+    statistics, which every ``prepare_units`` call encodes from.
     """
 
     tfidf: TfIdfModel
@@ -597,6 +622,7 @@ class ModelBundle:
     # dataclasses.replace.
     _columns: dict = field(init=False, repr=False, compare=False)
     _scoring: tuple = field(init=False, repr=False, compare=False)
+    _encode_table: EncodeTable = field(init=False, repr=False, compare=False)
     _sentence_vectors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -620,6 +646,8 @@ class ModelBundle:
         )
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_scoring", scoring)
+        object.__setattr__(self, "_encode_table",
+                           EncodeTable(self.spec.threshold_spec, self.variable_stats))
 
     @property
     def labels(self) -> list[str]:
@@ -654,32 +682,43 @@ class CorpusUnits:
 
 
 def build_corpus_units(
-    encounters: Sequence[Encounter], config: PipelineConfig
+    encounters: Sequence[Encounter],
+    config: PipelineConfig,
+    *,
+    _records: Mapping[str, _EncounterRecords] | None = None,
 ) -> CorpusUnits:
     """Collect records, filter, roll up, compute stats, encode, augment.
 
     This is the training-side half of the pipeline; everything it derives
-    comes from the given encounters only.
+    comes from the given encounters only. Each encounter's records are
+    collected, counted and rolled up (``_encounter_records``); the
+    measurement filter then selects variables from the summed counts, and
+    the rolled records of the selected variables give the statistics and
+    the encounter's units, encoded from one ``EncodeTable``. ``run_cv``
+    passes ``_records``, every encounter's records worked up once per run,
+    keyed by encounter id.
     """
     encounters = list(encounters)
     if not encounters:
         raise ConfigError("cannot process an empty corpus")
 
     spec = config.spec
-    external = _keyed_external(spec, config.external_records)
-    raw_records = {e.encounter_id: _collect_records(e, spec, external) for e in encounters}
+    if _records is None:
+        external = _keyed_external(spec, config.external_records)
+        _records = {e.encounter_id: _encounter_records(e, spec, external) for e in encounters}
+    ids = list(dict.fromkeys(e.encounter_id for e in encounters))
 
     filt = config.measurement_filter
     if filt.mode == "all":
         selected = None
     else:
-        counts = variable_counts(r for recs in raw_records.values() for r in recs)
+        counts = Counter()
+        for eid in ids:
+            counts.update(_records[eid].counts)
         selected = allowed_variables(counts, filt)
 
-    processed = {
-        eid: _process_records(recs, spec, selected) for eid, recs in raw_records.items()
-    }
-    stats = compute_stats(r for recs in processed.values() for r in recs)
+    processed = {eid: _selected_records(_records[eid], selected) for eid in ids}
+    stats = compute_stats(r for eid in ids for r in processed[eid])
     # explicit cuts are strictly increasing, so only cuts from statistics,
     # of a variable with zero spread, can be degenerate
     for name in sorted(stats):
@@ -687,7 +726,8 @@ def build_corpus_units(
         if cuts[0] == cuts[3]:
             logger.warning("degenerate cuts for %r (zero spread); binning carries no "
                            "information", name)
-    units = [u for e in encounters for u in _encode(e, spec, processed[e.encounter_id], stats)]
+    table = EncodeTable(spec.threshold_spec, stats)
+    units = [u for e in encounters for u in _encode(e, spec, processed[e.encounter_id], table)]
     return CorpusUnits(units=units, stats=stats, selected=selected)
 
 
@@ -712,7 +752,12 @@ def _fit_tfidf_matrix(
     return tfidf, _csr(rows, tfidf.dimension)
 
 
-def train_all(encounters: Sequence[Encounter], config: PipelineConfig) -> ModelBundle:
+def train_all(
+    encounters: Sequence[Encounter],
+    config: PipelineConfig,
+    *,
+    _records: Mapping[str, _EncounterRecords] | None = None,
+) -> ModelBundle:
     """Run the full training pipeline and return a frozen bundle.
 
     Statistics, vocabulary, idf weights, measurement-selection sets, and
@@ -724,9 +769,10 @@ def train_all(encounters: Sequence[Encounter], config: PipelineConfig) -> ModelB
     each score's terms in X's entry order from 0.0, as ``predict_units``
     does with the sparse W, and the +-0.0 terms of Wk's zeros change no
     sum, so S holds the scores prediction reproduces. ``fit_thresholds`` then fits every
-    label's threshold on them at once.
+    label's threshold on them at once. ``_records`` goes to
+    ``build_corpus_units``.
     """
-    corpus_units = build_corpus_units(encounters, config)
+    corpus_units = build_corpus_units(encounters, config, _records=_records)
     units = corpus_units.units
     stats = corpus_units.stats
     selected = corpus_units.selected
@@ -772,6 +818,8 @@ def prepare_units(
     external_records: (
         Sequence[StructuredRecord] | Mapping[str, list[StructuredRecord]] | None
     ) = None,
+    *,
+    _records: Mapping[str, _EncounterRecords] | None = None,
 ) -> list[AugmentedUnit]:
     """Rebuild an encounter's units with the bundle's frozen state.
 
@@ -780,15 +828,19 @@ def prepare_units(
     as a member of the bundle's training set. A caller preparing many
     encounters passes the external records already indexed by encounter
     id (``_keyed_external``), so they are indexed once, not per encounter.
+    ``run_cv`` passes ``_records`` instead, as it does to ``train_all``.
+    The records are encoded from the bundle's ``EncodeTable``.
     """
     spec = bundle.spec
-    if isinstance(external_records, Mapping):
-        external = external_records
-    else:
-        external = _keyed_external(spec, external_records)
+    if _records is None:
+        if isinstance(external_records, Mapping):
+            external = external_records
+        else:
+            external = _keyed_external(spec, external_records)
+        _records = {encounter.encounter_id: _encounter_records(encounter, spec, external)}
     selected = set(bundle.selected_variables) if bundle.selected_variables is not None else None
-    records = _process_records(_collect_records(encounter, spec, external), spec, selected)
-    return _encode(encounter, spec, records, bundle.variable_stats)
+    records = _selected_records(_records[encounter.encounter_id], selected)
+    return _encode(encounter, spec, records, bundle._encode_table)
 
 
 def predict_units(bundle: ModelBundle, units: Sequence[AugmentedUnit]) -> list[PredictionSet]:

@@ -779,6 +779,19 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert not (tmp_path / "b.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_hashed_config_with_min_df_exits_2(self, tmp_path, capsys, command):
+        corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
+        cfg = write_json(tmp_path / "cfg.json", {"hash_bits": 12, "min_df": 2})
+        out = tmp_path / ("b.json" if command == "train" else "reports")
+        rc = main([command, "--config", cfg, "--corpus", corpus, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: min_df must be 1 with hash_bits, as the hashed vectorizer keeps " \
+               "every slot; got 2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize(
         "setting, message",

@@ -2,13 +2,15 @@ import logging
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from datawords.corpus import Encounter, tokenize
 from datawords.encoding import (
     BIN_LABELS,
+    EncodeTable,
     ThresholdSpec,
+    VariableStats,
     augment_document,
     bin_value,
     compute_stats,
@@ -20,7 +22,7 @@ from datawords.encoding import (
 )
 from datawords.errors import ConfigError, DataError, InputError, UnresolvedVariableError
 from datawords.extraction import StructuredRecord
-from datawords.model import PipelineConfig, _collect_records, _encode, _process_records
+from datawords.model import PipelineConfig, _encode, _encounter_records, _selected_records
 
 CLINICIAN_CUTS = (95.0, 97.7, 100.4, 103.0)
 
@@ -229,9 +231,74 @@ class TestAugmentDocument:
                               threshold_spec=temp_spec()).spec
         encounter = Encounter(encounter_id="e1", documents=("Note text.",), codes=frozenset(),
                               structured=records)
-        kept = _process_records(_collect_records(encounter, spec, {}), spec, None)
+        kept = _selected_records(_encounter_records(encounter, spec, {}), None)
         [unit] = _encode(encounter, spec, kept, {})
         assert unit.text == text
+
+
+# The table test's variables: "Temp" has explicit cuts, which win over its
+# statistics, "Pulse" auto cuts from statistics, "Flat" statistics of zero
+# spread, "Unknown" no statistics, and "%%" a name that sanitizes to nothing.
+TABLE_SPEC = ThresholdSpec(explicit={"Temp": CLINICIAN_CUTS}, auto={"Pulse": (2.0, 0.5)},
+                           display_names={"Temp": "Temperature"})
+TABLE_STATS = {
+    "Temp": VariableStats("Temp", 4, 0.0, 1.0),
+    "Pulse": VariableStats("Pulse", 3, 70.0, 10.0),
+    "Flat": VariableStats("Flat", 2, 5.0, 0.0),
+}
+TABLE_NAMES = ["Temp", "Pulse", "Flat", "Unknown", "%%", "O2 sat (%)"]
+TABLE_CUTS = sorted({c for name in TABLE_NAMES
+                     for c in TABLE_SPEC.resolve_cuts(name, TABLE_STATS) or ()})
+
+table_records = st.builds(
+    StructuredRecord,
+    name=st.sampled_from(TABLE_NAMES),
+    value=st.one_of(st.sampled_from(TABLE_CUTS), st.floats(), st.integers(-200, 200),
+                    st.sampled_from(["lung cancer", "???", "", "High", "x"]), st.booleans()),
+    encounter_id=st.sampled_from([None, "e1", "e2"]),
+)
+
+
+def reference_encode_records(records, spec, stats):
+    """``encode_record`` of each record it encodes, and the warning lines
+    that ``encode_records`` writes for the ones it refuses."""
+    out, skipped = [], {}
+    for rec in records:
+        try:
+            out.append(encode_record(rec, spec, stats))
+        except (UnresolvedVariableError, InputError) as exc:
+            skipped.setdefault((rec.name, type(exc)), [rec.encounter_id, exc, 0])[2] += 1
+    return out, [f"skipping record {name!r} of encounter {eid!r}: {exc} ({n} of this kind)"
+                 for (name, _), (eid, exc, n) in skipped.items()]
+
+
+class TestEncodeTable:
+    @given(st.lists(table_records, max_size=25), st.lists(table_records, max_size=10))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_table_path_matches_encode_record(self, caplog, first, second):
+        """One table encodes two record lists, the second from entries the
+        first filled in, as ``encode_record`` encodes each record, with the
+        same warning lines; so does a table built for one call, from plain
+        statistics or from a table built for another spec."""
+        table = EncodeTable(TABLE_SPEC, TABLE_STATS)
+        other = EncodeTable(ThresholdSpec.defaults(), TABLE_STATS)
+        for records, stats in ((first, table), (second, table), (second, TABLE_STATS),
+                               (first, other)):
+            want, lines = reference_encode_records(records, TABLE_SPEC, TABLE_STATS)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="datawords.encoding"):
+                got = encode_records(records, TABLE_SPEC, stats)
+            assert got == want
+            assert all(g.source is w.source for g, w in zip(got, want))
+            assert [r.getMessage() for r in caplog.records] == lines
+
+    def test_reads_as_its_statistics(self):
+        table = EncodeTable(TABLE_SPEC, TABLE_STATS)
+        assert dict(table) == TABLE_STATS and len(table) == 3
+        assert table.get("Unknown") is None
+        assert TABLE_SPEC.resolve_cuts("Pulse", table) == TABLE_SPEC.resolve_cuts(
+            "Pulse", TABLE_STATS)
 
 
 class TestThresholdSpec:

@@ -1,11 +1,13 @@
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from datawords import model
 from datawords.corpus import Encounter, kfold_split, load_corpus
+from datawords.encoding import ABLATION_MODES
 from datawords.errors import ConfigError, InputError
 from datawords.evaluation import (
     MetricsReport,
@@ -327,7 +329,7 @@ class TestBatchedRunCV:
         )
 
     @pytest.mark.parametrize("name", sorted(DB_CONFIGS))
-    @pytest.mark.parametrize("mode", ["text_only", "text_plus_datawords"])
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
     def test_report_bytes_equal_per_encounter_reference(self, db_synth_corpus, name, mode):
         corpus, db = db_synth_corpus
         encounters = load_corpus(corpus)
@@ -343,7 +345,28 @@ class TestBatchedRunCV:
         assert (run_cv(encounters, config).to_json_bytes()
                 == run_cv_per_encounter(encounters, config).to_json_bytes())
 
-    def test_external_records_indexed_once_per_fold(self, db_synth_corpus, monkeypatch):
+    @pytest.mark.parametrize("filt", [
+        MeasurementFilter(),
+        MeasurementFilter(mode="top_n", n=2),
+        MeasurementFilter(mode="top_n_excluding_top_m", n=2, m=1),
+        MeasurementFilter(mode="count_range", min_count=1, max_count=10),
+    ], ids=["all", "top_n", "top_n_excluding_top_m", "count_range"])
+    @pytest.mark.parametrize("mode", ABLATION_MODES)
+    def test_records_worked_up_once_match_reference(self, mode, filt):
+        """Numeric and categorical pattern records, rolled up from every
+        provenance, under each measurement filter: the folds select from the
+        records run_cv rolled up once as per-fold training selects them."""
+        spec = SynthSpec(seed=8, documents=40, rules=(
+            PlantedRule("L1", "Temp", "very_high", 0.9, 0.6),
+            PlantedRule("L2", "HR", "low", 0.9, 0.6)),
+            filler_vocab=("stable", "noted", "diabetes", "pneumonia", "lung", "cancer"))
+        encounters = generate_synthetic(spec)
+        config = PipelineConfig(ablation_mode=mode, measurement_filter=filt,
+                                rollup_provenances=None, folds=3, seed=2)
+        assert (run_cv(encounters, config).to_json_bytes()
+                == run_cv_per_encounter(encounters, config).to_json_bytes())
+
+    def test_external_records_indexed_once_per_run(self, db_synth_corpus, monkeypatch):
         corpus, db = db_synth_corpus
         encounters = load_corpus(corpus)
         config = self.db_config(db, "indexed_document")
@@ -354,8 +377,24 @@ class TestBatchedRunCV:
             calls.append(1)
             return original(records)
 
-        # run_cv indexes for its held-out encounters; train_all for its training set
+        # run_cv indexes once, as it collects every encounter's records once;
+        # each fold's train_all and prepare_units take those records
         monkeypatch.setattr(model, "_key_external", counting)
         run_cv(encounters, config)
         assert len(encounters) > 4 * config.folds
-        assert len(calls) == config.folds + 1
+        assert len(calls) == 1
+
+    def test_patterns_source_extracts_each_encounter_once(self, monkeypatch):
+        spec = SynthSpec(seed=3, documents=40,
+                         rules=(PlantedRule("L1", "Temp", "very_high", 0.9, 0.5),))
+        encounters = generate_synthetic(spec)
+        calls = Counter()
+        original = model.extract_encounter
+
+        def counting(encounter, patterns):
+            calls[encounter.encounter_id] += 1
+            return original(encounter, patterns)
+
+        monkeypatch.setattr(model, "extract_encounter", counting)
+        run_cv(encounters, PipelineConfig(folds=4, seed=9))
+        assert calls == Counter(e.encounter_id for e in encounters)

@@ -559,6 +559,36 @@ def rollup_cases(draw):
     return records, RollupPolicy(tuple(aggregates)), provenances
 
 
+def bits(out):
+    return [(r, r.value.hex() if isinstance(r.value, float) else r.value) for r in out]
+
+
+# Names that rolled names collide with: "X" rolls up to "X_mean", which is
+# also read as a variable of its own.
+COLLIDING_NAMES = ["X", "X_mean", "X_min", "Y", "Y_last", "X_mean_max"]
+
+
+@st.composite
+def commutation_cases(draw):
+    readings = st.tuples(
+        st.sampled_from(["e1", "e2"]),
+        st.sampled_from(COLLIDING_NAMES),
+        st.one_of(st.floats(min_value=-1e6, max_value=1e6), st.integers(-5, 5),
+                  st.sampled_from(["high", "low"])),
+        st.sampled_from(extraction.PROVENANCES),
+    )
+    records = [
+        StructuredRecord(name=name, value=value, provenance=prov, encounter_id=eid,
+                         kind="other" if isinstance(value, str) else "measurement")
+        for eid, name, value, prov in draw(st.lists(readings, max_size=20))
+    ]
+    aggregates = draw(st.sets(st.sampled_from(extraction.AGGREGATES), min_size=1))
+    provenances = draw(st.one_of(st.none(), st.sets(st.sampled_from(extraction.PROVENANCES))
+                                 .map(lambda p: tuple(sorted(p)))))
+    selected = draw(st.none() | st.sets(st.sampled_from(COLLIDING_NAMES)))
+    return records, RollupPolicy(tuple(aggregates)), provenances, selected
+
+
 class TestRollup:
     @given(rollup_cases())
     @settings(max_examples=200, deadline=None)
@@ -566,11 +596,21 @@ class TestRollup:
         records, policy, provenances = case
         got = rollup(records, policy, provenances)
         want = reference_rollup(records, policy, provenances)
-
-        def bits(out):
-            return [(r, r.value.hex() if isinstance(r.value, float) else r.value) for r in out]
-
         assert bits(got) == bits(want)
+
+    @given(commutation_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_filtering_by_source_variable_commutes_with_rollup(self, case):
+        """Rolling up and then keeping the records whose source variable is
+        selected gives what rolling up the selected records gives, in the
+        same order; ``rollup`` is the rolled records without their sources.
+        A selected set of None keeps everything."""
+        records, policy, provenances, selected = case
+        rolled = list(extraction._rolled(records, policy, provenances))
+        assert bits(rec for _, rec in rolled) == bits(rollup(records, policy, provenances))
+        kept = [r for r in records if selected is None or r.name in selected]
+        assert (bits(rec for variable, rec in rolled if selected is None or variable in selected)
+                == bits(rollup(kept, policy, provenances)))
 
     def test_policy_takes_the_canonical_order(self):
         assert RollupPolicy(tuple(reversed(extraction.AGGREGATES))).aggregates == (

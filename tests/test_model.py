@@ -708,7 +708,8 @@ def test_min_df_training_matches_public_reference():
 def test_external_records_keyed_only_where_read(db_synth_corpus, monkeypatch):
     """The external records are indexed by encounter only when the ablation
     mode and the extraction source read them: never in text_only or with
-    the patterns source; else once per training set and once per run_cv."""
+    the patterns source; else once per build_corpus_units, prepare_units
+    and run_cv call, as run_cv's folds reuse the records it collected."""
     corpus_path, db_path = db_synth_corpus
     encounters = load_corpus(corpus_path)
     records = tuple(load_db_measurements(db_path))
@@ -734,7 +735,7 @@ def test_external_records_keyed_only_where_read(db_synth_corpus, monkeypatch):
             calls.clear()
             step()
             counted.append(len(calls))
-        assert counted == ([1, 1, config.folds + 1] if reads else [0, 0, 0]), (mode, source)
+        assert counted == ([1, 1, 1] if reads else [0, 0, 0]), (mode, source)
 
 
 class TestUnitSentences:
@@ -812,6 +813,10 @@ def test_document_units_group_as_the_per_document_filter(n_docs, doc_indices):
 
 
 def test_training_splits_no_sentences_and_text_only_encodes_no_record(monkeypatch):
+    """Exact structured-record work per call: each encounter is extracted
+    and rolled up once per train_all, build_corpus_units, prepare_units or
+    run_cv call, and run_cv encodes it once per fold. text_only extracts
+    and encodes nothing. Nothing splits sentences until they are read."""
     calls = Counter()
 
     def count(module, name):
@@ -819,38 +824,80 @@ def test_training_splits_no_sentences_and_text_only_encodes_no_record(monkeypatc
 
         def counted(*args, **kwargs):
             calls[name] += 1
+            if name == "encode_records":
+                calls["records"] += len(args[0])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
     count(corpus_module, "split_sentences")
     count(model, "split_sentences")
-    count(encoding, "encode_record")
+    count(model, "encode_records")
     count(extraction, "extract_patterns")
-    count(model, "rollup")
+    count(model, "_rolled")
     synth = generate_synthetic(SynthSpec(seed=5, documents=16, rules=(
         PlantedRule("L1", "Temp", "very_high", 0.9, 0.5),)))
+    multi_docs = sum(len(e.documents) for e in MULTI_DOC)
 
     def structured_calls():
-        return [calls.pop(name, 0) for name in ("encode_record", "extract_patterns", "rollup")]
+        return [calls.pop(name, 0)
+                for name in ("encode_records", "records", "extract_patterns", "_rolled")]
 
     for mode in ABLATION_MODES:
         config = PipelineConfig(ablation_mode=mode, folds=2)
         bundle = train_all(MULTI_DOC, config)
-        counted = [structured_calls()]
+        trained = structured_calls()
+        build_corpus_units(synth, config)
+        once = structured_calls()
         run_cv(synth, config)
-        counted.append(structured_calls())
+        cv = structured_calls()
         prepare_units(bundle, MULTI_DOC[0])
-        counted.append(structured_calls())
-        assert calls["split_sentences"] == 0
+        prepared = structured_calls()
+        extracts = mode != "text_only"
+        assert trained == [2, trained[1], multi_docs if extracts else 0, 2], mode
+        assert once == [16, once[1], 16 if extracts else 0, 16], mode
+        assert cv == [2 * 16, 2 * once[1], 16 if extracts else 0, 16], mode
+        assert prepared == [1, prepared[1], 3 if extracts else 0, 1], mode
+        # MULTI_DOC holds records of both kinds, synth numeric ones only
         if mode == "text_only":
-            assert counted == [[0, 0, 0]] * 3
-        else:  # MULTI_DOC holds records of both kinds, synth numeric ones only
-            assert all(counted[0]) and all(counted[2]), (mode, counted)
+            assert trained[1] == once[1] == prepared[1] == 0
+        else:
+            assert trained[1] and prepared[1], mode
+            assert bool(once[1]) == (mode != "nonnumeric_datawords_only"), mode
+        assert calls["split_sentences"] == 0
     units = build_corpus_units(MULTI_DOC, PipelineConfig()).units
     for u in units + units:
         u.sentences
     assert calls["split_sentences"] == len(units)  # built once, when first read
+
+
+def test_encode_tables_built_where_statistics_are_made(monkeypatch):
+    """One EncodeTable per build_corpus_units call and one per bundle, so
+    one of each per run_cv fold; encode_records builds none of its own, and
+    a bundle's table keeps what it worked out across prepare_units calls."""
+    built, entries = [], []
+
+    class Counted(encoding.EncodeTable):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+        def _variable(self, name):
+            entries.append(name)
+            return super()._variable(name)
+
+    monkeypatch.setattr(encoding, "EncodeTable", Counted)
+    monkeypatch.setattr(model, "EncodeTable", Counted)
+    synth = generate_synthetic(SynthSpec(seed=5, documents=16, rules=(
+        PlantedRule("L1", "Temp", "very_high", 0.9, 0.5),)))
+    run_cv(synth, PipelineConfig(folds=3))
+    assert len(built) == 2 * 3
+    bundle = train_all(MULTI_DOC, PipelineConfig())
+    built.clear()
+    first = prepare_units(bundle, MULTI_DOC[0])
+    worked_out = len(entries)
+    assert prepare_units(bundle, MULTI_DOC[0]) == first
+    assert len(entries) == worked_out and built == []
 
 
 def test_nonnumeric_ablation_keeps_the_selection_and_stores_no_statistics():

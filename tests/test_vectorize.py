@@ -337,9 +337,13 @@ class TestOnePassFit:
     """Fitting the model and building X from one tokenization per text gives
     what fitting and then vectorizing give, bit for bit."""
 
-    @given(training_texts(), st.integers(1, 3), st.none() | st.integers(1, 16), st.booleans())
+    # min_df is 1 wherever hash_bits is set, as PipelineConfig refuses more
+    @given(training_texts(),
+           st.tuples(st.integers(1, 3), st.none()) | st.tuples(st.just(1), st.integers(1, 16)),
+           st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_model_and_matrix_match_the_two_pass_fit(self, texts, min_df, bits, normalize):
+    def test_model_and_matrix_match_the_two_pass_fit(self, texts, fit, normalize):
+        min_df, bits = fit
         config = PipelineConfig(min_df=min_df, hash_bits=bits, l2_normalize=normalize)
         model, X = _fit_tfidf_matrix(texts, config)
         if bits is None:
@@ -363,6 +367,20 @@ class TestOnePassFit:
         assert X.shape == ref.shape == (len(texts), want.dimension)
         assert np.array_equal(X.indptr, ref.indptr) and np.array_equal(X.indices, ref.indices)
         assert X.data.tobytes() == ref.data.tobytes()
+
+    def test_hashed_fit_keeps_singleton_tokens_so_min_df_is_refused(self):
+        texts = ["r1 a b", "a b", "r2 b", "r3"]  # r1, r2 and r3 occur in one text each
+        with pytest.raises(ConfigError, match="min_df must be 1 with hash_bits"):
+            PipelineConfig(hash_bits=16, min_df=2)
+        model, X = _fit_tfidf_matrix(texts, PipelineConfig(hash_bits=16))
+        slots = {t: _hash_slot(t, 16) for t in ("a", "b", "r1", "r2", "r3")}
+        assert len(set(slots.values())) == len(slots)
+        assert {t: model.hashed_df[slot] for t, slot in slots.items()} == {
+            "a": 2, "b": 3, "r1": 1, "r2": 1, "r3": 1}
+        for row, token in ((0, "r1"), (2, "r2"), (3, "r3")):
+            assert slots[token] in X.indices[X.indptr[row]:X.indptr[row + 1]]
+        indexed, _ = _fit_tfidf_matrix(texts, PipelineConfig(min_df=2))
+        assert list(indexed.vocabulary.index) == ["a", "b"]
 
     def test_min_df_drops_rare_tokens_and_leaves_all_oov_rows_empty(self):
         # capital sigma lowers to the final sigma at a word's end

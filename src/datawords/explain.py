@@ -7,22 +7,15 @@ obscure the ranking. DataWords sentences are reported with their natural
 rendering so a reviewer sees "Temperature was very high [104.3]" rather
 than the raw token.
 
-A unit's sentences are vectorized in one pass, however many of its
-predicted labels are explained: the bundle keeps the last unit's sentence
-rows, one CSR block as the vectorizer returns it. Per label, the block's
-own feature indices are looked up once, with one ``searchsorted``, in the
-label's column of the bundle's weight matrix, the one that classifies,
-which gathers a weight for every entry of the block; the column is never
-expanded to a dense vector of the full dimension. A sentence's score is
-then the dot product of its slice of values and its slice of weights.
+A unit's sentences are scored in one sparse product with the bundle's
+weight matrix, the one ``predict_units`` makes, kept for the unit's
+further labels (``ModelBundle.sentence_scores``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .corpus import Sentence
 from .model import AugmentedUnit, ModelBundle
@@ -50,27 +43,11 @@ def score_sentences(
 
     All sentences are returned, including zero-score out-of-vocabulary
     ones, in document order. Raises KeyError for a label the bundle does
-    not know. The unit's sentence vectors are kept on the bundle, so
-    scoring further labels of the same unit does not vectorize again.
+    not know. The unit's scores are kept on the bundle, so scoring further
+    labels of the same unit does not vectorize again.
     """
     j = bundle.column(label)
-    indptr, features, values = bundle.sentence_vectors(unit)
-    W = bundle.weights
-    lo, hi = W.indptr[j], W.indptr[j + 1]
-    indices = W.indices[lo:hi]
-    # the column's weight at each entry of the block, 0.0 where it has none
-    pos = np.searchsorted(indices, features)
-    hit = pos < indices.size
-    hit[hit] = indices[pos[hit]] == features[hit]
-    weights = np.zeros(features.size, dtype=np.float64)
-    weights[hit] = W.data[lo:hi][pos[hit]]
-    # one dot per sentence slice keeps each score's bits those of the
-    # sentence scored alone
-    ptr = indptr.tolist()
-    return [
-        (sent, float(np.dot(values[a:b], weights[a:b])) if b > a else 0.0)
-        for sent, a, b in zip(unit.sentences, ptr[:-1], ptr[1:])
-    ]
+    return list(zip(unit.sentences, bundle.sentence_scores(unit)[:, j].tolist()))
 
 
 def top_justifications(

@@ -603,12 +603,10 @@ def _encode(
 class ModelBundle:
     """Self-contained model state: everything prediction needs.
 
-    ``weights`` is the (dimension x labels) CSC matrix, with sorted indices,
-    whose column j holds the weights of ``label_models[j]``. Its CSR view,
-    the label, bias and threshold arrays and each column's rank in sorted
-    label order are built once here, so scoring a batch converts nothing
-    per call, and so is the ``EncodeTable`` of its threshold spec and
-    statistics, which every ``prepare_units`` call encodes from.
+    ``weights`` is the (dimension x labels) CSC matrix, indices sorted,
+    whose column j holds ``label_models[j]``'s weights. Its CSR view, which
+    prediction and explanation multiply by, the per-label arrays and the
+    ``EncodeTable`` that ``prepare_units`` encodes from are built once here.
     """
 
     tfidf: TfIdfModel
@@ -623,7 +621,7 @@ class ModelBundle:
     _columns: dict = field(init=False, repr=False, compare=False)
     _scoring: tuple = field(init=False, repr=False, compare=False)
     _encode_table: EncodeTable = field(init=False, repr=False, compare=False)
-    _sentence_vectors: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _sentence_scores: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W, d, n = self.weights, self.tfidf.dimension, len(self.label_models)
@@ -657,18 +655,20 @@ class ModelBundle:
         """The label's column of ``weights``; KeyError for an unknown label."""
         return self._columns[label]
 
-    def sentence_vectors(self, unit: AugmentedUnit) -> tuple[np.ndarray, ...]:
-        """The tf-idf rows of the unit's sentences, as the CSR arrays
-        ``(indptr, indices, values)`` of one ``_tfidf_rows`` pass.
+    def sentence_scores(self, unit: AugmentedUnit) -> np.ndarray:
+        """The unit's (sentences x labels) scores, bias excluded: its
+        sentences' tf-idf matrix times the CSR view of ``weights``, the
+        product ``predict_units`` makes.
 
-        The last unit's vectors are kept, keyed by the unit's identity, so
-        explaining several labels of one unit vectorizes each of its
-        sentences once.
+        The last unit's block is kept, keyed by the unit's identity, so
+        explaining several labels of one unit vectorizes and multiplies
+        once.
         """
-        cached = self._sentence_vectors
+        cached = self._sentence_scores
         if cached is None or cached[0] is not unit:
-            cached = (unit, _tfidf_rows(self.tfidf, [s.text for s in unit.sentences]))
-            object.__setattr__(self, "_sentence_vectors", cached)
+            X = _tfidf_rows(self.tfidf, [s.text for s in unit.sentences])
+            cached = (unit, (X @ self._scoring[0]).toarray())
+            object.__setattr__(self, "_sentence_scores", cached)
         return cached[1]
 
 
@@ -694,19 +694,25 @@ def build_corpus_units(
     collected, counted and rolled up (``_encounter_records``); the
     measurement filter then selects variables from the summed counts, and
     the rolled records of the selected variables give the statistics and
-    the encounter's units, encoded from one ``EncodeTable``. ``run_cv``
-    passes ``_records``, every encounter's records worked up once per run,
-    keyed by encounter id.
+    the encounter's units, encoded from one ``EncodeTable``. Records are
+    keyed by encounter id, so an id that repeats raises DataError.
+    ``run_cv`` passes ``_records``, every encounter's records worked up
+    once per run.
     """
     encounters = list(encounters)
     if not encounters:
         raise ConfigError("cannot process an empty corpus")
+    ids = [e.encounter_id for e in encounters]
+    seen: set[str] = set()
+    for eid in ids:
+        if eid in seen:
+            raise DataError(f"duplicate encounter_id {eid!r}")
+        seen.add(eid)
 
     spec = config.spec
     if _records is None:
         external = _keyed_external(spec, config.external_records)
         _records = {e.encounter_id: _encounter_records(e, spec, external) for e in encounters}
-    ids = list(dict.fromkeys(e.encounter_id for e in encounters))
 
     filt = config.measurement_filter
     if filt.mode == "all":
@@ -729,27 +735,6 @@ def build_corpus_units(
     table = EncodeTable(spec.threshold_spec, stats)
     units = [u for e in encounters for u in _encode(e, spec, processed[e.encounter_id], table)]
     return CorpusUnits(units=units, stats=stats, selected=selected)
-
-
-def _csr(rows: tuple[np.ndarray, np.ndarray, np.ndarray], dimension: int) -> sparse.csr_matrix:
-    indptr, indices, values = rows
-    return sparse.csr_matrix((values, indices, indptr), shape=(indptr.size - 1, dimension))
-
-
-def _tfidf_matrix(tfidf: TfIdfModel, texts: Sequence[str]) -> sparse.csr_matrix:
-    """X: the texts' tf-idf rows as one CSR matrix, from one ``_tfidf_rows``
-    pass. Prediction builds X here, and training builds the same X as it
-    fits the model (``_fit_tfidf_matrix``)."""
-    return _csr(_tfidf_rows(tfidf, texts), tfidf.dimension)
-
-
-def _fit_tfidf_matrix(
-    texts: Sequence[str], config: PipelineConfig
-) -> tuple[TfIdfModel, sparse.csr_matrix]:
-    """The config's tf-idf model fit on ``texts``, and the texts' X under it,
-    as ``_tfidf_matrix`` builds it, from one tokenization of each text."""
-    tfidf, rows = _fit_tfidf(texts, config.hash_bits, config.min_df, config.l2_normalize)
-    return tfidf, _csr(rows, tfidf.dimension)
 
 
 def train_all(
@@ -777,7 +762,8 @@ def train_all(
     stats = corpus_units.stats
     selected = corpus_units.selected
 
-    tfidf, X = _fit_tfidf_matrix([u.text for u in units], config)
+    tfidf, X = _fit_tfidf([u.text for u in units], config.hash_bits, config.min_df,
+                          config.l2_normalize)
 
     label_counts = Counter(code for u in units for code in u.gold)
     labels = sorted(c for c, n in label_counts.items() if n >= config.min_positive)
@@ -855,7 +841,7 @@ def predict_units(bundle: ModelBundle, units: Sequence[AugmentedUnit]) -> list[P
     then label, from one ``np.lexsort`` over the batch.
     """
     W, biases, thresholds, labels, rank = bundle._scoring
-    S = (_tfidf_matrix(bundle.tfidf, [unit.text for unit in units]) @ W).toarray() + biases
+    S = (_tfidf_rows(bundle.tfidf, [unit.text for unit in units]) @ W).toarray() + biases
     order = np.lexsort((np.broadcast_to(rank, S.shape), -S))
     scores = np.take_along_axis(S, order, axis=1)
     hits = scores >= thresholds[order]

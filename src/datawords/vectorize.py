@@ -13,18 +13,19 @@ Two modes:
   sign-less count accumulation, for corpora whose vocabulary would not
   fit in memory.
 
-One pass turns a list of texts into their tf-idf rows as CSR arrays:
-one loop tokenizes each text by itself and maps each token to its feature
-id, one sort groups and counts every row's features, tf-idf is computed
-over the whole array, and each row is scaled by the norm of its own
-slice. ``_tfidf_rows`` makes this pass with a fitted model. Fitting makes
-it too: the loop gives each new token the next vocabulary index (or its
-hash slot), the document frequencies are counted from the grouped pairs,
-and ``_fit_tfidf`` weighs the same pairs, so training tokenizes each text
-once. ``build_vocabulary`` and ``fit_hashed_idf`` are the fitting half.
-Training and prediction make one pass over all of their units' texts, and
-explanation one per unit over its sentences. ``vectorize_document`` is the
-one-row case, and ``stack_vectors`` stacks such rows into a matrix.
+One pass turns a list of texts into their CSR tf-idf matrix, the one
+every consumer reads: one loop tokenizes each text by itself and maps
+each token to its feature id, one sort groups and counts every row's
+features, tf-idf is computed over the whole array, and each row is scaled
+by the norm of its own slice. ``_tfidf_rows`` makes this pass with a
+fitted model. Fitting makes it too: the loop gives each new token the next
+vocabulary index (or its hash slot), the document frequencies are counted
+from the grouped pairs, and ``_fit_tfidf`` weighs the same pairs, so
+training tokenizes each text once. ``build_vocabulary`` and
+``fit_hashed_idf`` are the fitting half. Training and prediction make one
+pass over all of their units' texts, and explanation one per unit over its
+sentences. ``vectorize_document`` reads the one-row case, and
+``stack_vectors`` stacks such rows into a matrix.
 """
 
 from __future__ import annotations
@@ -195,10 +196,10 @@ def _count(rows: np.ndarray, features: np.ndarray, dim: int) -> tuple[np.ndarray
 
 def _weigh(
     model: TfIdfModel, n: int, key_rows: np.ndarray, indices: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR arrays ``(indptr, indices, values)`` of ``n`` rows from their
-    counted (row, feature) pairs: tf-idf over the whole array, then each
-    row scaled by the norm of its own slice."""
+) -> sparse.csr_matrix:
+    """The CSR matrix of ``n`` rows from their counted (row, feature) pairs:
+    tf-idf over the whole array, then each row scaled by the norm of its
+    own slice."""
     indptr = np.searchsorted(key_rows, np.arange(n + 1))
     values = (1.0 + np.log(counts.astype(np.float64))) * model.idf[indices]
     if model.l2_normalize:
@@ -208,15 +209,13 @@ def _weigh(
         # bits those of the text vectorized alone; a zero norm divides by 1.0.
         norms = [math.sqrt(float(np.dot(v, v))) or 1.0 for v in row_values]
         values /= np.array(norms)[key_rows]
-    return indptr, indices, values
+    return sparse.csr_matrix((values, indices, indptr), shape=(n, model.dimension))
 
 
-def _tfidf_rows(
-    model: TfIdfModel, texts: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """tf-idf rows of ``texts`` as CSR arrays ``(indptr, indices, values)``:
-    OOV tokens dropped, indices strictly increasing within a row, and an
-    empty or all-OOV text an empty row."""
+def _tfidf_rows(model: TfIdfModel, texts: Sequence[str]) -> sparse.csr_matrix:
+    """The (texts x dimension) tf-idf matrix of ``texts``: OOV tokens
+    dropped, indices strictly increasing within a row, and an empty or
+    all-OOV text an empty row."""
     if model.hash_bits is not None:
         ids = _hashed_ids(model.hash_bits)
     else:
@@ -279,8 +278,8 @@ def _fit_hashed(
 
 def _fit_tfidf(
     texts: Sequence[str], hash_bits: int | None, min_df: int, l2_normalize: bool
-) -> tuple[TfIdfModel, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """A tf-idf model fit on ``texts`` and the texts' rows under it: what
+) -> tuple[TfIdfModel, sparse.csr_matrix]:
+    """A tf-idf model fit on ``texts`` and the texts' matrix under it: what
     ``build_vocabulary`` (or ``fit_hashed_idf``), ``fit_idf`` and
     ``_tfidf_rows`` give, from one tokenization of each text."""
     docs = list(texts)
@@ -295,8 +294,9 @@ def _fit_tfidf(
 def vectorize_document(model: TfIdfModel, text: str) -> DocumentVector:
     """Map text to a sparse tf-idf vector; OOV tokens are ignored and
     empty or all-OOV text yields the zero vector."""
-    _, indices, values = _tfidf_rows(model, [text])
-    return DocumentVector(indices=indices, values=values, dimension=model.dimension)
+    row = _tfidf_rows(model, [text])
+    return DocumentVector(indices=row.indices.astype(np.int64), values=row.data,
+                          dimension=model.dimension)
 
 
 def stack_vectors(vectors: Iterable[DocumentVector], dimension: int) -> sparse.csr_matrix:

@@ -216,12 +216,16 @@ class TestDataWordsAreFirstClass:
 
 def dense_dot_scores(bundle, label, sentences):
     """Sentence scores computed from scratch with a dense weight vector,
-    as score_sentences did before it kept sentence vectors."""
+    each summed in pure Python over the sentence's entries in order from
+    0.0, as test_model's predict_oracle sums a unit's label scores."""
     dense = bundle.weights.toarray()[:, bundle.labels.index(label)]
     out = []
     for sent in sentences:
         vec = vectorize_document(bundle.tfidf, sent.text)
-        out.append(float(np.dot(vec.values, dense[vec.indices])) if vec.nnz else 0.0)
+        acc = 0.0
+        for f, v in zip(vec.indices.tolist(), vec.values.tolist()):
+            acc += v * float(dense[f])
+        out.append(acc)
     return [x.hex() for x in out]
 
 
@@ -242,7 +246,7 @@ def two_bundles():
     return b1, b2, u1, u2
 
 
-class TestSentenceVectorCache:
+class TestSentenceScoreCache:
     def test_alternating_units_and_bundles_match_fresh_scores(self, two_bundles):
         b1, b2, u1, u2 = two_bundles
         order = [(b1, u1), (b1, u2), (b2, u1), (b1, u1), (b2, u2), (b2, u1), (b1, u2), (b1, u2)]
@@ -259,7 +263,7 @@ class TestSentenceVectorCache:
         assert hexes(score_sentences(b1, "L1", lookalike)) == dense_dot_scores(
             b1, "L1", u2.sentences)
 
-    def test_bundle_given_a_new_model_drops_old_vectors(self, two_bundles):
+    def test_bundle_given_a_new_model_drops_old_scores(self, two_bundles):
         b1, b2, u1, _ = two_bundles
         bundle = replace(b1)
         score_sentences(bundle, "L1", u1)
@@ -323,8 +327,8 @@ class TestOnePassScores:
 
 
 class TestVectorizeOncePerUnit:
-    def test_each_sentence_vectorized_once_for_k_labels(self, two_bundles, monkeypatch):
-        b1, _, u1, _ = two_bundles
+    def test_one_vectorizer_call_per_unit_for_k_labels(self, two_bundles, monkeypatch):
+        b1, _, u1, u2 = two_bundles
         bundle = replace(b1)
         calls = []
         original = model._tfidf_rows
@@ -335,7 +339,36 @@ class TestVectorizeOncePerUnit:
 
         monkeypatch.setattr(model, "_tfidf_rows", counting)
         labels = bundle.labels * 3
-        for label in labels:
-            score_sentences(bundle, label, u1)
         assert len(labels) > 1
-        assert calls == [[s.text for s in u1.sentences]]
+        for unit in (u1, u2):
+            for label in labels:
+                score_sentences(bundle, label, unit)
+        assert calls == [[s.text for s in u1.sentences], [s.text for s in u2.sentences]]
+
+
+@st.composite
+def one_sentence_unit(draw):
+    """A bundle from ``scored_unit`` with drawn biases, and a unit whose
+    document is one sentence of one or more words and has no DataWords."""
+    bundle, _ = draw(scored_unit())
+    bias = st.floats(-4.0, 4.0)
+    bundle = replace(bundle, label_models=tuple(
+        LabelModel(label=lm.label, bias=draw(bias), threshold=0.0)
+        for lm in bundle.label_models))
+    words = draw(st.lists(st.sampled_from(WORDS + ["zzz"]), min_size=1, max_size=30))
+    unit = AugmentedUnit(encounter_id="e", doc_index=0, document=" ".join(words), datawords=(),
+                         gold=frozenset())
+    return bundle, unit
+
+
+class TestSentenceScoreIsPredictionScore:
+    @given(one_sentence_unit())
+    @settings(max_examples=200, deadline=None)
+    def test_score_plus_bias_equals_predict_units_bit_for_bit(self, case):
+        bundle, unit = case
+        (sentence,) = unit.sentences
+        assert sentence.text == unit.text
+        predicted = {it.label: it.score for it in model.predict_units(bundle, [unit])[0].items}
+        for lm in bundle.label_models:
+            ((_, score),) = score_sentences(bundle, lm.label, unit)
+            assert (score + lm.bias).hex() == predicted[lm.label].hex()

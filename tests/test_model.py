@@ -41,6 +41,7 @@ from datawords.model import (
     train_all,
 )
 from datawords.vectorize import (
+    _tfidf_rows,
     build_vocabulary,
     fit_hashed_idf,
     fit_idf,
@@ -521,6 +522,19 @@ class TestTrainAll:
         with pytest.raises(ConfigError):
             train_all(encs, text_only_config(min_positive=2))
 
+    def test_repeated_encounter_id_refused(self):
+        # keyed by id, the first x's Temp record would be lost to the second's
+        encs = [Encounter(encounter_id="x", documents=("Temp = 99.",), codes=frozenset({"A"})),
+                Encounter(encounter_id="x", documents=("HR 50.",), codes=frozenset({"A"})),
+                Encounter(encounter_id="y", documents=("HR 60.",), codes=frozenset({"A"})),
+                Encounter(encounter_id="z", documents=("Temp = 98.",), codes=frozenset({"A"}))]
+        message = r"^duplicate encounter_id 'x'$"
+        with pytest.raises(DataError, match=message):
+            build_corpus_units(encs, PipelineConfig())
+        with pytest.raises(DataError, match=message):
+            train_all(encs, PipelineConfig())
+        assert len(build_corpus_units(encs[1:], PipelineConfig()).units) == 3
+
 
 class TestPredict:
     def test_training_positive_replayed(self):
@@ -658,7 +672,7 @@ class TestTrainingScores:
         config = PipelineConfig(ablation_mode="text_only", hash_bits=hash_bits)
         bundle, S = train_capturing_scores(monkeypatch, encounters, config)
         units = build_corpus_units(encounters, config).units
-        X = model._tfidf_matrix(bundle.tfidf, [u.text for u in units])
+        X = _tfidf_rows(bundle.tfidf, [u.text for u in units])
         used = np.unique(X.indices).size
         assert (X.shape[0] < used) == (regime == "dual")
         W = bundle.weights

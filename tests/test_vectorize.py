@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from datawords import vectorize
 from datawords.corpus import Sentence, tokenize
 from datawords.errors import ConfigError
-from datawords.model import PipelineConfig, _fit_tfidf_matrix, _tfidf_matrix
+from datawords.model import PipelineConfig
 from datawords.vectorize import (
+    _fit_tfidf,
     _hash_slot,
     _tfidf_rows,
     build_vocabulary,
@@ -258,9 +259,9 @@ class TestOnePassCore:
     @settings(max_examples=150, deadline=None)
     def test_rows_match_counter_oracle(self, case):
         model, texts = case
-        indptr, indices, values = _tfidf_rows(model, texts)
-        assert indptr.tolist()[0] == 0 and indptr.size == len(texts) + 1
-        assert indices.dtype == np.int64 and values.dtype == np.float64
+        X = _tfidf_rows(model, texts)
+        indptr, indices, values = X.indptr, X.indices, X.data
+        assert X.shape == (len(texts), model.dimension) and values.dtype == np.float64
         for i, text in enumerate(texts):
             lo, hi = indptr[i], indptr[i + 1]
             want = hex_row(*counter_vector(model, text))
@@ -274,8 +275,9 @@ class TestOnePassCore:
     def test_sentence_layout_points_at_each_row(self, case):
         model, texts = case
         sentences = [Sentence(text=t, doc_index=0, sent_index=i) for i, t in enumerate(texts)]
-        indptr, indices, values = _tfidf_rows(model, [s.text for s in sentences])
-        assert indptr.tolist()[0] == 0 and indptr.size == len(texts) + 1
+        X = _tfidf_rows(model, [s.text for s in sentences])
+        indptr, indices, values = X.indptr, X.indices, X.data
+        assert X.shape == (len(texts), model.dimension)
         for i, text in enumerate(texts):
             lo, hi = indptr[i], indptr[i + 1]
             vec = vectorize_document(model, text)
@@ -284,15 +286,22 @@ class TestOnePassCore:
     def test_final_sigma_follows_each_text(self):
         # "ΑΣ.Β" lowers to "ασ.β" as one text but "ας." as a sentence of its own
         model = fit_idf(build_vocabulary(["ασ ας β"]))
-        indptr, indices, _ = _tfidf_rows(model, ["ΑΣ.Β", "ΑΣ.", "Β"])
+        X = _tfidf_rows(model, ["ΑΣ.Β", "ΑΣ.", "Β"])
+        indptr, indices = X.indptr, X.indices
         index = model.vocabulary.index
         rows = [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(3)]
         assert rows == [sorted([index["ασ"], index["β"]]), [index["ας"]], [index["β"]]]
 
     def test_no_texts_gives_no_rows(self):
         model = fit_idf(build_vocabulary(["a b"]))
-        indptr, indices, values = _tfidf_rows(model, [])
-        assert indptr.tolist() == [0] and indices.size == 0 and values.size == 0
+        X = _tfidf_rows(model, [])
+        assert X.shape == (0, model.dimension)
+        assert X.indptr.tolist() == [0] and X.indices.size == 0 and X.data.size == 0
+
+
+def fit_matrix(texts, config):
+    """The config's tf-idf model fit on ``texts``, and the texts' matrix."""
+    return _fit_tfidf(texts, config.hash_bits, config.min_df, config.l2_normalize)
 
 
 def reference_vocabulary(docs, min_df):
@@ -345,7 +354,7 @@ class TestOnePassFit:
     def test_model_and_matrix_match_the_two_pass_fit(self, texts, fit, normalize):
         min_df, bits = fit
         config = PipelineConfig(min_df=min_df, hash_bits=bits, l2_normalize=normalize)
-        model, X = _fit_tfidf_matrix(texts, config)
+        model, X = fit_matrix(texts, config)
         if bits is None:
             vocab = build_vocabulary(texts, min_df=min_df)
             want = fit_idf(vocab, l2_normalize=normalize)
@@ -363,7 +372,7 @@ class TestOnePassFit:
         assert model.document_count == want.document_count == len(texts)
         assert model.l2_normalize == normalize
         assert model.idf.tobytes() == want.idf.tobytes()
-        ref = _tfidf_matrix(want, texts)
+        ref = _tfidf_rows(want, texts)
         assert X.shape == ref.shape == (len(texts), want.dimension)
         assert np.array_equal(X.indptr, ref.indptr) and np.array_equal(X.indices, ref.indices)
         assert X.data.tobytes() == ref.data.tobytes()
@@ -372,20 +381,20 @@ class TestOnePassFit:
         texts = ["r1 a b", "a b", "r2 b", "r3"]  # r1, r2 and r3 occur in one text each
         with pytest.raises(ConfigError, match="min_df must be 1 with hash_bits"):
             PipelineConfig(hash_bits=16, min_df=2)
-        model, X = _fit_tfidf_matrix(texts, PipelineConfig(hash_bits=16))
+        model, X = fit_matrix(texts, PipelineConfig(hash_bits=16))
         slots = {t: _hash_slot(t, 16) for t in ("a", "b", "r1", "r2", "r3")}
         assert len(set(slots.values())) == len(slots)
         assert {t: model.hashed_df[slot] for t, slot in slots.items()} == {
             "a": 2, "b": 3, "r1": 1, "r2": 1, "r3": 1}
         for row, token in ((0, "r1"), (2, "r2"), (3, "r3")):
             assert slots[token] in X.indices[X.indptr[row]:X.indptr[row + 1]]
-        indexed, _ = _fit_tfidf_matrix(texts, PipelineConfig(min_df=2))
+        indexed, _ = fit_matrix(texts, PipelineConfig(min_df=2))
         assert list(indexed.vocabulary.index) == ["a", "b"]
 
     def test_min_df_drops_rare_tokens_and_leaves_all_oov_rows_empty(self):
         # capital sigma lowers to the final sigma at a word's end
         texts = ["ΑΣ r1 ΟΔΟΣ", "b ας r1", "r2 r2 σοφός", "", "οδος b ΣΟΦΟΣ"]
-        model, X = _fit_tfidf_matrix(texts, PipelineConfig(min_df=2))
+        model, X = fit_matrix(texts, PipelineConfig(min_df=2))
         assert list(model.vocabulary.index.items()) == [("ας", 0), ("r1", 1), ("οδος", 2),
                                                          ("b", 3)]
         assert model.vocabulary.df == {"ας": 2, "r1": 2, "οδος": 2, "b": 2}

@@ -35,6 +35,7 @@ from .extraction import (
     load_db_measurements,
     load_external_extractions,
     read_json_object,
+    write_replacing,
 )
 from .jsontypes import BOOL, INTEGER, LIST, NONEMPTY_STRINGS, NUMBER, STRING, STRINGS, check, nullable
 from .model import (
@@ -166,9 +167,10 @@ def _record_to_json(rec) -> dict:
 
 
 def _write_jsonl(path: str, rows) -> int:
-    """Write each row as one JSON line; returns the number written."""
+    """Write each row as one JSON line; returns the number written. ``path``
+    is replaced only once every row is written (``write_replacing``)."""
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_replacing(path) as fh:
         for count, row in enumerate(rows, 1):
             fh.write(json.dumps(row, separators=(",", ":")) + "\n")
     return count
@@ -201,7 +203,7 @@ def cmd_stats(args) -> int:
         name: {"count": st.count, "mean": st.mean, "std": st.std}
         for name, st in sorted(corpus_units.stats.items())
     }
-    with open(settings["out"], "w", encoding="utf-8") as fh:
+    with write_replacing(settings["out"]) as fh:
         fh.write(json.dumps(obj, indent=2) + "\n")
     print(f"wrote statistics for {len(obj)} variables to {settings['out']}", file=sys.stderr)
     return 0

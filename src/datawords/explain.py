@@ -7,9 +7,10 @@ obscure the ranking. DataWords sentences are reported with their natural
 rendering so a reviewer sees "Temperature was very high [104.3]" rather
 than the raw token.
 
-A unit's sentences are scored in one sparse product with the bundle's
-weight matrix, the one ``predict_units`` makes, kept for the unit's
-further labels (``ModelBundle.sentence_scores``).
+A unit's sentences are scored in one product of their tf-idf matrix over
+the used rows of the bundle's weight matrix with those rows' dense block,
+the product ``predict_units`` makes, kept for the unit's further labels
+(``ModelBundle.sentence_scores``).
 """
 
 from __future__ import annotations

@@ -12,15 +12,19 @@ them uniformly.
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
+import os
 import re
+import secrets
 import statistics
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import ConfigError, DataError
 from .jsontypes import COUNT, INTEGER, LIST, NONEMPTY, OBJECT, SCALAR, STRING, Kind, check, nullable
@@ -445,6 +449,30 @@ def read_json_object(path: str | Path, what: str, error: type[Exception] = Confi
     if not OBJECT.test(obj):
         raise error(f"{what} {path}: expected a JSON object")
     return obj
+
+
+@contextmanager
+def write_replacing(path: str | Path) -> Iterator[TextIO]:
+    """A text file for ``path``'s new contents: a new file beside it (beside
+    the file it links to, for a symlink) that replaces it when the block
+    ends, or is removed when the block raises, leaving an existing file as
+    it was. A directory, or a new file that cannot be made, is an OSError
+    naming ``path``, raised before the block runs."""
+    target = Path(os.path.realpath(path))
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    temp = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        fh = open(temp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink()
+        raise
 
 
 def read_json_lines(path: str | Path, parse) -> Iterator[tuple[int, object]]:

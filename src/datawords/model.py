@@ -8,9 +8,10 @@ encounters is frozen into a ModelBundle: the EncodingSpec (source,
 patterns, roll-up, thresholds, ablation mode, unit) the training config
 was encoded with, the training-time statistics, selected variables and
 tf-idf model, each label's bias and threshold, and one (dimension x labels)
-sparse weight matrix that prediction and explanation both read. Training
-and prediction build units through the same ``_encode``, so prediction
-re-runs the exact same encoding. A bundle is one JSON document in format
+sparse weight matrix, whose used rows prediction and explanation both
+multiply by as one dense block. Training and prediction build units
+through the same ``_encode``, so prediction re-runs the exact same
+encoding. A bundle is one JSON document in format
 "2": a readable header, then per label its bias, threshold and weight
 column, the column as base64 of little-endian int32 indices and float64
 values. Loading it checks the spec through EncodingSpec and the labels
@@ -36,7 +37,8 @@ thread count, which importing the package pins to one.
 Training fits its tf-idf model and builds X in one pass that tokenizes
 each unit's text once (``vectorize._fit_tfidf``). The solve returns the
 dense (k x labels) weights Wk over the used columns; training scores its
-units with them, S = X[:, cols] Wk + b, and stores them as the sparse W.
+units with them, S = X[:, cols] Wk + b, and stores them as the sparse W;
+prediction multiplies the same way, by the dense block of W's used rows.
 ``fit_thresholds`` then fits every label's F1 threshold from one sort of
 S's columns; ``fit_threshold`` is its one-column case.
 """
@@ -81,6 +83,7 @@ from .extraction import (
     extract_encounter,
     read_json_object,
     variable_counts,
+    write_replacing,
 )
 from .jsontypes import (
     BOOL,
@@ -599,14 +602,30 @@ def _encode(
 # ---------------------------------------------------------------------------
 
 
+class _Scoring(NamedTuple):
+    """The bundle's read view. ``used`` holds the sorted rows of
+    ``weights`` that hold a weight and ``block`` those rows, dense in C
+    order, then one row of zeros; the rest is each label's bias,
+    threshold, name and rank among the names."""
+
+    used: np.ndarray
+    block: np.ndarray
+    biases: np.ndarray
+    thresholds: np.ndarray
+    labels: np.ndarray
+    rank: np.ndarray
+
+
 @dataclass(frozen=True)
 class ModelBundle:
     """Self-contained model state: everything prediction needs.
 
     ``weights`` is the (dimension x labels) CSC matrix, indices sorted,
-    whose column j holds ``label_models[j]``'s weights. Its CSR view, which
-    prediction and explanation multiply by, the per-label arrays and the
-    ``EncodeTable`` that ``prepare_units`` encodes from are built once here.
+    whose column j holds ``label_models[j]``'s weights. Prediction and
+    explanation multiply a tf-idf matrix over the used rows of W by its
+    dense block (``_scoring``), built on the first read, so training and
+    saving a bundle never build it. The ``EncodeTable`` that
+    ``prepare_units`` encodes from is built here.
     """
 
     tfidf: TfIdfModel
@@ -619,7 +638,6 @@ class ModelBundle:
     # Derived read-side state; never compared, serialized, or copied by
     # dataclasses.replace.
     _columns: dict = field(init=False, repr=False, compare=False)
-    _scoring: tuple = field(init=False, repr=False, compare=False)
     _encode_table: EncodeTable = field(init=False, repr=False, compare=False)
     _sentence_scores: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -632,20 +650,31 @@ class ModelBundle:
         for j, lm in enumerate(self.label_models):
             if columns.setdefault(lm.label, j) != j:
                 raise ValueError(f"label {lm.label!r}: repeats an earlier label")
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_encode_table",
+                           EncodeTable(self.spec.threshold_spec, self.variable_stats))
+
+    @cached_property
+    def _scoring(self) -> _Scoring:
+        W, n = self.weights, len(self.label_models)
+        used = np.unique(W.indices)
+        block = np.zeros((len(used) + 1, n), dtype=np.float64)
+        # A column at a time: index arrays as long as W's entries would add
+        # their size to the peak memory of the first prediction.
+        bounds = W.indptr.tolist()
+        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            block[np.searchsorted(used, W.indices[lo:hi]), j] = W.data[lo:hi]
         labels = np.array([lm.label for lm in self.label_models], dtype=object)
         rank = np.empty(n, dtype=np.int64)
         rank[sorted(range(n), key=labels.__getitem__)] = np.arange(n)
-        scoring = (
-            W.tocsr(),
+        return _Scoring(
+            used,
+            block,
             np.array([lm.bias for lm in self.label_models], dtype=np.float64),
             np.array([lm.threshold for lm in self.label_models], dtype=np.float64),
             labels,
             rank,
         )
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(self, "_scoring", scoring)
-        object.__setattr__(self, "_encode_table",
-                           EncodeTable(self.spec.threshold_spec, self.variable_stats))
 
     @property
     def labels(self) -> list[str]:
@@ -657,8 +686,8 @@ class ModelBundle:
 
     def sentence_scores(self, unit: AugmentedUnit) -> np.ndarray:
         """The unit's (sentences x labels) scores, bias excluded: its
-        sentences' tf-idf matrix times the CSR view of ``weights``, the
-        product ``predict_units`` makes.
+        sentences' tf-idf matrix over the used rows of W times their dense
+        block, the product ``predict_units`` makes.
 
         The last unit's block is kept, keyed by the unit's identity, so
         explaining several labels of one unit vectorizes and multiplies
@@ -666,8 +695,9 @@ class ModelBundle:
         """
         cached = self._sentence_scores
         if cached is None or cached[0] is not unit:
-            X = _tfidf_rows(self.tfidf, [s.text for s in unit.sentences])
-            cached = (unit, (X @ self._scoring[0]).toarray())
+            used, block = self._scoring[:2]
+            X = _tfidf_rows(self.tfidf, [s.text for s in unit.sentences], used)
+            cached = (unit, X @ block)
             object.__setattr__(self, "_sentence_scores", cached)
         return cached[1]
 
@@ -752,10 +782,10 @@ def train_all(
     unit's text. The training scores are S = Xs Wk + b, over the used
     columns ``_ridge`` solved for. scipy's sparse-by-dense product adds
     each score's terms in X's entry order from 0.0, as ``predict_units``
-    does with the sparse W, and the +-0.0 terms of Wk's zeros change no
-    sum, so S holds the scores prediction reproduces. ``fit_thresholds`` then fits every
-    label's threshold on them at once. ``_records`` goes to
-    ``build_corpus_units``.
+    does with the used rows of W, and the +-0.0 terms of Wk's zeros change
+    no sum, so S holds the scores prediction reproduces.
+    ``fit_thresholds`` then fits every label's threshold on them at once.
+    ``_records`` goes to ``build_corpus_units``.
     """
     corpus_units = build_corpus_units(encounters, config, _records=_records)
     units = corpus_units.units
@@ -833,15 +863,17 @@ def predict_units(bundle: ModelBundle, units: Sequence[AugmentedUnit]) -> list[P
     """Score already-prepared units against every label in the bundle.
 
     One call builds X for every unit's text with one tf-idf pass, as
-    ``train_all`` does, and computes S = X W + b with scipy's sparse
-    product over the bundle's CSR view of W. That product adds each
-    score's terms in X's entry order, starting from 0.0, so a score does
-    not depend on the batch it is in; callers should pass every unit they
-    have at once. Each unit's items come out sorted by descending score,
-    then label, from one ``np.lexsort`` over the batch.
+    ``train_all`` does, its columns the used rows of W (``_scoring``), and
+    computes S = X B + b with scipy's sparse-by-dense product over their
+    dense block B, as training does. That product adds each score's terms
+    in X's entry order, starting from 0.0, and the +0.0 terms of a feature
+    W holds no weight for change no sum, so a score does not depend on the
+    batch it is in; callers should pass every unit they have at once. Each
+    unit's items come out sorted by descending score, then label, from one
+    ``np.lexsort`` over the batch.
     """
-    W, biases, thresholds, labels, rank = bundle._scoring
-    S = (_tfidf_rows(bundle.tfidf, [unit.text for unit in units]) @ W).toarray() + biases
+    used, block, biases, thresholds, labels, rank = bundle._scoring
+    S = _tfidf_rows(bundle.tfidf, [unit.text for unit in units], used) @ block + biases
     order = np.lexsort((np.broadcast_to(rank, S.shape), -S))
     scores = np.take_along_axis(S, order, axis=1)
     hits = scores >= thresholds[order]
@@ -962,10 +994,11 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
 
     The bytes equal ``json.dumps(_bundle_to_dict(bundle), separators=(",",
     ":")) + "\\n"``, but each label is encoded and written on its own, so the
-    whole document is never held in memory.
+    whole document is never held in memory. ``path`` is replaced only once
+    the document is whole (``write_replacing``).
     """
     header = json.dumps(_bundle_header(bundle), separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_replacing(path) as fh:
         fh.write(header[:-1] + ',"labels":[')
         for j in range(len(bundle.label_models)):
             if j:

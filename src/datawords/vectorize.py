@@ -24,7 +24,10 @@ from the grouped pairs, and ``_fit_tfidf`` weighs the same pairs, so
 training tokenizes each text once. ``build_vocabulary`` and
 ``fit_hashed_idf`` are the fitting half. Training and prediction make one
 pass over all of their units' texts, and explanation one per unit over its
-sentences. ``vectorize_document`` reads the one-row case, and
+sentences. Prediction and explanation pass the sorted features the
+bundle's weights use, and each entry's column becomes its feature's
+position among them, or one zero column past them for a feature without
+a weight. ``vectorize_document`` reads the one-row case, and
 ``stack_vectors`` stacks such rows into a matrix.
 """
 
@@ -195,11 +198,16 @@ def _count(rows: np.ndarray, features: np.ndarray, dim: int) -> tuple[np.ndarray
 
 
 def _weigh(
-    model: TfIdfModel, n: int, key_rows: np.ndarray, indices: np.ndarray, counts: np.ndarray
+    model: TfIdfModel, n: int, key_rows: np.ndarray, indices: np.ndarray, counts: np.ndarray,
+    used: np.ndarray | None = None,
 ) -> sparse.csr_matrix:
     """The CSR matrix of ``n`` rows from their counted (row, feature) pairs:
     tf-idf over the whole array, then each row scaled by the norm of its
-    own slice."""
+    own slice. Given the sorted feature ids ``used``, each entry's column
+    is its feature's position in ``used``, or ``len(used)`` for a feature
+    not in it, in a matrix of ``len(used) + 1`` columns made to be
+    multiplied: a row may hold that last column more than once and out of
+    order. The values and norms are those over every feature."""
     indptr = np.searchsorted(key_rows, np.arange(n + 1))
     values = (1.0 + np.log(counts.astype(np.float64))) * model.idf[indices]
     if model.l2_normalize:
@@ -209,13 +217,22 @@ def _weigh(
         # bits those of the text vectorized alone; a zero norm divides by 1.0.
         norms = [math.sqrt(float(np.dot(v, v))) or 1.0 for v in row_values]
         values /= np.array(norms)[key_rows]
-    return sparse.csr_matrix((values, indices, indptr), shape=(n, model.dimension))
+    if used is None:
+        return sparse.csr_matrix((values, indices, indptr), shape=(n, model.dimension))
+    k = len(used)
+    columns = np.searchsorted(used, indices)
+    if k:  # with no used feature every position is already k
+        columns[used.take(columns, mode="clip") != indices] = k
+    return sparse.csr_matrix((values, columns, indptr), shape=(n, k + 1))
 
 
-def _tfidf_rows(model: TfIdfModel, texts: Sequence[str]) -> sparse.csr_matrix:
+def _tfidf_rows(
+    model: TfIdfModel, texts: Sequence[str], used: np.ndarray | None = None
+) -> sparse.csr_matrix:
     """The (texts x dimension) tf-idf matrix of ``texts``: OOV tokens
     dropped, indices strictly increasing within a row, and an empty or
-    all-OOV text an empty row."""
+    all-OOV text an empty row. Given ``used``, its columns are ``_weigh``'s
+    positions in ``used`` instead."""
     if model.hash_bits is not None:
         ids = _hashed_ids(model.hash_bits)
     else:
@@ -225,7 +242,7 @@ def _tfidf_rows(model: TfIdfModel, texts: Sequence[str]) -> sparse.csr_matrix:
             return [ix for ix in map(get, tokens) if ix is not None]
 
     n, rows, features = _token_ids(texts, ids)
-    return _weigh(model, n, *_count(rows, features, model.dimension))
+    return _weigh(model, n, *_count(rows, features, model.dimension), used)
 
 
 def _fit_indexed(docs: list[str], min_df: int) -> tuple[Vocabulary, tuple[np.ndarray, ...]]:

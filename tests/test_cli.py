@@ -674,6 +674,72 @@ class TestOutputIdempotence:
             assert o1.read_bytes() == o2.read_bytes()
 
 
+class TestOutputReplacedWhole:
+    """An output file is replaced only once it is whole: a writer that fails
+    part way leaves an existing file byte for byte and makes no new one."""
+
+    @staticmethod
+    def failing_rows():
+        yield {"row": 1}
+        raise RuntimeError("second row failed")
+
+    def test_failed_rows_keep_the_old_file(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b'{"old":true}\n')
+        with pytest.raises(RuntimeError, match="second row failed"):
+            cli._write_jsonl(str(out), self.failing_rows())
+        assert out.read_bytes() == b'{"old":true}\n'
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_failed_rows_make_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError, match="second row failed"):
+            cli._write_jsonl(str(tmp_path / "out.jsonl"), self.failing_rows())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rows_written_whole(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b"a longer file that the rows replace\n")
+        assert cli._write_jsonl(str(out), iter([{"a": 1}, {"b": [2.5, None]}])) == 2
+        assert out.read_bytes() == b'{"a":1}\n{"b":[2.5,null]}\n'
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_symlink_kept_and_its_file_rewritten(self, tmp_path):
+        target = tmp_path / "target.jsonl"
+        target.write_bytes(b"old\n")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        cli._write_jsonl(str(link), [{"a": 1}])
+        assert link.is_symlink() and target.read_bytes() == b'{"a":1}\n'
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_missing_directory_is_named(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
+        out = tmp_path / "absent" / "out.jsonl"
+        assert main(["extract", "--corpus", corpus, "--out", str(out)]) == 2
+        assert f"error: missing file: {out}" in capsys.readouterr().err
+
+    def test_explain_failing_part_way_keeps_the_old_file(self, tmp_path, monkeypatch):
+        corpus, bundle = TestExplain().trained(tmp_path)
+        out = tmp_path / "just.jsonl"
+        out.write_bytes(b"previous justifications\n")
+        before = sorted(tmp_path.iterdir())
+        calls = []
+        score = cli.score_sentences
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("scoring failed")
+            return score(*args)
+
+        monkeypatch.setattr(cli, "score_sentences", failing)
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            main(["explain", "--corpus", corpus, "--bundle", bundle, "--out", str(out)])
+        assert len(calls) == 2
+        assert out.read_bytes() == b"previous justifications\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+
 COMMANDS = ("extract", "stats", "encode", "train", "predict", "explain", "evaluate", "synth")
 
 # A config that every subcommand runs with, one value for each setting; the

@@ -333,9 +333,9 @@ class TestVectorizeOncePerUnit:
         calls = []
         original = model._tfidf_rows
 
-        def counting(tfidf, texts):
+        def counting(tfidf, texts, used):
             calls.append(list(texts))
-            return original(tfidf, texts)
+            return original(tfidf, texts, used)
 
         monkeypatch.setattr(model, "_tfidf_rows", counting)
         labels = bundle.labels * 3

@@ -1030,6 +1030,29 @@ class TestBundleRoundTrip:
             whole = json.dumps(_bundle_to_dict(b), separators=(",", ":")) + "\n"
             assert path.read_bytes() == whole.encode("utf-8")
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        bundle, _ = self.make_bundle_and_probe()
+        (lm,) = bundle.label_models
+        bundle = replace(bundle, label_models=(lm, replace(lm, label="L2")),
+                         weights=sparse.hstack([bundle.weights] * 2, format="csc"))
+        entry = model._label_entry
+
+        def failing(b, j):
+            if j == 1:
+                raise RuntimeError("label entry failed")
+            return entry(b, j)
+
+        monkeypatch.setattr(model, "_label_entry", failing)
+        path = tmp_path / "bundle.json"
+        with pytest.raises(RuntimeError, match="label entry failed"):
+            save_bundle(bundle, path)
+        assert list(tmp_path.iterdir()) == []
+        path.write_bytes(b'{"format_version":"2"}\n')
+        with pytest.raises(RuntimeError, match="label entry failed"):
+            save_bundle(bundle, path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == b'{"format_version":"2"}\n'
+
     def test_save_is_deterministic(self, tmp_path):
         bundle, _ = self.make_bundle_and_probe()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -1145,6 +1168,80 @@ def test_predict_units_matches_oracle_in_any_batch(case):
         assert list(pset.items) == sorted(pset.items, key=lambda it: (-it.score, it.label))
     one_by_one = [p for u in units for p in predict_units(bundle, [u])]
     assert score_bits(batch) == score_bits(one_by_one)
+
+
+@st.composite
+def used_row_cases(draw):
+    """A bundle, indexed or hashed, normalized or not, whose W leaves drawn
+    rows empty, may store zeros, and has a last label with no stored
+    weight; plus units whose texts reach rows W leaves empty, an all-OOV
+    unit, an empty one, and a unit of several sentences."""
+    docs = draw(st.lists(_probe_texts.filter(bool), min_size=1, max_size=5))
+    normalize = draw(st.booleans())
+    bits = draw(st.none() | st.integers(1, 6))
+    if bits is None:
+        tfidf = fit_idf(build_vocabulary(docs), normalize)
+    else:
+        tfidf = fit_hashed_idf(docs, bits, normalize)
+    d = tfidf.dimension
+    held = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    n = draw(st.integers(1, 4))
+    cells = [[draw(st.none() | _weight) if held[i] else None for i in range(d)]
+             for _ in range(n)] + [[None] * d]
+    weights = sparse.csc_matrix(
+        ([w for col in cells for w in col if w is not None],
+         [i for col in cells for i, w in enumerate(col) if w is not None],
+         np.cumsum([0] + [sum(w is not None for w in col) for col in cells])),
+        shape=(d, n + 1),
+    )
+    models = tuple(LabelModel(label=f"L{j}", bias=draw(st.floats(-4.0, 4.0)), threshold=0.0)
+                   for j in range(n + 1))
+    bundle = ModelBundle(tfidf=tfidf, variable_stats={}, spec=EncodingSpec(),
+                         label_models=models, weights=weights)
+    texts = draw(st.lists(_probe_texts, max_size=5)) + ["unseen", ""]
+    texts.append(". ".join(draw(st.lists(_probe_texts, min_size=1, max_size=5))))
+    units = [AugmentedUnit(encounter_id=f"e{i}", doc_index=0, document=text, datawords=(),
+                           gold=frozenset())
+             for i, text in enumerate(texts)]
+    return bundle, units
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=used_row_cases())
+def test_used_row_products_equal_the_sparse_product_bit_for_bit(case):
+    """Prediction and sentence scores over the used rows' dense block equal
+    the sparse-by-sparse product with all of W, bit for bit."""
+    bundle, units = case
+    W = bundle.weights.tocsr()
+    biases = np.array([lm.bias for lm in bundle.label_models])
+    want = (_tfidf_rows(bundle.tfidf, [u.text for u in units]) @ W).toarray() + biases
+    scores = [{it.label: it.score for it in p.items} for p in predict_units(bundle, units)]
+    got = np.array([[row[label] for label in bundle.labels] for row in scores])
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    for unit in units:
+        texts = [sent.text for sent in unit.sentences]
+        want = (_tfidf_rows(bundle.tfidf, texts) @ W).toarray()
+        got = bundle.sentence_scores(unit)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_read_view_is_built_on_the_first_prediction(tmp_path):
+    """Training, saving and loading build no read view; the first
+    prediction builds it from the rows of W that hold a weight."""
+    bundle = train_all(trivial_corpus(), text_only_config())
+    save_bundle(bundle, tmp_path / "bundle.json")
+    loaded = load_bundle(tmp_path / "bundle.json")
+    for b in (bundle, loaded):
+        assert "_scoring" not in vars(b)
+    units = [u for e in trivial_corpus() for u in prepare_units(loaded, e)]
+    assert "_scoring" not in vars(loaded)
+    predict_units(loaded, units)
+    used, block = vars(loaded)["_scoring"][:2]
+    W = loaded.weights
+    np.testing.assert_array_equal(used, np.unique(W.indices))
+    assert block.flags.c_contiguous and block.shape == (len(used) + 1, len(loaded.labels))
+    np.testing.assert_array_equal(block[:-1], W.toarray()[used])
+    assert not block[-1].any()
 
 
 class TestWeightMatrix:

@@ -12,13 +12,13 @@ them uniformly.
 
 from __future__ import annotations
 
-import errno
 import functools
 import json
 import math
 import os
 import re
 import secrets
+import stat
 import statistics
 from collections import Counter
 from contextlib import contextmanager
@@ -453,22 +453,41 @@ def read_json_object(path: str | Path, what: str, error: type[Exception] = Confi
 
 @contextmanager
 def write_replacing(path: str | Path) -> Iterator[TextIO]:
-    """A text file for ``path``'s new contents: a new file beside it (beside
-    the file it links to, for a symlink) that replaces it when the block
-    ends, or is removed when the block raises, leaving an existing file as
-    it was. A directory, or a new file that cannot be made, is an OSError
-    naming ``path``, raised before the block runs."""
-    target = Path(os.path.realpath(path))
-    if target.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    temp = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
+    """A text file for ``path``'s new contents.
+
+    Where ``path`` is a regular file (or links to one) or does not exist
+    yet, the contents go to a new file beside it, which takes the old
+    file's permission bits, is flushed to disk and renamed onto it when the
+    block ends, or removed when the block raises, so a failure inside the
+    block leaves the old contents as they were. The renamed file is owned
+    by this process, and hard links to the old file keep the old contents.
+    Anything else, such as a device or a FIFO, or a folder where no new
+    file can be made, is opened and written in place, as ``open(path,
+    "w")`` does; a path that cannot be opened is an OSError naming it,
+    raised before the block runs."""
     try:
-        fh = open(temp, "x", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
+        mode = os.stat(path).st_mode
+    except OSError:
+        mode = None
+    fh = None
+    if mode is None or stat.S_ISREG(mode):
+        target = Path(os.path.realpath(path))
+        temp = target.with_name(f".{target.name}.{secrets.token_hex(4)}.tmp")
+        try:
+            fh = open(temp, "x", encoding="utf-8")
+        except OSError:
+            pass
+    if fh is None:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
     try:
         with fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(temp, target)
     except BaseException:
         temp.unlink()

@@ -602,20 +602,6 @@ def _encode(
 # ---------------------------------------------------------------------------
 
 
-class _Scoring(NamedTuple):
-    """The bundle's read view. ``used`` holds the sorted rows of
-    ``weights`` that hold a weight and ``block`` those rows, dense in C
-    order, then one row of zeros; the rest is each label's bias,
-    threshold, name and rank among the names."""
-
-    used: np.ndarray
-    block: np.ndarray
-    biases: np.ndarray
-    thresholds: np.ndarray
-    labels: np.ndarray
-    rank: np.ndarray
-
-
 @dataclass(frozen=True)
 class ModelBundle:
     """Self-contained model state: everything prediction needs.
@@ -655,7 +641,11 @@ class ModelBundle:
                            EncodeTable(self.spec.threshold_spec, self.variable_stats))
 
     @cached_property
-    def _scoring(self) -> _Scoring:
+    def _scoring(self) -> tuple:
+        """The read view: ``used``, the sorted rows of ``weights`` that hold
+        a weight; ``block``, those rows dense in C order, then one row of
+        zeros; and each label's bias, threshold, name and rank among the
+        names."""
         W, n = self.weights, len(self.label_models)
         used = np.unique(W.indices)
         block = np.zeros((len(used) + 1, n), dtype=np.float64)
@@ -667,7 +657,7 @@ class ModelBundle:
         labels = np.array([lm.label for lm in self.label_models], dtype=object)
         rank = np.empty(n, dtype=np.int64)
         rank[sorted(range(n), key=labels.__getitem__)] = np.arange(n)
-        return _Scoring(
+        return (
             used,
             block,
             np.array([lm.bias for lm in self.label_models], dtype=np.float64),

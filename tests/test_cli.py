@@ -3,9 +3,11 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import weakref
 from datetime import timedelta
 from pathlib import Path
@@ -15,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import datawords
-from datawords import cli
+from datawords import cli, extraction
 from datawords.cli import main
 from datawords.corpus import kfold_split, load_corpus, save_corpus
 from datawords.evaluation import confusion_counts, micro_metrics
@@ -711,6 +713,46 @@ class TestOutputReplacedWhole:
         cli._write_jsonl(str(link), [{"a": 1}])
         assert link.is_symlink() and target.read_bytes() == b'{"a":1}\n'
         assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_permission_bits_kept(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b"old\n")
+        out.chmod(0o640)
+        cli._write_jsonl(str(out), [{"a": 1}])
+        assert out.read_bytes() == b'{"a":1}\n'
+        assert out.stat().st_mode & 0o7777 == 0o640
+
+    def test_fifo_written_in_place(self, tmp_path):
+        """A destination that is not a regular file, here a FIFO, is opened
+        and written as it is, never replaced by a file."""
+        fifo = tmp_path / "rows.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert cli._write_jsonl(str(fifo), [{"a": 1}, {"b": 2}]) == 2
+        finally:
+            reader.join(timeout=10)
+        assert got == [b'{"a":1}\n{"b":2}\n']
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_file_written_in_place_when_no_new_file_can_be_made(self, tmp_path, monkeypatch):
+        """An existing file in a folder where no new file can be made is
+        still written, in place, as before."""
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b"old\n")
+
+        def no_new_files(file, mode="r", *args, **kwargs):
+            if "x" in mode:
+                raise PermissionError(13, "Permission denied", str(file))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(extraction, "open", no_new_files, raising=False)
+        assert cli._write_jsonl(str(out), [{"a": 1}]) == 1
+        assert out.read_bytes() == b'{"a":1}\n'
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_missing_directory_is_named(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)

@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
@@ -322,18 +323,17 @@ def cmd_evaluate(args) -> int:
     encounters = load_corpus(settings["corpus"])
     reports = [run_cv(encounters, replace(base, ablation_mode=m)) for m in modes]
     out_dir.mkdir(parents=True, exist_ok=True)
+    with ExitStack() as files:  # each file is replaced once all are whole
+        for m, report in zip(modes, reports):
+            files.enter_context(write_replacing(out_dir / f"report_{m}.json")).write(
+                report.to_json_bytes().decode("utf-8"))
+            if args.label_table:
+                files.enter_context(write_replacing(out_dir / f"labels_{m}.csv")).write(
+                    report.label_table_csv())
     for m, report in zip(modes, reports):
-        report_path = out_dir / f"report_{m}.json"
-        with open(report_path, "wb") as fh:
-            fh.write(report.to_json_bytes())
-        if args.label_table:
-            with open(out_dir / f"labels_{m}.csv", "w", encoding="utf-8") as fh:
-                fh.write(report.label_table_csv())
-        micro = report.micro
-        print(
-            f"{m}: micro P={micro[0]:.4f} R={micro[1]:.4f} F1={micro[2]:.4f} -> {report_path}",
-            file=sys.stderr,
-        )
+        p, r, f1 = report.micro
+        print(f"{m}: micro P={p:.4f} R={r:.4f} F1={f1:.4f} -> {out_dir}/report_{m}.json",
+              file=sys.stderr)
     return 0
 
 
@@ -412,9 +412,10 @@ def main(argv=None) -> int:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
         return 2
     except OSError as exc:
-        # a path that cannot be used: a directory for a file, a file for a
-        # directory, no permission
-        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        # a path that cannot be used (a directory for a file, no permission),
+        # or a failed write, such as to a full disk, which names no file
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror}", file=sys.stderr)
         return 2
     except DataWordsError as exc:
         print(f"error: {exc}", file=sys.stderr)

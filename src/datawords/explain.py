@@ -8,8 +8,8 @@ rendering so a reviewer sees "Temperature was very high [104.3]" rather
 than the raw token.
 
 A unit's sentences are scored in one product of their tf-idf matrix over
-the used rows of the bundle's weight matrix with those rows' dense block,
-the product ``predict_units`` makes, kept for the unit's further labels
+the bundle's ``features`` with its dense ``weights``, the product
+``predict_units`` makes, kept for the unit's further labels
 (``ModelBundle.sentence_scores``).
 """
 

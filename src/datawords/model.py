@@ -7,11 +7,11 @@ F1-maximizing decision threshold. Everything needed to score new
 encounters is frozen into a ModelBundle: the EncodingSpec (source,
 patterns, roll-up, thresholds, ablation mode, unit) the training config
 was encoded with, the training-time statistics, selected variables and
-tf-idf model, each label's bias and threshold, and one (dimension x labels)
-sparse weight matrix, whose used rows prediction and explanation both
-multiply by as one dense block. Training and prediction build units
-through the same ``_encode``, so prediction re-runs the exact same
-encoding. A bundle is one JSON document in format
+tf-idf model, each label's bias and threshold, and the sorted ids of the
+features with a weight plus their dense (features x labels) weights,
+which prediction and explanation both multiply by. Training and
+prediction build units through the same ``_encode``, so prediction
+re-runs the exact same encoding. A bundle is one JSON document in format
 "2": a readable header, then per label its bias, threshold and weight
 column, the column as base64 of little-endian int32 indices and float64
 values. Loading it checks the spec through EncodingSpec and the labels
@@ -37,8 +37,8 @@ thread count, which importing the package pins to one.
 Training fits its tf-idf model and builds X in one pass that tokenizes
 each unit's text once (``vectorize._fit_tfidf``). The solve returns the
 dense (k x labels) weights Wk over the used columns; training scores its
-units with them, S = X[:, cols] Wk + b, and stores them as the sparse W;
-prediction multiplies the same way, by the dense block of W's used rows.
+units with them, S = X[:, cols] Wk + b, and keeps the rows of Wk that hold
+a weight; prediction multiplies the same way, by those rows.
 ``fit_thresholds`` then fits every label's F1 threshold from one sort of
 S's columns; ``fit_threshold`` is its one-column case.
 """
@@ -360,7 +360,8 @@ def fit_labels(X, Y, lam: float) -> tuple[sparse.csc_matrix, np.ndarray]:
     if Yv.ndim != 2 or Xm.shape[0] != Yv.shape[0]:
         raise InputError(f"targets must be ({Xm.shape[0]} x labels), got shape {Yv.shape}")
     cols, _, Wk, b = _ridge(Xm, Yv, lam)
-    return _weight_matrix(cols, Wk, Xm.shape[1]), b
+    Wc = sparse.csc_matrix(Wk)
+    return sparse.csc_matrix((Wc.data, cols[Wc.indices], Wc.indptr), (Xm.shape[1], len(b))), b
 
 
 def _ridge(
@@ -396,13 +397,6 @@ def _ridge(
         A.flat[:: n + 1] += lam
         Wk = Xs.T @ np.linalg.solve(A, Y - y_mean)
     return cols, Xs, Wk, y_mean - x_mean @ Wk
-
-
-def _weight_matrix(cols: np.ndarray, Wk: np.ndarray, d: int) -> sparse.csc_matrix:
-    """The (d x labels) CSC matrix of the dense weights ``Wk`` over the
-    columns ``cols``, without stored zeros."""
-    Wc = sparse.csc_matrix(Wk)
-    return sparse.csc_matrix((Wc.data, cols[Wc.indices], Wc.indptr), shape=(d, Wk.shape[1]))
 
 
 def fit_threshold(scores: Sequence[float], y: Sequence[int]) -> float:
@@ -606,19 +600,21 @@ def _encode(
 class ModelBundle:
     """Self-contained model state: everything prediction needs.
 
-    ``weights`` is the (dimension x labels) CSC matrix, indices sorted,
-    whose column j holds ``label_models[j]``'s weights. Prediction and
-    explanation multiply a tf-idf matrix over the used rows of W by its
-    dense block (``_scoring``), built on the first read, so training and
-    saving a bundle never build it. The ``EncodeTable`` that
-    ``prepare_units`` encodes from is built here.
+    ``weights`` is the C-order float64 (features x labels) array whose row
+    i, column j holds feature ``features[i]``'s weight for
+    ``label_models[j]``, ``features`` strictly increasing; every other
+    feature weighs 0. Training keeps only features with a nonzero weight,
+    and saving writes only nonzero weights. Prediction and explanation
+    multiply a tf-idf matrix over ``features`` by ``weights``. The
+    ``EncodeTable`` that ``prepare_units`` encodes from is built here.
     """
 
     tfidf: TfIdfModel
     variable_stats: dict[str, VariableStats]
     spec: EncodingSpec
     label_models: tuple[LabelModel, ...]
-    weights: sparse.csc_matrix
+    features: np.ndarray
+    weights: np.ndarray
     selected_variables: tuple[str, ...] | None = None
     lam: float = 1.0
     # Derived read-side state; never compared, serialized, or copied by
@@ -628,10 +624,15 @@ class ModelBundle:
     _sentence_scores: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        W, d, n = self.weights, self.tfidf.dimension, len(self.label_models)
-        if not (sparse.issparse(W) and W.format == "csc" and W.shape == (d, n)
-                and W.has_sorted_indices):
-            raise ValueError(f"weights must be a {d} x {n} CSC matrix, indices sorted")
+        features, weights = np.asarray(self.features), np.asarray(self.weights)
+        d, n = self.tfidf.dimension, len(self.label_models)
+        if not (features.ndim == 1 and features.dtype.kind == "i" and np.all(features >= 0)
+                and np.all(np.diff(features) > 0) and np.all(features < d)):
+            raise ValueError(f"features must be strictly increasing integer ids in [0, {d})")
+        if weights.shape != (features.size, n):
+            raise ValueError(f"weights must be a {features.size} x {n} array, one row per feature")
+        object.__setattr__(self, "features", features.astype(np.int64, copy=False))
+        object.__setattr__(self, "weights", np.ascontiguousarray(weights, dtype=np.float64))
         columns: dict[str, int] = {}
         for j, lm in enumerate(self.label_models):
             if columns.setdefault(lm.label, j) != j:
@@ -642,24 +643,13 @@ class ModelBundle:
 
     @cached_property
     def _scoring(self) -> tuple:
-        """The read view: ``used``, the sorted rows of ``weights`` that hold
-        a weight; ``block``, those rows dense in C order, then one row of
-        zeros; and each label's bias, threshold, name and rank among the
-        names."""
-        W, n = self.weights, len(self.label_models)
-        used = np.unique(W.indices)
-        block = np.zeros((len(used) + 1, n), dtype=np.float64)
-        # A column at a time: index arrays as long as W's entries would add
-        # their size to the peak memory of the first prediction.
-        bounds = W.indptr.tolist()
-        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            block[np.searchsorted(used, W.indices[lo:hi]), j] = W.data[lo:hi]
+        """Each label's bias, threshold, name and rank among the names, as
+        the arrays ``predict_units`` reads."""
+        n = len(self.label_models)
         labels = np.array([lm.label for lm in self.label_models], dtype=object)
         rank = np.empty(n, dtype=np.int64)
         rank[sorted(range(n), key=labels.__getitem__)] = np.arange(n)
         return (
-            used,
-            block,
             np.array([lm.bias for lm in self.label_models], dtype=np.float64),
             np.array([lm.threshold for lm in self.label_models], dtype=np.float64),
             labels,
@@ -676,8 +666,8 @@ class ModelBundle:
 
     def sentence_scores(self, unit: AugmentedUnit) -> np.ndarray:
         """The unit's (sentences x labels) scores, bias excluded: its
-        sentences' tf-idf matrix over the used rows of W times their dense
-        block, the product ``predict_units`` makes.
+        sentences' tf-idf matrix over ``features`` times ``weights``, the
+        product ``predict_units`` makes.
 
         The last unit's block is kept, keyed by the unit's identity, so
         explaining several labels of one unit vectorizes and multiplies
@@ -685,9 +675,8 @@ class ModelBundle:
         """
         cached = self._sentence_scores
         if cached is None or cached[0] is not unit:
-            used, block = self._scoring[:2]
-            X = _tfidf_rows(self.tfidf, [s.text for s in unit.sentences], used)
-            cached = (unit, X @ block)
+            X = _tfidf_rows(self.tfidf, [s.text for s in unit.sentences], self.features)
+            cached = (unit, X @ self.weights)
             object.__setattr__(self, "_sentence_scores", cached)
         return cached[1]
 
@@ -772,10 +761,10 @@ def train_all(
     unit's text. The training scores are S = Xs Wk + b, over the used
     columns ``_ridge`` solved for. scipy's sparse-by-dense product adds
     each score's terms in X's entry order from 0.0, as ``predict_units``
-    does with the used rows of W, and the +-0.0 terms of Wk's zeros change
-    no sum, so S holds the scores prediction reproduces.
-    ``fit_thresholds`` then fits every label's threshold on them at once.
-    ``_records`` goes to ``build_corpus_units``.
+    does with the rows of Wk holding a nonzero weight, and the +-0.0 terms
+    of Wk's zeros change no sum, so S holds the scores prediction
+    reproduces. ``fit_thresholds`` then fits every label's threshold on
+    them at once. ``_records`` goes to ``build_corpus_units``.
     """
     corpus_units = build_corpus_units(encounters, config, _records=_records)
     units = corpus_units.units
@@ -802,6 +791,7 @@ def train_all(
 
     cols, Xs, Wk, b = _ridge(X, Y, config.lam)
     thresholds = fit_thresholds(Xs @ Wk + b, Y)
+    held = Wk.any(axis=1)
     models = tuple(
         LabelModel(label=label, bias=float(b[j]), threshold=float(thresholds[j]))
         for j, label in enumerate(labels)
@@ -812,7 +802,8 @@ def train_all(
         variable_stats=stats,
         spec=config.spec,
         label_models=models,
-        weights=_weight_matrix(cols, Wk, X.shape[1]),
+        features=cols[held],
+        weights=Wk[held],
         selected_variables=tuple(sorted(selected)) if selected is not None else None,
         lam=config.lam,
     )
@@ -853,17 +844,18 @@ def predict_units(bundle: ModelBundle, units: Sequence[AugmentedUnit]) -> list[P
     """Score already-prepared units against every label in the bundle.
 
     One call builds X for every unit's text with one tf-idf pass, as
-    ``train_all`` does, its columns the used rows of W (``_scoring``), and
-    computes S = X B + b with scipy's sparse-by-dense product over their
-    dense block B, as training does. That product adds each score's terms
-    in X's entry order, starting from 0.0, and the +0.0 terms of a feature
-    W holds no weight for change no sum, so a score does not depend on the
-    batch it is in; callers should pass every unit they have at once. Each
+    ``train_all`` does, its columns the bundle's ``features``, and computes
+    S = X W + b with scipy's sparse-by-dense product over its ``weights``
+    W, as training does. That product adds each score's terms in X's entry
+    order, starting from 0.0; the features left out would add only +0.0
+    terms, which change no sum. So a score does not depend on the batch it
+    is in; callers should pass every unit they have at once. Each
     unit's items come out sorted by descending score, then label, from one
     ``np.lexsort`` over the batch.
     """
-    used, block, biases, thresholds, labels, rank = bundle._scoring
-    S = _tfidf_rows(bundle.tfidf, [unit.text for unit in units], used) @ block + biases
+    biases, thresholds, labels, rank = bundle._scoring
+    X = _tfidf_rows(bundle.tfidf, [unit.text for unit in units], bundle.features)
+    S = X @ bundle.weights + biases
     order = np.lexsort((np.broadcast_to(rank, S.shape), -S))
     scores = np.take_along_axis(S, order, axis=1)
     hits = scores >= thresholds[order]
@@ -961,14 +953,15 @@ def _b64_array(a: np.ndarray, dtype: np.dtype) -> str:
 
 
 def _label_entry(bundle: ModelBundle, j: int) -> dict:
-    lm, W = bundle.label_models[j], bundle.weights
-    lo, hi = W.indptr[j], W.indptr[j + 1]
+    """Label j's saved form; its column holds the nonzero weights only."""
+    lm, column = bundle.label_models[j], bundle.weights[:, j]
+    rows = np.flatnonzero(column)
     return {
         "code": lm.label,
         "bias": float(lm.bias),
         "threshold": None if math.isinf(lm.threshold) else float(lm.threshold),
-        "indices": _b64_array(W.indices[lo:hi], _INDEX_DTYPE),
-        "values": _b64_array(W.data[lo:hi], _VALUE_DTYPE),
+        "indices": _b64_array(bundle.features[rows], _INDEX_DTYPE),
+        "values": _b64_array(column[rows], _VALUE_DTYPE),
     }
 
 
@@ -1077,7 +1070,7 @@ def _tfidf_from_header(tf: Mapping) -> TfIdfModel:
         hashed_df[slot] = check(c, df_kind, f"tfidf.df count of slot {slot}")
     return TfIdfModel(
         vocabulary=None,
-        idf=_hashed_idf(bits, n, hashed_df.items()),
+        idf=_hashed_idf(bits, n, list(hashed_df), list(hashed_df.values())),
         l2_normalize=normalize,
         hash_bits=bits,
         document_count=n,
@@ -1135,17 +1128,16 @@ def load_bundle(path: str | Path) -> ModelBundle:
         if not check(obj["labels"], LIST, "labels"):
             raise ValueError("labels is empty, and training never writes a bundle without labels")
         entries = [_label_from_entry(entry, tfidf.dimension) for entry in obj["labels"]]
-        weights = sparse.csc_matrix(
-            (np.concatenate([np.empty(0)] + [values for *_, values in entries]),
-             np.concatenate([np.empty(0, np.int32)] + [indices for _, indices, _ in entries]),
-             np.cumsum([0] + [indices.size for _, indices, _ in entries])),
-            shape=(tfidf.dimension, len(entries)),
-        )
+        features = np.unique(np.concatenate([indices for _, indices, _ in entries]))
+        weights = np.zeros((features.size, len(entries)), dtype=np.float64)
+        for j, (_, indices, values) in enumerate(entries):
+            weights[np.searchsorted(features, indices), j] = values
         return ModelBundle(
             tfidf=tfidf,
             variable_stats=stats,
             spec=spec,
             label_models=tuple(lm for lm, _, _ in entries),
+            features=features,
             weights=weights,
             selected_variables=tuple(selected) if selected is not None else None,
             lam=lam,

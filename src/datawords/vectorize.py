@@ -24,10 +24,10 @@ from the grouped pairs, and ``_fit_tfidf`` weighs the same pairs, so
 training tokenizes each text once. ``build_vocabulary`` and
 ``fit_hashed_idf`` are the fitting half. Training and prediction make one
 pass over all of their units' texts, and explanation one per unit over its
-sentences. Prediction and explanation pass the sorted features the
-bundle's weights use, and each entry's column becomes its feature's
-position among them, or one zero column past them for a feature without
-a weight. ``vectorize_document`` reads the one-row case, and
+sentences. Prediction and explanation pass the bundle's sorted
+``features``, the ones it holds a weight row for: an entry of another
+feature is dropped, and each kept entry's column becomes its feature's
+position among them. ``vectorize_document`` reads the one-row case, and
 ``stack_vectors`` stacks such rows into a matrix.
 """
 
@@ -106,15 +106,22 @@ class TfIdfModel:
         return len(self.vocabulary)
 
 
+def _idf(n: int, size: int, ids, df) -> np.ndarray:
+    """Both modes' idf of ``size`` features over ``n`` documents, ``df`` the
+    document counts of features ``ids`` and 0 for the rest: one ``math.log``
+    per distinct count (``np.log`` may differ in the last bit)."""
+    counts, inverse = np.unique(np.asarray(df, dtype=np.int64), return_inverse=True)
+    idf = np.full(size, math.log(1.0 + n) + 1.0)
+    idf[np.asarray(ids, dtype=np.int64)] = np.array(
+        [math.log((1.0 + n) / (1.0 + c)) + 1.0 for c in counts.tolist()])[inverse]
+    return idf
+
+
 def fit_idf(vocab: Vocabulary, l2_normalize: bool = True) -> TfIdfModel:
     """idf(t) = ln((1 + N) / (1 + df(t))) + 1; always finite and positive."""
     n = vocab.document_count
-    idf = np.empty(len(vocab), dtype=np.float64)
-    for tok, ix in vocab.index.items():
-        idf[ix] = math.log((1.0 + n) / (1.0 + vocab.df[tok])) + 1.0
-    return TfIdfModel(
-        vocabulary=vocab, idf=idf, l2_normalize=l2_normalize, document_count=n
-    )
+    idf = _idf(n, len(vocab), list(vocab.index.values()), [vocab.df[t] for t in vocab.index])
+    return TfIdfModel(vocabulary=vocab, idf=idf, l2_normalize=l2_normalize, document_count=n)
 
 
 def _hash_dim(bits: int) -> int:
@@ -124,16 +131,15 @@ def _hash_dim(bits: int) -> int:
     return 1 << bits
 
 
-def _hashed_idf(bits: int, n: int, df: Iterable[tuple[int, int]]) -> np.ndarray:
-    """fit_idf's idf of each of the 2**bits hash slots, from (slot, document
-    count) pairs over ``n`` documents."""
+def _hashed_idf(bits: int, n: int, slots, df) -> np.ndarray:
+    """fit_idf's idf of each of the 2**bits hash slots, from the document
+    counts ``df`` of ``slots`` over ``n`` documents."""
     dim = _hash_dim(bits)
-    idf = np.full(dim, math.log(1.0 + n) + 1.0, dtype=np.float64)
-    for slot, count in df:
-        if not (0 <= slot < dim):
-            raise ConfigError(f"hashed df slot {slot} outside [0, {dim})")
-        idf[slot] = math.log((1.0 + n) / (1.0 + count)) + 1.0
-    return idf
+    slots = np.asarray(slots)
+    outside = slots[(slots < 0) | (slots >= dim)]
+    if outside.size:
+        raise ConfigError(f"hashed df slot {outside[0]} outside [0, {dim})")
+    return _idf(n, dim, slots, df)
 
 
 def fit_hashed_idf(
@@ -203,11 +209,10 @@ def _weigh(
 ) -> sparse.csr_matrix:
     """The CSR matrix of ``n`` rows from their counted (row, feature) pairs:
     tf-idf over the whole array, then each row scaled by the norm of its
-    own slice. Given the sorted feature ids ``used``, each entry's column
-    is its feature's position in ``used``, or ``len(used)`` for a feature
-    not in it, in a matrix of ``len(used) + 1`` columns made to be
-    multiplied: a row may hold that last column more than once and out of
-    order. The values and norms are those over every feature."""
+    own slice. Given the sorted feature ids ``used``, only the entries of
+    features in ``used`` are kept, each in the column of its feature's
+    position there, in a matrix of ``len(used)`` columns; the values and
+    norms are those over every feature."""
     indptr = np.searchsorted(key_rows, np.arange(n + 1))
     values = (1.0 + np.log(counts.astype(np.float64))) * model.idf[indices]
     if model.l2_normalize:
@@ -219,11 +224,13 @@ def _weigh(
         values /= np.array(norms)[key_rows]
     if used is None:
         return sparse.csr_matrix((values, indices, indptr), shape=(n, model.dimension))
-    k = len(used)
     columns = np.searchsorted(used, indices)
-    if k:  # with no used feature every position is already k
-        columns[used.take(columns, mode="clip") != indices] = k
-    return sparse.csr_matrix((values, columns, indptr), shape=(n, k + 1))
+    # take() cannot read an empty ``used``, which holds no feature
+    held = used.take(columns, mode="clip") == indices if len(used) else columns < 0
+    if not held.all():
+        values, columns = values[held], columns[held]
+        indptr = np.concatenate(([0], np.cumsum(held)))[indptr]
+    return sparse.csr_matrix((values, columns, indptr), shape=(n, len(used)))
 
 
 def _tfidf_rows(
@@ -281,14 +288,13 @@ def _fit_hashed(
     _, rows, features = _token_ids(docs, _hashed_ids(bits))
     pairs = _count(rows, features, dim)
     slots, df = np.unique(pairs[1], return_counts=True)
-    hashed_df = dict(zip(slots.tolist(), df.tolist()))
     model = TfIdfModel(
         vocabulary=None,
-        idf=_hashed_idf(bits, len(docs), hashed_df.items()),
+        idf=_hashed_idf(bits, len(docs), slots, df),
         l2_normalize=l2_normalize,
         hash_bits=bits,
         document_count=len(docs),
-        hashed_df=hashed_df,
+        hashed_df=dict(zip(slots.tolist(), df.tolist())),
     )
     return model, pairs
 

@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import errno
 import io
 import json
 import os
@@ -453,6 +454,38 @@ class TestEvaluate:
         assert rc == 0
         csv = (out / "labels_text_plus_datawords.csv").read_text()
         assert csv.splitlines()[0] == "label,tp,fp,fn,precision,recall,f1"
+
+    def test_failed_second_report_keeps_every_old_file(self, tmp_path, capsys, monkeypatch,
+                                                       synth_corpus):
+        """A full disk while the second mode's report is written leaves all
+        four old files as they were, the first mode's too, and no new file."""
+        out = tmp_path / "reports"
+        out.mkdir()
+        names = ["report_text_only.json", "labels_text_only.csv",
+                 "report_text_plus_datawords.json", "labels_text_plus_datawords.csv"]
+        for name in names:
+            (out / name).write_text(f"old {name}\n", encoding="utf-8")
+        opened = []
+        replacing = cli.write_replacing
+
+        @contextlib.contextmanager
+        def full_disk_on_the_second_report(path):
+            opened.append(Path(path).name)
+            with replacing(path) as fh:
+                if len(opened) == 3:
+                    fh.write('{"half": ')
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                yield fh
+
+        monkeypatch.setattr(cli, "write_replacing", full_disk_on_the_second_report)
+        capsys.readouterr()
+        rc = main(["evaluate", "--corpus", synth_corpus, "--out", str(out), "--label-table"])
+        assert rc == 2
+        assert opened == names[:3]
+        assert capsys.readouterr().err == f"error: {os.strerror(errno.ENOSPC)}\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        for name in names:
+            assert (out / name).read_text(encoding="utf-8") == f"old {name}\n"
 
 
 class TestPipelineEquivalence:
@@ -999,6 +1032,17 @@ class TestConfigFile:
         assert f"error: {bad}: {message}" in err
         assert "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_os_error_naming_no_file_exits_2_with_its_reason(self, tmp_path, capsys,
+                                                             monkeypatch):
+        """An OSError without a file name, such as a full disk on a write or
+        an fsync, prints the system's reason alone, never "None"."""
+        def full_disk(args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "cmd_stats", full_disk)
+        assert main(["stats", "--out", str(tmp_path / "stats.json")]) == 2
+        assert capsys.readouterr().err == "error: No space left on device\n"
 
     @pytest.mark.parametrize(
         "command, setting, message",

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from datawords import model
 from datawords.corpus import Encounter, Sentence
@@ -35,7 +34,8 @@ def one_hot_bundle(train_docs, hot_token, label="L1", normalize=True):
         variable_stats={},
         spec=PipelineConfig(extraction_source="none").spec,
         label_models=(LabelModel(label=label, bias=0.25, threshold=0.1),),
-        weights=sparse.csc_matrix(([1.0], ([ix], [0])), shape=(len(vocab), 1)),
+        features=np.array([ix]),
+        weights=np.ones((1, 1)),
     )
 
 
@@ -87,7 +87,8 @@ class TestScoreSentences:
             tfidf=tfidf, variable_stats={},
             spec=PipelineConfig(extraction_source="none").spec,
             label_models=(LabelModel(label="L1", bias=0.0, threshold=0.0),),
-            weights=sparse.csc_matrix(w[:, None]),
+            features=np.arange(len(vocab)),
+            weights=w[:, None],
         )
         scored = score_sentences(bundle, "L1", unit_of(docs[0]))
         for sent, score in scored:
@@ -168,7 +169,7 @@ class TestSumConsistency:
         rng = np.random.default_rng(17)
         one_hot = one_hot_bundle([doc], "alpha", normalize=False)
         w = rng.normal(size=len(one_hot.tfidf.vocabulary))
-        bundle = replace(one_hot, weights=sparse.csc_matrix(w[:, None]))
+        bundle = replace(one_hot, features=np.arange(w.size), weights=w[:, None])
         scored = score_sentences(bundle, "L1", unit_of(doc))
         from datawords.vectorize import vectorize_document
 
@@ -218,7 +219,8 @@ def dense_dot_scores(bundle, label, sentences):
     """Sentence scores computed from scratch with a dense weight vector,
     each summed in pure Python over the sentence's entries in order from
     0.0, as test_model's predict_oracle sums a unit's label scores."""
-    dense = bundle.weights.toarray()[:, bundle.labels.index(label)]
+    dense = np.zeros(bundle.tfidf.dimension)
+    dense[bundle.features] = bundle.weights[:, bundle.labels.index(label)]
     out = []
     for sent in sentences:
         vec = vectorize_document(bundle.tfidf, sent.text)
@@ -268,7 +270,7 @@ class TestSentenceScoreCache:
         bundle = replace(b1)
         score_sentences(bundle, "L1", u1)
         swapped = replace(bundle, tfidf=b2.tfidf, label_models=b2.label_models,
-                          weights=b2.weights)
+                          features=b2.features, weights=b2.weights)
         assert hexes(score_sentences(swapped, "L1", u1)) == dense_dot_scores(b2, "L1", u1.sentences)
         assert hexes(score_sentences(bundle, "L1", u1)) == dense_dot_scores(b1, "L1", u1.sentences)
 
@@ -279,9 +281,9 @@ WORDS = ["ΑΣ", "ΟΔΟΣ", "σοφός", "ας", "β", "dw__Temp__high_range"]
 @st.composite
 def scored_unit(draw):
     """A bundle of two labels with random sparse weight columns, indexed or
-    hashed, normalized or not, and a unit whose document holds, one to a
-    line, token-free, all-OOV, repeated-token and wide (20 or more distinct
-    words) sentences."""
+    hashed, normalized or not, holding the rows with a nonzero weight, and
+    a unit whose document holds, one to a line, token-free, all-OOV,
+    repeated-token and wide (20 or more distinct words) sentences."""
     normalize = draw(st.booleans())
     bits = draw(st.none() | st.integers(min_value=4, max_value=12))
     train = [" ".join(WORDS), " ".join(draw(st.lists(st.sampled_from(WORDS), max_size=12)))]
@@ -292,6 +294,7 @@ def scored_unit(draw):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
     dense = rng.normal(size=(tfidf.dimension, 2)) * (rng.random((tfidf.dimension, 2)) < 0.7)
+    features = np.flatnonzero(dense.any(axis=1))
     word = st.sampled_from(WORDS + ["zzz"])
     texts = draw(st.lists(
         st.one_of(
@@ -308,7 +311,8 @@ def scored_unit(draw):
         spec=PipelineConfig(extraction_source="none").spec,
         label_models=(LabelModel(label="L1", bias=0.0, threshold=0.0),
                       LabelModel(label="L2", bias=0.0, threshold=0.0)),
-        weights=sparse.csc_matrix(dense),
+        features=features,
+        weights=dense[features],
     )
     unit = AugmentedUnit(encounter_id="e", doc_index=0, document="\n".join(texts), datawords=(),
                          gold=frozenset())

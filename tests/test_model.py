@@ -50,6 +50,34 @@ from datawords.vectorize import (
 )
 
 
+def full_weights(bundle):
+    """The bundle's weights as a dense (dimension x labels) array: the rows
+    of ``weights`` at ``features``, zeros elsewhere."""
+    W = np.zeros((bundle.tfidf.dimension, len(bundle.label_models)))
+    W[bundle.features] = bundle.weights
+    return W
+
+
+def weight_csc(bundle):
+    """``full_weights`` as a CSC matrix without stored zeros, the form
+    ``fit_labels`` returns."""
+    return sparse.csc_matrix(full_weights(bundle))
+
+
+def cell_weights(cells, d):
+    """The (d x labels) CSC matrix of per-label columns of ``d`` cells, each
+    a weight or None for no stored one, then the bundle arrays for it: the
+    rows that store a weight in some column, and those rows dense."""
+    W = sparse.csc_matrix(
+        ([w for col in cells for w in col if w is not None],
+         [i for col in cells for i, w in enumerate(col) if w is not None],
+         np.cumsum([0] + [sum(w is not None for w in col) for col in cells])),
+        shape=(d, len(cells)),
+    )
+    features = np.unique(W.indices)
+    return W, features, W.toarray()[features]
+
+
 def ridge_oracle(X_dense, y, lam):
     """Dense normal-equations solution with an unpenalized bias,
     independent of the CG solver."""
@@ -502,7 +530,7 @@ class TestTrainAll:
         bundle = train_all(encs, PipelineConfig(ablation_mode="text_plus_datawords"))
         column = bundle.weights[:, bundle.column("L1")]
         tokens = bundle.tfidf.vocabulary.tokens_by_index()
-        top_token = tokens[int(column.indices[np.argmax(column.data)])]
+        top_token = tokens[int(bundle.features[np.argmax(column)])]
         assert top_token.startswith("dw__temp__")
 
     def test_schedule_independence(self, tmp_path):
@@ -675,9 +703,8 @@ class TestTrainingScores:
         X = _tfidf_rows(bundle.tfidf, [u.text for u in units])
         used = np.unique(X.indices).size
         assert (X.shape[0] < used) == (regime == "dual")
-        W = bundle.weights
-        all_column = bundle.column("ALL")
-        assert W.indptr[all_column] == W.indptr[all_column + 1]  # Wk's column is all zeros
+        W = weight_csc(bundle)
+        assert not bundle.weights[:, bundle.column("ALL")].any()  # Wk's column is all zeros
         b = np.array([lm.bias for lm in bundle.label_models])
         want = (X @ W).toarray() + b
         assert S.shape == want.shape
@@ -711,9 +738,10 @@ def test_min_df_training_matches_public_reference():
     assert bundle.tfidf.vocabulary.df == vocab.df
     assert bundle.tfidf.idf.tobytes() == tfidf.idf.tobytes()
     assert bundle.labels == labels
-    got = bundle.weights
+    got = weight_csc(bundle)
     assert np.array_equal(got.indptr, W.indptr) and np.array_equal(got.indices, W.indices)
     assert got.data.tobytes() == W.data.tobytes()
+    assert np.array_equal(bundle.features, np.unique(W.indices))
     assert [lm.bias.hex() for lm in bundle.label_models] == [float(v).hex() for v in b]
     assert [lm.threshold.hex() for lm in bundle.label_models] == [
         fit_threshold(S[:, j], Y[:, j]).hex() for j in range(len(labels))]
@@ -1034,7 +1062,7 @@ class TestBundleRoundTrip:
         bundle, _ = self.make_bundle_and_probe()
         (lm,) = bundle.label_models
         bundle = replace(bundle, label_models=(lm, replace(lm, label="L2")),
-                         weights=sparse.hstack([bundle.weights] * 2, format="csc"))
+                         weights=np.hstack([bundle.weights] * 2))
         entry = model._label_entry
 
         def failing(b, j):
@@ -1125,17 +1153,12 @@ def scoring_cases(draw):
     # None: no stored weight
     cells = draw(st.lists(st.lists(st.none() | _weight, min_size=d, max_size=d),
                           min_size=len(labels), max_size=len(labels)))
-    weights = sparse.csc_matrix(
-        ([w for col in cells for w in col if w is not None],
-         [i for col in cells for i, w in enumerate(col) if w is not None],
-         np.cumsum([0] + [sum(w is not None for w in col) for col in cells])),
-        shape=(d, len(labels)),
-    )
+    _, features, weights = cell_weights(cells, d)
     bias = st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-4.0, 4.0)
     models = tuple(LabelModel(label=label, bias=draw(bias), threshold=draw(bias | st.just(math.inf)))
                    for label in labels)
     bundle = ModelBundle(tfidf=tfidf, variable_stats={}, spec=EncodingSpec(),
-                         label_models=models, weights=weights)
+                         label_models=models, features=features, weights=weights)
     units = [AugmentedUnit(encounter_id=f"e{i}", doc_index=0, document=text, datawords=(),
                            gold=frozenset())
              for i, text in enumerate(draw(st.lists(_probe_texts, min_size=1, max_size=6)))]
@@ -1146,7 +1169,7 @@ def predict_oracle(bundle, unit):
     """Each label's score summed in pure Python, over the unit's entries in
     order from 0.0 and then plus the bias, and whether it is predicted."""
     vec = vectorize_document(bundle.tfidf, unit.text)
-    W = bundle.weights.toarray()
+    W = full_weights(bundle)
     out = {}
     for j, lm in enumerate(bundle.label_models):
         acc = 0.0
@@ -1174,8 +1197,9 @@ def test_predict_units_matches_oracle_in_any_batch(case):
 def used_row_cases(draw):
     """A bundle, indexed or hashed, normalized or not, whose W leaves drawn
     rows empty, may store zeros, and has a last label with no stored
-    weight; plus units whose texts reach rows W leaves empty, an all-OOV
-    unit, an empty one, and a unit of several sentences."""
+    weight, and its W as a (dimension x labels) CSC matrix; plus units
+    whose texts reach rows W leaves empty, an all-OOV unit, an empty one,
+    and a unit of several sentences."""
     docs = draw(st.lists(_probe_texts.filter(bool), min_size=1, max_size=5))
     normalize = draw(st.booleans())
     bits = draw(st.none() | st.integers(1, 6))
@@ -1188,31 +1212,26 @@ def used_row_cases(draw):
     n = draw(st.integers(1, 4))
     cells = [[draw(st.none() | _weight) if held[i] else None for i in range(d)]
              for _ in range(n)] + [[None] * d]
-    weights = sparse.csc_matrix(
-        ([w for col in cells for w in col if w is not None],
-         [i for col in cells for i, w in enumerate(col) if w is not None],
-         np.cumsum([0] + [sum(w is not None for w in col) for col in cells])),
-        shape=(d, n + 1),
-    )
+    W, features, weights = cell_weights(cells, d)
     models = tuple(LabelModel(label=f"L{j}", bias=draw(st.floats(-4.0, 4.0)), threshold=0.0)
                    for j in range(n + 1))
     bundle = ModelBundle(tfidf=tfidf, variable_stats={}, spec=EncodingSpec(),
-                         label_models=models, weights=weights)
+                         label_models=models, features=features, weights=weights)
     texts = draw(st.lists(_probe_texts, max_size=5)) + ["unseen", ""]
     texts.append(". ".join(draw(st.lists(_probe_texts, min_size=1, max_size=5))))
     units = [AugmentedUnit(encounter_id=f"e{i}", doc_index=0, document=text, datawords=(),
                            gold=frozenset())
              for i, text in enumerate(texts)]
-    return bundle, units
+    return bundle, W, units
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=used_row_cases())
 def test_used_row_products_equal_the_sparse_product_bit_for_bit(case):
-    """Prediction and sentence scores over the used rows' dense block equal
+    """Prediction and sentence scores over the bundle's feature rows equal
     the sparse-by-sparse product with all of W, bit for bit."""
-    bundle, units = case
-    W = bundle.weights.tocsr()
+    bundle, W, units = case
+    W = W.tocsr()
     biases = np.array([lm.bias for lm in bundle.label_models])
     want = (_tfidf_rows(bundle.tfidf, [u.text for u in units]) @ W).toarray() + biases
     scores = [{it.label: it.score for it in p.items} for p in predict_units(bundle, units)]
@@ -1225,23 +1244,45 @@ def test_used_row_products_equal_the_sparse_product_bit_for_bit(case):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_read_view_is_built_on_the_first_prediction(tmp_path):
-    """Training, saving and loading build no read view; the first
-    prediction builds it from the rows of W that hold a weight."""
+def test_loaded_weights_are_the_saved_rows_that_hold_a_weight(tmp_path):
+    """Loading gives ``features``, the rows the saved columns hold a weight
+    in, and ``weights``, those rows dense in C order."""
     bundle = train_all(trivial_corpus(), text_only_config())
     save_bundle(bundle, tmp_path / "bundle.json")
     loaded = load_bundle(tmp_path / "bundle.json")
-    for b in (bundle, loaded):
-        assert "_scoring" not in vars(b)
-    units = [u for e in trivial_corpus() for u in prepare_units(loaded, e)]
-    assert "_scoring" not in vars(loaded)
-    predict_units(loaded, units)
-    used, block = vars(loaded)["_scoring"][:2]
+    saved = [np.frombuffer(base64.b64decode(entry["indices"]), "<i4")
+             for entry in json.loads((tmp_path / "bundle.json").read_text())["labels"]]
+    np.testing.assert_array_equal(loaded.features, np.unique(np.concatenate(saved)))
     W = loaded.weights
-    np.testing.assert_array_equal(used, np.unique(W.indices))
-    assert block.flags.c_contiguous and block.shape == (len(used) + 1, len(loaded.labels))
-    np.testing.assert_array_equal(block[:-1], W.toarray()[used])
-    assert not block[-1].any()
+    assert W.flags.c_contiguous and W.dtype == np.float64
+    assert W.shape == (len(loaded.features), len(loaded.labels))
+    np.testing.assert_array_equal(W, full_weights(bundle)[loaded.features])
+
+
+@pytest.mark.parametrize("hash_bits", [None, 8], ids=["indexed", "hashed"])
+@pytest.mark.parametrize("n, words, vocabulary", [(12, 6, 40), (60, 12, 10)],
+                         ids=["dual", "primal"])
+@pytest.mark.parametrize("every_label_all_positive", [False, True], ids=["mixed", "all_positive"])
+def test_trained_weights_equal_the_loaded_copy_bit_for_bit(tmp_path, hash_bits, n, words,
+                                                           vocabulary, every_label_all_positive):
+    """A trained bundle's features and weights are those of its save -> load
+    copy, bit for bit. Label ALL, whose units are all positive, has an
+    all-zero column; a corpus of such labels only keeps no feature row."""
+    encounters = word_encounters(5, n, words, vocabulary)
+    if every_label_all_positive:
+        encounters = [replace(e, codes=frozenset({"ALL"})) for e in encounters]
+    bundle = train_all(encounters, PipelineConfig(ablation_mode="text_only", hash_bits=hash_bits))
+    assert not bundle.weights[:, bundle.column("ALL")].any()
+    assert bundle.weights.any(axis=1).all()
+    assert (bundle.features.size == 0) == every_label_all_positive
+    save_bundle(bundle, tmp_path / "bundle.json")
+    loaded = load_bundle(tmp_path / "bundle.json")
+    assert loaded.features.dtype == bundle.features.dtype == np.int64
+    np.testing.assert_array_equal(loaded.features, bundle.features)
+    assert loaded.weights.shape == bundle.weights.shape
+    np.testing.assert_array_equal(loaded.weights.view(np.int64), bundle.weights.view(np.int64))
+    units = build_corpus_units(encounters, PipelineConfig(ablation_mode="text_only")).units
+    assert score_bits(predict_units(loaded, units)) == score_bits(predict_units(bundle, units))
 
 
 class TestWeightMatrix:
@@ -1254,14 +1295,17 @@ class TestWeightMatrix:
         return train_all(corpus, text_only_config())
 
     def test_one_column_per_label(self, bundle):
-        W = bundle.weights
-        assert W.format == "csc" and W.shape == (bundle.tfidf.dimension, 2)
-        assert W.has_sorted_indices and np.all(W.data != 0)
+        W, features = bundle.weights, bundle.features
+        assert W.dtype == np.float64 and W.flags.c_contiguous
+        assert W.shape == (features.size, 2) and W.any(axis=1).all()
+        assert features.dtype == np.int64 and np.all(np.diff(features) > 0)
+        assert 0 <= features[0] and features[-1] < bundle.tfidf.dimension
         assert [bundle.column(label) for label in bundle.labels] == [0, 1]
 
     @pytest.mark.parametrize(
         "field, value",
-        [("weights", None), ("label_models", ()), ("tfidf", None), ("lam", 2.0)],
+        [("weights", None), ("features", None), ("label_models", ()), ("tfidf", None),
+         ("lam", 2.0)],
     )
     def test_fields_cannot_be_assigned(self, bundle, field, value):
         with pytest.raises(FrozenInstanceError):
@@ -1276,22 +1320,34 @@ class TestWeightMatrix:
         [
             lambda W: W[:, :1],
             lambda W: W[:-1, :],
-            lambda W: sparse.hstack([W, W], format="csc"),
-            lambda W: W.tocsr(),
-            lambda W: W.toarray(),
+            lambda W: np.hstack([W, W]),
+            lambda W: sparse.csr_matrix(W),
+            lambda W: W.ravel(),
         ],
-        ids=["fewer_columns", "fewer_rows", "more_columns", "csr", "dense"],
+        ids=["fewer_columns", "fewer_rows", "more_columns", "csr", "flat"],
     )
     def test_weights_of_wrong_shape_or_format_refused(self, bundle, weights):
-        with pytest.raises(ValueError, match=r"weights must be a \d+ x 2 CSC matrix, indices sorted"):
+        k = bundle.features.size
+        with pytest.raises(ValueError, match=rf"weights must be a {k} x 2 array, one row per feature$"):
             replace(bundle, weights=weights(bundle.weights))
 
-    def test_unsorted_column_refused(self, bundle):
-        W = sparse.csc_matrix(
-            ([1.0, 2.0], [1, 0], [0, 2, 2]), shape=(bundle.tfidf.dimension, 2)
-        )
-        with pytest.raises(ValueError, match="indices sorted"):
-            replace(bundle, weights=W)
+    @pytest.mark.parametrize(
+        "features",
+        [
+            lambda f, d: f[::-1],
+            lambda f, d: np.append(f[:1], f[:-1]),
+            lambda f, d: f - f[0] - 1,
+            lambda f, d: f + (d - f[-1]),
+            lambda f, d: f.astype(np.float64),
+            lambda f, d: f[None, :],
+        ],
+        ids=["unsorted", "repeated", "negative", "beyond_dimension", "float", "2d"],
+    )
+    def test_bad_features_refused(self, bundle, features):
+        d = bundle.tfidf.dimension
+        with pytest.raises(ValueError, match=rf"features must be strictly increasing integer ids "
+                                             rf"in \[0, {d}\)$"):
+            replace(bundle, features=features(bundle.features, d))
 
     def test_repeated_label_refused(self, bundle):
         lms = bundle.label_models
@@ -1309,7 +1365,7 @@ class TestWeightMatrix:
             dense = vectorize_document(bundle.tfidf, unit.text).to_dense()
             for it in pset.items:
                 lm = smaller.label_models[smaller.column(it.label)]
-                oracle = float(dense @ bundle.weights.toarray()[:, 1]) + lm.bias
+                oracle = float(dense @ full_weights(bundle)[:, 1]) + lm.bias
                 assert it.score == pytest.approx(oracle, abs=1e-12)
                 assert it.score.hex() == before[(unit.encounter_id, it.label)]
 
@@ -1350,30 +1406,36 @@ def label_columns(draw, dimension):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_label_columns_round_trip_bit_exact(small_bundle, data):
+    """Each drawn column's nonzero weights come back bit for bit at their
+    features; a stored zero of either sign is neither saved nor loaded, and
+    the loaded bundle saves to the same bytes."""
     # a bundle without labels is refused on load, so every drawn one has one
-    columns = data.draw(st.lists(label_columns(small_bundle.tfidf.dimension), min_size=1,
-                                 max_size=4, unique_by=lambda c: c[0].label))
-    indptr = np.cumsum([0] + [len(idx) for _, idx, _ in columns])
-    weights = sparse.csc_matrix(
-        (np.array([v for _, _, val in columns for v in val], dtype=np.float64),
-         np.array([i for _, idx, _ in columns for i in idx], dtype=np.int64), indptr),
-        shape=(small_bundle.tfidf.dimension, len(columns)),
-    )
+    d = small_bundle.tfidf.dimension
+    columns = data.draw(st.lists(label_columns(d), min_size=1, max_size=4,
+                                 unique_by=lambda c: c[0].label))
+    dense = np.zeros((d, len(columns)))
+    for j, (_, idx, val) in enumerate(columns):
+        dense[idx, j] = val
+    features = np.unique(np.array([i for _, idx, _ in columns for i in idx], dtype=np.int64))
     bundle = replace(small_bundle, label_models=tuple(lm for lm, _, _ in columns),
-                     weights=weights)
+                     features=features, weights=dense[features])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bundle.json"
         save_bundle(bundle, path)
         whole = json.dumps(_bundle_to_dict(bundle), separators=(",", ":")) + "\n"
         assert path.read_bytes() == whole.encode("utf-8")
         loaded = load_bundle(path)
+        again = Path(tmp) / "again.json"
+        save_bundle(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
     assert len(loaded.label_models) == len(columns)
+    held = np.flatnonzero(dense.any(axis=1))
+    np.testing.assert_array_equal(loaded.features, held)
+    want = np.where(dense[held] != 0, dense[held], 0.0)  # -0.0 comes back as 0.0
     W = loaded.weights
-    assert W.format == "csc" and W.shape == weights.shape
-    assert W.data.dtype == np.float64
-    assert W.indptr.tolist() == indptr.tolist()
-    assert W.indices.tolist() == weights.indices.tolist()
-    assert W.data.tobytes() == weights.data.tobytes()
+    assert W.dtype == np.float64 and W.flags.c_contiguous
+    assert W.shape == want.shape
+    assert W.tobytes() == want.tobytes()
     for got, (want, _, _) in zip(loaded.label_models, columns):
         assert got.label == want.label
         assert got.bias.hex() == want.bias.hex()
@@ -1679,8 +1741,9 @@ class TestLoadBundleValidation:
         path = tmp_path / "hashed.json"
         save_bundle(train_all(generate_synthetic(spec), PipelineConfig(hash_bits=8)), path)
         obj = json.loads(path.read_text())
-        obj["tfidf"]["df"][0][0] = 256
-        self.rejects(path, obj, r"hashed df slot 256 outside \[0, 256\)")
+        for slot in (256, -1, 2**70):
+            obj["tfidf"]["df"][0][0] = slot
+            self.rejects(path, obj, rf"hashed df slot {slot} outside \[0, 256\)")
         obj["tfidf"]["df"][0][0] = 0
         obj["tfidf"]["bits"] = 40
         self.rejects(path, obj, r"hash bits must be in \[1, 30\]")

@@ -93,6 +93,25 @@ class TestIdf:
         model = fit_idf(vocab)
         assert np.all(model.idf > 0)
 
+    @given(st.integers(1, 5000), st.lists(st.integers(0, 5000), max_size=60), st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_both_modes_are_the_per_entry_math_log(self, n, counts, bits):
+        """Each idf entry, indexed or hashed, is math.log of its own document
+        count bit for bit; a hashed slot without a count has df 0."""
+        df = [min(c, n) for c in counts]
+        want = [math.log((1.0 + n) / (1.0 + c)) + 1.0 for c in df]
+        vocab = vectorize.Vocabulary(index={f"t{i}": len(df) - 1 - i for i in range(len(df))},
+                                     df={f"t{i}": c for i, c in enumerate(df[::-1])},
+                                     document_count=n)
+        assert fit_idf(vocab).idf.tobytes() == np.array(want).tobytes()
+        dim = 1 << bits
+        slots = list(range(0, dim, 3))[:len(df)]
+        idf = vectorize._hashed_idf(bits, n, slots, df[:len(slots)])
+        full = [math.log(1.0 + n) + 1.0] * dim
+        for slot, value in zip(slots, want):
+            full[slot] = value
+        assert idf.tobytes() == np.array(full).tobytes()
+
 
 class TestVectorizeDocument:
     def test_hand_computed_example(self):

@@ -43,7 +43,7 @@ from .model import (
     EXTRACTION_SOURCES,
     UNIT_KINDS,
     PipelineConfig,
-    _key_external,
+    _encounter_records,
     build_corpus_units,
     load_bundle,
     predict_units,
@@ -138,11 +138,13 @@ def _external_records(source: str | None, settings: dict):
 
 def _predictside_units(settings: dict, bundle, encounters):
     """Every encounter's units, prepared with the records file that
-    accompanies a bundle whose source is external or db, indexed once.
-    Missing structured data is tolerated at predict time."""
+    accompanies a bundle whose source is external or db. Every
+    encounter's records are worked up in one ``_encounter_records`` call,
+    as ``run_cv`` does. Missing structured data is tolerated at predict
+    time."""
     source = bundle.spec.extraction_source if settings.get("extractions") else None
-    external = _key_external(_external_records(source, settings) or ())
-    return [u for enc in encounters for u in prepare_units(bundle, enc, external)]
+    records = _encounter_records(encounters, bundle.spec, _external_records(source, settings))
+    return [u for enc in encounters for u in prepare_units(bundle, enc, _records=records)]
 
 
 def _pipeline_config(settings: dict) -> PipelineConfig:
@@ -215,16 +217,15 @@ def cmd_encode(args) -> int:
     encounters = load_corpus(settings["corpus"])
     config = _pipeline_config(settings)
     corpus_units = build_corpus_units(encounters, config)
-    rows = []
-    for unit in corpus_units.units:
-        rows.append(
-            {
-                "encounter_id": unit.encounter_id,
-                "doc_index": unit.doc_index,
-                "text": unit.text,
-                "datawords": [{"text": dw.text, "display": dw.display} for dw in unit.datawords],
-            }
-        )
+    rows = (
+        {
+            "encounter_id": unit.encounter_id,
+            "doc_index": unit.doc_index,
+            "text": unit.text,
+            "datawords": [{"text": dw.text, "display": dw.display} for dw in unit.datawords],
+        }
+        for unit in corpus_units.units
+    )
     _write_jsonl(settings["out"], rows)
     return 0
 

@@ -27,7 +27,6 @@ from .model import (
     PipelineConfig,
     PredictionSet,
     _encounter_records,
-    _keyed_external,
     predict_units,
     prepare_units,
     train_all,
@@ -203,18 +202,17 @@ def run_cv(encounters: Sequence[Encounter], config: PipelineConfig) -> MetricsRe
     idf, measurement selection, thresholds) comes from the other folds
     only. Confusion counts aggregate across folds; per-document metrics
     pool every held-out unit. The work that no fold decides is done once
-    per run: the external records are indexed, when the mode and source
-    read them, and each encounter's records are collected (extracted, with
-    the patterns source), counted and rolled up. Each fold's ``train_all``
-    and ``prepare_units`` take those records, select from them and encode
-    them, and each fold's held-out units are scored in one batch.
+    per run, in one ``_encounter_records`` call: each encounter's records
+    are collected (extracted, with the patterns source; from the external
+    records, indexed once, with the external and db sources), counted and
+    rolled up. Each fold's ``train_all`` and ``prepare_units`` take those
+    records, select from them and encode them, and each fold's held-out
+    units are scored in one batch.
     """
     encounters = list(encounters)
     split = kfold_split(encounters, config.folds, config.seed)
     by_id = {e.encounter_id: e for e in encounters}
-    spec = config.spec
-    external = _keyed_external(spec, config.external_records)
-    records = {e.encounter_id: _encounter_records(e, spec, external) for e in encounters}
+    records = _encounter_records(encounters, config.spec, config.external_records)
 
     all_predictions: list[PredictionSet] = []
     all_gold: list[frozenset[str]] = []

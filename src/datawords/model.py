@@ -10,8 +10,9 @@ was encoded with, the training-time statistics, selected variables and
 tf-idf model, each label's bias and threshold, and the sorted ids of the
 features with a weight plus their dense (features x labels) weights,
 which prediction and explanation both multiply by. Training and
-prediction build units through the same ``_encode``, so prediction
-re-runs the exact same encoding. A bundle is one JSON document in format
+prediction work up records through the same ``_encounter_records`` and
+build units through the same ``_encode``, so prediction re-runs the exact
+same encoding. A bundle is one JSON document in format
 "2": a readable header, then per label its bias, threshold and weight
 column, the column as base64 of little-endian int32 indices and float64
 values. Loading it checks the spec through EncodingSpec and the labels
@@ -106,7 +107,8 @@ from .vectorize import (
     TfIdfModel,
     Vocabulary,
     _fit_tfidf,
-    _hashed_idf,
+    _hash_dim,
+    _hashed_model,
     _tfidf_rows,
     stack_vectors,
 )
@@ -183,8 +185,8 @@ class PipelineConfig(EncodingSpec):
             raise ConfigError(f"lambda must be a finite positive number, got {self.lam}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if self.hash_bits is not None and not (1 <= self.hash_bits <= 30):
-            raise ConfigError(f"hash bits must be in [1, 30], got {self.hash_bits}")
+        if self.hash_bits is not None:
+            _hash_dim(self.hash_bits)  # refuses bits outside [1, 30]
         if self.hash_bits is not None and self.min_df > 1:
             raise ConfigError("min_df must be 1 with hash_bits, as the hashed vectorizer keeps "
                               f"every slot; got {self.min_df}")
@@ -494,32 +496,6 @@ def _key_external(records: Iterable[StructuredRecord]) -> dict[str, list[Structu
     return keyed
 
 
-def _reads_external(spec: EncodingSpec) -> bool:
-    """Whether ``_collect_records`` reads external records under ``spec``."""
-    return spec.ablation_mode != "text_only" and spec.extraction_source in ("external", "db")
-
-
-def _keyed_external(
-    spec: EncodingSpec, records: Iterable[StructuredRecord] | None
-) -> Mapping[str, list[StructuredRecord]]:
-    """The records indexed by encounter id, when ``spec`` reads them."""
-    return _key_external(records or ()) if _reads_external(spec) else {}
-
-
-def _collect_records(
-    encounter: Encounter, spec: EncodingSpec, external: Mapping[str, list[StructuredRecord]]
-) -> list[StructuredRecord]:
-    """The encounter's embedded records and its source's; none in text_only."""
-    if spec.ablation_mode == "text_only":
-        return []
-    records = list(encounter.structured)
-    if spec.extraction_source == "patterns":
-        records.extend(extract_encounter(encounter, spec.resolved_pattern_config()))
-    elif _reads_external(spec):
-        records.extend(external.get(encounter.encounter_id, []))
-    return records
-
-
 class _EncounterRecords(NamedTuple):
     """An encounter's records as far as no training set decides them:
     ``counts``, its collected records per variable, which the measurement
@@ -531,16 +507,34 @@ class _EncounterRecords(NamedTuple):
 
 
 def _encounter_records(
-    encounter: Encounter, spec: EncodingSpec, external: Mapping[str, list[StructuredRecord]]
-) -> _EncounterRecords:
-    """The encounter's records collected, counted, less the numeric ones in
-    ``nonnumeric_datawords_only``, and rolled up."""
-    records = _collect_records(encounter, spec, external)
-    counts = variable_counts(records)
-    if spec.ablation_mode == "nonnumeric_datawords_only":
-        records = [r for r in records if not r.is_numeric]
-    return _EncounterRecords(
-        counts, list(_rolled(records, spec.rollup_policy, spec.rollup_provenances)))
+    encounters: Iterable[Encounter],
+    spec: EncodingSpec,
+    external_records: Iterable[StructuredRecord] | None,
+) -> dict[str, _EncounterRecords]:
+    """Every encounter's records by encounter id: its embedded records and
+    its source's (none in text_only) collected, counted, less the numeric
+    ones in ``nonnumeric_datawords_only``, and rolled up. The one record
+    path of training, prediction and cross-validation. ``external_records``
+    are indexed by encounter id once per call, and only when the mode and
+    the source read them."""
+    reads = spec.ablation_mode != "text_only"
+    source = spec.extraction_source
+    external = {}
+    if reads and source in ("external", "db"):
+        external = _key_external(external_records or ())
+    patterns = spec.resolved_pattern_config() if reads and source == "patterns" else None
+    worked: dict[str, _EncounterRecords] = {}
+    for encounter in encounters:
+        records = list(encounter.structured) if reads else []
+        if patterns is not None:
+            records.extend(extract_encounter(encounter, patterns))
+        records.extend(external.get(encounter.encounter_id, ()))
+        counts = variable_counts(records)
+        if spec.ablation_mode == "nonnumeric_datawords_only":
+            records = [r for r in records if not r.is_numeric]
+        worked[encounter.encounter_id] = _EncounterRecords(
+            counts, list(_rolled(records, spec.rollup_policy, spec.rollup_provenances)))
+    return worked
 
 
 def _selected_records(
@@ -596,7 +590,7 @@ def _encode(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelBundle:
     """Self-contained model state: everything prediction needs.
 
@@ -607,6 +601,7 @@ class ModelBundle:
     and saving writes only nonzero weights. Prediction and explanation
     multiply a tf-idf matrix over ``features`` by ``weights``. The
     ``EncodeTable`` that ``prepare_units`` encodes from is built here.
+    Bundles compare by identity, as numpy arrays have no one truth value.
     """
 
     tfidf: TfIdfModel
@@ -617,11 +612,11 @@ class ModelBundle:
     weights: np.ndarray
     selected_variables: tuple[str, ...] | None = None
     lam: float = 1.0
-    # Derived read-side state; never compared, serialized, or copied by
+    # Derived read-side state; never serialized or copied by
     # dataclasses.replace.
-    _columns: dict = field(init=False, repr=False, compare=False)
-    _encode_table: EncodeTable = field(init=False, repr=False, compare=False)
-    _sentence_scores: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _columns: dict = field(init=False, repr=False)
+    _encode_table: EncodeTable = field(init=False, repr=False)
+    _sentence_scores: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         features, weights = np.asarray(self.features), np.asarray(self.weights)
@@ -705,8 +700,8 @@ def build_corpus_units(
     the rolled records of the selected variables give the statistics and
     the encounter's units, encoded from one ``EncodeTable``. Records are
     keyed by encounter id, so an id that repeats raises DataError.
-    ``run_cv`` passes ``_records``, every encounter's records worked up
-    once per run.
+    ``run_cv`` passes ``_records``, the ``_encounter_records`` of every
+    encounter, worked up once per run.
     """
     encounters = list(encounters)
     if not encounters:
@@ -720,8 +715,7 @@ def build_corpus_units(
 
     spec = config.spec
     if _records is None:
-        external = _keyed_external(spec, config.external_records)
-        _records = {e.encounter_id: _encounter_records(e, spec, external) for e in encounters}
+        _records = _encounter_records(encounters, spec, config.external_records)
 
     filt = config.measurement_filter
     if filt.mode == "all":
@@ -812,9 +806,7 @@ def train_all(
 def prepare_units(
     bundle: ModelBundle,
     encounter: Encounter,
-    external_records: (
-        Sequence[StructuredRecord] | Mapping[str, list[StructuredRecord]] | None
-    ) = None,
+    external_records: Sequence[StructuredRecord] | None = None,
     *,
     _records: Mapping[str, _EncounterRecords] | None = None,
 ) -> list[AugmentedUnit]:
@@ -823,18 +815,14 @@ def prepare_units(
     This is the prediction-side half of the train/predict symmetry
     contract: an encounter encodes here exactly as it would have encoded
     as a member of the bundle's training set. A caller preparing many
-    encounters passes the external records already indexed by encounter
-    id (``_keyed_external``), so they are indexed once, not per encounter.
-    ``run_cv`` passes ``_records`` instead, as it does to ``train_all``.
-    The records are encoded from the bundle's ``EncodeTable``.
+    encounters works up all of their records in one ``_encounter_records``
+    call and passes them as ``_records``, as ``run_cv`` and the CLI do, so
+    the external records are indexed once, not per encounter. The records
+    are encoded from the bundle's ``EncodeTable``.
     """
     spec = bundle.spec
     if _records is None:
-        if isinstance(external_records, Mapping):
-            external = external_records
-        else:
-            external = _keyed_external(spec, external_records)
-        _records = {encounter.encounter_id: _encounter_records(encounter, spec, external)}
+        _records = _encounter_records([encounter], spec, external_records)
     selected = set(bundle.selected_variables) if bundle.selected_variables is not None else None
     records = _selected_records(_records[encounter.encounter_id], selected)
     return _encode(encounter, spec, records, bundle._encode_table)
@@ -1068,14 +1056,7 @@ def _tfidf_from_header(tf: Mapping) -> TfIdfModel:
     for slot, c in check(tf["df"], LIST, "tfidf.df"):
         check(slot, INTEGER, "tfidf.df slot")
         hashed_df[slot] = check(c, df_kind, f"tfidf.df count of slot {slot}")
-    return TfIdfModel(
-        vocabulary=None,
-        idf=_hashed_idf(bits, n, list(hashed_df), list(hashed_df.values())),
-        l2_normalize=normalize,
-        hash_bits=bits,
-        document_count=n,
-        hashed_df=hashed_df,
-    )
+    return _hashed_model(bits, n, hashed_df, normalize)
 
 
 def load_bundle(path: str | Path) -> ModelBundle:

@@ -84,9 +84,11 @@ def _hash_slot(token: str, bits: int) -> int:
     return ((h * _KNUTH) & 0xFFFFFFFF) >> (32 - bits)
 
 
-@dataclass
+@dataclass(eq=False)
 class TfIdfModel:
-    """Frozen vectorization state: vocabulary (or hash setup) plus idf weights."""
+    """Frozen vectorization state: vocabulary (or hash setup) plus idf
+    weights. Models compare by identity, as numpy arrays have no one truth
+    value."""
 
     vocabulary: Vocabulary | None
     idf: np.ndarray
@@ -142,6 +144,19 @@ def _hashed_idf(bits: int, n: int, slots, df) -> np.ndarray:
     return _idf(n, dim, slots, df)
 
 
+def _hashed_model(bits: int, n: int, df: dict[int, int], l2_normalize: bool) -> TfIdfModel:
+    """The hashed tf-idf model of ``n`` documents, ``df`` the document
+    count of each hash slot that has one."""
+    return TfIdfModel(
+        vocabulary=None,
+        idf=_hashed_idf(bits, n, list(df), list(df.values())),
+        l2_normalize=l2_normalize,
+        hash_bits=bits,
+        document_count=n,
+        hashed_df=df,
+    )
+
+
 def fit_hashed_idf(
     train_docs: Sequence[str], bits: int, l2_normalize: bool = True
 ) -> TfIdfModel:
@@ -149,9 +164,10 @@ def fit_hashed_idf(
     return _fit_hashed(list(train_docs), bits, l2_normalize)[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class DocumentVector:
-    """Sparse vector: strictly increasing indices, no stored zeros."""
+    """Sparse vector: strictly increasing indices, no stored zeros; vectors
+    compare by identity."""
 
     indices: np.ndarray
     values: np.ndarray
@@ -287,16 +303,9 @@ def _fit_hashed(
     dim = _hash_dim(bits)  # checked before any token is hashed
     _, rows, features = _token_ids(docs, _hashed_ids(bits))
     pairs = _count(rows, features, dim)
-    slots, df = np.unique(pairs[1], return_counts=True)
-    model = TfIdfModel(
-        vocabulary=None,
-        idf=_hashed_idf(bits, len(docs), slots, df),
-        l2_normalize=l2_normalize,
-        hash_bits=bits,
-        document_count=len(docs),
-        hashed_df=dict(zip(slots.tolist(), df.tolist())),
-    )
-    return model, pairs
+    slots, counts = np.unique(pairs[1], return_counts=True)
+    df = dict(zip(slots.tolist(), counts.tolist()))
+    return _hashed_model(bits, len(docs), df, l2_normalize), pairs
 
 
 def _fit_tfidf(

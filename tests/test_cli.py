@@ -23,7 +23,7 @@ from datawords.cli import main
 from datawords.corpus import kfold_split, load_corpus, save_corpus
 from datawords.evaluation import confusion_counts, micro_metrics
 from datawords.explain import score_sentences, top_justifications
-from datawords.extraction import load_db_measurements
+from datawords.extraction import load_db_measurements, load_external_extractions
 from datawords.model import PredictionItem, PredictionSet, load_bundle, predict_units, prepare_units
 
 SYNTH_SPEC = {
@@ -593,17 +593,26 @@ class TestDbSource:
 
 
 class TestBatchedReadPath:
-    def test_explain_equals_per_encounter_rows(self, tmp_path, db_synth_corpus):
+    @pytest.mark.parametrize("source, mode, load", [
+        ("db", "text_plus_datawords", load_db_measurements),
+        ("external", "text_plus_datawords", load_external_extractions),
+        ("db", "text_only", load_db_measurements),
+    ], ids=["db", "external", "text_only_db"])
+    def test_explain_equals_per_encounter_rows(self, tmp_path, db_synth_corpus, source, mode,
+                                               load):
+        """explain, which works up every encounter's records at once, writes
+        the rows of each encounter prepared by itself; a text_only bundle's
+        rows justify with text only."""
         corpus, db = db_synth_corpus
         bundle_path = tmp_path / "bundle.json"
         assert main(["train", "--corpus", corpus, "--out", str(bundle_path),
-                     "--source", "db", "--extractions", db]) == 0
+                     "--source", source, "--extractions", db, "--mode", mode]) == 0
         out = tmp_path / "just.jsonl"
         assert main(["explain", "--corpus", corpus, "--bundle", str(bundle_path),
                      "--out", str(out), "--extractions", db]) == 0
 
         bundle = load_bundle(bundle_path)
-        records = load_db_measurements(db)
+        records = load(db)
         expected = []
         for enc in load_corpus(corpus):
             units = prepare_units(bundle, enc, records)
@@ -623,7 +632,9 @@ class TestBatchedReadPath:
                         ],
                     })
         lines = [json.dumps(row, separators=(",", ":")) + "\n" for row in expected]
-        assert any(j["kind"] == "dataword" for row in expected for j in row["justifications"])
+        assert expected
+        assert (any(j["kind"] == "dataword" for row in expected for j in row["justifications"])
+                == (mode != "text_only"))
         assert out.read_text(encoding="utf-8") == "".join(lines)
 
     @pytest.mark.parametrize(

@@ -231,7 +231,7 @@ class TestAugmentDocument:
                               threshold_spec=temp_spec()).spec
         encounter = Encounter(encounter_id="e1", documents=("Note text.",), codes=frozenset(),
                               structured=records)
-        kept = _selected_records(_encounter_records(encounter, spec, {}), None)
+        kept = _selected_records(_encounter_records([encounter], spec, None)[encounter.encounter_id], None)
         [unit] = _encode(encounter, spec, kept, {})
         assert unit.text == text
 

@@ -517,6 +517,16 @@ class TestTrainAll:
         save_bundle(train_all(trivial_corpus(), text_only_config()), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_bundles_compare_by_identity(self):
+        """Two trainings of one corpus compare unequal without raising over
+        their array fields; each bundle, and its tf-idf model, equals itself
+        and hashes."""
+        b, c = (train_all(trivial_corpus(), text_only_config()) for _ in range(2))
+        assert b.weights.size > 1 and b.tfidf.idf.size > 1
+        assert b != c and b.tfidf != c.tfidf
+        assert b == b and b.tfidf == b.tfidf
+        assert len({b, c, b, c.tfidf, c.tfidf}) == 3
+
     def test_zero_labels_rejected(self):
         encs = [Encounter(encounter_id="e1", documents=("x.",)),
                 Encounter(encounter_id="e2", documents=("y.",))]

@@ -137,13 +137,15 @@ def _external_records(source: str | None, settings: dict):
 
 
 def _predictside_units(settings: dict, bundle, encounters):
-    """Every encounter's units, prepared with the records file that
-    accompanies a bundle whose source is external or db. Every
-    encounter's records are worked up in one ``_encounter_records`` call,
-    as ``run_cv`` does. Missing structured data is tolerated at predict
-    time."""
-    source = bundle.spec.extraction_source if settings.get("extractions") else None
-    records = _encounter_records(encounters, bundle.spec, _external_records(source, settings))
+    """Every encounter's units, prepared with the records file given with
+    a bundle whose spec reads one (``reads_external_records``); any other
+    bundle's records file is not parsed. Every encounter's records are
+    worked up in one ``_encounter_records`` call, as ``run_cv`` does.
+    Missing structured data is tolerated at predict time."""
+    spec = bundle.spec
+    reads = settings.get("extractions") and spec.reads_external_records
+    source = spec.extraction_source if reads else None
+    records = _encounter_records(encounters, spec, _external_records(source, settings))
     return [u for enc in encounters for u in prepare_units(bundle, enc, _records=records)]
 
 

@@ -15,8 +15,10 @@ build units through the same ``_encode``, so prediction re-runs the exact
 same encoding. A bundle is one JSON document in format
 "2": a readable header, then per label its bias, threshold and weight
 column, the column as base64 of little-endian int32 indices and float64
-values. Loading it checks the spec through EncodingSpec and the labels
-and weights against the tf-idf model.
+values. The header's ``tfidf`` object is written and read, checked, by
+``TfIdfModel`` itself (``to_header``, ``from_header``); this module knows
+the rest. Loading checks the spec through EncodingSpec and the labels and
+weights against the tf-idf model.
 
 A PipelineConfig is a frozen EncodingSpec plus the training and evaluation
 settings; ``spec`` projects it onto its encoding fields. ``_encode`` hands
@@ -87,10 +89,8 @@ from .extraction import (
     write_replacing,
 )
 from .jsontypes import (
-    BOOL,
     COUNT,
     FINITE,
-    INTEGER,
     LIST,
     NONEMPTY,
     NONNEGATIVE,
@@ -100,15 +100,12 @@ from .jsontypes import (
     STRING,
     STRINGS,
     check,
-    count_upto,
     nullable,
 )
 from .vectorize import (
     TfIdfModel,
-    Vocabulary,
     _fit_tfidf,
     _hash_dim,
-    _hashed_model,
     _tfidf_rows,
     stack_vectors,
 )
@@ -153,6 +150,12 @@ class EncodingSpec:
                 f"rollup_provenances must be None or a tuple of names from {PROVENANCES}, "
                 f"got {prov!r}"
             )
+
+    @property
+    def reads_external_records(self) -> bool:
+        """Whether encoding reads an external records file: an external or
+        db source, in a mode that encodes records."""
+        return self.ablation_mode != "text_only" and self.extraction_source in ("external", "db")
 
     def resolved_pattern_config(self) -> PatternConfig:
         return self.pattern_config if self.pattern_config is not None else default_pattern_config()
@@ -515,16 +518,17 @@ def _encounter_records(
     its source's (none in text_only) collected, counted, less the numeric
     ones in ``nonnumeric_datawords_only``, and rolled up. The one record
     path of training, prediction and cross-validation. ``external_records``
-    are indexed by encounter id once per call, and only when the mode and
-    the source read them."""
+    are indexed by encounter id once per call, and only when the spec
+    reads them (``reads_external_records``). An id that repeats raises
+    DataError."""
     reads = spec.ablation_mode != "text_only"
-    source = spec.extraction_source
-    external = {}
-    if reads and source in ("external", "db"):
-        external = _key_external(external_records or ())
-    patterns = spec.resolved_pattern_config() if reads and source == "patterns" else None
+    external = _key_external(external_records or ()) if spec.reads_external_records else {}
+    patterns = (spec.resolved_pattern_config()
+                if reads and spec.extraction_source == "patterns" else None)
     worked: dict[str, _EncounterRecords] = {}
     for encounter in encounters:
+        if encounter.encounter_id in worked:
+            raise DataError(f"duplicate encounter_id {encounter.encounter_id!r}")
         records = list(encounter.structured) if reads else []
         if patterns is not None:
             records.extend(extract_encounter(encounter, patterns))
@@ -707,12 +711,6 @@ def build_corpus_units(
     if not encounters:
         raise ConfigError("cannot process an empty corpus")
     ids = [e.encounter_id for e in encounters]
-    seen: set[str] = set()
-    for eid in ids:
-        if eid in seen:
-            raise DataError(f"duplicate encounter_id {eid!r}")
-        seen.add(eid)
-
     spec = config.spec
     if _records is None:
         _records = _encounter_records(encounters, spec, config.external_records)
@@ -880,31 +878,14 @@ def predict(
 
 def _bundle_header(bundle: ModelBundle) -> dict:
     """Every bundle field except the per-label models, in file order."""
-    tfidf, spec = bundle.tfidf, bundle.spec
-    if tfidf.mode == "indexed":
-        tokens = tfidf.vocabulary.tokens_by_index()
-        tfidf_obj = {
-            "mode": "indexed",
-            "normalize": tfidf.l2_normalize,
-            "document_count": tfidf.vocabulary.document_count,
-            "tokens": [[t, tfidf.vocabulary.df[t]] for t in tokens],
-            "idf": [float(v) for v in tfidf.idf],
-        }
-    else:
-        tfidf_obj = {
-            "mode": "hashed",
-            "normalize": tfidf.l2_normalize,
-            "document_count": tfidf.document_count,
-            "bits": tfidf.hash_bits,
-            "df": [[int(slot), int(c)] for slot, c in sorted(tfidf.hashed_df.items())],
-        }
+    spec = bundle.spec
     return {
         "format_version": FORMAT_VERSION,
         "tokenizer": TOKENIZER,
         "unit": spec.unit,
         "ablation_mode": spec.ablation_mode,
         "lambda": bundle.lam,
-        "tfidf": tfidf_obj,
+        "tfidf": bundle.tfidf.to_header(),
         "variable_stats": {
             name: [st.count, float(st.mean), float(st.std)]
             for name, st in sorted(bundle.variable_stats.items())
@@ -931,7 +912,6 @@ _INDEX_DTYPE = np.dtype("<i4")
 _VALUE_DTYPE = np.dtype("<f8")
 # The JSON kinds of bundle fields whose refusals have their own words.
 _BASE64 = STRING._replace(words="a base64 string")
-_TOKEN = STRING._replace(words="strings")
 _THRESHOLD = nullable(NUMBER, "a number or null")
 _SELECTED = nullable(STRINGS, "null or a list of strings")
 
@@ -1025,40 +1005,6 @@ def _label_from_entry(entry: Mapping, dimension: int) -> tuple[LabelModel, np.nd
     return LabelModel(label=code, bias=float(bias), threshold=threshold), indices, values
 
 
-def _tfidf_from_header(tf: Mapping) -> TfIdfModel:
-    """The bundle's tf-idf model, its header checked by type: ``normalize``
-    a bool, ``document_count`` and ``bits`` integers, ``tokens`` distinct
-    strings, each df count an integer in [0, document_count], and each
-    indexed ``idf`` entry a finite positive number, one per token."""
-    normalize = check(check(tf, OBJECT, "tfidf")["normalize"], BOOL, "tfidf.normalize")
-    n = check(tf["document_count"], COUNT, "tfidf.document_count")
-    df_kind = count_upto(n)
-    if tf["mode"] == "indexed":
-        tokens = check(tf["tokens"], LIST, "tfidf.tokens")
-        index: dict[str, int] = {}
-        for t, _ in tokens:
-            if check(t, _TOKEN, "tfidf.tokens") in index:
-                raise ValueError(f"tfidf.tokens repeats {t!r}")
-            index[t] = len(index)
-        df = {t: check(d, df_kind, f"tfidf.tokens df of {t!r}") for t, d in tokens}
-        idf = check(tf["idf"], LIST, "tfidf.idf")
-        if len(idf) != len(tokens):
-            raise ValueError(f"tfidf.idf has {len(idf)} entries for {len(tokens)} tokens")
-        return TfIdfModel(
-            vocabulary=Vocabulary(index=index, df=df, document_count=n),
-            idf=np.array([check(v, POSITIVE, f"tfidf.idf[{i}]") for i, v in enumerate(idf)],
-                         dtype=np.float64),
-            l2_normalize=normalize,
-            document_count=n,
-        )
-    bits = check(tf["bits"], INTEGER, "tfidf.bits")
-    hashed_df: dict[int, int] = {}
-    for slot, c in check(tf["df"], LIST, "tfidf.df"):
-        check(slot, INTEGER, "tfidf.df slot")
-        hashed_df[slot] = check(c, df_kind, f"tfidf.df count of slot {slot}")
-    return _hashed_model(bits, n, hashed_df, normalize)
-
-
 def load_bundle(path: str | Path) -> ModelBundle:
     """Load a saved bundle; predictions after a round trip are bit-exact.
 
@@ -1080,7 +1026,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
     if tokenizer != TOKENIZER:
         raise DataError(f"bundle {path}: unsupported tokenizer {tokenizer!r}")
     try:
-        tfidf = _tfidf_from_header(obj["tfidf"])
+        tfidf = TfIdfModel.from_header(obj["tfidf"])
         stats = {
             name: VariableStats(
                 name=name,

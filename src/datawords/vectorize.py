@@ -18,17 +18,21 @@ every consumer reads: one loop tokenizes each text by itself and maps
 each token to its feature id, one sort groups and counts every row's
 features, tf-idf is computed over the whole array, and each row is scaled
 by the norm of its own slice. ``_tfidf_rows`` makes this pass with a
-fitted model. Fitting makes it too: the loop gives each new token the next
-vocabulary index (or its hash slot), the document frequencies are counted
-from the grouped pairs, and ``_fit_tfidf`` weighs the same pairs, so
-training tokenizes each text once. ``build_vocabulary`` and
-``fit_hashed_idf`` are the fitting half. Training and prediction make one
-pass over all of their units' texts, and explanation one per unit over its
-sentences. Prediction and explanation pass the bundle's sorted
-``features``, the ones it holds a weight row for: an entry of another
-feature is dropped, and each kept entry's column becomes its feature's
-position among them. ``vectorize_document`` reads the one-row case, and
-``stack_vectors`` stacks such rows into a matrix.
+fitted model. ``_fit`` makes it to fit a model of either mode: the loop
+gives each new token the next vocabulary index (or its hash slot), the
+document frequencies are counted from the grouped pairs, and
+``_fit_tfidf`` weighs the same pairs, so training tokenizes each text once.
+``build_vocabulary`` and ``fit_hashed_idf`` are the fitting half. Training
+and prediction make one pass over all of their units' texts, and
+explanation one per unit over its sentences. Prediction and explanation
+pass the bundle's sorted ``features``, the ones it holds a weight row for:
+an entry of another feature is dropped, and each kept entry's column
+becomes its feature's position among them. ``vectorize_document`` reads
+the one-row case, and ``stack_vectors`` stacks such rows into a matrix.
+
+A model is stored as a bundle's ``tfidf`` object, which only this module
+knows: ``TfIdfModel.to_header`` writes it and ``TfIdfModel.from_header``
+reads it back, checked.
 """
 
 from __future__ import annotations
@@ -37,19 +41,22 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .corpus import tokenize
 from .errors import ConfigError
+from .jsontypes import BOOL, COUNT, INTEGER, LIST, OBJECT, POSITIVE, STRING, check, count_upto
 
 _FNV_OFFSET = 2166136261
 _FNV_PRIME = 16777619
 _KNUTH = 2654435761
 # Distinct (token, bits) pairs whose slots are kept; the hash is pure.
 _HASH_SLOT_CACHE = 1 << 16
+# A bundle's token, whose refusal has its own words.
+_TOKEN = STRING._replace(words="strings")
 
 
 @dataclass
@@ -73,7 +80,7 @@ def build_vocabulary(train_docs: Sequence[str], min_df: int = 1) -> Vocabulary:
     min_df defaults to 1 so rare structured-value tokens are never
     silently dropped.
     """
-    return _fit_indexed(list(train_docs), min_df)[0]
+    return _fit(list(train_docs), None, min_df, True)[0].vocabulary
 
 
 @functools.lru_cache(maxsize=_HASH_SLOT_CACHE)
@@ -107,6 +114,53 @@ class TfIdfModel:
             return 1 << self.hash_bits
         return len(self.vocabulary)
 
+    def to_header(self) -> dict:
+        """The bundle's ``tfidf`` object, which ``from_header`` reads back."""
+        if self.hash_bits is not None:
+            return {"mode": "hashed", "normalize": self.l2_normalize,
+                    "document_count": self.document_count, "bits": self.hash_bits,
+                    "df": [[int(slot), int(c)] for slot, c in sorted(self.hashed_df.items())]}
+        vocab = self.vocabulary
+        return {"mode": "indexed", "normalize": self.l2_normalize,
+                "document_count": vocab.document_count,
+                "tokens": [[t, vocab.df[t]] for t in vocab.tokens_by_index()],
+                "idf": [float(v) for v in self.idf]}
+
+    @classmethod
+    def from_header(cls, tf: Mapping) -> TfIdfModel:
+        """The model of a bundle's ``tfidf`` object, checked by type:
+        ``normalize`` a bool, ``document_count`` and ``bits`` integers,
+        ``tokens`` distinct strings, each df count an integer in [0,
+        document_count], and each indexed ``idf`` entry a finite positive
+        number, one per token; ``_hashed_model`` checks bits and slots."""
+        normalize = check(check(tf, OBJECT, "tfidf")["normalize"], BOOL, "tfidf.normalize")
+        n = check(tf["document_count"], COUNT, "tfidf.document_count")
+        df_kind = count_upto(n)
+        if tf["mode"] == "indexed":
+            tokens = check(tf["tokens"], LIST, "tfidf.tokens")
+            index: dict[str, int] = {}
+            for t, _ in tokens:
+                if check(t, _TOKEN, "tfidf.tokens") in index:
+                    raise ValueError(f"tfidf.tokens repeats {t!r}")
+                index[t] = len(index)
+            df = {t: check(d, df_kind, f"tfidf.tokens df of {t!r}") for t, d in tokens}
+            idf = check(tf["idf"], LIST, "tfidf.idf")
+            if len(idf) != len(tokens):
+                raise ValueError(f"tfidf.idf has {len(idf)} entries for {len(tokens)} tokens")
+            return cls(
+                vocabulary=Vocabulary(index=index, df=df, document_count=n),
+                idf=np.array([check(v, POSITIVE, f"tfidf.idf[{i}]") for i, v in enumerate(idf)],
+                             dtype=np.float64),
+                l2_normalize=normalize,
+                document_count=n,
+            )
+        bits = check(tf["bits"], INTEGER, "tfidf.bits")
+        hashed_df: dict[int, int] = {}
+        for slot, c in check(tf["df"], LIST, "tfidf.df"):
+            check(slot, INTEGER, "tfidf.df slot")
+            hashed_df[slot] = check(c, df_kind, f"tfidf.df count of slot {slot}")
+        return _hashed_model(bits, n, hashed_df, normalize)
+
 
 def _idf(n: int, size: int, ids, df) -> np.ndarray:
     """Both modes' idf of ``size`` features over ``n`` documents, ``df`` the
@@ -133,23 +187,18 @@ def _hash_dim(bits: int) -> int:
     return 1 << bits
 
 
-def _hashed_idf(bits: int, n: int, slots, df) -> np.ndarray:
-    """fit_idf's idf of each of the 2**bits hash slots, from the document
-    counts ``df`` of ``slots`` over ``n`` documents."""
+def _hashed_model(bits: int, n: int, df: dict[int, int], l2_normalize: bool) -> TfIdfModel:
+    """The hashed tf-idf model of ``n`` documents, ``df`` the document
+    count of each hash slot that has one; its idf is fit_idf's, for each
+    of the 2**bits slots."""
     dim = _hash_dim(bits)
-    slots = np.asarray(slots)
+    slots = np.asarray(list(df))  # not int64: a slot may be beyond its range
     outside = slots[(slots < 0) | (slots >= dim)]
     if outside.size:
         raise ConfigError(f"hashed df slot {outside[0]} outside [0, {dim})")
-    return _idf(n, dim, slots, df)
-
-
-def _hashed_model(bits: int, n: int, df: dict[int, int], l2_normalize: bool) -> TfIdfModel:
-    """The hashed tf-idf model of ``n`` documents, ``df`` the document
-    count of each hash slot that has one."""
     return TfIdfModel(
         vocabulary=None,
-        idf=_hashed_idf(bits, n, list(df), list(df.values())),
+        idf=_idf(n, dim, slots, list(df.values())),
         l2_normalize=l2_normalize,
         hash_bits=bits,
         document_count=n,
@@ -161,7 +210,7 @@ def fit_hashed_idf(
     train_docs: Sequence[str], bits: int, l2_normalize: bool = True
 ) -> TfIdfModel:
     """Hashed-mode counterpart of build_vocabulary + fit_idf."""
-    return _fit_hashed(list(train_docs), bits, l2_normalize)[0]
+    return _fit(list(train_docs), bits, 1, l2_normalize)[0]
 
 
 @dataclass(eq=False)
@@ -268,17 +317,30 @@ def _tfidf_rows(
     return _weigh(model, n, *_count(rows, features, model.dimension), used)
 
 
-def _fit_indexed(docs: list[str], min_df: int) -> tuple[Vocabulary, tuple[np.ndarray, ...]]:
-    """build_vocabulary's vocabulary of ``docs``, and the docs' counted
-    (row, feature) pairs under it."""
+def _fit(
+    docs: list[str], hash_bits: int | None, min_df: int, l2_normalize: bool
+) -> tuple[TfIdfModel, tuple[np.ndarray, ...]]:
+    """The tf-idf model fit on ``docs``, indexed or hashed, and the docs'
+    counted (row, feature) pairs under it. Each text is tokenized once; an
+    indexed model gives each new token the next index, and with ``min_df``
+    above 1 drops the rarer tokens and renumbers the rest in order."""
     if not docs:
-        raise ConfigError("cannot build a vocabulary from an empty training set")
-    index = _FirstSeen()
-    _, rows, features = _token_ids(docs, lambda tokens: map(index.__getitem__, tokens))
-    key_rows, indices, counts = _count(rows, features, len(index))
-    df = np.bincount(indices, minlength=len(index))
+        raise ConfigError("cannot fit a tf-idf model on an empty training set")
+    if hash_bits is None:
+        index = _FirstSeen()
+        _, rows, features = _token_ids(docs, lambda tokens: map(index.__getitem__, tokens))
+        dim = len(index)
+    else:
+        dim = _hash_dim(hash_bits)  # checked before any token is hashed
+        _, rows, features = _token_ids(docs, _hashed_ids(hash_bits))
+    key_rows, indices, counts = _count(rows, features, dim)
+    if hash_bits is not None:
+        slots, df = np.unique(indices, return_counts=True)
+        df = dict(zip(slots.tolist(), df.tolist()))
+        return _hashed_model(hash_bits, len(docs), df, l2_normalize), (key_rows, indices, counts)
+    df = np.bincount(indices, minlength=dim)
     tokens = list(index)
-    if min_df > 1:  # drop the rarer tokens and renumber the rest in order
+    if min_df > 1:
         kept = df >= min_df
         tokens = [t for t, keep in zip(tokens, kept.tolist()) if keep]
         df = df[kept]
@@ -290,22 +352,7 @@ def _fit_indexed(docs: list[str], min_df: int) -> tuple[Vocabulary, tuple[np.nda
         df=dict(zip(tokens, df.tolist())),
         document_count=len(docs),
     )
-    return vocab, (key_rows, indices, counts)
-
-
-def _fit_hashed(
-    docs: list[str], bits: int, l2_normalize: bool
-) -> tuple[TfIdfModel, tuple[np.ndarray, ...]]:
-    """fit_hashed_idf's model of ``docs``, and the docs' counted (row,
-    feature) pairs under it."""
-    if not docs:
-        raise ConfigError("cannot fit a hashed model on an empty training set")
-    dim = _hash_dim(bits)  # checked before any token is hashed
-    _, rows, features = _token_ids(docs, _hashed_ids(bits))
-    pairs = _count(rows, features, dim)
-    slots, counts = np.unique(pairs[1], return_counts=True)
-    df = dict(zip(slots.tolist(), counts.tolist()))
-    return _hashed_model(bits, len(docs), df, l2_normalize), pairs
+    return fit_idf(vocab, l2_normalize), (key_rows, indices, counts)
 
 
 def _fit_tfidf(
@@ -315,11 +362,7 @@ def _fit_tfidf(
     ``build_vocabulary`` (or ``fit_hashed_idf``), ``fit_idf`` and
     ``_tfidf_rows`` give, from one tokenization of each text."""
     docs = list(texts)
-    if hash_bits is None:
-        vocab, pairs = _fit_indexed(docs, min_df)
-        model = fit_idf(vocab, l2_normalize)
-    else:
-        model, pairs = _fit_hashed(docs, hash_bits, l2_normalize)
+    model, pairs = _fit(docs, hash_bits, min_df, l2_normalize)
     return model, _weigh(model, len(docs), *pairs)
 
 

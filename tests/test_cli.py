@@ -637,6 +637,32 @@ class TestBatchedReadPath:
                 == (mode != "text_only"))
         assert out.read_text(encoding="utf-8") == "".join(lines)
 
+    def test_text_only_bundle_parses_no_records_file(self, tmp_path, monkeypatch,
+                                                     db_synth_corpus):
+        """predict and explain with a text_only db bundle, which encodes no
+        record, never parse the records file given with it, and write the
+        rows they write without one."""
+        corpus, db = db_synth_corpus
+        bundle = str(tmp_path / "bundle.json")
+        assert main(["train", "--corpus", corpus, "--out", bundle, "--source", "db",
+                     "--extractions", db, "--mode", "text_only"]) == 0
+        loads = []
+        real = cli.load_db_measurements
+
+        def counting(path):
+            loads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_db_measurements", counting)
+        for command in ("predict", "explain"):
+            given, alone = tmp_path / f"{command}_db.jsonl", tmp_path / f"{command}.jsonl"
+            assert main([command, "--corpus", corpus, "--bundle", bundle, "--out", str(given),
+                         "--extractions", db]) == 0
+            assert main([command, "--corpus", corpus, "--bundle", bundle,
+                         "--out", str(alone)]) == 0
+            assert given.read_bytes() == alone.read_bytes() != b""
+        assert loads == []
+
     @pytest.mark.parametrize(
         "corrupt, message",
         [

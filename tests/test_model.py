@@ -1269,24 +1269,29 @@ def test_loaded_weights_are_the_saved_rows_that_hold_a_weight(tmp_path):
     np.testing.assert_array_equal(W, full_weights(bundle)[loaded.features])
 
 
-@pytest.mark.parametrize("hash_bits", [None, 8], ids=["indexed", "hashed"])
+@pytest.mark.parametrize("hash_bits, min_df", [(None, 1), (None, 2), (8, 1)],
+                         ids=["indexed", "indexed_min_df", "hashed"])
 @pytest.mark.parametrize("n, words, vocabulary", [(12, 6, 40), (60, 12, 10)],
                          ids=["dual", "primal"])
 @pytest.mark.parametrize("every_label_all_positive", [False, True], ids=["mixed", "all_positive"])
-def test_trained_weights_equal_the_loaded_copy_bit_for_bit(tmp_path, hash_bits, n, words,
+def test_trained_weights_equal_the_loaded_copy_bit_for_bit(tmp_path, hash_bits, min_df, n, words,
                                                            vocabulary, every_label_all_positive):
-    """A trained bundle's features and weights are those of its save -> load
-    copy, bit for bit. Label ALL, whose units are all positive, has an
-    all-zero column; a corpus of such labels only keeps no feature row."""
+    """A trained bundle's tf-idf model, features and weights are those of
+    its save -> load copy, bit for bit. Label ALL, whose units are all
+    positive, has an all-zero column; a corpus of such labels only keeps no
+    feature row."""
     encounters = word_encounters(5, n, words, vocabulary)
     if every_label_all_positive:
         encounters = [replace(e, codes=frozenset({"ALL"})) for e in encounters]
-    bundle = train_all(encounters, PipelineConfig(ablation_mode="text_only", hash_bits=hash_bits))
+    bundle = train_all(encounters, PipelineConfig(ablation_mode="text_only", hash_bits=hash_bits,
+                                                  min_df=min_df))
     assert not bundle.weights[:, bundle.column("ALL")].any()
     assert bundle.weights.any(axis=1).all()
     assert (bundle.features.size == 0) == every_label_all_positive
     save_bundle(bundle, tmp_path / "bundle.json")
     loaded = load_bundle(tmp_path / "bundle.json")
+    assert loaded.tfidf.to_header() == bundle.tfidf.to_header()
+    assert loaded.tfidf.idf.tobytes() == bundle.tfidf.idf.tobytes()
     assert loaded.features.dtype == bundle.features.dtype == np.int64
     np.testing.assert_array_equal(loaded.features, bundle.features)
     assert loaded.weights.shape == bundle.weights.shape

@@ -106,7 +106,7 @@ class TestIdf:
         assert fit_idf(vocab).idf.tobytes() == np.array(want).tobytes()
         dim = 1 << bits
         slots = list(range(0, dim, 3))[:len(df)]
-        idf = vectorize._hashed_idf(bits, n, slots, df[:len(slots)])
+        idf = vectorize._hashed_model(bits, n, dict(zip(slots, df)), True).idf
         full = [math.log(1.0 + n) + 1.0] * dim
         for slot, value in zip(slots, want):
             full[slot] = value
@@ -419,6 +419,17 @@ class TestOnePassFit:
         assert model.vocabulary.df == {"ας": 2, "r1": 2, "οδος": 2, "b": 2}
         assert X.indptr.tolist() == [0, 3, 6, 6, 6, 8]
         assert X.indices.tolist() == [0, 1, 2, 0, 1, 3, 2, 3]
+
+    @pytest.mark.parametrize("fit", [
+        lambda: build_vocabulary([]),
+        lambda: fit_hashed_idf([], 8),
+        lambda: fit_matrix([], PipelineConfig()),
+        lambda: fit_matrix([], PipelineConfig(hash_bits=8)),
+    ], ids=["build_vocabulary", "fit_hashed_idf", "indexed", "hashed"])
+    def test_empty_training_set_refused_alike_in_both_modes(self, fit):
+        with pytest.raises(ConfigError,
+                           match="^cannot fit a tf-idf model on an empty training set$"):
+            fit()
 
     @pytest.mark.parametrize("bits", [0, 31, 40])
     def test_hash_bits_checked_before_any_token_is_hashed(self, monkeypatch, bits):

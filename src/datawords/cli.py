@@ -22,6 +22,7 @@ import time
 from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
 
 from .corpus import load_corpus, save_corpus
 from .encoding import ABLATION_MODES, ThresholdSpec
@@ -149,14 +150,22 @@ def _predictside_units(settings: dict, bundle, encounters):
     return [u for enc in encounters for u in prepare_units(bundle, enc, _records=records)]
 
 
-def _pipeline_config(settings: dict) -> PipelineConfig:
+def _pipeline_config(settings: dict, modes: Sequence[str] | None = None) -> PipelineConfig:
+    """The settings' PipelineConfig. The records file of an external or db
+    source is parsed only when the config encodes records in one of
+    ``modes``, its own ablation mode by default (``reads_external_records``);
+    ``extract``, which passes the records through, gives every mode."""
     fields = {
         field: parse(settings[key]) if parse else settings[key]
         for key, (_, field, parse) in SETTINGS.items()
         if field and key in settings
     }
-    fields["external_records"] = _external_records(fields.get("extraction_source"), settings)
-    return PipelineConfig(**fields)
+    config = PipelineConfig(**fields)
+    modes = modes or (config.ablation_mode,)
+    if any(replace(config, ablation_mode=m).reads_external_records for m in modes):
+        config = replace(config, external_records=_external_records(
+            config.extraction_source, settings))
+    return config
 
 
 def _record_to_json(rec) -> dict:
@@ -183,7 +192,7 @@ def _write_jsonl(path: str, rows) -> int:
 
 def cmd_extract(args) -> int:
     settings = _settings(args, "corpus", "out")
-    config = _pipeline_config(settings)
+    config = _pipeline_config(settings, ABLATION_MODES)
     if config.extraction_source == "none":
         raise ConfigError("extract requires a source (patterns, external, or db)")
     encounters = load_corpus(settings["corpus"])
@@ -315,7 +324,7 @@ def cmd_evaluate(args) -> int:
     for m in modes:
         if m not in ABLATION_MODES:
             raise ConfigError(f"unknown ablation mode: {m!r}")
-    base = _pipeline_config({**settings, "mode": modes[0]})
+    base = _pipeline_config({**settings, "mode": modes[0]}, modes)
     # every mode runs before anything is written, so a run that fails
     # leaves no report behind, nor an --out directory; a path mkdir would
     # refuse is refused before the first fold

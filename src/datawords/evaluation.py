@@ -20,7 +20,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Encounter, kfold_split
+from .corpus import Encounter, kfold_split, tokenize
+from .encoding import TEXT_MODES
 from .errors import ConfigError, InputError
 from .jsontypes import COUNT, INTEGER, LIST, NONEMPTY, NONEMPTY_STRINGS, NUMBER, OBJECT, check
 from .model import (
@@ -207,12 +208,17 @@ def run_cv(encounters: Sequence[Encounter], config: PipelineConfig) -> MetricsRe
     records, indexed once, with the external and db sources), counted and
     rolled up. Each fold's ``train_all`` and ``prepare_units`` take those
     records, select from them and encode them, and each fold's held-out
-    units are scored in one batch.
+    units are scored in one batch. In the modes that keep the text, each
+    document is tokenized once per run too, next to that call; each
+    fold's ``train_all`` and ``predict_units`` read every unit's tokens
+    from those and its DataWords' tokens, so no text is tokenized per fold.
     """
     encounters = list(encounters)
     split = kfold_split(encounters, config.folds, config.seed)
     by_id = {e.encounter_id: e for e in encounters}
     records = _encounter_records(encounters, config.spec, config.external_records)
+    tokens = ({e.encounter_id: [tokenize(doc) for doc in e.documents] for e in encounters}
+              if config.ablation_mode in TEXT_MODES else None)
 
     all_predictions: list[PredictionSet] = []
     all_gold: list[frozenset[str]] = []
@@ -221,9 +227,9 @@ def run_cv(encounters: Sequence[Encounter], config: PipelineConfig) -> MetricsRe
     for fold in range(config.folds):
         train_encs = [by_id[eid] for eid in split.train_ids(fold)]
         test_encs = [by_id[eid] for eid in split.test_ids(fold)]
-        bundle = train_all(train_encs, config, _records=records)
+        bundle = train_all(train_encs, config, _records=records, _tokens=tokens)
         units = [u for enc in test_encs for u in prepare_units(bundle, enc, _records=records)]
-        fold_preds = predict_units(bundle, units)
+        fold_preds = predict_units(bundle, units, _tokens=tokens)
         fold_gold = [u.gold for u in units]
 
         fold_counts = confusion_counts(fold_preds, fold_gold)

@@ -37,8 +37,11 @@ tolerance 1e-10, iteration cap 10 * k, a logged warning naming the label
 column if it stops short). Dense solves round differently with the BLAS
 thread count, which importing the package pins to one.
 
-Training fits its tf-idf model and builds X in one pass that tokenizes
-each unit's text once (``vectorize._fit_tfidf``). The solve returns the
+Training fits its tf-idf model and builds X in one pass over each unit's
+tokens (``vectorize._fit_tfidf``), and prediction builds its X the same
+way. ``_unit_tokens`` gives them one unit at a time: the document's tokens,
+then its DataWords' tokens lowercased, which is what tokenizing the unit's
+``text`` gives, with no text built to be split again. The solve returns the
 dense (k x labels) weights Wk over the used columns; training scores its
 units with them, S = X[:, cols] Wk + b, and keeps the rows of Wk that hold
 a weight; prediction multiplies the same way, by those rows.
@@ -55,13 +58,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .corpus import Encounter, Sentence, split_sentences
+from .corpus import Encounter, Sentence, split_sentences, tokenize
 from .encoding import (
     ABLATION_MODES,
     TEXT_MODES,
@@ -228,8 +232,10 @@ class AugmentedUnit:
     """One classification unit: the document text its ablation mode keeps
     ("" in the DataWords-only modes) and the DataWords sentences it appends.
 
-    The classified ``text`` and the explained ``sentences`` both derive
-    from these two; ``sentences`` is built when first read.
+    The explained ``sentences`` and the ``text`` that ``encode`` writes
+    both derive from these two; ``sentences`` is built when first read.
+    The vectorizer reads neither: it reads the unit's tokens
+    (``_unit_tokens``), which equal ``tokenize(text)``.
     """
 
     encounter_id: str
@@ -589,6 +595,42 @@ def _encode(
     ]
 
 
+class _Lowered(dict):
+    """A DataWord's token tuple -> its tokens lowercased, as ``tokenize``
+    reads them; ``sanitize_name`` keeps the variable name's case."""
+
+    def __missing__(self, tokens: tuple[str, ...]) -> list[str]:
+        self[tokens] = lowered = [t.lower() for t in tokens]
+        return lowered
+
+
+def _unit_tokens(
+    units: Iterable[AugmentedUnit], doc_tokens: Mapping[str, list[list[str]]] | None = None
+) -> Iterator[list[str]]:
+    """Each unit's tokens, one new list at a time, equal to
+    ``tokenize(unit.text)``: its document's tokens, then each DataWord's
+    tokens lowercased. A DataWord's tokens are single ASCII words, and
+    each token tuple is lowercased once per call. ``doc_tokens`` holds,
+    by encounter id, the tokens of each of the encounter's documents, as
+    ``run_cv`` makes them once per run; without it, each unit's document
+    is tokenized here. An encounter unit's document tokens are its
+    documents' tokens in order: no token and no lowercasing crosses the
+    newline that joins them."""
+    lowered = _Lowered()
+    for unit in units:
+        if not unit.document:
+            tokens = []
+        elif doc_tokens is None:
+            tokens = tokenize(unit.document)
+        elif unit.doc_index is None:
+            tokens = list(chain.from_iterable(doc_tokens[unit.encounter_id]))
+        else:
+            tokens = list(doc_tokens[unit.encounter_id][unit.doc_index])
+        for dw in unit.datawords:
+            tokens += lowered[dw.tokens]
+        yield tokens
+
+
 # ---------------------------------------------------------------------------
 # the bundle
 # ---------------------------------------------------------------------------
@@ -674,7 +716,8 @@ class ModelBundle:
         """
         cached = self._sentence_scores
         if cached is None or cached[0] is not unit:
-            X = _tfidf_rows(self.tfidf, [s.text for s in unit.sentences], self.features)
+            X = _tfidf_rows(self.tfidf, (tokenize(s.text) for s in unit.sentences),
+                            self.features)
             cached = (unit, X @ self.weights)
             object.__setattr__(self, "_sentence_scores", cached)
         return cached[1]
@@ -743,27 +786,31 @@ def train_all(
     config: PipelineConfig,
     *,
     _records: Mapping[str, _EncounterRecords] | None = None,
+    _tokens: Mapping[str, list[list[str]]] | None = None,
 ) -> ModelBundle:
     """Run the full training pipeline and return a frozen bundle.
 
     Statistics, vocabulary, idf weights, measurement-selection sets, and
     thresholds are all computed from the given encounters only, so a
     cross-validation harness can call this per fold without leakage.
-    The vocabulary (or hashed df) and X come from one tokenization of each
-    unit's text. The training scores are S = Xs Wk + b, over the used
-    columns ``_ridge`` solved for. scipy's sparse-by-dense product adds
-    each score's terms in X's entry order from 0.0, as ``predict_units``
-    does with the rows of Wk holding a nonzero weight, and the +-0.0 terms
-    of Wk's zeros change no sum, so S holds the scores prediction
-    reproduces. ``fit_thresholds`` then fits every label's threshold on
-    them at once. ``_records`` goes to ``build_corpus_units``.
+    The vocabulary (or hashed df) and X come from one read of each unit's
+    tokens, streamed from ``_unit_tokens``. The training scores are
+    S = Xs Wk + b, over the used columns ``_ridge`` solved for. scipy's
+    sparse-by-dense product adds each score's terms in X's entry order
+    from 0.0, as ``predict_units`` does with the rows of Wk holding a
+    nonzero weight, and the +-0.0 terms of Wk's zeros change no sum, so S
+    holds the scores prediction reproduces. ``fit_thresholds`` then fits
+    every label's threshold on them at once. ``_records`` goes to
+    ``build_corpus_units``, and
+    ``_tokens``, the tokens of every encounter's documents, to
+    ``_unit_tokens``; ``run_cv`` passes both, made once per run.
     """
     corpus_units = build_corpus_units(encounters, config, _records=_records)
     units = corpus_units.units
     stats = corpus_units.stats
     selected = corpus_units.selected
 
-    tfidf, X = _fit_tfidf([u.text for u in units], config.hash_bits, config.min_df,
+    tfidf, X = _fit_tfidf(_unit_tokens(units, _tokens), config.hash_bits, config.min_df,
                           config.l2_normalize)
 
     label_counts = Counter(code for u in units for code in u.gold)
@@ -826,10 +873,16 @@ def prepare_units(
     return _encode(encounter, spec, records, bundle._encode_table)
 
 
-def predict_units(bundle: ModelBundle, units: Sequence[AugmentedUnit]) -> list[PredictionSet]:
+def predict_units(
+    bundle: ModelBundle,
+    units: Sequence[AugmentedUnit],
+    *,
+    _tokens: Mapping[str, list[list[str]]] | None = None,
+) -> list[PredictionSet]:
     """Score already-prepared units against every label in the bundle.
 
-    One call builds X for every unit's text with one tf-idf pass, as
+    One call builds X from every unit's tokens (``_unit_tokens``, given
+    ``_tokens`` as ``train_all`` is) with one tf-idf pass, as
     ``train_all`` does, its columns the bundle's ``features``, and computes
     S = X W + b with scipy's sparse-by-dense product over its ``weights``
     W, as training does. That product adds each score's terms in X's entry
@@ -840,7 +893,7 @@ def predict_units(bundle: ModelBundle, units: Sequence[AugmentedUnit]) -> list[P
     ``np.lexsort`` over the batch.
     """
     biases, thresholds, labels, rank = bundle._scoring
-    X = _tfidf_rows(bundle.tfidf, [unit.text for unit in units], bundle.features)
+    X = _tfidf_rows(bundle.tfidf, _unit_tokens(units, _tokens), bundle.features)
     S = X @ bundle.weights + biases
     order = np.lexsort((np.broadcast_to(rank, S.shape), -S))
     scores = np.take_along_axis(S, order, axis=1)

@@ -11,24 +11,29 @@ Two modes:
   equals vocabulary size;
 * hashed: tokens map to 2**bits slots via multiplicative hashing with
   sign-less count accumulation, for corpora whose vocabulary would not
-  fit in memory.
+  fit in memory. Each width keeps a dict of the slots it has worked out
+  (``_slot_map``).
 
-One pass turns a list of texts into their CSR tf-idf matrix, the one
-every consumer reads: one loop tokenizes each text by itself and maps
-each token to its feature id, one sort groups and counts every row's
+One pass turns a sequence of token lists, one per text, into their CSR
+tf-idf matrix, the one every consumer reads: one loop maps each list's
+tokens to their feature ids, one sort groups and counts every row's
 features, tf-idf is computed over the whole array, and each row is scaled
-by the norm of its own slice. ``_tfidf_rows`` makes this pass with a
-fitted model. ``_fit`` makes it to fit a model of either mode: the loop
-gives each new token the next vocabulary index (or its hash slot), the
-document frequencies are counted from the grouped pairs, and
-``_fit_tfidf`` weighs the same pairs, so training tokenizes each text once.
-``build_vocabulary`` and ``fit_hashed_idf`` are the fitting half. Training
-and prediction make one pass over all of their units' texts, and
-explanation one per unit over its sentences. Prediction and explanation
-pass the bundle's sorted ``features``, the ones it holds a weight row for:
-an entry of another feature is dropped, and each kept entry's column
-becomes its feature's position among them. ``vectorize_document`` reads
-the one-row case, and ``stack_vectors`` stacks such rows into a matrix.
+by the norm of its own slice. The token lists are read as they come, so a
+caller can stream them and no list outlives the pass. ``_tfidf_rows``
+makes this pass with a fitted model. ``_fit`` makes it to fit a model of
+either mode: the loop gives each new token the next vocabulary index (or
+its hash slot), the document frequencies are counted from the grouped
+pairs, and ``_fit_tfidf`` weighs the same pairs, so training reads each
+text's tokens once. The callers tokenize: training and prediction read
+each unit's tokens (``model._unit_tokens``), which are the document's
+tokens and its DataWords' tokens lowercased, with no text joined and
+split again; explanation reads the tokens of each of a unit's sentences.
+``build_vocabulary``, ``fit_hashed_idf`` and ``vectorize_document`` take
+texts and tokenize them first. Prediction and explanation pass the
+bundle's sorted ``features``, the ones it holds a weight row for: an
+entry of another feature is dropped, and each kept entry's column becomes
+its feature's position among them. ``vectorize_document`` reads the
+one-row case, and ``stack_vectors`` stacks such rows into a matrix.
 
 A model is stored as a bundle's ``tfidf`` object, which only this module
 knows: ``TfIdfModel.to_header`` writes it and ``TfIdfModel.from_header``
@@ -40,7 +45,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -53,7 +57,7 @@ from .jsontypes import BOOL, COUNT, INTEGER, LIST, OBJECT, POSITIVE, STRING, che
 _FNV_OFFSET = 2166136261
 _FNV_PRIME = 16777619
 _KNUTH = 2654435761
-# Distinct (token, bits) pairs whose slots are kept; the hash is pure.
+# Distinct tokens whose slots each hash width keeps; the hash is pure.
 _HASH_SLOT_CACHE = 1 << 16
 # A bundle's token, whose refusal has its own words.
 _TOKEN = STRING._replace(words="strings")
@@ -80,10 +84,9 @@ def build_vocabulary(train_docs: Sequence[str], min_df: int = 1) -> Vocabulary:
     min_df defaults to 1 so rare structured-value tokens are never
     silently dropped.
     """
-    return _fit(list(train_docs), None, min_df, True)[0].vocabulary
+    return _fit(map(tokenize, train_docs), None, min_df, True)[0].vocabulary
 
 
-@functools.lru_cache(maxsize=_HASH_SLOT_CACHE)
 def _hash_slot(token: str, bits: int) -> int:
     h = _FNV_OFFSET
     for byte in token.encode("utf-8"):
@@ -210,7 +213,7 @@ def fit_hashed_idf(
     train_docs: Sequence[str], bits: int, l2_normalize: bool = True
 ) -> TfIdfModel:
     """Hashed-mode counterpart of build_vocabulary + fit_idf."""
-    return _fit(list(train_docs), bits, 1, l2_normalize)[0]
+    return _fit(map(tokenize, train_docs), bits, 1, l2_normalize)[0]
 
 
 @dataclass(eq=False)
@@ -240,22 +243,42 @@ class _FirstSeen(dict):
         return index
 
 
+class _Slots(dict):
+    """Token -> its hash slot at ``bits``, each worked out by ``_hash_slot``
+    the first time it is read. Once ``_HASH_SLOT_CACHE`` tokens are kept,
+    the next new one starts the map afresh."""
+
+    def __init__(self, bits: int):
+        super().__init__()
+        self.bits = bits
+
+    def __missing__(self, token: str) -> int:
+        if len(self) >= _HASH_SLOT_CACHE:
+            self.clear()
+        self[token] = slot = _hash_slot(token, self.bits)
+        return slot
+
+
+# The one slot map of each hash width, kept for the process.
+_slot_map = functools.cache(_Slots)
+
+
 def _hashed_ids(bits: int):
     """``_token_ids``' map of a text's tokens to their hash slots."""
-    same_bits = repeat(bits)
-    return lambda tokens: map(_hash_slot, tokens, same_bits)
+    slot = _slot_map(bits).__getitem__
+    return lambda tokens: map(slot, tokens)
 
 
-def _token_ids(texts: Iterable[str], ids) -> tuple[int, np.ndarray, np.ndarray]:
-    """The one loop that tokenizes: ``ids`` maps each text's tokens to their
-    feature ids, leaving out a token without one. Returns the number of
-    texts, then each id's row and the id, as int64 arrays in text and
-    token order."""
+def _token_ids(token_lists: Iterable[Iterable[str]], ids) -> tuple[int, np.ndarray, np.ndarray]:
+    """The one loop over the texts' tokens, each text's read as it comes:
+    ``ids`` maps them to their feature ids, leaving out a token without
+    one. Returns the number of texts, then each id's row and the id, as
+    int64 arrays in text and token order."""
     features: list[int] = []
     lengths: list[int] = []
-    for text in texts:
+    for tokens in token_lists:
         start = len(features)
-        features.extend(ids(tokenize(text)))
+        features.extend(ids(tokens))
         lengths.append(len(features) - start)
     rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
     return len(lengths), rows, np.asarray(features, dtype=np.int64)
@@ -299,12 +322,13 @@ def _weigh(
 
 
 def _tfidf_rows(
-    model: TfIdfModel, texts: Sequence[str], used: np.ndarray | None = None
+    model: TfIdfModel, token_lists: Iterable[Iterable[str]], used: np.ndarray | None = None
 ) -> sparse.csr_matrix:
-    """The (texts x dimension) tf-idf matrix of ``texts``: OOV tokens
-    dropped, indices strictly increasing within a row, and an empty or
-    all-OOV text an empty row. Given ``used``, its columns are ``_weigh``'s
-    positions in ``used`` instead."""
+    """The (texts x dimension) tf-idf matrix of the texts whose tokens
+    ``token_lists`` gives, one list per text: OOV tokens dropped, indices
+    strictly increasing within a row, and an empty or all-OOV text an
+    empty row. Given ``used``, its columns are ``_weigh``'s positions in
+    ``used`` instead."""
     if model.hash_bits is not None:
         ids = _hashed_ids(model.hash_bits)
     else:
@@ -313,31 +337,32 @@ def _tfidf_rows(
         def ids(tokens):
             return [ix for ix in map(get, tokens) if ix is not None]
 
-    n, rows, features = _token_ids(texts, ids)
+    n, rows, features = _token_ids(token_lists, ids)
     return _weigh(model, n, *_count(rows, features, model.dimension), used)
 
 
 def _fit(
-    docs: list[str], hash_bits: int | None, min_df: int, l2_normalize: bool
+    token_lists: Iterable[Iterable[str]], hash_bits: int | None, min_df: int, l2_normalize: bool
 ) -> tuple[TfIdfModel, tuple[np.ndarray, ...]]:
-    """The tf-idf model fit on ``docs``, indexed or hashed, and the docs'
-    counted (row, feature) pairs under it. Each text is tokenized once; an
-    indexed model gives each new token the next index, and with ``min_df``
-    above 1 drops the rarer tokens and renumbers the rest in order."""
-    if not docs:
-        raise ConfigError("cannot fit a tf-idf model on an empty training set")
+    """The tf-idf model fit on the texts whose tokens ``token_lists`` gives,
+    indexed or hashed, and the texts' counted (row, feature) pairs under
+    it. Each text's tokens are read once; an indexed model gives each new
+    token the next index, and with ``min_df`` above 1 drops the rarer
+    tokens and renumbers the rest in order."""
     if hash_bits is None:
         index = _FirstSeen()
-        _, rows, features = _token_ids(docs, lambda tokens: map(index.__getitem__, tokens))
+        n, rows, features = _token_ids(token_lists, lambda tokens: map(index.__getitem__, tokens))
         dim = len(index)
     else:
         dim = _hash_dim(hash_bits)  # checked before any token is hashed
-        _, rows, features = _token_ids(docs, _hashed_ids(hash_bits))
+        n, rows, features = _token_ids(token_lists, _hashed_ids(hash_bits))
+    if not n:
+        raise ConfigError("cannot fit a tf-idf model on an empty training set")
     key_rows, indices, counts = _count(rows, features, dim)
     if hash_bits is not None:
         slots, df = np.unique(indices, return_counts=True)
         df = dict(zip(slots.tolist(), df.tolist()))
-        return _hashed_model(hash_bits, len(docs), df, l2_normalize), (key_rows, indices, counts)
+        return _hashed_model(hash_bits, n, df, l2_normalize), (key_rows, indices, counts)
     df = np.bincount(indices, minlength=dim)
     tokens = list(index)
     if min_df > 1:
@@ -350,26 +375,26 @@ def _fit(
     vocab = Vocabulary(
         index={t: i for i, t in enumerate(tokens)},
         df=dict(zip(tokens, df.tolist())),
-        document_count=len(docs),
+        document_count=n,
     )
     return fit_idf(vocab, l2_normalize), (key_rows, indices, counts)
 
 
 def _fit_tfidf(
-    texts: Sequence[str], hash_bits: int | None, min_df: int, l2_normalize: bool
+    token_lists: Iterable[Iterable[str]], hash_bits: int | None, min_df: int, l2_normalize: bool
 ) -> tuple[TfIdfModel, sparse.csr_matrix]:
-    """A tf-idf model fit on ``texts`` and the texts' matrix under it: what
-    ``build_vocabulary`` (or ``fit_hashed_idf``), ``fit_idf`` and
-    ``_tfidf_rows`` give, from one tokenization of each text."""
-    docs = list(texts)
-    model, pairs = _fit(docs, hash_bits, min_df, l2_normalize)
-    return model, _weigh(model, len(docs), *pairs)
+    """A tf-idf model fit on the texts whose tokens ``token_lists`` gives
+    and the texts' matrix under it: what ``build_vocabulary`` (or
+    ``fit_hashed_idf``), ``fit_idf`` and ``_tfidf_rows`` give, from one
+    read of each text's tokens."""
+    model, pairs = _fit(token_lists, hash_bits, min_df, l2_normalize)
+    return model, _weigh(model, model.document_count, *pairs)
 
 
 def vectorize_document(model: TfIdfModel, text: str) -> DocumentVector:
     """Map text to a sparse tf-idf vector; OOV tokens are ignored and
     empty or all-OOV text yields the zero vector."""
-    row = _tfidf_rows(model, [text])
+    row = _tfidf_rows(model, [tokenize(text)])
     return DocumentVector(indices=row.indices.astype(np.int64), values=row.data,
                           dimension=model.dimension)
 

@@ -663,6 +663,50 @@ class TestBatchedReadPath:
             assert given.read_bytes() == alone.read_bytes() != b""
         assert loads == []
 
+    @pytest.mark.parametrize("source", ["db", "external"])
+    def test_text_only_train_parses_no_records_file(self, tmp_path, capsys, db_synth_corpus,
+                                                    source):
+        """train with a text_only config, which encodes no record, never
+        parses its source's records file: a file that is not JSON gives the
+        bundle bytes that no file gives. A config that encodes records still
+        refuses that file, and writes no bundle."""
+        corpus, _ = db_synth_corpus
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n", encoding="utf-8")
+        train = ["train", "--corpus", corpus, "--source", source]
+        given, alone = tmp_path / "given.json", tmp_path / "alone.json"
+        assert main([*train, "--mode", "text_only", "--extractions", str(bad),
+                     "--out", str(given)]) == 0
+        assert main([*train, "--mode", "text_only", "--out", str(alone)]) == 0
+        assert given.read_bytes() == alone.read_bytes() != b""
+        capsys.readouterr()
+        refused = tmp_path / "refused.json"
+        assert main([*train, "--extractions", str(bad), "--out", str(refused)]) == 1
+        assert f"error: {bad}: line 1: invalid JSON" in capsys.readouterr().err
+        assert not refused.exists()
+
+    def test_evaluate_parses_the_records_file_only_for_a_mode_that_reads_it(
+            self, tmp_path, capsys, db_synth_corpus):
+        """evaluate parses a db source's records file only when one of its
+        modes encodes records: text_only alone writes the report it writes
+        without the file, and text_only with text_plus_datawords refuses a
+        file that is not JSON before any fold, leaving no --out directory."""
+        corpus, _ = db_synth_corpus
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n", encoding="utf-8")
+        evaluate = ["evaluate", "--corpus", corpus, "--source", "db", "--folds", "2"]
+        given, alone = tmp_path / "given", tmp_path / "alone"
+        assert main([*evaluate, "--mode", "text_only", "--extractions", str(bad),
+                     "--out", str(given)]) == 0
+        assert main([*evaluate, "--mode", "text_only", "--out", str(alone)]) == 0
+        report = "report_text_only.json"
+        assert (given / report).read_bytes() == (alone / report).read_bytes() != b""
+        capsys.readouterr()
+        refused = tmp_path / "refused"
+        assert main([*evaluate, "--extractions", str(bad), "--out", str(refused)]) == 1
+        assert f"error: {bad}: line 1: invalid JSON" in capsys.readouterr().err
+        assert not refused.exists()
+
     @pytest.mark.parametrize(
         "corrupt, message",
         [

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datawords import model
-from datawords.corpus import Encounter, Sentence
+from datawords.corpus import Encounter, Sentence, tokenize
 from datawords.encoding import DataWordSentence, ThresholdSpec
 from datawords.evaluation import PlantedRule, SynthSpec, generate_synthetic
 from datawords.explain import Justification, score_sentences, top_justifications
@@ -347,7 +347,8 @@ class TestVectorizeOncePerUnit:
         for unit in (u1, u2):
             for label in labels:
                 score_sentences(bundle, label, unit)
-        assert calls == [[s.text for s in u1.sentences], [s.text for s in u2.sentences]]
+        assert calls == [[tokenize(s.text) for s in u1.sentences],
+                         [tokenize(s.text) for s in u2.sentences]]
 
 
 @st.composite

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from datawords import corpus as corpus_module
-from datawords import encoding, extraction, model
+from datawords import encoding, evaluation, extraction, model, vectorize
 from datawords.corpus import Encounter, load_corpus, tokenize
-from datawords.encoding import ABLATION_MODES
+from datawords.encoding import ABLATION_MODES, TEXT_MODES
 from datawords.errors import ConfigError, DataError, InputError, UnsupportedVersionError
 from datawords.evaluation import PlantedRule, SynthSpec, generate_synthetic, run_cv
 from datawords.extraction import MeasurementFilter, StructuredRecord, load_db_measurements
@@ -41,6 +41,7 @@ from datawords.model import (
     train_all,
 )
 from datawords.vectorize import (
+    _fit_tfidf,
     _tfidf_rows,
     build_vocabulary,
     fit_hashed_idf,
@@ -710,7 +711,7 @@ class TestTrainingScores:
         config = PipelineConfig(ablation_mode="text_only", hash_bits=hash_bits)
         bundle, S = train_capturing_scores(monkeypatch, encounters, config)
         units = build_corpus_units(encounters, config).units
-        X = _tfidf_rows(bundle.tfidf, [u.text for u in units])
+        X = _tfidf_rows(bundle.tfidf, [tokenize(u.text) for u in units])
         used = np.unique(X.indices).size
         assert (X.shape[0] < used) == (regime == "dual")
         W = weight_csc(bundle)
@@ -864,12 +865,86 @@ def test_document_units_group_as_the_per_document_filter(n_docs, doc_indices):
         [r.name for r in records if r.doc_index in (di, None)] for di in range(n_docs)]
 
 
+# Words whose lowercasing depends on what surrounds them (capital sigma
+# lowers to the final sigma at a word's end), grows the text (İ lowers to i
+# plus a combining dot), or carries combining marks; and the separators a
+# note may hold, the newline that joins documents among them.
+UNICODE_WORDS = ["ΑΣ", "ΟΔΟΣ", "σοφός", "ΣΟΦΟΣ", "Σ", "İstanbul", "İ", "é",
+                 "Σ́", "́Σ", "ǅ", "Temp", "dw__Temp__high_range", "x1"]
+UNICODE_SEPARATORS = [" ", ". ", ".", "\n", "\n\n", "'", "", "-"]
+
+
+@st.composite
+def unicode_document(draw):
+    out = draw(st.sampled_from(["", "\n", "'"]))
+    for word in draw(st.lists(st.sampled_from(UNICODE_WORDS), max_size=8)):
+        out += word + draw(st.sampled_from(UNICODE_SEPARATORS))
+    return out
+
+
+@st.composite
+def mixed_case_record(draw):
+    """A record of a mixed-case variable name, numeric or categorical, from
+    the text or the database (which rolls up), in one of the documents or
+    in none."""
+    name = draw(st.sampled_from(["Temp", "HeartRate", "sPO2", "BP systolic", "gluCOSE"]))
+    value = draw(st.floats(50.0, 150.0) | st.sampled_from(["Never", "DAILY", "ex Smoker"]))
+    return StructuredRecord(name=name, value=value,
+                            kind="measurement" if isinstance(value, float) else "condition",
+                            provenance=draw(st.sampled_from(["text_extraction", "database"])),
+                            doc_index=draw(st.none() | st.integers(0, 2)))
+
+
+@st.composite
+def token_cases(draw):
+    encounters = [
+        Encounter(encounter_id=f"e{i}",
+                  documents=tuple(draw(st.lists(unicode_document(), min_size=1, max_size=3))),
+                  codes=frozenset({"A"}),
+                  structured=tuple(draw(st.lists(mixed_case_record(), max_size=6))))
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    config = PipelineConfig(extraction_source="none",
+                            ablation_mode=draw(st.sampled_from(ABLATION_MODES)),
+                            unit=draw(st.sampled_from(UNIT_KINDS)),
+                            hash_bits=draw(st.none() | st.integers(4, 12)))
+    return encounters, config
+
+
+@given(token_cases())
+@settings(max_examples=150, deadline=None)
+def test_unit_tokens_are_the_tokens_of_the_unit_text(case):
+    """A unit's tokens, from its document or from its encounter's document
+    tokens, equal ``tokenize(unit.text)`` in every mode and unit kind, with
+    non-ASCII documents and DataWords of mixed-case names; the tf-idf model
+    and matrices built from them are those built from the texts."""
+    encounters, config = case
+    units = build_corpus_units(encounters, config).units
+    doc_tokens = {e.encounter_id: [tokenize(d) for d in e.documents] for e in encounters}
+    texts = [u.text for u in units]
+    want = [tokenize(text) for text in texts]
+    assert list(model._unit_tokens(units)) == want
+    assert list(model._unit_tokens(units, doc_tokens)) == want
+    fit = (config.hash_bits, config.min_df, config.l2_normalize)
+    tfidf, X = _fit_tfidf(model._unit_tokens(units, doc_tokens), *fit)
+    text_tfidf, text_X = _fit_tfidf(map(tokenize, texts), *fit)
+    assert tfidf.idf.tobytes() == text_tfidf.idf.tobytes()
+    rows = _tfidf_rows(text_tfidf, model._unit_tokens(units))
+    for got, ref in ((X, text_X), (rows, _tfidf_rows(text_tfidf, map(tokenize, texts)))):
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert got.data.tobytes() == ref.data.tobytes()
+
+
 def test_training_splits_no_sentences_and_text_only_encodes_no_record(monkeypatch):
     """Exact structured-record work per call: each encounter is extracted
     and rolled up once per train_all, build_corpus_units, prepare_units or
     run_cv call, and run_cv encodes it once per fold. text_only extracts
-    and encodes nothing. Nothing splits sentences until they are read."""
+    and encodes nothing. Nothing splits sentences until they are read.
+    With 2 folds or 4, run_cv tokenizes each document once in the modes
+    that keep the text and none in the others, and no DataWord's text."""
     calls = Counter()
+    tokenized = []
 
     def count(module, name):
         original = getattr(module, name)
@@ -878,6 +953,8 @@ def test_training_splits_no_sentences_and_text_only_encodes_no_record(monkeypatc
             calls[name] += 1
             if name == "encode_records":
                 calls["records"] += len(args[0])
+            if name == "tokenize":
+                tokenized.append(args[0])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -887,9 +964,15 @@ def test_training_splits_no_sentences_and_text_only_encodes_no_record(monkeypatc
     count(model, "encode_records")
     count(extraction, "extract_patterns")
     count(model, "_rolled")
+    for module in (corpus_module, model, vectorize, evaluation):
+        count(module, "tokenize")
     synth = generate_synthetic(SynthSpec(seed=5, documents=16, rules=(
         PlantedRule("L1", "Temp", "very_high", 0.9, 0.5),)))
     multi_docs = sum(len(e.documents) for e in MULTI_DOC)
+    # the synthetic documents two to an encounter, for encounter units
+    paired = [Encounter(encounter_id=f"p{i}", documents=a.documents + b.documents,
+                        codes=a.codes | b.codes)
+              for i, (a, b) in enumerate(zip(synth[::2], synth[1::2]))]
 
     def structured_calls():
         return [calls.pop(name, 0)
@@ -917,6 +1000,15 @@ def test_training_splits_no_sentences_and_text_only_encodes_no_record(monkeypatc
             assert trained[1] and prepared[1], mode
             assert bool(once[1]) == (mode != "nonnumeric_datawords_only"), mode
         assert calls["split_sentences"] == 0
+        for corpus, unit in ((synth, "document"), (paired, "encounter")):
+            for folds in (2, 4):
+                tokenized.clear()
+                report = run_cv(corpus, replace(config, unit=unit, folds=folds))
+                assert report.fold_count == folds
+                documents = [d for e in corpus for d in e.documents]
+                assert not any("dw__" in text for text in tokenized), mode
+                assert sorted(tokenized) == (sorted(documents) if mode in TEXT_MODES else []), mode
+        structured_calls()
     units = build_corpus_units(MULTI_DOC, PipelineConfig()).units
     for u in units + units:
         u.sentences
@@ -1243,13 +1335,13 @@ def test_used_row_products_equal_the_sparse_product_bit_for_bit(case):
     bundle, W, units = case
     W = W.tocsr()
     biases = np.array([lm.bias for lm in bundle.label_models])
-    want = (_tfidf_rows(bundle.tfidf, [u.text for u in units]) @ W).toarray() + biases
+    want = (_tfidf_rows(bundle.tfidf, [tokenize(u.text) for u in units]) @ W).toarray() + biases
     scores = [{it.label: it.score for it in p.items} for p in predict_units(bundle, units)]
     got = np.array([[row[label] for label in bundle.labels] for row in scores])
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     for unit in units:
         texts = [sent.text for sent in unit.sentences]
-        want = (_tfidf_rows(bundle.tfidf, texts) @ W).toarray()
+        want = (_tfidf_rows(bundle.tfidf, map(tokenize, texts)) @ W).toarray()
         got = bundle.sentence_scores(unit)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 

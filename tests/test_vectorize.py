@@ -278,7 +278,7 @@ class TestOnePassCore:
     @settings(max_examples=150, deadline=None)
     def test_rows_match_counter_oracle(self, case):
         model, texts = case
-        X = _tfidf_rows(model, texts)
+        X = _tfidf_rows(model, map(tokenize, texts))
         indptr, indices, values = X.indptr, X.indices, X.data
         assert X.shape == (len(texts), model.dimension) and values.dtype == np.float64
         for i, text in enumerate(texts):
@@ -294,7 +294,7 @@ class TestOnePassCore:
     def test_sentence_layout_points_at_each_row(self, case):
         model, texts = case
         sentences = [Sentence(text=t, doc_index=0, sent_index=i) for i, t in enumerate(texts)]
-        X = _tfidf_rows(model, [s.text for s in sentences])
+        X = _tfidf_rows(model, [tokenize(s.text) for s in sentences])
         indptr, indices, values = X.indptr, X.indices, X.data
         assert X.shape == (len(texts), model.dimension)
         for i, text in enumerate(texts):
@@ -305,7 +305,7 @@ class TestOnePassCore:
     def test_final_sigma_follows_each_text(self):
         # "ΑΣ.Β" lowers to "ασ.β" as one text but "ας." as a sentence of its own
         model = fit_idf(build_vocabulary(["ασ ας β"]))
-        X = _tfidf_rows(model, ["ΑΣ.Β", "ΑΣ.", "Β"])
+        X = _tfidf_rows(model, map(tokenize, ["ΑΣ.Β", "ΑΣ.", "Β"]))
         indptr, indices = X.indptr, X.indices
         index = model.vocabulary.index
         rows = [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(3)]
@@ -320,7 +320,8 @@ class TestOnePassCore:
 
 def fit_matrix(texts, config):
     """The config's tf-idf model fit on ``texts``, and the texts' matrix."""
-    return _fit_tfidf(texts, config.hash_bits, config.min_df, config.l2_normalize)
+    return _fit_tfidf(map(tokenize, texts), config.hash_bits, config.min_df,
+                      config.l2_normalize)
 
 
 def reference_vocabulary(docs, min_df):
@@ -391,7 +392,7 @@ class TestOnePassFit:
         assert model.document_count == want.document_count == len(texts)
         assert model.l2_normalize == normalize
         assert model.idf.tobytes() == want.idf.tobytes()
-        ref = _tfidf_rows(want, texts)
+        ref = _tfidf_rows(want, map(tokenize, texts))
         assert X.shape == ref.shape == (len(texts), want.dimension)
         assert np.array_equal(X.indptr, ref.indptr) and np.array_equal(X.indices, ref.indices)
         assert X.data.tobytes() == ref.data.tobytes()

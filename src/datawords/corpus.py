@@ -18,7 +18,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
 from .extraction import StructuredRecord, _parse_record_line, read_json_lines
@@ -30,8 +30,7 @@ _TOKEN_RE = re.compile(r"\w+")
 _SENTENCE_RE = re.compile(r"[^.!?\n]*[.!?]|[^.!?\n]+")
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """One sentence of a (possibly augmented) document.
 
     ``kind`` is "dataword" only for sentences produced by the structured

@@ -23,9 +23,10 @@ from __future__ import annotations
 import logging
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError, DataWordsError, InputError, UnresolvedVariableError
 from .extraction import StructuredRecord, read_json_object
@@ -205,6 +206,10 @@ class ThresholdSpec:
         return _SANITIZE_RE.sub(" ", name).strip()
 
 
+def _non_finite(value: float) -> InputError:
+    return InputError(f"cannot bin non-finite value {value!r}")
+
+
 def bin_value(value: float, cuts: Sequence[float]) -> str:
     """Place a value into one of the five range bins.
 
@@ -212,7 +217,7 @@ def bin_value(value: float, cuts: Sequence[float]) -> str:
     value equal to a cut falls through to the next clause.
     """
     if not math.isfinite(value):
-        raise InputError(f"cannot bin non-finite value {value!r}")
+        raise _non_finite(value)
     c1, c2, c3, c4 = cuts
     if value < c1:
         return "very_low"
@@ -241,8 +246,7 @@ def sanitize_value(value: str) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class DataWordSentence:
+class DataWordSentence(NamedTuple):
     """The one-sentence text encoding of a single structured record."""
 
     tokens: tuple[str, ...]
@@ -316,18 +320,23 @@ class EncodeTable(Mapping[str, VariableStats]):
     derives from them and one threshold spec.
 
     Per variable name it keeps the name token, the display name, and the
-    cuts' token tuple for each bin, or the refusal of the variable's
-    records; per categorical (variable, value) it keeps the token or the
-    refusal. Each entry is worked out the first time a record needs it;
-    it depends on its key alone, so threads that fill one at once store
-    equal entries. A table is built where its statistics are made, one per
-    training set and one per ``ModelBundle``, and lives as long as they do.
+    cuts as a list with the ``(bin label, token tuple)`` pair of each bin
+    in ``BIN_LABELS`` order, or the refusal of the variable's records; per
+    categorical (variable, value) it keeps the token or the refusal. A
+    numeric record's pair is the one at ``bisect_right(cuts, value)``,
+    which is ``bin_value``'s bin because resolved cuts never decrease:
+    explicit cuts increase, and cuts from statistics are the mean less and
+    plus a spread >= 0 times k_low > k_mid > 0. Each entry is worked out
+    the first time a record needs it; it depends on its key alone, so
+    threads that fill one at once store equal entries. A table is built
+    where its statistics are made, one per training set and one per
+    ``ModelBundle``, and lives as long as they do.
     """
 
     def __init__(self, spec: ThresholdSpec, stats: Mapping[str, VariableStats]):
         self.spec = spec
         self.stats = stats
-        # name -> (name token or refusal, display name, (cuts, tokens per bin) or refusal)
+        # name -> (name token or refusal, display name, cuts or refusal, bin pairs)
         self._variables: dict[str, tuple] = {}
         # (name, str(value)) -> token or refusal
         self._values: dict[tuple[str, str], str | InputError] = {}
@@ -345,14 +354,15 @@ class EncodeTable(Mapping[str, VariableStats]):
         try:
             name_token = sanitize_name(name)
         except InputError as exc:
-            return exc, None, None
+            return exc, None, None, None
         cuts = self.spec.resolve_cuts(name, self.stats)
         if cuts is None:
-            bins = UnresolvedVariableError(f"no cuts or statistics for numeric variable {name!r}")
+            cuts = UnresolvedVariableError(f"no cuts or statistics for numeric variable {name!r}")
         else:
-            bins = (cuts, {label: tuple(f"dw__{name_token}__{suffix}" for suffix in suffixes)
-                           for label, suffixes in BIN_TOKENS.items()})
-        return name_token, self.spec.display_name(name), bins
+            cuts = list(cuts)
+        bins = tuple((label, tuple(f"dw__{name_token}__{suffix}" for suffix in BIN_TOKENS[label]))
+                     for label in BIN_LABELS)
+        return name_token, self.spec.display_name(name), cuts, bins
 
     def encode(self, record: StructuredRecord) -> DataWordSentence | DataWordsError:
         """``encode_record`` of the record, or the error it raises, returned."""
@@ -360,18 +370,17 @@ class EncodeTable(Mapping[str, VariableStats]):
         entry = self._variables.get(name)
         if entry is None:
             entry = self._variables[name] = self._variable(name)
-        name_token, display, bins = entry
+        name_token, display, cuts, bins = entry
         if not isinstance(name_token, str):
             return name_token
         if record.is_numeric:
-            if not isinstance(bins, tuple):
-                return bins
-            try:
-                label = bin_value(float(record.value), bins[0])
-            except InputError as exc:
-                return exc
-            return DataWordSentence(tokens=bins[1][label], source=record, bin_label=label,
-                                    display_name=display)
+            if not isinstance(cuts, list):
+                return cuts
+            value = float(record.value)
+            if not math.isfinite(value):
+                return _non_finite(value)
+            label, tokens = bins[bisect_right(cuts, value)]
+            return DataWordSentence(tokens, record, label, display)
         key = (name, str(record.value))
         token = self._values.get(key)
         if token is None:
@@ -382,8 +391,7 @@ class EncodeTable(Mapping[str, VariableStats]):
             self._values[key] = token
         if not isinstance(token, str):
             return token
-        return DataWordSentence(tokens=(token,), source=record, bin_label=None,
-                                display_name=display)
+        return DataWordSentence((token,), record, None, display)
 
 
 def encode_records(

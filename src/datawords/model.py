@@ -710,14 +710,19 @@ class ModelBundle:
         sentences' tf-idf matrix over ``features`` times ``weights``, the
         product ``predict_units`` makes.
 
-        The last unit's block is kept, keyed by the unit's identity, so
-        explaining several labels of one unit vectorizes and multiplies
-        once.
+        A text sentence's tokens are ``tokenize`` of its text; a DataWord
+        sentence's are its DataWord's tokens lowercased, which is what
+        ``tokenize`` of its text gives. The last unit's block is kept,
+        keyed by the unit's identity, so explaining several labels of one
+        unit vectorizes and multiplies once.
         """
         cached = self._sentence_scores
         if cached is None or cached[0] is not unit:
-            X = _tfidf_rows(self.tfidf, (tokenize(s.text) for s in unit.sentences),
-                            self.features)
+            lowered = _Lowered()
+            text = unit.sentences[:len(unit.sentences) - len(unit.datawords)]
+            tokens = chain((tokenize(s.text) for s in text),
+                           (lowered[dw.tokens] for dw in unit.datawords))
+            X = _tfidf_rows(self.tfidf, tokens, self.features)
             cached = (unit, X @ self.weights)
             object.__setattr__(self, "_sentence_scores", cached)
         return cached[1]

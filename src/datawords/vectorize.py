@@ -52,7 +52,8 @@ from scipy import sparse
 
 from .corpus import tokenize
 from .errors import ConfigError
-from .jsontypes import BOOL, COUNT, INTEGER, LIST, OBJECT, POSITIVE, STRING, check, count_upto
+from .jsontypes import (BOOL, COUNT, INTEGER, LIST, OBJECT, POSITIVE, STRING, Kind, check,
+                        count_upto)
 
 _FNV_OFFSET = 2166136261
 _FNV_PRIME = 16777619
@@ -61,6 +62,8 @@ _KNUTH = 2654435761
 _HASH_SLOT_CACHE = 1 << 16
 # A bundle's token, whose refusal has its own words.
 _TOKEN = STRING._replace(words="strings")
+# A bundle's tf-idf mode; any other value is refused, not read as hashed.
+_MODE = Kind(lambda v: v in ("indexed", "hashed"), "'indexed' or 'hashed'")
 
 
 @dataclass
@@ -132,14 +135,15 @@ class TfIdfModel:
     @classmethod
     def from_header(cls, tf: Mapping) -> TfIdfModel:
         """The model of a bundle's ``tfidf`` object, checked by type:
-        ``normalize`` a bool, ``document_count`` and ``bits`` integers,
-        ``tokens`` distinct strings, each df count an integer in [0,
-        document_count], and each indexed ``idf`` entry a finite positive
-        number, one per token; ``_hashed_model`` checks bits and slots."""
+        ``mode`` "indexed" or "hashed", ``normalize`` a bool,
+        ``document_count`` and ``bits`` integers, ``tokens`` distinct
+        strings, each df count an integer in [0, document_count], and each
+        indexed ``idf`` entry a finite positive number, one per token;
+        ``_hashed_model`` checks bits and slots."""
         normalize = check(check(tf, OBJECT, "tfidf")["normalize"], BOOL, "tfidf.normalize")
         n = check(tf["document_count"], COUNT, "tfidf.document_count")
         df_kind = count_upto(n)
-        if tf["mode"] == "indexed":
+        if check(tf["mode"], _MODE, "tfidf.mode") == "indexed":
             tokens = check(tf["tokens"], LIST, "tfidf.tokens")
             index: dict[str, int] = {}
             for t, _ in tokens:

@@ -1,3 +1,4 @@
+import copy
 import logging
 import math
 
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from datawords.corpus import Encounter, tokenize
+from datawords.corpus import Encounter, Sentence, tokenize
 from datawords.encoding import (
     BIN_LABELS,
+    DataWordSentence,
     EncodeTable,
     ThresholdSpec,
     VariableStats,
@@ -254,7 +256,8 @@ table_records = st.builds(
     StructuredRecord,
     name=st.sampled_from(TABLE_NAMES),
     value=st.one_of(st.sampled_from(TABLE_CUTS), st.floats(), st.integers(-200, 200),
-                    st.sampled_from(["lung cancer", "???", "", "High", "x"]), st.booleans()),
+                    st.just(-0.0), st.sampled_from(["lung cancer", "???", "", "High", "x"]),
+                    st.booleans()),
     encounter_id=st.sampled_from([None, "e1", "e2"]),
 )
 
@@ -292,6 +295,14 @@ class TestEncodeTable:
             assert got == want
             assert all(g.source is w.source for g, w in zip(got, want))
             assert [r.getMessage() for r in caplog.records] == lines
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_values_are_categorical(self, value):
+        rec = StructuredRecord(name="Temp", value=value)
+        [dw] = encode_records([rec], TABLE_SPEC, EncodeTable(TABLE_SPEC, TABLE_STATS))
+        assert dw == encode_record(rec, TABLE_SPEC, TABLE_STATS)
+        assert (dw.tokens, dw.bin_label) == ((f"dw__Temp__{str(value).lower()}",), None)
+        assert dw.display == f"Temperature: {str(value).lower()}"
 
     def test_reads_as_its_statistics(self):
         table = EncodeTable(TABLE_SPEC, TABLE_STATS)
@@ -388,3 +399,114 @@ class TestBinningProperties:
         spec = ThresholdSpec(explicit={"X": cuts}, auto={})
         s = encode_record(numeric("X", v), spec, {})
         assert tokenize(s.text) == [t.lower() for t in s.tokens]
+
+
+class FixedCuts:
+    """A spec, by duck typing, that gives every variable the same cuts,
+    which may tie, as cuts from statistics may; a ThresholdSpec's explicit
+    cuts may not."""
+
+    def __init__(self, cuts):
+        self.cuts = cuts
+
+    def resolve_cuts(self, name, stats):
+        return self.cuts
+
+    def display_name(self, name):
+        return name
+
+
+cut_values = st.one_of(finite, st.integers(-10**6, 10**6), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def tied_cuts(draw):
+    """Four non-decreasing cuts drawn from at most four values, so that
+    ties, four equal cuts (zero spread) among them, are common."""
+    pool = draw(st.lists(cut_values, min_size=1, max_size=4))
+    return tuple(sorted(draw(st.lists(st.sampled_from(pool), min_size=4, max_size=4))))
+
+
+def near(cuts):
+    """A value equal to a cut, next to one on either side, or anywhere."""
+    at = st.sampled_from(cuts)
+    return st.one_of(at, at.map(lambda c: math.nextafter(c, math.inf)),
+                     at.map(lambda c: math.nextafter(c, -math.inf)), cut_values)
+
+
+class TestTableBins:
+    """``EncodeTable`` picks a numeric record's bin by bisecting its cuts;
+    that is ``bin_value``'s bin whenever the cuts never decrease."""
+
+    @given(tied_cuts(), st.data())
+    @settings(max_examples=500)
+    def test_bisect_bin_is_bin_value(self, cuts, data):
+        value = data.draw(near(cuts))
+        spec = FixedCuts(cuts)
+        rec = numeric("X", value)
+        dw = EncodeTable(spec, {}).encode(rec)
+        assert dw.bin_label == bin_value(value, cuts)
+        assert dw == encode_record(rec, spec, {})
+        assert dw.source is rec
+
+    @given(st.one_of(finite, st.integers(-10**6, 10**6)),
+           st.sampled_from([0.0, 5e-324, 1e-12, 0.5, 10.0]), st.data())
+    @settings(max_examples=300)
+    def test_bins_from_statistics(self, mean, std, data):
+        """Cuts from statistics tie at zero spread, and at a spread too
+        small to move the mean."""
+        stats = {"X": VariableStats("X", 2, float(mean), std)}
+        spec = ThresholdSpec.defaults()
+        value = data.draw(near(spec.resolve_cuts("X", stats)))
+        rec = numeric("X", value)
+        assert EncodeTable(spec, stats).encode(rec) == encode_record(rec, spec, stats)
+
+
+# Each named tuple, its fields in order, its defaults, and the positional
+# arguments of one instance.
+NAMED_TUPLES = [
+    (StructuredRecord,
+     ("name", "value", "kind", "provenance", "encounter_id", "doc_index", "span", "unit"),
+     {"kind": "measurement", "provenance": "text_extraction", "encounter_id": None,
+      "doc_index": None, "span": None, "unit": None},
+     ("Temp", 98.6, "measurement", "database", "e1", 0, (3, 12), "F")),
+    (DataWordSentence, ("tokens", "source", "bin_label", "display_name"), {},
+     (("dw__Temp__mid_range",), StructuredRecord("Temp", 98.6), "mid", "Temperature")),
+    (Sentence, ("text", "doc_index", "sent_index", "kind", "display"),
+     {"kind": "text", "display": None},
+     ("dw__Temp__mid_range.", 0, 2, "dataword", "Temperature was in normal range [98.6]")),
+]
+
+
+@pytest.mark.parametrize("cls, fields, defaults, args", NAMED_TUPLES,
+                         ids=[row[0].__name__ for row in NAMED_TUPLES])
+class TestNamedTuples:
+    def test_fields_and_defaults(self, cls, fields, defaults, args):
+        assert cls._fields == fields
+        assert cls._field_defaults == defaults
+
+    def test_keyword_and_positional_construction(self, cls, fields, defaults, args):
+        positional = cls(*args)
+        assert cls(**dict(zip(fields, args))) == positional
+        assert tuple(getattr(positional, f) for f in fields) == args
+        required = len(fields) - len(defaults)
+        shortest = cls(*args[:required])
+        assert {f: getattr(shortest, f) for f in fields[required:]} == defaults
+
+    def test_fields_cannot_be_assigned(self, cls, fields, defaults, args):
+        obj = cls(*args)
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, f, None)
+        assert tuple(obj) == args
+
+    def test_compare_and_hash_by_value(self, cls, fields, defaults, args):
+        a, b = cls(*args), cls(*copy.deepcopy(args))
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert cls(*args[:-1], "other") != a
+
+
+@pytest.mark.parametrize("value, numeric_", [(98.6, True), (99, True), (True, False),
+                                             (False, False), ("high", False)])
+def test_is_numeric_for_int_and_float_only(value, numeric_):
+    assert StructuredRecord("X", value).is_numeric is numeric_

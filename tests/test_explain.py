@@ -350,6 +350,42 @@ class TestVectorizeOncePerUnit:
         assert calls == [[tokenize(s.text) for s in u1.sentences],
                          [tokenize(s.text) for s in u2.sentences]]
 
+    def test_tokenize_runs_once_per_text_sentence(self, two_bundles, monkeypatch):
+        """A DataWord sentence's tokens are read from its DataWord, and the
+        scores keep every bit of scoring ``tokenize`` of each sentence."""
+        b1, b2, _, _ = two_bundles
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        cancer = DataWordSentence(
+            tokens=("dw__Previous_condition__lung_cancer",),
+            source=StructuredRecord(name="Previous condition", value="Lung cancer"),
+            bin_label=None, display_name="Previous condition")
+        high = DataWordSentence(tokens=("dw__Temp__high_range",),
+                                source=StructuredRecord(name="Temp", value=102.5),
+                                bin_label="high", display_name="Temp")
+        slow = DataWordSentence(tokens=("dw__Pulse__low_range", "dw__Pulse__very_low_range"),
+                                source=StructuredRecord(name="Pulse", value=41),
+                                bin_label="very_low", display_name="Pulse")
+        units = [unit_of(UNIT.document, [FEVER, high]), unit_of("", [high, cancer, slow]),
+                 unit_of("Temp = 104.3 today. HR 50! Feels unwell", [slow, FEVER, high, high])]
+        for trained in (b1, b2):
+            for unit in units:
+                bundle = replace(trained)  # no scores kept from an earlier unit
+                expected = model._tfidf_rows(
+                    bundle.tfidf, (tokenize(s.text) for s in unit.sentences), bundle.features
+                ) @ bundle.weights
+                calls.clear()
+                monkeypatch.setattr(model, "tokenize", counting)
+                scores = bundle.sentence_scores(unit)
+                monkeypatch.undo()
+                assert calls == [s.text for s in unit.sentences if s.kind == "text"]
+                assert scores.tobytes() == expected.tobytes()
+                assert scores[-len(unit.datawords):].any()
+
 
 @st.composite
 def one_sentence_unit(draw):

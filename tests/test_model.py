@@ -1753,11 +1753,16 @@ class TestLoadBundleValidation:
              r"tfidf.tokens must be strings, got \['x'\]"),
             (lambda tf: tf["tokens"][1].__setitem__(0, tf["tokens"][0][0]),
              r"tfidf.tokens repeats '\w+'"),
+            # a mode neither "indexed" nor "hashed" was once read as hashed
+            (lambda tf: tf.update(mode="indexd"),
+             "tfidf.mode must be 'indexed' or 'hashed', got 'indexd'"),
+            (lambda tf: tf.update(mode=None), "tfidf.mode must be .* got None"),
         ],
         ids=["nan_idf", "inf_idf", "string_idf", "negative_idf", "zero_idf", "boolean_idf",
              "string_normalize", "integer_normalize", "string_document_count",
              "float_document_count", "negative_document_count", "string_df",
-             "df_above_document_count", "integer_token", "list_token", "repeated_token"],
+             "df_above_document_count", "integer_token", "list_token", "repeated_token",
+             "misspelt_mode", "null_mode"],
     )
     def test_bad_tfidf_header(self, saved, corrupt, message):
         path, obj = saved
@@ -1828,9 +1833,12 @@ class TestLoadBundleValidation:
              "tfidf.normalize must be true or false, got 'true'"),
             (lambda tf: tf.update(document_count="40"),
              "tfidf.document_count must be an integer >= 0, got '40'"),
+            (lambda tf: tf.update(mode="Hashed"),
+             "tfidf.mode must be 'indexed' or 'hashed', got 'Hashed'"),
         ],
         ids=["string_bits", "float_bits", "string_slot", "string_df", "negative_df",
-             "df_above_document_count", "string_normalize", "string_document_count"],
+             "df_above_document_count", "string_normalize", "string_document_count",
+             "capitalized_mode"],
     )
     def test_bad_hashed_tfidf_header(self, saved_hashed, corrupt, message):
         path, obj = saved_hashed

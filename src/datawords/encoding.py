@@ -89,7 +89,7 @@ def compute_stats(records: Iterable[StructuredRecord]) -> dict[str, VariableStat
     values: dict[str, list[float]] = {}
     for rec in records:
         if rec.is_numeric:
-            values.setdefault(rec.name, []).append(float(rec.value))
+            values.setdefault(rec.name, []).append(rec.number)
     stats = {}
     for name, vals in values.items():
         n = len(vals)
@@ -303,7 +303,7 @@ def encode_record(
             raise UnresolvedVariableError(
                 f"no cuts or statistics for numeric variable {record.name!r}"
             )
-        label = bin_value(float(record.value), cuts)
+        label = bin_value(record.number, cuts)
         tokens = tuple(f"dw__{name_token}__{suffix}" for suffix in BIN_TOKENS[label])
         return DataWordSentence(tokens=tokens, source=record, bin_label=label, display_name=display)
     value_token = sanitize_value(str(record.value))
@@ -376,7 +376,7 @@ class EncodeTable(Mapping[str, VariableStats]):
         if record.is_numeric:
             if not isinstance(cuts, list):
                 return cuts
-            value = float(record.value)
+            value = record.number
             if not math.isfinite(value):
                 return _non_finite(value)
             label, tokens = bins[bisect_right(cuts, value)]

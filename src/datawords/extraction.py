@@ -77,6 +77,15 @@ class StructuredRecord(NamedTuple):
     def is_numeric(self) -> bool:
         return isinstance(self.value, (int, float)) and not isinstance(self.value, bool)
 
+    @property
+    def number(self) -> float:
+        """A numeric record's value as a float; an integer too large for
+        one reads as the infinity it overflows to."""
+        try:
+            return float(self.value)
+        except OverflowError:
+            return math.inf if self.value > 0 else -math.inf
+
 
 @dataclass(frozen=True)
 class MeasurementFilter:
@@ -590,7 +599,7 @@ def _rolled(
         if isinstance(slot, StructuredRecord):
             yield slot.name, slot
             continue
-        values = [float(r.value) for r in slot]
+        values = [r.number for r in slot]
         first = slot[0]
         for agg in policy.aggregates:
             yield first.name, StructuredRecord(

@@ -12,13 +12,15 @@ features with a weight plus their dense (features x labels) weights,
 which prediction and explanation both multiply by. Training and
 prediction work up records through the same ``_encounter_records`` and
 build units through the same ``_encode``, so prediction re-runs the exact
-same encoding. A bundle is one JSON document in format
-"2": a readable header, then per label its bias, threshold and weight
-column, the column as base64 of little-endian int32 indices and float64
-values. The header's ``tfidf`` object is written and read, checked, by
-``TfIdfModel`` itself (``to_header``, ``from_header``); this module knows
-the rest. Loading checks the spec through EncodingSpec and the labels and
-weights against the tf-idf model.
+same encoding. A bundle is one JSON document in format "3": a readable
+header with the solve's ``lambda`` in its ``training`` block, each
+label's code, bias and threshold, ``features`` as base64 of
+little-endian int32 ids and, last, ``weights`` as base64 of the
+little-endian float64 C-order (features x labels) array. The header's
+``tfidf`` object is written and read, checked, by ``TfIdfModel`` itself
+(``to_header``, ``from_header``); this module knows the rest. Loading
+checks the spec through EncodingSpec and the labels and weights against
+the tf-idf model.
 
 A PipelineConfig is a frozen EncodingSpec plus the training and evaluation
 settings; ``spec`` projects it onto its encoding fields. ``_encode`` hands
@@ -116,7 +118,7 @@ from .vectorize import (
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 # The tokenizer every bundle is written with (``corpus.tokenize``).
 TOKENIZER = {"kind": "word", "lowercase": True}
 
@@ -644,7 +646,7 @@ class ModelBundle:
     i, column j holds feature ``features[i]``'s weight for
     ``label_models[j]``, ``features`` strictly increasing; every other
     feature weighs 0. Training keeps only features with a nonzero weight,
-    and saving writes only nonzero weights. Prediction and explanation
+    and saving writes both arrays as they are. Prediction and explanation
     multiply a tf-idf matrix over ``features`` by ``weights``. The
     ``EncodeTable`` that ``prepare_units`` encodes from is built here.
     Bundles compare by identity, as numpy arrays have no one truth value.
@@ -935,14 +937,14 @@ def predict(
 
 
 def _bundle_header(bundle: ModelBundle) -> dict:
-    """Every bundle field except the per-label models, in file order."""
+    """Every bundle field but ``weights``, in file order."""
     spec = bundle.spec
     return {
         "format_version": FORMAT_VERSION,
         "tokenizer": TOKENIZER,
         "unit": spec.unit,
         "ablation_mode": spec.ablation_mode,
-        "lambda": bundle.lam,
+        "training": {"lambda": bundle.lam},
         "tfidf": bundle.tfidf.to_header(),
         "variable_stats": {
             name: [st.count, float(st.mean), float(st.std)]
@@ -962,12 +964,22 @@ def _bundle_header(bundle: ModelBundle) -> dict:
                 list(spec.rollup_provenances) if spec.rollup_provenances is not None else None
             ),
         },
+        "labels": [
+            {"code": lm.label, "bias": float(lm.bias),
+             "threshold": None if math.isinf(lm.threshold) else float(lm.threshold)}
+            for lm in bundle.label_models
+        ],
+        "features": _b64_array(bundle.features, _FEATURE_DTYPE),
     }
 
 
-# On-disk dtypes of a weight column; a dimension is at most 2**30.
-_INDEX_DTYPE = np.dtype("<i4")
-_VALUE_DTYPE = np.dtype("<f8")
+# On-disk dtypes of feature ids and weights; a dimension is at most 2**30.
+_FEATURE_DTYPE = np.dtype("<i4")
+_WEIGHT_DTYPE = np.dtype("<f8")
+# Rows of weights encoded at a time: 48 rows of 8-byte values are a
+# multiple of 3 bytes, so each block's base64 ends on a whole quantum and
+# the blocks' strings join into the whole array's.
+_WEIGHT_ROWS = 48
 # The JSON kinds of bundle fields whose refusals have their own words.
 _BASE64 = STRING._replace(words="a base64 string")
 _THRESHOLD = nullable(NUMBER, "a number or null")
@@ -978,81 +990,47 @@ def _b64_array(a: np.ndarray, dtype: np.dtype) -> str:
     return base64.b64encode(np.asarray(a, dtype=dtype).tobytes()).decode("ascii")
 
 
-def _label_entry(bundle: ModelBundle, j: int) -> dict:
-    """Label j's saved form; its column holds the nonzero weights only."""
-    lm, column = bundle.label_models[j], bundle.weights[:, j]
-    rows = np.flatnonzero(column)
-    return {
-        "code": lm.label,
-        "bias": float(lm.bias),
-        "threshold": None if math.isinf(lm.threshold) else float(lm.threshold),
-        "indices": _b64_array(bundle.features[rows], _INDEX_DTYPE),
-        "values": _b64_array(column[rows], _VALUE_DTYPE),
-    }
-
-
 def _bundle_to_dict(bundle: ModelBundle) -> dict:
-    return {
-        **_bundle_header(bundle),
-        "labels": [_label_entry(bundle, j) for j in range(len(bundle.label_models))],
-    }
+    return {**_bundle_header(bundle), "weights": _b64_array(bundle.weights, _WEIGHT_DTYPE)}
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     """Serialize to a single JSON document with round-trip float precision.
 
     The bytes equal ``json.dumps(_bundle_to_dict(bundle), separators=(",",
-    ":")) + "\\n"``, but each label is encoded and written on its own, so the
-    whole document is never held in memory. ``path`` is replaced only once
-    the document is whole (``write_replacing``).
+    ":")) + "\\n"``, but the weights are encoded and written ``_WEIGHT_ROWS``
+    rows at a time, so the whole document is never held in memory. ``path``
+    is replaced only once the document is whole (``write_replacing``).
     """
     header = json.dumps(_bundle_header(bundle), separators=(",", ":"))
+    weights = bundle.weights
     with write_replacing(path) as fh:
-        fh.write(header[:-1] + ',"labels":[')
-        for j in range(len(bundle.label_models)):
-            if j:
-                fh.write(",")
-            fh.write(json.dumps(_label_entry(bundle, j), separators=(",", ":")))
-        fh.write("]}\n")
+        fh.write(header[:-1] + ',"weights":"')
+        for start in range(0, len(weights), _WEIGHT_ROWS):
+            fh.write(_b64_array(weights[start:start + _WEIGHT_ROWS], _WEIGHT_DTYPE))
+        fh.write('"}\n')
 
 
-def _array_from_b64(entry: Mapping, key: str, dtype: np.dtype) -> np.ndarray:
-    code = entry["code"]
-    raw = check(entry[key], _BASE64, f"label {code!r}: {key}")
+def _array_from_b64(obj: Mapping, key: str, dtype: np.dtype) -> np.ndarray:
+    raw = check(obj[key], _BASE64, key)
     try:
         data = base64.b64decode(raw, validate=True)
     except ValueError as exc:
-        raise ValueError(f"label {code!r}: {key} is not valid base64 ({exc})") from exc
+        raise ValueError(f"{key} is not valid base64 ({exc})") from exc
     if len(data) % dtype.itemsize:
         raise ValueError(
-            f"label {code!r}: {key} holds {len(data)} bytes, "
-            f"not a whole number of {dtype.itemsize}-byte items"
+            f"{key} holds {len(data)} bytes, not a whole number of {dtype.itemsize}-byte items"
         )
     return np.frombuffer(data, dtype=dtype)
 
 
-def _label_from_entry(entry: Mapping, dimension: int) -> tuple[LabelModel, np.ndarray, np.ndarray]:
-    """One saved label and its weight column's (indices, values), checked so
-    that scoring cannot fail or go NaN: a nonempty string code, whole int32
-    indices and float64 values of equal count, indices strictly increasing
-    in [0, dimension), finite weights, a finite number for the bias, and a
-    finite number or null (never predicted) for the threshold. Raises
-    ValueError naming the label and the first violation."""
+def _label_from_entry(entry: Mapping) -> LabelModel:
+    """One saved label, checked so that scoring cannot fail or go NaN: a
+    nonempty string code, a finite number for the bias, and a finite number
+    or null (never predicted) for the threshold. Raises ValueError naming
+    the label and the first violation."""
     code = check(entry, OBJECT, "label entry")["code"]
     check(code, NONEMPTY, f"label {code!r}: code")
-    indices = _array_from_b64(entry, "indices", _INDEX_DTYPE)
-    values = _array_from_b64(entry, "values", _VALUE_DTYPE).astype(np.float64)
-    if indices.size != values.size:
-        raise ValueError(f"label {code!r}: {indices.size} weight indices for {values.size} values")
-    out_of_range = indices[(indices < 0) | (indices >= dimension)]
-    if out_of_range.size:
-        raise ValueError(
-            f"label {code!r}: weight index {out_of_range[0]} outside [0, {dimension})"
-        )
-    if np.any(np.diff(indices) <= 0):
-        raise ValueError(f"label {code!r}: weight indices must be strictly increasing")
-    if not np.isfinite(values).all():
-        raise ValueError(f"label {code!r}: weights must be finite")
     bias = check(entry["bias"], NUMBER, f"label {code!r}: bias")
     if not math.isfinite(bias):
         raise ValueError(f"label {code!r}: bias must be finite, got {bias}")
@@ -1060,13 +1038,13 @@ def _label_from_entry(entry: Mapping, dimension: int) -> tuple[LabelModel, np.nd
     if thr is not None and not math.isfinite(thr):
         raise ValueError(f"label {code!r}: threshold must be finite or null, got {thr}")
     threshold = math.inf if thr is None else float(thr)
-    return LabelModel(label=code, bias=float(bias), threshold=threshold), indices, values
+    return LabelModel(label=code, bias=float(bias), threshold=threshold)
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
     """Load a saved bundle; predictions after a round trip are bit-exact.
 
-    A bundle of another format version, such as format "1", raises
+    A bundle of another format version, such as format "1" or "2", raises
     UnsupportedVersionError: it has to be retrained. Every field is checked
     by its JSON kind (``jsontypes``) and against what ``train_all`` can
     write, so contents that would make prediction fail, go NaN or differ
@@ -1094,7 +1072,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
             )
             for name, (c, m, s) in check(obj["variable_stats"], OBJECT, "variable_stats").items()
         }
-        lam = float(check(obj["lambda"], POSITIVE, "lambda"))
+        training = check(obj["training"], OBJECT, "training")
+        lam = float(check(training["lambda"], POSITIVE, "training.lambda"))
         extraction = check(obj["extraction"], OBJECT, "extraction")
         patterns = extraction.get("patterns")
         roll = check(obj["rollup"], OBJECT, "rollup")
@@ -1112,16 +1091,26 @@ def load_bundle(path: str | Path) -> ModelBundle:
         selected = check(obj["selected_variables"], _SELECTED, "selected_variables")
         if not check(obj["labels"], LIST, "labels"):
             raise ValueError("labels is empty, and training never writes a bundle without labels")
-        entries = [_label_from_entry(entry, tfidf.dimension) for entry in obj["labels"]]
-        features = np.unique(np.concatenate([indices for _, indices, _ in entries]))
-        weights = np.zeros((features.size, len(entries)), dtype=np.float64)
-        for j, (_, indices, values) in enumerate(entries):
-            weights[np.searchsorted(features, indices), j] = values
+        label_models = tuple(_label_from_entry(entry) for entry in obj["labels"])
+        # ModelBundle refuses features that are not increasing ids below the
+        # dimension; a weights array must be what training keeps.
+        features = _array_from_b64(obj, "features", _FEATURE_DTYPE)
+        weights = _array_from_b64(obj, "weights", _WEIGHT_DTYPE)
+        shape = (features.size, len(label_models))
+        if weights.size != shape[0] * shape[1]:
+            raise ValueError(f"weights holds {weights.size} values for {shape[0]} features x "
+                             f"{shape[1]} labels")
+        weights = weights.reshape(shape)
+        if not np.isfinite(weights).all():
+            raise ValueError("weights must be finite")
+        held = weights.any(axis=1)
+        if not held.all():
+            raise ValueError(f"weights holds no nonzero weight for feature {features[~held][0]}")
         return ModelBundle(
             tfidf=tfidf,
             variable_stats=stats,
             spec=spec,
-            label_models=tuple(lm for lm, _, _ in entries),
+            label_models=label_models,
             features=features,
             weights=weights,
             selected_variables=tuple(selected) if selected is not None else None,

@@ -111,10 +111,6 @@ class TfIdfModel:
     hashed_df: dict[int, int] = field(default_factory=dict)
 
     @property
-    def mode(self) -> str:
-        return "hashed" if self.hash_bits is not None else "indexed"
-
-    @property
     def dimension(self) -> int:
         if self.hash_bits is not None:
             return 1 << self.hash_bits

@@ -13,6 +13,7 @@ import weakref
 from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -46,11 +47,21 @@ def write_corpus(path, lines):
     return str(path)
 
 
-def set_last_weight_index(entry, index):
-    """Re-encode a saved label's index column with its last index replaced."""
-    indices = bytearray(base64.b64decode(entry["indices"]))
-    indices[-4:] = index.to_bytes(4, "little", signed=True)
-    entry["indices"] = base64.b64encode(bytes(indices)).decode("ascii")
+def set_last_feature(obj, feature):
+    """Re-encode a saved bundle's feature ids with the last one replaced."""
+    features = bytearray(base64.b64decode(obj["features"]))
+    features[-4:] = feature.to_bytes(4, "little", signed=True)
+    obj["features"] = base64.b64encode(bytes(features)).decode("ascii")
+
+
+def repeat_first_label(obj):
+    """Append a copy of a saved bundle's first label, with bias 0.0, and of
+    that label's weight column."""
+    labels = len(obj["labels"])
+    weights = np.frombuffer(base64.b64decode(obj["weights"]), "<f8").reshape(-1, labels)
+    weights = np.hstack([weights, weights[:, :1]])
+    obj["weights"] = base64.b64encode(weights.astype("<f8").tobytes()).decode("ascii")
+    obj["labels"].append(dict(obj["labels"][0], bias=0.0))
 
 
 def read_jsonl(path):
@@ -309,6 +320,21 @@ class TestPredict:
         assert rc == 2
         assert "format_version '1'" in err and "retrain" in err
         assert "Traceback" not in err
+
+    def test_format_2_bundle_exits_2_asking_to_retrain(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
+        bundle = tmp_path / "bundle.json"
+        assert main(["train", "--corpus", corpus, "--out", str(bundle)]) == 0
+        obj = json.loads(bundle.read_text())
+        obj["format_version"] = "2"
+        bundle.write_text(json.dumps(obj))
+        capsys.readouterr()
+        out = tmp_path / "p.jsonl"
+        rc = main(["predict", "--corpus", corpus, "--bundle", str(bundle), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "format_version '2'" in err and "retrain" in err
+        assert not out.exists()
 
     def test_missing_bundle_exits_2(self, tmp_path):
         corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)
@@ -712,8 +738,8 @@ class TestBatchedReadPath:
         [
             (lambda obj: obj["tfidf"].update(idf=obj["tfidf"]["idf"][:5]),
              "tfidf.idf has 5 entries"),
-            (lambda obj: set_last_weight_index(obj["labels"][0], 10**6),
-             "weight index 1000000 outside"),
+            (lambda obj: set_last_feature(obj, 10**6),
+             "features must be strictly increasing integer ids in [0, "),
             (lambda obj: obj.update(unit="sentence"), "unknown classification unit: 'sentence'"),
             (lambda obj: obj.update(ablation_mode="text"), "unknown ablation mode: 'text'"),
             (lambda obj: obj["extraction"].update(source="pattern"),
@@ -724,8 +750,7 @@ class TestBatchedReadPath:
              "rollup_provenances must be None or a tuple"),
             (lambda obj: obj["labels"][0].update(code=["x"]),
              "label ['x']: code must be a nonempty string"),
-            (lambda obj: obj["labels"].append(dict(obj["labels"][0], bias=0.0)),
-             "label 'A01': repeats an earlier label"),
+            (repeat_first_label, "label 'A01': repeats an earlier label"),
             (lambda obj: obj["labels"][0].update(bias="0.5"),
              "label 'A01': bias must be a number, got '0.5'"),
             (lambda obj: obj["labels"][0].update(threshold="0.5"),

@@ -237,6 +237,11 @@ class TestKFoldSplit:
         with pytest.raises(ConfigError):
             kfold_split(make_encounters(5), 1, seed=0)
 
+    def test_duplicate_ids_refused(self):
+        encs = make_encounters(4) + [Encounter(encounter_id="e1", documents=("other.",))]
+        with pytest.raises(DataError, match="corpus contains duplicate encounter ids"):
+            kfold_split(encs, 2, seed=0)
+
     def test_stable_under_reordering(self):
         encs = make_encounters(10)
         forward = kfold_split(encs, 3, seed=5)

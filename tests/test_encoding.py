@@ -24,7 +24,13 @@ from datawords.encoding import (
 )
 from datawords.errors import ConfigError, DataError, InputError, UnresolvedVariableError
 from datawords.extraction import StructuredRecord
-from datawords.model import PipelineConfig, _encode, _encounter_records, _selected_records
+from datawords.model import (
+    PipelineConfig,
+    _encode,
+    _encounter_records,
+    _selected_records,
+    train_all,
+)
 
 CLINICIAN_CUTS = (95.0, 97.7, 100.4, 103.0)
 
@@ -71,6 +77,65 @@ class TestComputeStats:
         std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
         got = compute_stats([numeric("X", v) for v in values])["X"]
         assert (got.mean.hex(), got.std.hex()) == (mean.hex(), std.hex())
+
+
+@pytest.mark.parametrize("huge, inf", [(10**400, math.inf), (-10**400, -math.inf)],
+                         ids=["positive", "negative"])
+class TestIntegerTooLargeForFloat:
+    """An integer value too large for a float reads as the infinity it
+    overflows to, so it is refused or skipped as that infinity is, never
+    with a bare OverflowError."""
+
+    def test_number_is_the_infinity(self, huge, inf):
+        assert StructuredRecord(name="Temp", value=huge).number == inf
+
+    def test_compute_stats(self, huge, inf):
+        def refusal(value):
+            with pytest.raises(DataError) as exc:
+                compute_stats([numeric("Temp", 98.6), numeric("Temp", value)])
+            return str(exc.value)
+
+        assert refusal(huge) == refusal(inf) == (
+            "numeric variable 'Temp': readings too large for float arithmetic")
+
+    def test_encode_record(self, huge, inf):
+        def refusal(value):
+            with pytest.raises(InputError) as exc:
+                encode_record(numeric("Temp", value), temp_spec(), {})
+            return str(exc.value)
+
+        assert refusal(huge) == refusal(inf) == f"cannot bin non-finite value {inf!r}"
+
+    def test_encode_records(self, huge, inf, caplog):
+        def skipped(value):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                out = encode_records([numeric("Temp", 98.8), numeric("Temp", value)],
+                                     temp_spec(), {})
+            assert [dw.source.value for dw in out] == [98.8]
+            return [r.getMessage() for r in caplog.records]
+
+        assert skipped(huge) == skipped(inf) == [
+            f"skipping record 'Temp' of encounter None: cannot bin non-finite value {inf!r} "
+            "(1 of this kind)"]
+
+    @pytest.mark.parametrize("provenance", ["text_extraction", "database"])
+    def test_train_all(self, huge, inf, provenance):
+        """Training rolls the reading up to Temp_mean (and the other
+        aggregates), whose statistics refuse it."""
+        def refusal(value):
+            encounters = [
+                Encounter(encounter_id=f"e{i}", documents=(f"note {i}.",), codes=frozenset({"A"}),
+                          structured=(StructuredRecord(name="Temp", value=v,
+                                                       provenance=provenance),))
+                for i, v in enumerate([98.6, 99.1, value])
+            ]
+            with pytest.raises(DataError) as exc:
+                train_all(encounters, PipelineConfig())
+            return str(exc.value)
+
+        assert refusal(huge) == refusal(inf)
+        assert "readings too large for float arithmetic" in refusal(inf)
 
 
 class TestBinValue:

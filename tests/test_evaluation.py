@@ -121,6 +121,13 @@ class TestPerDocumentMetrics:
             want = (sum(ps) / n, sum(rs) / n, sum(fs) / n)
             assert got == want
 
+    def test_misaligned_refused(self):
+        with pytest.raises(InputError, match="predictions and gold misaligned: 2 vs 1"):
+            per_document_metrics([pset({"A"}), pset(set())], [{"A"}])
+
+    def test_empty_scores_zero(self):
+        assert per_document_metrics([], []) == (0.0, 0.0, 0.0)
+
 
 def separable_corpus(n=16):
     """Label X1 holds iff the token 'xmarker' appears."""

@@ -332,21 +332,28 @@ class TestOnePassScores:
 
 class TestVectorizeOncePerUnit:
     def test_one_vectorizer_call_per_unit_for_k_labels(self, two_bundles, monkeypatch):
+        """Each unit is vectorized once for all its labels, and every call
+        scores what an unpatched bundle scores, bit for bit."""
         b1, _, u1, u2 = two_bundles
+        labels = b1.labels * 3
+        assert len(labels) > 1
+        reference = replace(b1)
+        want = {(id(unit), label): hexes(score_sentences(reference, label, unit))
+                for unit in (u1, u2) for label in labels}
         bundle = replace(b1)
         calls = []
         original = model._tfidf_rows
 
         def counting(tfidf, texts, used):
-            calls.append(list(texts))
+            texts = list(texts)
+            calls.append(texts)
             return original(tfidf, texts, used)
 
         monkeypatch.setattr(model, "_tfidf_rows", counting)
-        labels = bundle.labels * 3
-        assert len(labels) > 1
         for unit in (u1, u2):
             for label in labels:
-                score_sentences(bundle, label, unit)
+                got = hexes(score_sentences(bundle, label, unit))
+                assert got and got == want[id(unit), label]
         assert calls == [[tokenize(s.text) for s in u1.sentences],
                          [tokenize(s.text) for s in u2.sentences]]
 

@@ -1143,6 +1143,18 @@ class TestBundleRoundTrip:
         with pytest.raises(UnsupportedVersionError, match=r"format_version '1'.*retrain"):
             load_bundle(path)
 
+    def test_format_2_must_be_retrained(self, tmp_path):
+        """A format "2" bundle (one base64 indices/values column per label)
+        is refused as format "1" is."""
+        bundle, _ = self.make_bundle_and_probe()
+        path = tmp_path / "bundle.json"
+        save_bundle(bundle, path)
+        obj = json.loads(path.read_text())
+        obj["format_version"] = "2"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(UnsupportedVersionError, match=r"format_version '2'.*retrain"):
+            load_bundle(path)
+
     def test_truncated_file_is_parse_error(self, tmp_path):
         bundle, _ = self.make_bundle_and_probe()
         path = tmp_path / "bundle.json"
@@ -1161,27 +1173,30 @@ class TestBundleRoundTrip:
             assert path.read_bytes() == whole.encode("utf-8")
 
     def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        """A save that fails after its header and first block of weights
+        are written leaves no file, or the old file as it was."""
         bundle, _ = self.make_bundle_and_probe()
-        (lm,) = bundle.label_models
-        bundle = replace(bundle, label_models=(lm, replace(lm, label="L2")),
-                         weights=np.hstack([bundle.weights] * 2))
-        entry = model._label_entry
+        assert len(bundle.weights) > model._WEIGHT_ROWS
+        encode, blocks = model._b64_array, []
 
-        def failing(b, j):
-            if j == 1:
-                raise RuntimeError("label entry failed")
-            return entry(b, j)
+        def failing(a, dtype):
+            if dtype == model._WEIGHT_DTYPE:
+                blocks.append(len(a))
+                if len(blocks) % 2 == 0:
+                    raise RuntimeError("weights block failed")
+            return encode(a, dtype)
 
-        monkeypatch.setattr(model, "_label_entry", failing)
+        monkeypatch.setattr(model, "_b64_array", failing)
         path = tmp_path / "bundle.json"
-        with pytest.raises(RuntimeError, match="label entry failed"):
+        with pytest.raises(RuntimeError, match="weights block failed"):
             save_bundle(bundle, path)
         assert list(tmp_path.iterdir()) == []
-        path.write_bytes(b'{"format_version":"2"}\n')
-        with pytest.raises(RuntimeError, match="label entry failed"):
+        path.write_bytes(b'{"format_version":"3"}\n')
+        with pytest.raises(RuntimeError, match="weights block failed"):
             save_bundle(bundle, path)
+        assert len(blocks) == 4
         assert list(tmp_path.iterdir()) == [path]
-        assert path.read_bytes() == b'{"format_version":"2"}\n'
+        assert path.read_bytes() == b'{"format_version":"3"}\n'
 
     def test_save_is_deterministic(self, tmp_path):
         bundle, _ = self.make_bundle_and_probe()
@@ -1347,18 +1362,22 @@ def test_used_row_products_equal_the_sparse_product_bit_for_bit(case):
 
 
 def test_loaded_weights_are_the_saved_rows_that_hold_a_weight(tmp_path):
-    """Loading gives ``features``, the rows the saved columns hold a weight
-    in, and ``weights``, those rows dense in C order."""
+    """Loading gives ``features``, the saved int32 ids, and ``weights``, the
+    saved float64 array read as (features x labels) in C order: the rows of
+    the trained weights that hold a weight."""
     bundle = train_all(trivial_corpus(), text_only_config())
     save_bundle(bundle, tmp_path / "bundle.json")
     loaded = load_bundle(tmp_path / "bundle.json")
-    saved = [np.frombuffer(base64.b64decode(entry["indices"]), "<i4")
-             for entry in json.loads((tmp_path / "bundle.json").read_text())["labels"]]
-    np.testing.assert_array_equal(loaded.features, np.unique(np.concatenate(saved)))
+    saved = json.loads((tmp_path / "bundle.json").read_text())
+    features = np.frombuffer(base64.b64decode(saved["features"]), "<i4")
+    np.testing.assert_array_equal(loaded.features, features)
     W = loaded.weights
     assert W.flags.c_contiguous and W.dtype == np.float64
     assert W.shape == (len(loaded.features), len(loaded.labels))
+    assert W.tobytes() == base64.b64decode(saved["weights"])
     np.testing.assert_array_equal(W, full_weights(bundle)[loaded.features])
+    assert list(saved)[-1] == "weights"
+    assert all(set(entry) == {"code", "bias", "threshold"} for entry in saved["labels"])
 
 
 @pytest.mark.parametrize("hash_bits, min_df", [(None, 1), (None, 2), (8, 1)],
@@ -1477,14 +1496,21 @@ class TestWeightMatrix:
                 assert it.score.hex() == before[(unit.encounter_id, it.label)]
 
 
-def edit_column(entry, edit):
-    """Decode a saved label's weight column, apply ``edit(indices, values)``
-    and store the result, re-encoded, in place."""
-    indices = np.frombuffer(base64.b64decode(entry["indices"]), "<i4")
-    values = np.frombuffer(base64.b64decode(entry["values"]), "<f8")
-    indices, values = edit(indices, values)
-    entry["indices"] = base64.b64encode(np.asarray(indices, "<i4").tobytes()).decode("ascii")
-    entry["values"] = base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+def edit_weights(obj, edit):
+    """Decode a saved bundle's ``features`` and (features x labels)
+    ``weights``, apply ``edit(features, weights)`` and store the result,
+    re-encoded, in place."""
+    features = np.frombuffer(base64.b64decode(obj["features"]), "<i4")
+    weights = np.frombuffer(base64.b64decode(obj["weights"]), "<f8")
+    features, weights = edit(features.copy(), weights.reshape(-1, len(obj["labels"])).copy())
+    obj["features"] = base64.b64encode(np.asarray(features, "<i4").tobytes()).decode("ascii")
+    obj["weights"] = base64.b64encode(np.asarray(weights, "<f8").tobytes()).decode("ascii")
+
+
+def repeat_first_label(obj):
+    """Append a copy of the first label, and of its weight column."""
+    edit_weights(obj, lambda f, w: (f, np.hstack([w, w[:, :1]])))
+    obj["labels"].append(dict(obj["labels"][0]))
 
 
 @pytest.fixture(scope="module")
@@ -1513,9 +1539,9 @@ def label_columns(draw, dimension):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_label_columns_round_trip_bit_exact(small_bundle, data):
-    """Each drawn column's nonzero weights come back bit for bit at their
-    features; a stored zero of either sign is neither saved nor loaded, and
-    the loaded bundle saves to the same bytes."""
+    """The drawn columns' rows that hold a nonzero weight, as training keeps
+    them, come back bit for bit, a zero of either sign in them included,
+    and the loaded bundle saves to the same bytes."""
     # a bundle without labels is refused on load, so every drawn one has one
     d = small_bundle.tfidf.dimension
     columns = data.draw(st.lists(label_columns(d), min_size=1, max_size=4,
@@ -1523,9 +1549,9 @@ def test_label_columns_round_trip_bit_exact(small_bundle, data):
     dense = np.zeros((d, len(columns)))
     for j, (_, idx, val) in enumerate(columns):
         dense[idx, j] = val
-    features = np.unique(np.array([i for _, idx, _ in columns for i in idx], dtype=np.int64))
+    held = np.flatnonzero(dense.any(axis=1))
     bundle = replace(small_bundle, label_models=tuple(lm for lm, _, _ in columns),
-                     features=features, weights=dense[features])
+                     features=held, weights=dense[held])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bundle.json"
         save_bundle(bundle, path)
@@ -1536,13 +1562,11 @@ def test_label_columns_round_trip_bit_exact(small_bundle, data):
         save_bundle(loaded, again)
         assert again.read_bytes() == path.read_bytes()
     assert len(loaded.label_models) == len(columns)
-    held = np.flatnonzero(dense.any(axis=1))
     np.testing.assert_array_equal(loaded.features, held)
-    want = np.where(dense[held] != 0, dense[held], 0.0)  # -0.0 comes back as 0.0
     W = loaded.weights
     assert W.dtype == np.float64 and W.flags.c_contiguous
-    assert W.shape == want.shape
-    assert W.tobytes() == want.tobytes()
+    assert W.shape == (held.size, len(columns))
+    assert W.tobytes() == dense[held].tobytes()
     for got, (want, _, _) in zip(loaded.label_models, columns):
         assert got.label == want.label
         assert got.bias.hex() == want.bias.hex()
@@ -1577,51 +1601,67 @@ class TestLoadBundleValidation:
 
     def test_weight_index_beyond_dimension(self, saved):
         path, obj = saved
-        edit_column(obj["labels"][0], lambda idx, val: (np.append(idx[:-1], 10**6), val))
-        self.rejects(path, obj, r"label 'L1': weight index 1000000 outside \[0, \d+\)")
+        edit_weights(obj, lambda f, w: (np.append(f[:-1], 10**6), w))
+        self.rejects(path, obj, r"features must be strictly increasing integer ids in \[0, \d+\)")
 
     def test_negative_weight_index(self, saved):
         path, obj = saved
-        edit_column(obj["labels"][0], lambda idx, val: (np.append(-1, idx[1:]), val))
-        self.rejects(path, obj, r"weight index -1 outside")
+        edit_weights(obj, lambda f, w: (np.append(-1, f[1:]), w))
+        self.rejects(path, obj, r"features must be strictly increasing integer ids in \[0,")
 
-    @pytest.mark.parametrize("key", ["indices", "values"])
+    @pytest.mark.parametrize("key", ["features", "weights"])
     def test_invalid_base64(self, saved, key):
         path, obj = saved
-        obj["labels"][0][key] = "AAAAAAAA*AAA="  # decodes once the "*" is dropped
-        self.rejects(path, obj, f"label 'L1': {key} is not valid base64")
+        obj[key] = "AAAAAAAA*AAA="  # decodes once the "*" is dropped
+        self.rejects(path, obj, f"{key} is not valid base64")
 
-    @pytest.mark.parametrize("key", ["indices", "values"])
+    @pytest.mark.parametrize("key", ["features", "weights"])
     def test_non_string_column(self, saved, key):
         path, obj = saved
-        obj["labels"][0][key] = [0, 1]
-        self.rejects(path, obj, f"label 'L1': {key} must be a base64 string")
+        obj[key] = [0, 1]
+        self.rejects(path, obj, f"{key} must be a base64 string")
 
-    @pytest.mark.parametrize("key, itemsize", [("indices", 4), ("values", 8)])
+    @pytest.mark.parametrize("key, itemsize", [("features", 4), ("weights", 8)])
     def test_truncated_byte_length(self, saved, key, itemsize):
         path, obj = saved
-        raw = base64.b64decode(obj["labels"][0][key])
-        obj["labels"][0][key] = base64.b64encode(raw[:-1]).decode("ascii")
+        raw = base64.b64decode(obj[key])
+        obj[key] = base64.b64encode(raw[:-1]).decode("ascii")
         self.rejects(
-            path, obj,
-            f"label 'L1': {key} holds {len(raw) - 1} bytes, not a whole number of {itemsize}-byte",
+            path, obj, f"{key} holds {len(raw) - 1} bytes, not a whole number of {itemsize}-byte",
         )
 
     def test_index_value_count_mismatch(self, saved):
         path, obj = saved
-        n = len(base64.b64decode(obj["labels"][0]["indices"])) // 4
-        edit_column(obj["labels"][0], lambda idx, val: (idx, val[:-1]))
-        self.rejects(path, obj, f"label 'L1': {n} weight indices for {n - 1} values")
+        n = len(base64.b64decode(obj["features"])) // 4
+        edit_weights(obj, lambda f, w: (f, w.ravel()[:-1]))
+        self.rejects(path, obj, f"weights holds {n - 1} values for {n} features x 1 labels")
 
     def test_weight_indices_out_of_order(self, saved):
         path, obj = saved
-        edit_column(obj["labels"][0], lambda idx, val: (idx[[1, 0, *range(2, idx.size)]], val))
-        self.rejects(path, obj, "strictly increasing")
+        edit_weights(obj, lambda f, w: (f[[1, 0, *range(2, f.size)]], w))
+        self.rejects(path, obj, "features must be strictly increasing")
+
+    def test_repeated_feature(self, saved):
+        path, obj = saved
+        edit_weights(obj, lambda f, w: (np.append(f[:1], f[:-1]), w))
+        self.rejects(path, obj, "features must be strictly increasing")
 
     def test_non_finite_weight(self, saved):
         path, obj = saved
-        edit_column(obj["labels"][0], lambda idx, val: (idx, np.append(np.nan, val[1:])))
-        self.rejects(path, obj, "label 'L1': weights must be finite")
+        edit_weights(obj, lambda f, w: (f, np.append(np.nan, w.ravel()[1:])))
+        self.rejects(path, obj, "weights must be finite")
+
+    def test_feature_row_without_a_weight(self, saved):
+        """Training keeps only features with a nonzero weight for some label."""
+        path, obj = saved
+        features = np.frombuffer(base64.b64decode(obj["features"]), "<i4")
+
+        def clear_second_row(f, w):
+            w[1] = -0.0
+            return f, w
+
+        edit_weights(obj, clear_second_row)
+        self.rejects(path, obj, f"weights holds no nonzero weight for feature {features[1]}")
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_bias(self, saved, bad):
@@ -1638,23 +1678,25 @@ class TestLoadBundleValidation:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda labels: labels[0].update(code=["L1"]),
+            (lambda obj: obj["labels"][0].update(code=["L1"]),
              r"label \['L1'\]: code must be a nonempty string"),
-            (lambda labels: labels[0].update(code=""), "label '': code must be a nonempty string"),
-            (lambda labels: labels[0].update(code=7), "label 7: code must be a nonempty string"),
-            (lambda labels: labels[0].update(code=None),
+            (lambda obj: obj["labels"][0].update(code=""),
+             "label '': code must be a nonempty string"),
+            (lambda obj: obj["labels"][0].update(code=7),
+             "label 7: code must be a nonempty string"),
+            (lambda obj: obj["labels"][0].update(code=None),
              "label None: code must be a nonempty string"),
-            (lambda labels: labels.append(dict(labels[0])), "label 'L1': repeats an earlier label"),
-            (lambda labels: labels[0].update(bias="0.5"),
+            (repeat_first_label, "label 'L1': repeats an earlier label"),
+            (lambda obj: obj["labels"][0].update(bias="0.5"),
              "label 'L1': bias must be a number, got '0.5'"),
-            (lambda labels: labels[0].update(bias=True), "label 'L1': bias must be a number"),
-            (lambda labels: labels[0].update(bias=None), "label 'L1': bias must be a number"),
-            (lambda labels: labels[0].update(bias=10**400), "int too large"),
-            (lambda labels: labels[0].update(threshold="0.5"),
+            (lambda obj: obj["labels"][0].update(bias=True), "label 'L1': bias must be a number"),
+            (lambda obj: obj["labels"][0].update(bias=None), "label 'L1': bias must be a number"),
+            (lambda obj: obj["labels"][0].update(bias=10**400), "int too large"),
+            (lambda obj: obj["labels"][0].update(threshold="0.5"),
              "label 'L1': threshold must be a number or null, got '0.5'"),
-            (lambda labels: labels[0].update(threshold=False),
+            (lambda obj: obj["labels"][0].update(threshold=False),
              "label 'L1': threshold must be a number or null"),
-            (lambda labels: labels[0].update(threshold=[0.5]),
+            (lambda obj: obj["labels"][0].update(threshold=[0.5]),
              "label 'L1': threshold must be a number or null"),
         ],
         ids=["list_code", "empty_code", "integer_code", "null_code", "repeated_code",
@@ -1663,7 +1705,7 @@ class TestLoadBundleValidation:
     )
     def test_bad_label_entry(self, saved, corrupt, message):
         path, obj = saved
-        corrupt(obj["labels"])
+        corrupt(obj)
         self.rejects(path, obj, message)
 
     def test_integer_bias_and_threshold_load_as_floats(self, saved):
@@ -1771,19 +1813,24 @@ class TestLoadBundleValidation:
 
     @pytest.mark.parametrize(
         "lam, message",
-        [(-5, "lambda must be a finite positive number, got -5"),
+        [(-5, "training.lambda must be a finite positive number, got -5"),
          (0, "got 0"), ("1.0", "got '1.0'"), (float("inf"), "got inf"),
          (float("nan"), "got nan"), (True, "got True")],
         ids=["negative", "zero", "string", "inf", "nan", "boolean"],
     )
     def test_bad_lambda(self, saved, lam, message):
         path, obj = saved
-        obj["lambda"] = lam
+        obj["training"]["lambda"] = lam
         self.rejects(path, obj, message)
+
+    def test_lambda_outside_the_training_block_refused(self, saved):
+        path, obj = saved
+        obj["lambda"] = obj.pop("training")["lambda"]
+        self.rejects(path, obj, r"malformed contents \('training'\)")
 
     def test_integer_lambda_loads_as_float(self, saved):
         path, obj = saved
-        obj["lambda"] = 2
+        obj["training"]["lambda"] = 2
         path.write_text(json.dumps(obj))
         lam = load_bundle(path).lam
         assert lam == 2.0 and type(lam) is float

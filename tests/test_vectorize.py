@@ -439,3 +439,13 @@ class TestOnePassFit:
         with pytest.raises(ConfigError, match=rf"^hash bits must be in \[1, 30\], got {bits}$"):
             fit_hashed_idf(["a b", "c"], bits=bits)
         assert hashed == []
+
+
+def test_slot_map_restarts_once_full(monkeypatch):
+    """A token new to a full slot map clears it and starts it afresh; every
+    slot is still ``_hash_slot``'s."""
+    monkeypatch.setattr(vectorize, "_HASH_SLOT_CACHE", 3)
+    slots = vectorize._Slots(13)
+    tokens = ["a", "b", "c", "a", "d", "b", "e"]
+    assert [slots[t] for t in tokens] == [vectorize._hash_slot(t, 13) for t in tokens]
+    assert list(slots) == ["d", "b", "e"]

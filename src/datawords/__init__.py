@@ -11,6 +11,12 @@ and bundles must not depend on the host's thread settings. The pin only
 takes effect if numpy is not loaded yet: a caller that imports numpy before
 this package must set ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` to 1 itself (or import ``datawords`` first).
+
+scipy is not imported with the package: ``scipy.sparse`` loads where a
+sparse matrix is first built (vectorizing, training, prediction). The pin
+covers its BLAS too, as the variables are set when the package is
+imported, before scipy can load. Extraction, statistics, encoding and the
+synthetic corpus generator never load it.
 """
 
 import os

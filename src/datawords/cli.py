@@ -5,7 +5,10 @@ synth. Settings come from an optional JSON config file (--config) with
 command-line flags taking precedence. All randomness flows from --seed.
 A command that succeeds prints one "[time] <command>: <seconds>s" line to
 standard error; timings never enter data outputs, so every output file is
-byte-identical across reruns with the same inputs.
+byte-identical across reruns with the same inputs. The line of train,
+predict, explain and evaluate includes loading scipy (about 0.1 s) at the
+command's first sparse matrix; extract, stats, encode and synth never load
+it.
 
 Exit codes: 0 success, 1 data error, 2 configuration or usage error.
 """

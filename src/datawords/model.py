@@ -62,10 +62,9 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Encounter, Sentence, split_sentences, tokenize
 from .encoding import (
@@ -115,6 +114,9 @@ from .vectorize import (
     _tfidf_rows,
     stack_vectors,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
@@ -297,6 +299,8 @@ class PredictionSet:
 
 
 def _as_matrix(X) -> sparse.csr_matrix:
+    from scipy import sparse
+
     if sparse.issparse(X):
         return X.tocsr()
     vecs = list(X)
@@ -366,6 +370,8 @@ def fit_labels(X, Y, lam: float) -> tuple[sparse.csc_matrix, np.ndarray]:
     without stored zeros and b the unpenalized biases. ``_ridge`` solves;
     W holds its dense weights over X's used columns.
     """
+    from scipy import sparse
+
     if lam <= 0:
         raise InputError(f"lambda must be positive, got {lam}")
     Xm = _as_matrix(X)
@@ -984,6 +990,12 @@ _WEIGHT_ROWS = 48
 _BASE64 = STRING._replace(words="a base64 string")
 _THRESHOLD = nullable(NUMBER, "a number or null")
 _SELECTED = nullable(STRINGS, "null or a list of strings")
+# The keys ``save_bundle`` writes, at the top level and in each label
+# entry; a bundle with any other key is refused, not read in part.
+_BUNDLE_KEYS = ("format_version", "tokenizer", "unit", "ablation_mode", "training", "tfidf",
+                "variable_stats", "threshold_spec", "selected_variables", "extraction", "rollup",
+                "labels", "features", "weights")
+_LABEL_KEYS = ("code", "bias", "threshold")
 
 
 def _b64_array(a: np.ndarray, dtype: np.dtype) -> str:
@@ -1024,11 +1036,17 @@ def _array_from_b64(obj: Mapping, key: str, dtype: np.dtype) -> np.ndarray:
     return np.frombuffer(data, dtype=dtype)
 
 
+def _refuse_unknown_keys(obj: Mapping, known: Sequence[str], where: str) -> None:
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise ValueError(f"{where} has unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def _label_from_entry(entry: Mapping) -> LabelModel:
     """One saved label, checked so that scoring cannot fail or go NaN: a
     nonempty string code, a finite number for the bias, and a finite number
-    or null (never predicted) for the threshold. Raises ValueError naming
-    the label and the first violation."""
+    or null (never predicted) for the threshold, and no other key. Raises
+    ValueError naming the label and the first violation."""
     code = check(entry, OBJECT, "label entry")["code"]
     check(code, NONEMPTY, f"label {code!r}: code")
     bias = check(entry["bias"], NUMBER, f"label {code!r}: bias")
@@ -1037,6 +1055,7 @@ def _label_from_entry(entry: Mapping) -> LabelModel:
     thr = check(entry["threshold"], _THRESHOLD, f"label {code!r}: threshold")
     if thr is not None and not math.isfinite(thr):
         raise ValueError(f"label {code!r}: threshold must be finite or null, got {thr}")
+    _refuse_unknown_keys(entry, _LABEL_KEYS, f"label {code!r}")
     threshold = math.inf if thr is None else float(thr)
     return LabelModel(label=code, bias=float(bias), threshold=threshold)
 
@@ -1048,8 +1067,10 @@ def load_bundle(path: str | Path) -> ModelBundle:
     UnsupportedVersionError: it has to be retrained. Every field is checked
     by its JSON kind (``jsontypes``) and against what ``train_all`` can
     write, so contents that would make prediction fail, go NaN or differ
-    from what was trained raise DataError naming the field or the label.
-    A bundle without ``tokenizer`` loads with the one tokenizer there is.
+    from what was trained raise DataError naming the field or the label,
+    as does a key, at the top level or in a label entry, that
+    ``save_bundle`` does not write. A bundle without ``tokenizer`` loads
+    with the one tokenizer there is.
     """
     obj = read_json_object(path, "bundle", DataError)
     version = obj.get("format_version")
@@ -1106,6 +1127,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
         held = weights.any(axis=1)
         if not held.all():
             raise ValueError(f"weights holds no nonzero weight for feature {features[~held][0]}")
+        _refuse_unknown_keys(obj, _BUNDLE_KEYS, "the bundle")
         return ModelBundle(
             tfidf=tfidf,
             variable_stats=stats,

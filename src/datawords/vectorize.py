@@ -45,15 +45,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import tokenize
 from .errors import ConfigError
 from .jsontypes import (BOOL, COUNT, INTEGER, LIST, OBJECT, POSITIVE, STRING, Kind, check,
                         count_upto)
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _FNV_OFFSET = 2166136261
 _FNV_PRIME = 16777619
@@ -301,6 +303,8 @@ def _weigh(
     features in ``used`` are kept, each in the column of its feature's
     position there, in a matrix of ``len(used)`` columns; the values and
     norms are those over every feature."""
+    from scipy import sparse
+
     indptr = np.searchsorted(key_rows, np.arange(n + 1))
     values = (1.0 + np.log(counts.astype(np.float64))) * model.idf[indices]
     if model.l2_normalize:
@@ -401,6 +405,8 @@ def vectorize_document(model: TfIdfModel, text: str) -> DocumentVector:
 
 def stack_vectors(vectors: Iterable[DocumentVector], dimension: int) -> sparse.csr_matrix:
     """Assemble row vectors into one CSR matrix."""
+    from scipy import sparse
+
     vecs = list(vectors)
     indptr = np.cumsum([0] + [v.nnz for v in vecs], dtype=np.int64)
     indices = np.concatenate([np.empty(0, np.int64)] + [v.indices for v in vecs])

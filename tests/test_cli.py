@@ -755,11 +755,15 @@ class TestBatchedReadPath:
              "label 'A01': bias must be a number, got '0.5'"),
             (lambda obj: obj["labels"][0].update(threshold="0.5"),
              "label 'A01': threshold must be a number or null, got '0.5'"),
+            (lambda obj: obj.update({"lambda": 50.0}), "the bundle has unknown key(s) 'lambda'"),
+            (lambda obj: obj["labels"][0].update(indices="AAAAAA=="),
+             "label 'A01' has unknown key(s) 'indices'"),
         ],
         ids=["truncated_idf", "weight_index_out_of_range", "unknown_unit",
              "unknown_ablation_mode", "unknown_extraction_source",
              "string_selected_variables", "string_rollup_provenances",
-             "list_code", "repeated_code", "string_bias", "string_threshold"],
+             "list_code", "repeated_code", "string_bias", "string_threshold",
+             "stray_top_level_key", "leftover_label_key"],
     )
     def test_predict_on_bad_bundle_exits_with_message(self, tmp_path, capsys, corrupt, message):
         corpus = write_corpus(tmp_path / "c.jsonl", FEVER_CORPUS)

@@ -1828,6 +1828,37 @@ class TestLoadBundleValidation:
         obj["lambda"] = obj.pop("training")["lambda"]
         self.rejects(path, obj, r"malformed contents \('training'\)")
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda obj: obj.update({"lambda": 50.0}), r"the bundle has unknown key\(s\) 'lambda'"),
+            (lambda obj: obj.update(unknown=1), r"the bundle has unknown key\(s\) 'unknown'"),
+            (lambda obj: obj["labels"][0].update(indices="AAAAAA=="),
+             r"label 'L1' has unknown key\(s\) 'indices'"),
+            (lambda obj: obj["labels"][0].update(unknown=1),
+             r"label 'L1' has unknown key\(s\) 'unknown'"),
+            (lambda obj: (obj.update({"lambda": 50.0, "unknown": 1}),
+                          obj["labels"][0].update(indices="AAAAAA==")),
+             r"label 'L1' has unknown key\(s\) 'indices'"),
+            (lambda obj: obj.update({"lambda": 50.0, "unknown": 1}),
+             r"the bundle has unknown key\(s\) 'lambda', 'unknown'"),
+        ],
+        ids=["stray_lambda", "top_level_unknown", "leftover_label_indices", "label_unknown",
+             "all_three", "two_top_level_keys"],
+    )
+    def test_unknown_key_refused(self, saved, corrupt, message):
+        """A stray top-level ``lambda`` beside ``training`` once loaded with
+        the training block's lambda, and a leftover format-2 ``indices``
+        key in a label entry loaded without a word."""
+        path, obj = saved
+        corrupt(obj)
+        self.rejects(path, obj, message)
+
+    def test_known_keys_are_the_keys_save_writes(self, saved):
+        _, obj = saved
+        assert tuple(obj) == model._BUNDLE_KEYS
+        assert all(tuple(entry) == model._LABEL_KEYS for entry in obj["labels"])
+
     def test_integer_lambda_loads_as_float(self, saved):
         path, obj = saved
         obj["training"]["lambda"] = 2
